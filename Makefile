@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench-check bench-json bench-scale bench-serve bench-gate table1 cover fuzz-short lbshard-smoke ci
+.PHONY: build vet test race bench-check bench-json bench-scale bench-serve bench-gate perfbench-check table1 cover fuzz-short lbshard-smoke ci
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ bench-check:
 # when a slowdown is intentional. Two steps (not a pipe) so a failing
 # benchmark run fails the target instead of writing a truncated JSON.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x . > BENCH_core.txt
+	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x -cpu 1 . > BENCH_core.txt
 	$(GO) run ./cmd/benchjson < BENCH_core.txt > BENCH_core.json
 	rm -f BENCH_core.txt
 
@@ -39,7 +39,7 @@ bench-json:
 # the committed bench-gate baseline recording rounds/sec, allocs/round,
 # state-bytes/node and cluster wire bytes/round versus n across PRs.
 bench-scale:
-	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x . > BENCH_scale.txt
+	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x -cpu 1 . > BENCH_scale.txt
 	$(GO) run ./cmd/benchjson < BENCH_scale.txt > BENCH_scale.json
 	rm -f BENCH_scale.txt
 
@@ -50,7 +50,7 @@ bench-scale:
 # BENCH_serve.json, the committed bench-gate baseline.
 SERVE_SUSTAIN ?= 10s
 bench-serve:
-	SERVE_SUSTAIN=$(SERVE_SUSTAIN) $(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound|ServeSustained' -benchtime 1x . > BENCH_serve.txt
+	SERVE_SUSTAIN=$(SERVE_SUSTAIN) $(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound|ServeSustained' -benchtime 1x -cpu 1 . > BENCH_serve.txt
 	$(GO) run ./cmd/benchjson < BENCH_serve.txt > BENCH_serve.json
 	rm -f BENCH_serve.txt
 
@@ -72,20 +72,31 @@ bench-serve:
 # allocs/op pairs against a growth budget, and -max-allocs pins the
 # weighted shard round at n=10⁶ under 1,000 allocs/round absolutely —
 # the bound the O(movers) arena decide established.
+#
+# Every baseline and fresh run uses -cpu 1. go test names a benchmark run
+# at GOMAXPROCS N > 1 "Name-N" and benchgate joins on that name, so a
+# fresh run at another -cpu than its baseline would match nothing (which
+# benchgate rejects with exit 2). One core is also how the baselines
+# were recorded: the engines default their worker count to GOMAXPROCS.
 BENCH_GATE_TOLERANCE ?= 1.5
 bench-gate:
-	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x . > BENCH_core.fresh.txt
+	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x -cpu 1 . > BENCH_core.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_core.fresh.txt > BENCH_core.fresh.json
 	rm -f BENCH_core.fresh.txt
-	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x . > BENCH_scale.fresh.txt
+	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x -cpu 1 . > BENCH_scale.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_scale.fresh.txt > BENCH_scale.fresh.json
 	rm -f BENCH_scale.fresh.txt
-	$(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound' -benchtime 1x . > BENCH_serve.fresh.txt
+	$(GO) test -run '^$$' -bench 'BatcherSubmit|ServeRound' -benchtime 1x -cpu 1 . > BENCH_serve.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_serve.fresh.txt > BENCH_serve.fresh.json
 	rm -f BENCH_serve.fresh.txt
 	$(GO) run ./cmd/benchgate -tolerance $(BENCH_GATE_TOLERANCE) \
 		-max-allocs 'WeightedShardRound/ring-n=1000000/shard=1000' \
 		BENCH_core.json=BENCH_core.fresh.json BENCH_scale.json=BENCH_scale.fresh.json BENCH_serve.json=BENCH_serve.fresh.json
+
+# perfbench/ is a nested module (the repository benchmark), so the root
+# `go test ./...` does not reach its manifest, stats and pacer tests.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # True-distribution smoke: one coordinator spawning two lbshard worker
 # processes over a unix socket, checkpointing every 20 rounds; -verify
@@ -125,4 +136,4 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) ./internal/graph
 
-ci: vet build race bench-check
+ci: vet build race bench-check perfbench-check

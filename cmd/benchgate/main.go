@@ -43,16 +43,22 @@
 // silently void its ceiling.
 //
 // Exit status: 0 all benchmarks within tolerance, 1 at least one
-// regression, 2 usage or I/O error. Benchmarks present on only one
-// side are reported but never gate — a renamed or new benchmark must
-// not break CI, it just won't be judged until the baseline is
-// refreshed.
+// regression, 2 usage or I/O error — or no benchmark matched at all,
+// which gates nothing and almost always means the fresh run used a
+// different -cpu than the baseline (go test names a benchmark run at
+// GOMAXPROCS N > 1 "Name-N"). The -max-allocs ceilings are judged
+// before that check, since they need no baseline. Benchmarks present
+// on only one side are reported but never gate — a renamed or new
+// benchmark must not break CI, it just won't be judged until the
+// baseline is refreshed.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -81,44 +87,57 @@ type pair struct {
 }
 
 func main() {
-	tolerance := flag.Float64("tolerance", 1.5, "allowed fractional slowdown above the normalized baseline (1.5 = +150%)")
-	minMatched := flag.Int("min-matched", 3, "minimum matched benchmarks for median normalization; below this raw ratios are judged")
-	minNs := flag.Float64("min-ns", 1e7, "noise floor: benchmarks whose ns/op is below this on either side inform the median but never gate")
-	allocFactor := flag.Float64("alloc-factor", 2.0, "allowed allocs/op growth factor over the baseline (alloc counts are deterministic, so no machine normalization)")
-	allocSlack := flag.Float64("alloc-slack", 64, "absolute allocs/op growth always allowed, so tiny counts (2 -> 5) never trip the factor")
-	maxAllocs := flag.String("max-allocs", "", "comma-separated substring=limit ceilings on fresh allocs/op (e.g. 'WeightedShardRound/ring-n=1000000=1000'); a pattern matching no fresh benchmark is an error")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchgate [flags] baseline.json=fresh.json ...\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, prints the verdicts to
+// stdout and the warnings to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tolerance := fs.Float64("tolerance", 1.5, "allowed fractional slowdown above the normalized baseline (1.5 = +150%)")
+	minMatched := fs.Int("min-matched", 3, "minimum matched benchmarks for median normalization; below this raw ratios are judged")
+	minNs := fs.Float64("min-ns", 1e7, "noise floor: benchmarks whose ns/op is below this on either side inform the median but never gate")
+	allocFactor := fs.Float64("alloc-factor", 2.0, "allowed allocs/op growth factor over the baseline (alloc counts are deterministic, so no machine normalization)")
+	allocSlack := fs.Float64("alloc-slack", 64, "absolute allocs/op growth always allowed, so tiny counts (2 -> 5) never trip the factor")
+	maxAllocs := fs.String("max-allocs", "", "comma-separated substring=limit ceilings on fresh allocs/op (e.g. 'WeightedShardRound/ring-n=1000000=1000'); a pattern matching no fresh benchmark is an error")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: benchgate [flags] baseline.json=fresh.json ...\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 	ceilings, err := parseCeilings(*maxAllocs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
 	}
 	var pairs []pair
 	var missing []string
 	var allFresh []Bench
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		basePath, freshPath, ok := strings.Cut(arg, "=")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchgate: argument %q is not a baseline.json=fresh.json pair\n", arg)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchgate: argument %q is not a baseline.json=fresh.json pair\n", arg)
+			return 2
 		}
 		base, err := load(basePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
 		}
 		fresh, err := load(freshPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
 		}
 		allFresh = append(allFresh, fresh...)
 		p, m := match(base, fresh, fmt.Sprintf("%s vs %s", basePath, freshPath))
@@ -126,16 +145,33 @@ func main() {
 		missing = append(missing, m...)
 	}
 	for _, m := range missing {
-		fmt.Fprintf(os.Stderr, "benchgate: warning: %s\n", m)
+		fmt.Fprintf(stderr, "benchgate: warning: %s\n", m)
+	}
+	// The absolute ceilings judge the fresh runs alone, so they hold
+	// even when no baseline pair matched.
+	failed := false
+	ceilingVerdicts, err := judgeCeilings(allFresh, ceilings)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
+	}
+	for _, v := range ceilingVerdicts {
+		fmt.Fprintln(stdout, v.text)
+		failed = failed || v.failed
 	}
 	if len(pairs) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: warning: no benchmarks matched; nothing to gate")
-		return
+		// Usually a GOMAXPROCS mismatch: go test suffixes benchmark
+		// names with -N when N > 1, so a baseline recorded at -cpu 1
+		// matches only a fresh run at -cpu 1.
+		fmt.Fprintln(stderr, "benchgate: no benchmarks matched the baseline (check names and -cpu); nothing was gated")
+		return 2
 	}
-	normalize(pairs, *minMatched)
+	if !normalize(pairs, *minMatched) {
+		fmt.Fprintf(stderr, "benchgate: warning: only %d matched benchmarks (< %d); judging raw ratios without machine-speed normalization\n",
+			len(pairs), *minMatched)
+	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].normed > pairs[j].normed })
 	limit := 1 + *tolerance
-	failed := false
 	for _, p := range pairs {
 		verdict := "ok"
 		switch {
@@ -150,30 +186,21 @@ func main() {
 			verdict = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-70s %12.0f -> %12.0f ns/op  ratio %.2f  normalized %.2f  %s\n",
+		fmt.Fprintf(stdout, "%-70s %12.0f -> %12.0f ns/op  ratio %.2f  normalized %.2f  %s\n",
 			p.key, p.base, p.fresh, p.ratio, p.normed, verdict)
 	}
-	// Allocation gates. Alloc counts are deterministic (no machine-speed
-	// factor), so both gates judge raw values: matched pairs against the
-	// baseline growth budget, fresh runs against the absolute ceilings.
+	// Matched allocs/op pairs gate against the baseline growth budget;
+	// alloc counts are deterministic, so they judge raw values.
 	for _, v := range judgeAllocs(pairs, *allocFactor, *allocSlack) {
-		fmt.Println(v.text)
-		failed = failed || v.failed
-	}
-	ceilingVerdicts, err := judgeCeilings(allFresh, ceilings)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	for _, v := range ceilingVerdicts {
-		fmt.Println(v.text)
+		fmt.Fprintln(stdout, v.text)
 		failed = failed || v.failed
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL: regression beyond tolerance\n")
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchgate: FAIL: regression beyond tolerance\n")
+		return 1
 	}
-	fmt.Printf("benchgate: %d benchmarks within tolerance (limit %.2f)\n", len(pairs), limit)
+	fmt.Fprintf(stdout, "benchgate: %d benchmarks within tolerance (limit %.2f)\n", len(pairs), limit)
+	return 0
 }
 
 // verdict is one judged line of gate output.
@@ -334,10 +361,12 @@ func match(base, fresh []Bench, src string) ([]pair, []string) {
 }
 
 // normalize divides each ratio by the median ratio when enough
-// benchmarks matched to estimate the machine-speed factor.
-func normalize(pairs []pair, minMatched int) {
+// benchmarks matched to estimate the machine-speed factor, and reports
+// whether it did; below minMatched the raw ratios pass through.
+func normalize(pairs []pair, minMatched int) bool {
 	med := 1.0
-	if len(pairs) >= minMatched {
+	normalized := len(pairs) >= minMatched
+	if normalized {
 		rs := make([]float64, len(pairs))
 		for i, p := range pairs {
 			rs[i] = p.ratio
@@ -348,11 +377,9 @@ func normalize(pairs []pair, minMatched int) {
 		} else {
 			med = (rs[n/2-1] + rs[n/2]) / 2
 		}
-	} else {
-		fmt.Fprintf(os.Stderr, "benchgate: warning: only %d matched benchmarks (< %d); judging raw ratios without machine-speed normalization\n",
-			len(pairs), minMatched)
 	}
 	for i := range pairs {
 		pairs[i].normed = pairs[i].ratio / med
 	}
+	return normalized
 }

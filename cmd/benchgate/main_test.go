@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -171,5 +176,92 @@ func TestJudgeCeilings(t *testing.T) {
 	}
 	if _, err := judgeCeilings(fresh, []ceiling{{pattern: "Renamed", limit: 1}}); err == nil {
 		t.Error("pattern matching nothing accepted, want error")
+	}
+}
+
+// writeBenches stores benches as a benchjson file and returns its path.
+func writeBenches(t *testing.T, name string, benches []Bench) string {
+	t.Helper()
+	data, err := json.Marshal(benches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// gate runs the command and returns its exit status and output.
+func gate(args ...string) (int, string, string) {
+	var out, errOut bytes.Buffer
+	code := run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+func allocBench(name string, procs int, ns, allocs float64) Bench {
+	return Bench{Name: name, Procs: procs, Iterations: 1, Metrics: map[string]float64{"ns/op": ns, "allocs/op": allocs}}
+}
+
+// TestRunZeroMatchedExitsTwo pins the multi-core failure mode: a
+// baseline recorded at GOMAXPROCS 1 (no -N suffix) against a fresh run
+// at GOMAXPROCS 2 ("Name-2") matches nothing, and that must fail the
+// gate rather than pass it with nothing judged.
+func TestRunZeroMatchedExitsTwo(t *testing.T) {
+	base := writeBenches(t, "base.json", []Bench{bench("A", 0, 2e7), bench("B", 0, 3e7)})
+	fresh := writeBenches(t, "fresh.json", []Bench{bench("A", 2, 2e7), bench("B", 2, 3e7)})
+	code, _, errOut := gate(base + "=" + fresh)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr:\n%s", code, errOut)
+	}
+	if !strings.Contains(errOut, "no benchmarks matched") {
+		t.Errorf("stderr does not explain the empty match:\n%s", errOut)
+	}
+}
+
+// TestRunJudgesCeilingsWithoutMatches pins that the absolute
+// -max-allocs ceilings are judged even when no pair matched: the
+// exceeded ceiling is reported, and a ceiling whose pattern matches no
+// fresh benchmark stays a usage error.
+func TestRunJudgesCeilingsWithoutMatches(t *testing.T) {
+	base := writeBenches(t, "base.json", []Bench{allocBench("Round/n=1000000", 0, 2e7, 11)})
+	fresh := writeBenches(t, "fresh.json", []Bench{allocBench("Round/n=1000000", 2, 2e7, 5000)})
+	code, out, _ := gate("-max-allocs", "Round/n=1000000=1000", base+"="+fresh)
+	if code == 0 {
+		t.Fatal("exceeded ceiling with zero matches passed")
+	}
+	if !strings.Contains(out, "ALLOC CEILING EXCEEDED") {
+		t.Errorf("ceiling not judged before the zero-match exit; stdout:\n%s", out)
+	}
+	if code, _, _ := gate("-max-allocs", "Renamed=1000", base+"="+fresh); code != 2 {
+		t.Errorf("ceiling matching no fresh benchmark: exit %d, want 2", code)
+	}
+}
+
+// TestRunVerdicts pins the exit statuses on matched runs: a uniformly
+// slower machine passes, one benchmark regressing against the pack
+// fails with 1, and so does an exceeded ceiling alone.
+func TestRunVerdicts(t *testing.T) {
+	base := writeBenches(t, "base.json", []Bench{
+		allocBench("A", 0, 2e7, 10), allocBench("B", 0, 3e7, 10), allocBench("C", 0, 4e7, 10),
+	})
+	slower := writeBenches(t, "slower.json", []Bench{
+		allocBench("A", 0, 4e7, 10), allocBench("B", 0, 6e7, 10), allocBench("C", 0, 8e7, 10),
+	})
+	if code, out, errOut := gate(base + "=" + slower); code != 0 || !strings.Contains(out, "3 benchmarks within tolerance") {
+		t.Fatalf("uniform 2x slowdown: exit %d, want 0\n%s%s", code, out, errOut)
+	}
+	regressed := writeBenches(t, "regressed.json", []Bench{
+		allocBench("A", 0, 2e7, 10), allocBench("B", 0, 3e7, 10), allocBench("C", 0, 4e8, 10),
+	})
+	if code, out, _ := gate(base + "=" + regressed); code != 1 || !strings.Contains(out, "REGRESSION") {
+		t.Fatalf("10x regression of one benchmark: exit %d, want 1\n%s", code, out)
+	}
+	if code, _, _ := gate("-max-allocs", "A=5", base+"="+slower); code != 1 {
+		t.Fatalf("exceeded ceiling on matched run: exit %d, want 1", code)
+	}
+	if code, _, _ := gate(); code != 2 {
+		t.Fatalf("no arguments: exit %d, want 2", code)
 	}
 }

@@ -757,6 +757,31 @@ func (inst *instance) shutdown(fl *flags) error {
 
 // ---- daemon mode ----
 
+// lbd's HTTP deadlines. There is no WriteTimeout: POST /tasks holds
+// its reply until the admission round, and a write deadline would cut
+// off that honest wait. ReadTimeout is measured from the start of the
+// request and net/http cancels the request context once it passes, so
+// it also caps the admission wait; it sits far above any round time.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpReadTimeout       = time.Minute
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds every lbd HTTP server with read deadlines, so a
+// client that stalls mid-request cannot hold a connection and its
+// goroutine forever: readHeader bounds the request line and headers,
+// httpReadTimeout the whole request, httpIdleTimeout a kept-alive
+// connection waiting for its next request.
+func newHTTPServer(h http.Handler, readHeader time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeader,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 func runDaemon(ctx context.Context, fl *flags) error {
 	inst, err := buildInstance(fl)
 	if err != nil {
@@ -770,7 +795,7 @@ func runDaemon(ctx context.Context, fl *flags) error {
 		inst.srv.Stop()
 		return err
 	}
-	hs := &http.Server{Handler: inst.handler}
+	hs := newHTTPServer(inst.handler, httpReadHeaderTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Printf("listen:   http://%s\n", ln.Addr())
@@ -864,7 +889,7 @@ func runHTTPLoad(ctx context.Context, inst *instance, fl *flags, opts serve.Load
 	if err != nil {
 		return serve.LoadReport{}, err
 	}
-	hs := &http.Server{Handler: inst.handler}
+	hs := newHTTPServer(inst.handler, httpReadHeaderTimeout)
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,5 +119,53 @@ func TestDaemonStartupShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestHTTPServerDropsStalledHeader pins the read deadlines of
+// newHTTPServer: a client that sends half a request line and stalls is
+// disconnected within the header timeout, while a complete request on
+// the same server is still answered.
+func TestHTTPServerDropsStalledHeader(t *testing.T) {
+	const headerTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	}), headerTimeout)
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("complete request: status %d", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /sta"); err != nil {
+		t.Fatal(err)
+	}
+	// Fail rather than hang if the server never drops the connection.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * headerTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v (header timeout %v)", elapsed, headerTimeout)
+	}
+	if elapsed < headerTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, headerTimeout)
 	}
 }

@@ -78,16 +78,23 @@ type State interface {
 // Step executes synchronous round r, drawing all randomness from streams
 // derived from base (the keying contract rng.Stream.At pins down), and
 // returns the number of migrated tasks. State exposes the current
-// distribution for stop conditions and trace sampling; the returned
-// value is a read-only view that is valid until the next Step.
+// distribution for stop conditions and trace sampling. The returned
+// value is a read-only view: it may share storage with the engine, and
+// it is valid until the next Step, StepEvents, ApplyEvents or Close on
+// that engine. A caller that keeps a state past that point, or mutates
+// it, Clone()s it first.
 //
 // The sequential protocols implement Engine through the adapters behind
-// RunUniform/RunWeighted; the concurrent engines in package dist
-// (fork–join Runtime, actor Network, WeightedRuntime) implement it
-// directly. Because every engine draws node i's round-r randomness from
-// base.At(r, i), driving any of them through Drive with the same seed
-// yields bit-identical trajectories — and therefore identical
-// RunResults and traces.
+// RunUniform/RunWeighted, whose State is the live state itself; the
+// concurrent engines in package dist (fork–join Runtime, actor Network,
+// WeightedRuntime), the in-process shard engines (shard.Engine,
+// shard.WeightedEngine, whose weighted State aliases its task pools and
+// weight sums) and the process clusters (shard.UniformCluster,
+// shard.WeightedCluster, which gather a fresh state from their workers)
+// implement it directly. Because every engine draws node i's round-r
+// randomness from base.At(r, i), driving any of them through Drive with
+// the same seed yields bit-identical trajectories — and therefore
+// identical RunResults and traces.
 type Engine[S State] interface {
 	Step(round uint64, base *rng.Stream) (int64, error)
 	State() (S, error)

@@ -230,46 +230,46 @@ func (st *WeightedState) moveTask(i, idx, j int) {
 	}
 }
 
-// NewWeightedStateFromFlat builds a WeightedState from the flat
-// structure-of-arrays view an engine with contiguous storage maintains
-// (package shard): pool holds every task weight in node order, off
-// (length n+1, off[0] = 0, non-decreasing) delimits node i's segment as
-// pool[off[i]:off[i+1]], and nodeWeight, totalW and sinceRecompute are
-// adopted verbatim rather than recomputed. The verbatim adoption is the
-// point: the cached weight sums are observable through loads and
+// NewWeightedStateFromSegments builds a WeightedState over storage an
+// engine with its own task layout already holds (package shard): segs[i]
+// is node i's task weights, and nodeWeight, totalW and sinceRecompute
+// are adopted verbatim rather than recomputed. The verbatim adoption is
+// the point: the cached weight sums are observable through loads and
 // potentials, so an engine that maintains them with the exact
 // floating-point operation order of the sequential mutators must be
-// able to materialize a state with identical bits — re-summing here
-// would destroy that. The constructor takes ownership of pool (the task
-// slices alias it, with capacities pinned so later appends copy out);
-// nodeWeight is copied.
-func NewWeightedStateFromFlat(sys *System, pool []float64, off []int64, nodeWeight []float64, totalW float64, sinceRecompute int) (*WeightedState, error) {
+// able to expose a state with identical bits — re-summing here would
+// destroy that.
+//
+// Nothing is copied: the state keeps segs as its per-node task lists
+// and nodeWeight as its cached sums. Each segment's capacity is pinned
+// to its length in place, so an append (Inject, an arriving move)
+// copies the node out instead of running into whatever storage follows
+// it; in-place mutation still writes through. A state built over an
+// engine's live storage is therefore a read-only view, and a caller
+// that keeps or mutates it Clone()s it first (see Engine).
+func NewWeightedStateFromSegments(sys *System, segs [][]float64, nodeWeight []float64, totalW float64, sinceRecompute int) (*WeightedState, error) {
 	n := sys.N()
-	if len(off) != n+1 {
-		return nil, fmt.Errorf("core: %d offsets for %d processors", len(off), n)
-	}
-	if off[0] != 0 || off[n] != int64(len(pool)) {
-		return nil, fmt.Errorf("core: offsets span [%d,%d) over a pool of %d weights", off[0], off[n], len(pool))
+	if len(segs) != n {
+		return nil, fmt.Errorf("core: %d task segments for %d processors", len(segs), n)
 	}
 	if len(nodeWeight) != n {
 		return nil, fmt.Errorf("core: %d node weights for %d processors", len(nodeWeight), n)
 	}
-	st := &WeightedState{
-		sys:            sys,
-		tasks:          make([][]float64, n),
-		nodeWeight:     append([]float64(nil), nodeWeight...),
-		totalW:         totalW,
-		count:          len(pool),
-		sinceRecompute: sinceRecompute,
-	}
-	for i := 0; i < n; i++ {
-		lo, hi := off[i], off[i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("core: offsets decrease at node %d", i)
+	count := 0
+	for i, seg := range segs {
+		if cap(seg) != len(seg) {
+			segs[i] = seg[:len(seg):len(seg)]
 		}
-		st.tasks[i] = pool[lo:hi:hi]
+		count += len(seg)
 	}
-	return st, nil
+	return &WeightedState{
+		sys:            sys,
+		tasks:          segs,
+		nodeWeight:     nodeWeight,
+		totalW:         totalW,
+		count:          count,
+		sinceRecompute: sinceRecompute,
+	}, nil
 }
 
 // RecomputeWeights rebuilds the cached node weight sums from the task

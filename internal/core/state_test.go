@@ -175,3 +175,40 @@ func TestWeightedClone(t *testing.T) {
 		t.Error("weighted clone shares storage")
 	}
 }
+
+// TestWeightedStateFromSegmentsAdopts pins the segment-adopting
+// constructor: cached sums and counters are taken verbatim (not
+// re-summed), the storage is shared rather than copied, and the pinned
+// segment capacities make an append copy the node out instead of
+// overwriting the next node's weights in a shared pool.
+func TestWeightedStateFromSegmentsAdopts(t *testing.T) {
+	sys := testSystem(t, 4)
+	pool := []float64{0.5, 0.25, 0.75, 1}
+	segs := [][]float64{pool[0:2], pool[2:3], pool[3:3], pool[3:4]}
+	nw := []float64{0.75, 0.75, 0, 1.0000001} // last entry deliberately not Σ
+	st, err := NewWeightedStateFromSegments(sys, segs, nw, 2.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TaskCount() != 4 || st.TotalWeight() != 2.5 || st.SinceRecompute() != 7 || st.NodeWeight(3) != 1.0000001 {
+		t.Fatalf("adopted (m=%d, W=%g, since=%d, W3=%g), want (4, 2.5, 7, 1.0000001)",
+			st.TaskCount(), st.TotalWeight(), st.SinceRecompute(), st.NodeWeight(3))
+	}
+	pool[2] = 0.125
+	nw[1] = 0.125
+	if st.TaskWeights(1)[0] != 0.125 || st.NodeWeight(1) != 0.125 {
+		t.Error("state copied its storage instead of adopting it")
+	}
+	if err := st.Inject(0, []float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if pool[2] != 0.125 || st.NodeTaskCount(1) != 1 || st.NodeTaskCount(0) != 3 {
+		t.Errorf("append on node 0 ran into node 1's segment: pool %v", pool)
+	}
+	if _, err := NewWeightedStateFromSegments(sys, segs[:3], nw, 0, 0); err == nil {
+		t.Error("short segment list accepted")
+	}
+	if _, err := NewWeightedStateFromSegments(sys, segs, nw[:2], 0, 0); err == nil {
+		t.Error("short node-weight vector accepted")
+	}
+}

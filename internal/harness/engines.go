@@ -292,6 +292,12 @@ func RunWeightedEngine(engine string, sys *core.System, proto core.WeightedProto
 // requires the decision to run against flat state
 // (core.WeightedFlatProtocol, e.g. Algorithm 2). See
 // WeightedEngineSupports.
+//
+// The final state is the engine's last State view, read after Drive
+// and returned once the engine is closed. That is safe for every engine
+// dispatched here because none of them writes its storage on Close, so
+// nothing can invalidate the view afterwards; it is still read-only —
+// Clone it before mutating.
 func RunWeightedEngineOpts(engine string, sys *core.System, proto core.WeightedProtocol, perNode []task.Weights, stop core.WeightedStop, opts core.RunOpts, eo EngineOpts) (core.RunResult, *core.WeightedState, error) {
 	h, err := BuildWeightedEngine(engine, sys, proto, perNode, eo)
 	if err != nil {
@@ -315,8 +321,9 @@ type WeightedEngineHandle struct {
 	// Engine executes rounds; every engine also implements
 	// core.DynamicEngine.
 	Engine core.Engine[*core.WeightedState]
-	// State materializes the full weighted state (expensive for the
-	// shard engine at scale — it rebuilds per-node task multisets).
+	// State returns the engine's current weighted state under the
+	// core.Engine view rule: read-only, valid until the engine next
+	// steps, applies events or closes; Clone() it to keep or mutate it.
 	State func() (*core.WeightedState, error)
 	// Raw is the value EngineOpts.Probe receives: the concrete engine,
 	// except for seq where it is the *core.WeightedState itself.

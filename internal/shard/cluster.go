@@ -168,11 +168,11 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 }
 
 // configure ships each worker its config — instance description plus
-// that worker's own-range slice of the initial (or restored) state
-// vectors, which configure cuts from the full-length inputs.
-func (c *clusterCore) configure(counts []int64, off []int64, pool []float64, nodeWeight []float64, restored bool) error {
+// that worker's own-range slice of the initial (or restored) state,
+// own[s]; NodeWeight travels only with a restored state.
+func (c *clusterCore) configure(own []*ownState, restored bool) error {
 	for s := 0; s < c.p; s++ {
-		lo, hi := c.part.Range(s)
+		lo, _ := c.part.Range(s)
 		cfg := &clusterConfig{
 			Model:    c.model,
 			Proto:    c.proto,
@@ -190,16 +190,12 @@ func (c *clusterCore) configure(counts []int64, off []int64, pool []float64, nod
 			Restored: restored,
 		}
 		if c.model == modelUniform {
-			cfg.Counts = counts[lo:hi]
+			cfg.Counts = own[s].Counts
 		} else {
-			segLen := make([]int64, hi-lo)
-			for i := lo; i < hi; i++ {
-				segLen[i-lo] = off[i+1] - off[i]
-			}
-			cfg.SegLen = segLen
-			cfg.Segs = pool[off[lo]:off[hi]]
+			cfg.SegLen = own[s].SegLen
+			cfg.Segs = own[s].Segs
 			if restored {
-				cfg.NodeWeight = nodeWeight[lo:hi]
+				cfg.NodeWeight = own[s].NodeWeight
 			}
 		}
 		c.buf.Reset()
@@ -637,11 +633,11 @@ func (c *clusterCore) materializedEvents(batch *core.EventBatch) (core.EventLedg
 	if err != nil {
 		return led, err
 	}
-	pool, off, nw, err := c.assembleWeighted(states)
+	segs, nw, err := c.assembleWeighted(states)
 	if err != nil {
 		return led, err
 	}
-	st, err := core.NewWeightedStateFromFlat(c.sys, pool, off, nw, c.totalW, int(c.sinceRecompute))
+	st, err := core.NewWeightedStateFromSegments(c.sys, segs, nw, c.totalW, int(c.sinceRecompute))
 	if err != nil {
 		return led, err
 	}
@@ -745,36 +741,32 @@ func (c *clusterCore) assembleUniform(states []*ownState) []int64 {
 	return counts
 }
 
-// assembleWeighted stitches gathered segments into the packed flat
-// (pool, off, nodeWeight) layout, in node order.
-func (c *clusterCore) assembleWeighted(states []*ownState) (pool []float64, off []int64, nw []float64, err error) {
-	off = make([]int64, c.n+1)
+// assembleWeighted slices the gathered per-worker pools into per-node
+// segments and stitches the cached sums into one vector, in node order.
+// The segments alias the freshly decoded pools; nothing else holds them.
+func (c *clusterCore) assembleWeighted(states []*ownState) (segs [][]float64, nw []float64, err error) {
+	segs = make([][]float64, c.n)
 	nw = make([]float64, c.n)
-	total := int64(0)
 	for s := 0; s < c.p; s++ {
+		pool := states[s].Segs
 		for _, l := range states[s].SegLen {
 			if l < 0 {
-				return nil, nil, nil, fmt.Errorf("shard: worker %d sent negative segment length", s)
+				return nil, nil, fmt.Errorf("shard: worker %d sent negative segment length", s)
 			}
-			total += l
 		}
-		if int64(len(states[s].Segs)) != sum64(states[s].SegLen) {
-			return nil, nil, nil, fmt.Errorf("shard: worker %d segment pool/length mismatch", s)
+		if int64(len(pool)) != sum64(states[s].SegLen) {
+			return nil, nil, fmt.Errorf("shard: worker %d segment pool/length mismatch", s)
 		}
-	}
-	pool = make([]float64, 0, total)
-	for s := 0; s < c.p; s++ {
 		lo, hi := c.part.Range(s)
 		idx := int64(0)
 		for i := lo; i < hi; i++ {
 			l := states[s].SegLen[i-lo]
-			pool = append(pool, states[s].Segs[idx:idx+l]...)
+			segs[i] = pool[idx : idx+l]
 			idx += l
-			off[i+1] = int64(len(pool))
 		}
 		copy(nw[lo:], states[s].NodeWeight)
 	}
-	return pool, off, nw, nil
+	return segs, nw, nil
 }
 
 func sum64(v []int64) int64 {
@@ -821,14 +813,13 @@ var _ core.DynamicEngine = (*UniformCluster)(nil)
 var _ core.EventStepper = (*UniformCluster)(nil)
 
 // NewUniformCluster connects to one worker per shard over rws and ships
-// them the instance. counts is copied.
+// them the instance. counts is validated and encoded, not retained.
 func NewUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts []int64, rws []io.ReadWriter, strategy Strategy) (*UniformCluster, error) {
 	name, alpha, err := protoSpec(proto)
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.NewUniformState(sys, counts)
-	if err != nil {
+	if _, err := core.NewUniformState(sys, counts); err != nil {
 		return nil, err
 	}
 	cc, err := newClusterCore(sys, modelUniform, name, alpha, strategy, rws)
@@ -836,7 +827,12 @@ func NewUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts 
 		return nil, err
 	}
 	c := &UniformCluster{clusterCore: cc}
-	if err := c.configure(st.Counts(), nil, nil, nil, false); err != nil {
+	own := make([]*ownState, c.p)
+	for s := range own {
+		lo, hi := c.part.Range(s)
+		own[s] = &ownState{Counts: counts[lo:hi]}
+	}
+	if err := c.configure(own, false); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -900,22 +896,25 @@ func NewWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNo
 		return nil, err
 	}
 	c := &WeightedCluster{clusterCore: cc}
-	n := sys.N()
-	off := make([]int64, n+1)
-	total := 0
-	for _, ws := range perNode {
-		total += len(ws)
-	}
-	pool := make([]float64, 0, total)
+	own := make([]*ownState, c.p)
 	// Initial accumulators in NewWeightedState's exact operation order:
 	// per-node Total() (ascending fold), then totalW += per node.
-	for i, ws := range perNode {
-		pool = append(pool, ws...)
-		off[i+1] = int64(len(pool))
-		c.totalW += ws.Total()
-		c.count += int64(len(ws))
+	for s := range own {
+		lo, hi := c.part.Range(s)
+		total := 0
+		for _, ws := range perNode[lo:hi] {
+			total += len(ws)
+		}
+		o := &ownState{SegLen: make([]int64, hi-lo), Segs: make([]float64, 0, total)}
+		for i := lo; i < hi; i++ {
+			o.SegLen[i-lo] = int64(len(perNode[i]))
+			o.Segs = append(o.Segs, perNode[i]...)
+			c.totalW += perNode[i].Total()
+			c.count += int64(len(perNode[i]))
+		}
+		own[s] = o
 	}
-	if err := c.configure(nil, off, pool, nil, false); err != nil {
+	if err := c.configure(own, false); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -934,11 +933,11 @@ func (c *WeightedCluster) State() (*core.WeightedState, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, off, nw, err := c.assembleWeighted(states)
+	segs, nw, err := c.assembleWeighted(states)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewWeightedStateFromFlat(c.sys, pool, off, nw, c.totalW, int(c.sinceRecompute))
+	return core.NewWeightedStateFromSegments(c.sys, segs, nw, c.totalW, int(c.sinceRecompute))
 }
 
 // TaskCount returns the cluster's current task count.

@@ -11,7 +11,9 @@ package shard_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -452,6 +454,59 @@ func TestWeightedClusterCheckpointResume(t *testing.T) {
 	// A weighted checkpoint cannot resume as a uniform cluster.
 	if _, err := ck.ResumeLocalUniform(); err == nil {
 		t.Fatal("weighted checkpoint resumed as uniform")
+	}
+}
+
+// TestWeightedClusterStateMatchesEngine compares the cluster's gathered
+// State() with the in-process engine's view round by round, bit for
+// bit: cached sums, task multisets in order, totals and the recompute
+// counter.
+func TestWeightedClusterStateMatchesEngine(t *testing.T) {
+	class, err := experiments.ClassByKey("hypercube")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, perNode := buildWeighted(t, class, 64, 20)
+	opts := shard.Options{Shards: 3}
+	cl, err := shard.StartLocalWeightedCluster(sys, core.Algorithm2{}, perNode, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	eng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	clBase, engBase := rng.New(21), rng.New(21)
+	for r := uint64(0); r <= 12; r++ {
+		if r > 0 {
+			if _, err := cl.Step(r, clBase); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Step(r, engBase); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := cl.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("round %d", r)
+		sameWeightedState(t, label, want, got)
+		for i := 0; i < sys.N(); i++ {
+			if math.Float64bits(got.NodeWeight(i)) != math.Float64bits(want.NodeWeight(i)) {
+				t.Fatalf("%s: node %d weight bits differ", label, i)
+			}
+		}
+		if math.Float64bits(got.TotalWeight()) != math.Float64bits(want.TotalWeight()) || got.SinceRecompute() != want.SinceRecompute() {
+			t.Fatalf("%s: (W=%v, since=%d), want (W=%v, since=%d)", label,
+				got.TotalWeight(), got.SinceRecompute(), want.TotalWeight(), want.SinceRecompute())
+		}
 	}
 }
 

@@ -340,18 +340,13 @@ func (ck *Checkpoint) resumeCore(rws []io.ReadWriter) (*clusterCore, error) {
 			return nil, fmt.Errorf("shard: checkpoint shard %d holds %d nodes, partition expects %d", s, got, hi-lo)
 		}
 	}
-	if ck.model == modelUniform {
-		counts := c.assembleUniform(ck.states)
-		if err := c.configure(counts, nil, nil, nil, true); err != nil {
+	if ck.model == modelWeighted {
+		// Validate the restored segments before shipping them.
+		if _, _, err := c.assembleWeighted(ck.states); err != nil {
 			return nil, err
 		}
-		return c, nil
 	}
-	pool, off, nw, err := c.assembleWeighted(ck.states)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.configure(nil, off, pool, nw, true); err != nil {
+	if err := c.configure(ck.states, true); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -64,6 +64,8 @@ type WeightedEngine struct {
 
 	nodeWeight []float64
 	loads      []float64
+	// segView holds the per-node slice headers of the State() view.
+	segView [][]float64
 	// view is the decide phase's read surface over loads: a zero-copy
 	// dense alias in process, own-span + halo freshness in a cluster
 	// worker (see LoadView).
@@ -244,30 +246,6 @@ func NewWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		e.segLen[s] = segLen
 		e.priv[s] = make([][]float64, size)
 		e.outFlows[s] = make([][]transport.WFlow, p)
-		// Unlike the uniform engine's per-edge flow entries, weighted
-		// flows are per task, so edge counts are a warm-start heuristic
-		// rather than a hard bound — but the dominant list is the
-		// intra-shard one (outFlows[s][s], which CrossEdges excludes by
-		// definition), so presize it from the shard's internal directed
-		// edge count and let heavy rounds grow amortized from there.
-		intra := 0
-		for i := lo; i < hi; i++ {
-			intra += csr.Degree(i)
-		}
-		for d := 0; d < p; d++ {
-			if d != s {
-				intra -= part.CrossEdges(s, d)
-			}
-		}
-		for d := 0; d < p; d++ {
-			c := part.CrossEdges(s, d)
-			if d == s {
-				c = intra
-			}
-			if c > 0 {
-				e.outFlows[s][d] = make([]transport.WFlow, 0, c)
-			}
-		}
 		e.remPos[s] = make([]int64, size+1)
 		e.arrCnt[s] = make([]int32, size)
 		e.arrFill[s] = make([]int32, size)
@@ -1105,28 +1083,41 @@ func (e *WeightedEngine) slowApplyEvents(batch *core.EventBatch) (core.EventLedg
 	return led, nil
 }
 
-// State implements core.Engine by materializing the flat pools as a
-// core.WeightedState: the task layout is copied verbatim and the cached
-// weight sums are adopted bit-for-bit (NewWeightedStateFromFlat), so
-// the state's loads and potentials equal the sequential engine's
-// exactly.
+// State implements core.Engine with a read-only view of the live
+// storage, built by core.NewWeightedStateFromSegments: each node's task
+// list aliases its pool slot or private segment (capacity-pinned, so an
+// append copies out), and the cached weight sums, total and recompute
+// counter are adopted as they are, so the state's loads and potentials
+// equal the sequential engine's exactly. Only the n slice headers are
+// written, into one engine-owned buffer allocated on the first call;
+// the view is valid until the next Step, ApplyEvents or Close.
 func (e *WeightedEngine) State() (*core.WeightedState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, ErrClosed
 	}
-	n := e.csr.N()
-	pool := make([]float64, 0, e.count)
-	off := make([]int64, n+1)
+	if e.segView == nil {
+		e.segView = make([][]float64, e.csr.N())
+	}
+	// The stop check runs this every round, so the loop is seg() with the
+	// per-shard slices hoisted and the capacities pinned here: the
+	// refresh is then one streaming pass over the headers.
 	for s := 0; s < e.part.P(); s++ {
 		lo, hi := e.part.Range(s)
-		for i := lo; i < hi; i++ {
-			pool = append(pool, e.seg(s, i-lo)...)
-			off[i+1] = int64(len(pool))
+		pool, off, segLen, priv := e.pool[s], e.off[s], e.segLen[s], e.priv[s]
+		view := e.segView[lo:hi]
+		for k := range view {
+			l := segLen[k]
+			if pv := priv[k]; pv != nil {
+				view[k] = pv[:l:l]
+			} else {
+				o := off[k]
+				view[k] = pool[o : o+l : o+l]
+			}
 		}
 	}
-	return core.NewWeightedStateFromFlat(e.sys, pool, off, e.nodeWeight, e.totalW, int(e.sinceRecompute))
+	return core.NewWeightedStateFromSegments(e.sys, e.segView, e.nodeWeight, e.totalW, int(e.sinceRecompute))
 }
 
 // NodeWeights returns a copy of the cached per-node weight sums Wᵢ.

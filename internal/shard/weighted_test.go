@@ -9,6 +9,7 @@ package shard_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -358,6 +359,102 @@ func TestWeightedShardPartitionClamp(t *testing.T) {
 		}
 		sameRun(t, "clamp", ref, res)
 		sameWeightedState(t, "clamp", refState, gotState)
+	}
+}
+
+// TestWeightedStateViewAllocs pins State() as a view rather than a
+// copy: once the first call has allocated the engine's slice-header
+// buffer, a call costs the same constant number of allocations, and
+// under a kilobyte, whether the engine holds 10³ or 10⁶ tasks.
+func TestWeightedStateViewAllocs(t *testing.T) {
+	class, err := experiments.ClassByKey("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs []float64
+	for _, perNode := range []int{1, 1000} {
+		sys, tasks := buildWeighted(t, class, 1000, perNode)
+		eng, err := shard.NewWeighted(sys, core.Algorithm2{}, tasks, shard.Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		base := rng.New(3)
+		for r := uint64(1); r <= 5; r++ {
+			if _, err := eng.Step(r, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.State(); err != nil {
+			t.Fatal(err)
+		}
+		call := func() {
+			if _, err := eng.State(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, call))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < 20; k++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= 1024 {
+			t.Errorf("%d tasks: State() allocates %d bytes per call, want < 1 KiB", eng.TaskCount(), b)
+		}
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 2 {
+		t.Fatalf("State() allocs at 10³ / 10⁶ tasks: %v / %v, want the same constant ≤ 2", allocs[0], allocs[1])
+	}
+}
+
+// TestWeightedStateViewClone pins the view contract: the view tracks
+// the live engine (it is invalidated by the next Step), while a Clone
+// taken from it is independent storage that the Step leaves untouched.
+func TestWeightedStateViewClone(t *testing.T) {
+	class, err := experiments.ClassByKey("torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, perNode := buildWeighted(t, class, 64, 30)
+	eng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, shard.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	base := rng.New(4)
+	for r := uint64(1); r <= 3; r++ {
+		if _, err := eng.Step(r, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := eng.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := view.Clone()
+	want := view.Clone()
+	moves, err := eng.Step(4, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moves == 0 {
+		t.Fatal("round 4 moved nothing; the scenario cannot tell a view from a copy")
+	}
+	sameWeightedState(t, "clone after Step", want, kept)
+	// The view itself aliases the engine's weight sums, so the Step
+	// shows through it — which is why the contract ends at the Step.
+	live := eng.NodeWeights()
+	changed := false
+	for i, w := range live {
+		if view.NodeWeight(i) != w {
+			t.Fatalf("node %d: view weight %g, engine %g", i, view.NodeWeight(i), w)
+		}
+		changed = changed || w != want.NodeWeight(i)
+	}
+	if !changed {
+		t.Fatal("a round with moves left every node weight unchanged")
 	}
 }
 
