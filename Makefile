@@ -126,11 +126,13 @@ cover:
 
 # Short native-fuzzing pass over the samplers and graph generators
 # (each -fuzz run accepts exactly one target, hence one line per
-# target). CI runs this on every push; longer local sessions can raise
-# FUZZTIME.
+# target), including the differential check of the Binomial zero-mass
+# shortcut against the shortcut-free reference. CI runs this on every
+# push; longer local sessions can raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzBinomialZeroShortcut$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzPoisson$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzMultinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng

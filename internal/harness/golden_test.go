@@ -93,6 +93,39 @@ func TestGoldenStaticTrajectory(t *testing.T) {
 	checkGolden(t, "golden_static.json", goldenStatic{Result: res, Counts: final})
 }
 
+// TestGoldenHypercubeTrajectory replays a committed Algorithm 1 run in
+// the regime the zero-mover Binomial shortcut serves: a d = 10
+// hypercube with 8 tasks per node, where α = 4·s_max damps nearly every
+// per-edge draw to 0. The static ring fixture takes that shortcut on 91
+// of its 227 draws; this one takes it on 57,265 of 58,599, so a shortcut
+// that returned anything but the exact inversion result would shift the
+// trajectory. The fixture was recorded with the shortcut-free sampler.
+func TestGoldenHypercubeTrajectory(t *testing.T) {
+	const d = 10
+	g, err := graph.Hypercube(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speeds, err := machine.TwoClass(g.N(), 0.25, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := workload.UniformRandom(g.N(), int64(8*g.N()), rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, final, err := harness.RunUniformEngine(harness.EngineSeq, sys, core.Algorithm1{}, counts,
+		nil, core.RunOpts{MaxRounds: 20, Seed: 42, TraceEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_hypercube.json", goldenStatic{Result: res, Counts: final})
+}
+
 // goldenDynamic is the serialized form of the dynamic fixture.
 type goldenDynamic struct {
 	Rounds  int                    `json:"rounds"`

@@ -13,13 +13,22 @@ const btpeMinNP = 30
 // in n independent trials with success probability p.
 //
 // The sampler is exact (up to floating-point pmf evaluation) and costs
-// O(1) expected time uniformly in n: small n inverts the CDF directly,
-// moderate n·p·q inverts it by walking outward from the mode
-// (O(√(n·p·q)) expected steps, bounded by the BTPE threshold), and large
-// n·p·q uses the BTPE acceptance–rejection sampler of Kachitvichyanukul
-// & Schmeiser. This keeps per-round simulation cost proportional to the
+// O(1) expected time uniformly in n: n = 1 is a single Bernoulli coin
+// flip, n < 16 inverts the CDF from k = 0 with pmf(0) = (1−p)ⁿ, moderate
+// n·p·q inverts it by walking outward from the mode (O(√(n·p·q))
+// expected steps, bounded by the BTPE threshold), and large n·p·q uses
+// the BTPE acceptance–rejection sampler of Kachitvichyanukul &
+// Schmeiser. This keeps per-round simulation cost proportional to the
 // number of edges rather than the number of tasks, without changing the
 // sampled distribution relative to per-task Bernoulli coin flips.
+//
+// Inversion that starts at k = 0 (n < 16, or the mode walk when its mode
+// is 0) first compares its uniform against a lower bound on pmf(0) (see
+// zeroMassBound) and returns 0 below it without evaluating pmf(0) — the
+// common case under Algorithm 1's damping, where almost every per-edge
+// draw moves nothing. The shortcut draws the same single uniform and
+// returns the value inversion would, so it changes no stream or
+// trajectory.
 func (r *Stream) Binomial(n int, p float64) int {
 	switch {
 	// A NaN probability fails every comparison below; without the
@@ -38,7 +47,7 @@ func (r *Stream) Binomial(n int, p float64) int {
 
 	// Small n: direct inversion from 0 is cheapest and avoids Lgamma.
 	if n < 16 {
-		return r.binomialSmall(n, p)
+		return binomialSmall(n, p, r.Float64())
 	}
 
 	pmin := p
@@ -66,6 +75,10 @@ func binomialModeWalk(n int, p float64, u float64) int {
 	mode := int(math.Floor(float64(n+1) * p))
 	if mode > n {
 		mode = n
+	}
+	// With the mode at 0 the walk starts by returning 0 for u < pmf(0).
+	if mode == 0 && u < zeroMassBound(n, p) {
+		return 0
 	}
 	logPmfMode := logChoose(n, mode) + float64(mode)*math.Log(p) + float64(n-mode)*math.Log(q)
 	pmfMode := math.Exp(logPmfMode)
@@ -241,11 +254,15 @@ done:
 	return y
 }
 
-// binomialSmall inverts the CDF from k = 0; only used for small n.
-func (r *Stream) binomialSmall(n int, p float64) int {
+// binomialSmall inverts the Binomial(n, p) CDF at u from k = 0; only
+// used for 2 ≤ n < 16. Like binomialModeWalk it takes the uniform as a
+// parameter, so tests can sweep u across the zero-mass bound.
+func binomialSmall(n int, p, u float64) int {
+	if u < zeroMassBound(n, p) {
+		return 0
+	}
 	q := 1 - p
 	pmf := math.Pow(q, float64(n))
-	u := r.Float64()
 	acc := pmf
 	k := 0
 	ratio := p / q
@@ -255,6 +272,36 @@ func (r *Stream) binomialSmall(n int, p float64) int {
 		acc += pmf
 	}
 	return k
+}
+
+// zeroMassBound returns a lower bound on the pmf(0) = (1−p)ⁿ that the
+// inversion paths compute, for n ≥ 2 and 0 < p < 1: a uniform u below it
+// inverts to 0, so the caller can return 0 without evaluating pmf(0)
+// (math.Pow in binomialSmall; three Lgamma calls, two Log and one Exp in
+// binomialModeWalk). Under Algorithm 1's damping α = 4·s_max nearly
+// every per-edge draw lands here.
+//
+// The bound is Bernoulli's inequality (1−p)ⁿ ≥ 1 − n·p, lowered by a
+// margin n·2⁻⁴⁰ that absorbs every rounding error in both sides. Write
+// ε = 2⁻⁵³ and suppose the computed bound b is positive (otherwise no
+// u ∈ [0,1) is below it); then n·p < 1, so p < 1/2 and q ∈ [1/2, 1]:
+//
+//   - q = fl(1−p) is at most 2⁻⁵⁴ below 1−p, and d(qⁿ)/dq ≤ n, so
+//     qⁿ ≥ (1−p)ⁿ − n·ε/2 ≥ 1 − n·p − n·ε/2.
+//   - Evaluating qⁿ loses at most (n+4)·ε relative: math.Pow's
+//     repeated squaring for integer exponents rounds about n + log₂n
+//     times in the worst chain (n < 16 there); the mode walk's
+//     Exp(logChoose(n, 0) + 0·Log p + n·Log q), with logChoose(n, 0)
+//     exactly 0 (Lgamma(1) = 0, a − 0 − a = 0) and |n·Log q| < 2, loses
+//     a few ulps in Log, the product and Exp, independent of n.
+//   - Computing b itself rounds three times: b ≤ 1 − n·p − n·2⁻⁴⁰ + 3ε.
+//
+// So b ≤ computed pmf(0) whenever n·2⁻⁴⁰ = 8192·n·ε ≥ (3n/2 + 7)·ε, which
+// holds for every n ≥ 1 with a factor of thousands to spare. The
+// shortcut is therefore bit-exact: same uniform, same result. n = 1
+// never reaches it (Binomial flips one Bernoulli coin there).
+func zeroMassBound(n int, p float64) float64 {
+	return 1 - float64(n)*(p+0x1p-40)
 }
 
 // logChoose returns log(C(n,k)) using math.Lgamma.
@@ -304,13 +351,22 @@ func (r *Stream) Poisson(lambda float64) int {
 		return k
 	}
 
+	return poissonModeWalk(lambda, r.Float64())
+}
+
+// poissonModeWalk inverts the Poisson(lambda) CDF at u by walking
+// outward from the mode, k = mode, mode+1, mode-1, ..., with the pmf
+// recurrences pmf(k+1) = pmf(k)·λ/(k+1) and pmf(k-1) = pmf(k)·k/λ. As in
+// binomialModeWalk, the uniform is a parameter so tests can force the
+// residue path with u at the top of [0,1).
+func poissonModeWalk(lambda, u float64) int {
 	mode := int(math.Floor(lambda))
 	lg, _ := math.Lgamma(float64(mode + 1))
 	pmfMode := math.Exp(float64(mode)*math.Log(lambda) - lambda - lg)
-	u := r.Float64()
 	upK, upPmf := mode, pmfMode
 	downK, downPmf := mode, pmfMode
 	acc := pmfMode
+	last := mode // last support point consumed by the walk
 	if u < acc {
 		return mode
 	}
@@ -323,6 +379,7 @@ func (r *Stream) Poisson(lambda float64) int {
 			if u < acc {
 				return upK
 			}
+			last = upK
 			advanced = true
 		}
 		if downK > 0 {
@@ -332,12 +389,16 @@ func (r *Stream) Poisson(lambda float64) int {
 			if u < acc {
 				return downK
 			}
+			last = downK
 			advanced = true
 		}
 		if !advanced {
 			// Entire representable support consumed; u landed in the
-			// floating-point residue.
-			return mode
+			// floating-point residue above the accumulated mass (about
+			// 1.5·10⁻¹³ of [0,1) at λ = 1000). Return the last point the
+			// walk consumed, the far upper tail, not the mode: inversion
+			// maps the top of [0,1) to the top of the support.
+			return last
 		}
 	}
 }

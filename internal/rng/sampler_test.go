@@ -278,6 +278,27 @@ func TestPoissonDeterministic(t *testing.T) {
 	}
 }
 
+// TestPoissonModeWalkResidue pins the residue rule of Poisson's mode
+// walk, the same rule TestBinomialModeWalkResidue pins for Binomial: at
+// λ = 1000 the walk accumulates only 1 − 1.5·10⁻¹³ of mass, so the top
+// uniform 1 − 2⁻⁵³ lands above it and must map to the far upper tail,
+// not back to the mode. The rule changes no draw count: the mode-walk
+// path consumes exactly one uniform.
+func TestPoissonModeWalkResidue(t *testing.T) {
+	if got := poissonModeWalk(1000, 1-0x1p-53); got <= 2000 {
+		t.Errorf("poissonModeWalk(1000, 1−2⁻⁵³) = %d, want the upper tail (> 2000)", got)
+	}
+	if got := poissonModeWalk(1000, 0.5); got < 950 || got > 1050 {
+		t.Errorf("poissonModeWalk(1000, 0.5) = %d, want near the median 1000", got)
+	}
+	a, b := New(5), New(5)
+	a.Poisson(1000)
+	b.Float64()
+	if x, y := a.Uint64(), b.Uint64(); x != y {
+		t.Errorf("Poisson(1000) did not consume exactly one uniform")
+	}
+}
+
 // TestPoissonExactPMFSmall compares the sampled distribution with the
 // exact pmf for a small lambda (chi-squared-style absolute check).
 func TestPoissonExactPMFSmall(t *testing.T) {
