@@ -169,8 +169,11 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 
 // configure ships each worker its config — instance description plus
 // that worker's own-range slice of the initial (or restored) state,
-// own[s]; NodeWeight travels only with a restored state.
+// own[s]; NodeWeight travels only with a restored state. The frames
+// (23 MB each on a d = 18 hypercube) are staged in a local buffer sized
+// once per frame, so none outlives the session start.
 func (c *clusterCore) configure(own []*ownState, restored bool) error {
+	var b transport.Buffer
 	for s := 0; s < c.p; s++ {
 		lo, _ := c.part.Range(s)
 		cfg := &clusterConfig{
@@ -198,9 +201,10 @@ func (c *clusterCore) configure(own []*ownState, restored bool) error {
 				cfg.NodeWeight = own[s].NodeWeight
 			}
 		}
-		c.buf.Reset()
-		encodeConfig(&c.buf, cfg)
-		if err := c.conns[s].WriteFrame(transport.KindConfig, c.buf.B); err != nil {
+		b.Reset()
+		b.B = slices.Grow(b.B, cfg.encodedSize())
+		encodeConfig(&b, cfg)
+		if err := c.conns[s].WriteFrame(transport.KindConfig, b.B); err != nil {
 			return fmt.Errorf("shard: configure worker %d: %w", s, err)
 		}
 	}

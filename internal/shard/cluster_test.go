@@ -518,8 +518,9 @@ func fixCRCTrailer(b []byte) {
 }
 
 // TestReadCheckpointRejectsCorrupt pins the loud-failure contract for
-// damaged checkpoint files: truncation, byte flips, trailing garbage
-// and a wrong magic must all be detected, never silently decoded.
+// damaged checkpoint files: truncation, byte flips, trailing garbage, a
+// wrong magic and an out-of-range shard count must all be detected,
+// never silently decoded.
 func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 	class, err := experiments.ClassByKey("torus")
 	if err != nil {
@@ -566,4 +567,13 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 		fixCRCTrailer(b)
 		return b
 	}, "bad magic")
+	corrupt("huge-shards", func(b []byte) []byte {
+		// The shard count follows magic, version, model, the protocol
+		// name and alpha; sizing the shard table by it unchecked ran
+		// the process out of memory.
+		off := 4 + 1 + 1 + 4 + len("algorithm1") + 8
+		binary.LittleEndian.PutUint32(b[off:], math.MaxUint32)
+		fixCRCTrailer(b)
+		return b
+	}, "shards for")
 }

@@ -93,49 +93,11 @@ func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res 
 	if err != nil {
 		return fmt.Errorf("shard: checkpoint gather: %w", err)
 	}
-	var b transport.Buffer
-	b.PutU32(checkpointMagic)
-	b.PutU8(checkpointVersion)
-	b.PutU8(c.model)
-	b.PutString(c.proto)
-	b.PutF64(c.alpha)
-	b.PutU32(uint32(c.p))
-	b.PutString(string(c.strategy))
-	b.PutString(c.csr.Name())
-	b.PutU32(uint32(c.n))
-	b.PutI32s(c.csr.Offsets())
-	b.PutI32s(c.csr.Adj())
-	b.PutF64s(c.sys.Speeds())
-	b.PutF64(c.sys.Lambda2())
-	b.PutU64(opts.Seed)
-	b.PutI64(int64(opts.MaxRounds))
-	b.PutI64(int64(opts.TraceEvery))
-	b.PutI64(int64(round))
-	b.PutF64(c.totalW)
-	b.PutI64(c.count)
-	b.PutI64(c.sinceRecompute)
-	b.PutI64(int64(res.Rounds))
-	b.PutI64(res.Moves)
-	b.PutU32(uint32(len(res.Trace)))
-	for _, tp := range res.Trace {
-		b.PutI64(int64(tp.Round))
-		b.PutF64(tp.Psi0)
-		b.PutF64(tp.Psi1)
-		b.PutF64(tp.LDelta)
-		b.PutI64(tp.Moves)
-	}
-	b.PutI64(int64(lastTraced))
-	for _, st := range states {
-		encodeOwnState(&b, c.model, st)
-	}
-	// CRC32 trailer over the whole body: a flipped byte in a float would
-	// otherwise decode silently.
-	b.B = binary.LittleEndian.AppendUint32(b.B, crc32.ChecksumIEEE(b.B))
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(b.B); err != nil {
+	if err := c.writeCheckpoint(tmp, round, opts, res, lastTraced, states); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -152,6 +114,113 @@ func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res 
 	return nil
 }
 
+// checkpointStage bounds the bytes of a checkpoint body held in memory
+// at once.
+const checkpointStage = 64 << 10
+
+// checkpointWriter streams a checkpoint body. Values are appended to
+// the embedded staging Buffer with the transport codec; the array
+// writers below shadow Buffer's with the same layout and hand the stage
+// to out (the file plus a running CRC32) each time it fills, so a
+// checkpoint never holds its whole body in memory (24 MB on a d = 18
+// hypercube, most of it the static CSR).
+type checkpointWriter struct {
+	transport.Buffer
+	out io.Writer
+	err error
+}
+
+// spill writes the stage out once it holds checkpointStage bytes.
+func (w *checkpointWriter) spill() {
+	if len(w.B) >= checkpointStage {
+		w.flush()
+	}
+}
+
+// flush writes the stage out; the first write error is kept and ends
+// all further output.
+func (w *checkpointWriter) flush() {
+	if w.err == nil {
+		_, w.err = w.out.Write(w.B)
+	}
+	w.Reset()
+}
+
+func (w *checkpointWriter) PutI32s(v []int32) {
+	w.PutU32(uint32(len(v)))
+	for _, x := range v {
+		w.PutU32(uint32(x))
+		w.spill()
+	}
+}
+
+func (w *checkpointWriter) PutI64s(v []int64) {
+	w.PutU32(uint32(len(v)))
+	for _, x := range v {
+		w.PutI64(x)
+		w.spill()
+	}
+}
+
+func (w *checkpointWriter) PutF64s(v []float64) {
+	w.PutU32(uint32(len(v)))
+	for _, x := range v {
+		w.PutF64(x)
+		w.spill()
+	}
+}
+
+// writeCheckpoint streams the LBCK body to f and appends the CRC32
+// trailer computed over it.
+func (c *clusterCore) writeCheckpoint(f io.Writer, round int, opts core.RunOpts, res *core.RunResult, lastTraced int, states []*ownState) error {
+	crc := crc32.NewIEEE()
+	w := &checkpointWriter{out: io.MultiWriter(f, crc)}
+	w.B = make([]byte, 0, checkpointStage+64)
+	w.PutU32(checkpointMagic)
+	w.PutU8(checkpointVersion)
+	w.PutU8(c.model)
+	w.PutString(c.proto)
+	w.PutF64(c.alpha)
+	w.PutU32(uint32(c.p))
+	w.PutString(string(c.strategy))
+	w.PutString(c.csr.Name())
+	w.PutU32(uint32(c.n))
+	w.PutI32s(c.csr.Offsets())
+	w.PutI32s(c.csr.Adj())
+	w.PutF64s(c.sys.Speeds())
+	w.PutF64(c.sys.Lambda2())
+	w.PutU64(opts.Seed)
+	w.PutI64(int64(opts.MaxRounds))
+	w.PutI64(int64(opts.TraceEvery))
+	w.PutI64(int64(round))
+	w.PutF64(c.totalW)
+	w.PutI64(c.count)
+	w.PutI64(c.sinceRecompute)
+	w.PutI64(int64(res.Rounds))
+	w.PutI64(res.Moves)
+	w.PutU32(uint32(len(res.Trace)))
+	for _, tp := range res.Trace {
+		w.PutI64(int64(tp.Round))
+		w.PutF64(tp.Psi0)
+		w.PutF64(tp.Psi1)
+		w.PutF64(tp.LDelta)
+		w.PutI64(tp.Moves)
+		w.spill()
+	}
+	w.PutI64(int64(lastTraced))
+	for _, st := range states {
+		encodeOwnState(w, c.model, st)
+	}
+	w.flush()
+	if w.err != nil {
+		return w.err
+	}
+	// CRC32 trailer over the whole body: a flipped byte in a float would
+	// otherwise decode silently.
+	_, err := f.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
+}
+
 // ReadCheckpoint decodes and validates a checkpoint file. Truncated or
 // corrupt files fail loudly: every length is bounds-checked during
 // decode, trailing garbage is rejected, and the graph is revalidated on
@@ -161,143 +230,159 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Checkpoint, error) {
+	ck, err := decodeCheckpoint(raw)
+	if err != nil {
 		return nil, fmt.Errorf("shard: checkpoint %s: %w", path, err)
 	}
+	return ck, nil
+}
+
+// decodeCheckpoint verifies a checkpoint file's CRC32 trailer, then
+// decodes the body.
+func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if len(raw) < 4 {
-		return fail(fmt.Errorf("file too short (%d bytes)", len(raw)))
+		return nil, fmt.Errorf("file too short (%d bytes)", len(raw))
 	}
 	body, trailer := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if sum := crc32.ChecksumIEEE(body); sum != trailer {
-		return fail(fmt.Errorf("checksum mismatch (file %#x, computed %#x)", trailer, sum))
+		return nil, fmt.Errorf("checksum mismatch (file %#x, computed %#x)", trailer, sum)
 	}
 	var b transport.Buffer
 	b.Load(body)
 	magic, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if magic != checkpointMagic {
-		return fail(fmt.Errorf("bad magic %#x", magic))
+		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
 	version, err := b.U8()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if version != checkpointVersion {
-		return fail(fmt.Errorf("unsupported version %d", version))
+		return nil, fmt.Errorf("unsupported version %d", version)
 	}
 	ck := &Checkpoint{}
 	if ck.model, err = b.U8(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.model != modelUniform && ck.model != modelWeighted {
-		return fail(fmt.Errorf("unknown model %d", ck.model))
+		return nil, fmt.Errorf("unknown model %d", ck.model)
 	}
 	if ck.proto, err = b.String(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.alpha, err = b.F64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	p, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.p = int(p)
 	strat, err := b.String()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.strategy = Strategy(strat)
 	if ck.csrName, err = b.String(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	n, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.n = int(n)
+	// A partition never has more shards than nodes, and n itself is
+	// bounded by the file's size through the n+1 CSR offsets, so the
+	// shard table below stays proportional to the input.
+	if ck.p < 1 || ck.p > ck.n {
+		return nil, fmt.Errorf("%d shards for %d nodes", ck.p, ck.n)
+	}
 	if ck.offsets, err = b.I32s(nil); err != nil {
-		return fail(err)
+		return nil, err
+	}
+	if len(ck.offsets) != ck.n+1 {
+		return nil, fmt.Errorf("%d CSR offsets for %d nodes", len(ck.offsets), ck.n)
 	}
 	if ck.adj, err = b.I32s(nil); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.speeds, err = b.F64s(nil); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.lambda2, err = b.F64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.Seed, err = b.U64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	var v int64
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.MaxRounds = int(v)
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.TraceEvery = int(v)
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.Round = int(v)
 	if ck.totalW, err = b.F64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.count, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if ck.sinceRecompute, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.res.Rounds = int(v)
 	if ck.res.Moves, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	tn, err := b.U32()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	for j := uint32(0); j < tn; j++ {
 		var tp core.TracePoint
 		if v, err = b.I64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		tp.Round = int(v)
 		if tp.Psi0, err = b.F64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if tp.Psi1, err = b.F64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if tp.LDelta, err = b.F64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if tp.Moves, err = b.I64(); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		ck.res.Trace = append(ck.res.Trace, tp)
 	}
 	if v, err = b.I64(); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	ck.lastTraced = int(v)
 	ck.states = make([]*ownState, ck.p)
 	for s := 0; s < ck.p; s++ {
 		if ck.states[s], err = decodeOwnState(&b, ck.model); err != nil {
-			return fail(fmt.Errorf("shard %d state: %w", s, err))
+			return nil, fmt.Errorf("shard %d state: %w", s, err)
 		}
 	}
 	if b.Remaining() != 0 {
-		return fail(fmt.Errorf("%d trailing bytes", b.Remaining()))
+		return nil, fmt.Errorf("%d trailing bytes", b.Remaining())
 	}
 	return ck, nil
 }

@@ -55,6 +55,22 @@ type clusterConfig struct {
 	NodeWeight []float64
 }
 
+// encodedSize is the exact length of c's encodeConfig encoding, so the
+// coordinator can size a config frame's buffer once instead of growing
+// it by appends.
+func (c *clusterConfig) encodedSize() int {
+	size := 1 + 4 + len(c.Proto) + 8 + 3*4 + 4 + len(c.Strategy) + 4 + len(c.CSRName) + 4 +
+		4 + 4*len(c.Offsets) + 4 + 4*len(c.Adj) + 4 + 8*len(c.Speeds) + 8 + 1
+	if c.Model == modelUniform {
+		return size + 4 + 8*len(c.Counts)
+	}
+	size += 4 + 8*len(c.SegLen) + 4 + 8*len(c.Segs)
+	if c.Restored {
+		size += 4 + 8*len(c.NodeWeight)
+	}
+	return size
+}
+
 func encodeConfig(b *transport.Buffer, c *clusterConfig) {
 	b.PutU8(c.Model)
 	b.PutString(c.Proto)
@@ -275,7 +291,14 @@ type ownState struct {
 	NodeWeight []float64
 }
 
-func encodeOwnState(b *transport.Buffer, model uint8, st *ownState) {
+// arrayWriter is where encodeOwnState writes: a transport.Buffer for
+// state frames, or the streaming checkpointWriter.
+type arrayWriter interface {
+	PutI64s([]int64)
+	PutF64s([]float64)
+}
+
+func encodeOwnState(b arrayWriter, model uint8, st *ownState) {
 	if model == modelUniform {
 		b.PutI64s(st.Counts)
 		return

@@ -122,7 +122,7 @@ type worker struct {
 	// round's boundary-loads frame.
 	evbuf transport.Buffer
 
-	scratch []float64 // drain-report / state-gather staging
+	scratch []float64 // drain-report staging
 
 	// Cumulative telemetry, reported to the coordinator as a KindStats
 	// frame piggybacked on every round barrier. Written only between
@@ -146,6 +146,9 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
+	// decodeConfig copied every field out of the frame; later frames are
+	// a small fraction of its size, so do not keep its buffer.
+	conn.ReleaseBuffer()
 	csr, err := graph.NewCSR(cfg.CSRName, cfg.N, cfg.Offsets, cfg.Adj)
 	if err != nil {
 		return nil, fmt.Errorf("shard: worker: rebuild graph: %w", err)
@@ -301,14 +304,12 @@ func (w *worker) loop(wo WorkerOptions) error {
 		case transport.KindStateLoad:
 			err = w.adoptState(payload)
 		case transport.KindStateReq:
-			w.buf.Reset()
-			encodeOwnState(&w.buf, w.model, w.ownState())
+			w.encodeOwnState()
 			err = w.conn.WriteFrame(transport.KindState, w.buf.B)
 		case transport.KindCheckpoint:
 			// The payload (the round number) is informational; the reply
 			// carries this shard's state for the coordinator to persist.
-			w.buf.Reset()
-			encodeOwnState(&w.buf, w.model, w.ownState())
+			w.encodeOwnState()
 			err = w.conn.WriteFrame(transport.KindCheckpointAck, w.buf.B)
 		case transport.KindDone:
 			return nil
@@ -633,23 +634,25 @@ func (w *worker) adoptState(payload []byte) error {
 	return w.conn.WriteFrame(transport.KindEventsDone, nil)
 }
 
-// ownState snapshots the worker's own index range for state gathers and
-// checkpoints.
-func (w *worker) ownState() *ownState {
+// encodeOwnState encodes the worker's own index range into w.buf in the
+// ownState layout, for state gathers and checkpoints. Weighted segments
+// are encoded straight from the engine's storage.
+func (w *worker) encodeOwnState() {
+	w.buf.Reset()
 	if w.model == modelUniform {
-		return &ownState{Counts: w.ue.counts[w.lo:w.hi]}
+		w.buf.PutI64s(w.ue.counts[w.lo:w.hi])
+		return
 	}
 	e := w.we
-	segs := w.scratch[:0]
-	for k := 0; k < w.hi-w.lo; k++ {
-		segs = append(segs, e.seg(w.own, k)...)
+	segLen := e.segLen[w.own]
+	w.buf.PutI64s(segLen)
+	w.buf.PutU32(uint32(sum64(segLen)))
+	for k := range segLen {
+		for _, x := range e.seg(w.own, k) {
+			w.buf.PutF64(x)
+		}
 	}
-	w.scratch = segs[:0]
-	return &ownState{
-		SegLen:     e.segLen[w.own],
-		Segs:       segs,
-		NodeWeight: e.nodeWeight[w.lo:w.hi],
-	}
+	w.buf.PutF64s(e.nodeWeight[w.lo:w.hi])
 }
 
 // uniformProtoFor resolves a wire protocol name for the uniform model.

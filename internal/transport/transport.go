@@ -165,7 +165,9 @@ func (c *Conn) WriteFrame(kind Kind, payload []byte) error {
 }
 
 // ReadFrame reads the next frame. The returned payload is valid until
-// the next ReadFrame call (the buffer is reused).
+// the next ReadFrame call: frames are read into one reused buffer, which
+// keeps the capacity of the largest frame read since the last
+// ReleaseBuffer.
 func (c *Conn) ReadFrame() (Kind, []byte, error) {
 	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
 		return 0, nil, err
@@ -186,6 +188,12 @@ func (c *Conn) ReadFrame() (Kind, []byte, error) {
 	c.bytesRecv.Add(uint64(len(c.hdr)) + uint64(n))
 	return kind, c.buf, nil
 }
+
+// ReleaseBuffer drops the read buffer, so that a frame much larger than
+// the ones that follow it (a session's config) is not held for the rest
+// of the session; the next ReadFrame allocates a buffer sized to its
+// own frame.
+func (c *Conn) ReleaseBuffer() { c.buf = nil }
 
 // Expect reads the next frame and requires it to be of the given kind.
 // A KindError frame is surfaced as the remote error it carries.

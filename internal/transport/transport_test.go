@@ -139,3 +139,34 @@ func TestConnExpectError(t *testing.T) {
 		t.Fatal("Expect on wrong kind: want error")
 	}
 }
+
+// TestConnReleaseBuffer: the read buffer keeps the capacity of the
+// largest frame read until it is released, so a large first frame (a
+// session's config) must not ride along in every later payload.
+func TestConnReleaseBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	c := NewConn(&stream)
+	big := make([]byte, 1<<20)
+	for _, p := range [][]byte{big, []byte("a"), big, []byte("b")} {
+		if err := c.WriteFrame(KindState, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() []byte {
+		t.Helper()
+		_, payload, err := c.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	read()
+	if p := read(); string(p) != "a" || cap(p) < len(big) {
+		t.Fatalf("unreleased read: payload %q with capacity %d, want the reused %d-byte buffer", p, cap(p), len(big))
+	}
+	read()
+	c.ReleaseBuffer()
+	if p := read(); string(p) != "b" || cap(p) >= len(big) {
+		t.Fatalf("released read: payload %q with capacity %d, want a buffer sized to the frame", p, cap(p))
+	}
+}
