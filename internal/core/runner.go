@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -54,7 +55,9 @@ type RunOpts struct {
 	Events func(round uint64) *EventBatch
 }
 
-func (o RunOpts) validate() error {
+// Validate reports whether o describes a runnable fixed-horizon run:
+// MaxRounds positive and no negative sampling interval.
+func (o RunOpts) Validate() error {
 	if o.MaxRounds <= 0 {
 		return fmt.Errorf("core: RunOpts.MaxRounds must be positive, got %d", o.MaxRounds)
 	}
@@ -74,7 +77,7 @@ type State interface {
 	LDelta() float64
 }
 
-// Engine is a simulation that the shared driver advances round by round.
+// Engine is a simulation that a Runner advances round by round.
 // Step executes synchronous round r, drawing all randomness from streams
 // derived from base (the keying contract rng.Stream.At pins down), and
 // returns the number of migrated tasks. State exposes the current
@@ -92,18 +95,149 @@ type State interface {
 // weight sums) and the process clusters (shard.UniformCluster,
 // shard.WeightedCluster, which gather a fresh state from their workers)
 // implement it directly. Because every engine draws node i's round-r
-// randomness from base.At(r, i), driving any of them through Drive with
-// the same seed yields bit-identical trajectories — and therefore
-// identical RunResults and traces.
+// randomness from base.At(r, i), and every run loop — Drive, the serve
+// daemon, the cluster's checkpointing Drive — advances its engine
+// through a Runner, any engine driven with the same seed yields
+// bit-identical trajectories, and therefore identical RunResults and
+// traces.
 type Engine[S State] interface {
 	Step(round uint64, base *rng.Stream) (int64, error)
 	State() (S, error)
 }
 
-// Drive is the single run loop shared by every engine and both task
-// models: it executes protocol rounds until stop returns true or
-// opts.MaxRounds is exhausted, evaluating the stop condition every
-// CheckEvery rounds and sampling a TracePoint every TraceEvery rounds.
+// Runner advances one engine a round at a time. It is the only code
+// that steps an engine to make a run: it owns the base stream
+// rng.New(seed) and the round counter, the event path (StepEvents on an
+// EventStepper, else ApplyEvents then Step), the ledger and move
+// counts, and the trace sampling. A caller interleaves its own
+// per-round work — stop checks, journaling, checkpoints — between
+// calls; there are no hooks.
+//
+// Trace sampling: with traceEvery > 0 a fresh run samples round 0,
+// every traceEvery-th round, and (through Finish) the final round, each
+// round at most once.
+type Runner[S State] struct {
+	e       Engine[S]
+	es      EventStepper
+	base    *rng.Stream
+	every   int
+	res     RunResult
+	pending *EventBatch // the next round's batch, held for es
+}
+
+// NewRunner starts a run of e keyed by seed that continues after the
+// from.Rounds rounds whose partial result is from: a zero from starts a
+// fresh run and samples the round-0 trace point, a checkpoint's partial
+// result resumes one. The next Step executes round from.Rounds+1. A
+// traceEvery ≤ 0 disables tracing. The caller validates its options
+// and passes a non-nil engine.
+func NewRunner[S State](e Engine[S], seed uint64, traceEvery int, from RunResult) (*Runner[S], error) {
+	r := &Runner[S]{e: e, base: rng.New(seed), every: traceEvery, res: from}
+	// A resumed run appends to its own copy of the trace, never into
+	// the spare capacity of the caller's.
+	r.res.Trace = slices.Clip(from.Trace)
+	r.es, _ = any(e).(EventStepper)
+	if from.Rounds == 0 {
+		if err := r.record(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// Apply hands batch to the next round: a nil batch is no event, an
+// EventStepper engine receives it inside the next Step's exchange, and
+// any other engine applies it now. A round takes at most one batch.
+func (r *Runner[S]) Apply(batch *EventBatch) error {
+	if batch == nil {
+		return nil
+	}
+	if r.pending != nil {
+		return fmt.Errorf("core: a second event batch for round %d", r.res.Rounds+1)
+	}
+	if r.es != nil {
+		r.pending = batch
+		return nil
+	}
+	dyn, ok := any(r.e).(DynamicEngine)
+	if !ok {
+		return fmt.Errorf("core: engine %T does not support workload events", r.e)
+	}
+	led, err := dyn.ApplyEvents(batch)
+	if err != nil {
+		return err
+	}
+	led.Batches = 1
+	r.res.Ledger.Add(led)
+	return nil
+}
+
+// Step executes the next round, with the batch Apply handed it, and
+// samples its trace point when the round is a multiple of traceEvery.
+func (r *Runner[S]) Step() error {
+	round := r.res.Rounds + 1
+	var moves int64
+	var err error
+	if batch := r.pending; batch != nil {
+		// Fused path: the engine carries the batch into the round
+		// itself (the cluster piggybacks it on the round frame), saving
+		// a barrier round-trip. Bit-identical to ApplyEvents then Step.
+		r.pending = nil
+		var led EventLedger
+		if moves, led, err = r.es.StepEvents(uint64(round), r.base, batch); err != nil {
+			return err
+		}
+		led.Batches = 1
+		r.res.Ledger.Add(led)
+	} else if moves, err = r.e.Step(uint64(round), r.base); err != nil {
+		return err
+	}
+	r.res.Moves += moves
+	r.res.Rounds = round
+	if r.every > 0 && round%r.every == 0 {
+		return r.record()
+	}
+	return nil
+}
+
+// Result returns the run's result so far. Its trace shares storage with
+// the runner until the next trace point is appended.
+func (r *Runner[S]) Result() RunResult { return r.res }
+
+// Finish samples the final round's trace point, unless that round is
+// already the last one in the trace, and returns the result. It leaves
+// Converged to the caller, which alone knows why the run ended.
+func (r *Runner[S]) Finish() (RunResult, error) {
+	err := r.record()
+	return r.res, err
+}
+
+// record appends the current round's TracePoint unless tracing is off
+// or the trace already ends at this round.
+func (r *Runner[S]) record() error {
+	round := r.res.Rounds
+	if r.every <= 0 || (len(r.res.Trace) > 0 && r.res.Trace[len(r.res.Trace)-1].Round == round) {
+		return nil
+	}
+	st, err := r.e.State()
+	if err != nil {
+		return err
+	}
+	r.res.Trace = append(r.res.Trace, TracePoint{
+		Round:  round,
+		Psi0:   st.Psi0(),
+		Psi1:   st.Psi1(),
+		LDelta: st.LDelta(),
+		Moves:  r.res.Moves,
+	})
+	return nil
+}
+
+// Drive is the fixed-horizon run loop over a Runner, shared by every
+// engine and both task models: it executes protocol rounds until stop
+// returns true or opts.MaxRounds is exhausted, applying opts.Events
+// before each round, evaluating the stop condition every CheckEvery
+// rounds and sampling a TracePoint every TraceEvery rounds.
 // On every completed run — convergence, nil-stop completion, or the
 // ErrMaxRounds exit — round 0 and the final round are always included
 // in the trace; only an engine failure (a Step or State error, e.g.
@@ -111,7 +245,7 @@ type Engine[S State] interface {
 // MaxRounds and reports convergence; a non-nil stop that never fires
 // yields an error wrapping ErrMaxRounds.
 func Drive[S State](e Engine[S], stop func(S) bool, opts RunOpts) (RunResult, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
 	if e == nil {
@@ -121,106 +255,44 @@ func Drive[S State](e Engine[S], stop func(S) bool, opts RunOpts) (RunResult, er
 	if check == 0 {
 		check = 1
 	}
-	var dyn DynamicEngine
 	if opts.Events != nil {
-		var ok bool
-		dyn, ok = any(e).(DynamicEngine)
-		if !ok {
+		if _, ok := any(e).(DynamicEngine); !ok {
 			return RunResult{}, fmt.Errorf("core: engine %T does not support workload events", e)
 		}
 	}
-	base := rng.New(opts.Seed)
-	var res RunResult
-	lastTraced := -1
-	record := func(round int) error {
-		if opts.TraceEvery <= 0 || round == lastTraced {
-			return nil
-		}
-		st, err := e.State()
-		if err != nil {
-			return err
-		}
-		res.Trace = append(res.Trace, TracePoint{
-			Round:  round,
-			Psi0:   st.Psi0(),
-			Psi1:   st.Psi1(),
-			LDelta: st.LDelta(),
-			Moves:  res.Moves,
-		})
-		lastTraced = round
-		return nil
+	r, err := NewRunner(e, opts.Seed, opts.TraceEvery, RunResult{})
+	if err != nil {
+		return RunResult{}, err
 	}
-	if err := record(0); err != nil {
-		return res, err
-	}
-	if stop != nil {
-		st, err := e.State()
-		if err != nil {
-			return res, err
-		}
-		if stop(st) {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	es, _ := any(e).(EventStepper)
-	for round := 1; round <= opts.MaxRounds; round++ {
-		var batch *EventBatch
-		if dyn != nil {
-			batch = opts.Events(uint64(round))
-		}
-		var moves int64
-		var err error
-		if batch != nil && es != nil {
-			// Fused path: the engine carries the batch into the round
-			// itself (the cluster piggybacks it on the round frame),
-			// saving a barrier round-trip. Bit-identical to the split
-			// path below.
-			var led EventLedger
-			moves, led, err = es.StepEvents(uint64(round), base, batch)
-			if err != nil {
-				return res, err
-			}
-			led.Batches = 1
-			res.Ledger.Add(led)
-		} else {
-			if batch != nil {
-				led, err := dyn.ApplyEvents(batch)
-				if err != nil {
-					return res, err
+	// Round 0 only checks the initial state.
+	for round := 0; round <= opts.MaxRounds; round++ {
+		if round > 0 {
+			if opts.Events != nil {
+				if err := r.Apply(opts.Events(uint64(round))); err != nil {
+					return r.Result(), err
 				}
-				led.Batches = 1
-				res.Ledger.Add(led)
 			}
-			if moves, err = e.Step(uint64(round), base); err != nil {
-				return res, err
-			}
-		}
-		res.Moves += moves
-		res.Rounds = round
-		if opts.TraceEvery > 0 && round%opts.TraceEvery == 0 {
-			if err := record(round); err != nil {
-				return res, err
+			if err := r.Step(); err != nil {
+				return r.Result(), err
 			}
 		}
 		if stop != nil && round%check == 0 {
 			st, err := e.State()
 			if err != nil {
-				return res, err
+				return r.Result(), err
 			}
 			if stop(st) {
+				res, err := r.Finish()
 				res.Converged = true
-				if err := record(round); err != nil {
-					return res, err
-				}
-				return res, nil
+				return res, err
 			}
 		}
 	}
 	// The run ended at MaxRounds (either a nil stop ran to completion or
 	// the stop condition never fired): the final round still belongs in
 	// the trace.
-	if err := record(res.Rounds); err != nil {
+	res, err := r.Finish()
+	if err != nil {
 		return res, err
 	}
 	if stop == nil {

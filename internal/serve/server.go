@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/shard"
 )
 
@@ -64,21 +63,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Server owns a live engine and the single round loop that drives it:
-// submissions accumulate in the Batcher, each wake applies the taken
-// group as one pre-round EventBatch (journaled), steps the engine, and
-// completes the group's tickets with the admission round. The loop
-// mirrors core.Drive exactly — same base stream, same apply-then-step
-// order, same ledger and trace bookkeeping — which is what makes the
-// journal replayable to a bit-identical RunResult.
+// submissions accumulate in the Batcher, each wake hands the taken
+// group to a core.Runner as one pre-round EventBatch (journaled), steps
+// the round, and completes the group's tickets with the admission
+// round. The Runner is the one core.Drive runs on — same base stream,
+// same event path (fused into the round on a core.EventStepper), same
+// ledger and trace bookkeeping — which is what makes the journal
+// replayable to a bit-identical RunResult. The Server adds batching,
+// metrics, spans, tickets, the journal and the sink.
 type Server[S core.State] struct {
-	eng core.Engine[S]
-	dyn core.DynamicEngine
+	run *core.Runner[S]
 	cfg Config
 	b   *Batcher
 	m   *Metrics
 
 	journal *Journal
-	base    *rng.Stream
 
 	pt         shard.PhaseTimer
 	lastPhases shard.PhaseTimes
@@ -89,21 +88,21 @@ type Server[S core.State] struct {
 	loopExited chan struct{}
 
 	// loop-owned; published via loopExited happens-before.
-	res        core.RunResult
-	lastTraced int
-	err        error
+	res core.RunResult
+	err error
 }
 
 // New builds a server around eng and starts its round loop. The engine
 // must implement core.DynamicEngine (every engine in this repo does)
 // and must not be stepped by anyone else while the server runs; close
-// it only after Stop returns.
+// it only after Stop returns. With TraceEvery > 0, New samples the
+// round-0 trace point, so an engine that cannot report its state fails
+// here.
 func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if eng == nil {
 		return nil, fmt.Errorf("serve: nil engine")
 	}
-	dyn, ok := any(eng).(core.DynamicEngine)
-	if !ok {
+	if _, ok := any(eng).(core.DynamicEngine); !ok {
 		return nil, fmt.Errorf("serve: engine %T does not support workload events", eng)
 	}
 	cfg = cfg.withDefaults()
@@ -112,17 +111,18 @@ func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if err != nil {
 		return nil, err
 	}
+	run, err := core.NewRunner(eng, cfg.Seed, cfg.TraceEvery, core.RunResult{})
+	if err != nil {
+		return nil, err
+	}
 	s := &Server[S]{
-		eng:        eng,
-		dyn:        dyn,
+		run:        run,
 		cfg:        cfg,
 		b:          b,
 		m:          m,
-		base:       rng.New(cfg.Seed),
 		ctrl:       make(chan func()),
 		stopc:      make(chan struct{}),
 		loopExited: make(chan struct{}),
-		lastTraced: -1,
 	}
 	if !cfg.DisableJournal && cfg.Sink == nil {
 		s.journal = &Journal{
@@ -188,26 +188,6 @@ func (s *Server[S]) Stop() (core.RunResult, error) {
 // ReadJournalSegments in that case).
 func (s *Server[S]) Journal() *Journal { return s.journal }
 
-// record mirrors core.Drive's trace sampling byte for byte.
-func (s *Server[S]) record(round int) error {
-	if s.cfg.TraceEvery <= 0 || round == s.lastTraced {
-		return nil
-	}
-	st, err := s.eng.State()
-	if err != nil {
-		return err
-	}
-	s.res.Trace = append(s.res.Trace, core.TracePoint{
-		Round:  round,
-		Psi0:   st.Psi0(),
-		Psi1:   st.Psi1(),
-		LDelta: st.LDelta(),
-		Moves:  s.res.Moves,
-	})
-	s.lastTraced = round
-	return nil
-}
-
 // samplePhases folds the engine's cumulative phase times into the
 // metrics as per-round deltas, and (when span recording is on) lays
 // the three phases out as sub-spans of the step that started at
@@ -234,22 +214,22 @@ func (s *Server[S]) samplePhases(stepStart time.Time) {
 	s.lastPhases = cur
 }
 
-// runRound executes one protocol round, applying g's batch first when
-// g is non-nil (exactly core.Drive's apply-then-step order).
+// runRound executes one protocol round, handing g's batch to the
+// runner first when g is non-nil. For a core.EventStepper engine the
+// apply timer reads ~0: the batch rides the round, inside the step
+// timer.
 func (s *Server[S]) runRound(g *group) error {
-	round := s.res.Rounds + 1
+	round := s.run.Result().Rounds + 1
 	if g != nil {
 		s.m.recordBatch(g.subs, time.Since(g.first))
 		t0 := time.Now()
-		led, err := s.dyn.ApplyEvents(&g.pb.batch)
+		err := s.run.Apply(&g.pb.batch)
 		d := time.Since(t0)
 		s.m.applyNs.Add(uint64(d))
 		s.cfg.Spans.Span(0, 0, "apply", t0, d)
 		if err != nil {
 			return err
 		}
-		led.Batches = 1
-		s.res.Ledger.Add(led)
 		if s.journal != nil {
 			s.journal.appendEntry(round, g.pb)
 		}
@@ -257,7 +237,7 @@ func (s *Server[S]) runRound(g *group) error {
 		s.m.idleRounds.Add(1)
 	}
 	t0 := time.Now()
-	moves, err := s.eng.Step(uint64(round), s.base)
+	err := s.run.Step()
 	d := time.Since(t0)
 	s.m.stepNs.Add(uint64(d))
 	s.cfg.Spans.Span(0, 0, "step", t0, d)
@@ -265,60 +245,45 @@ func (s *Server[S]) runRound(g *group) error {
 		return err
 	}
 	s.samplePhases(t0)
-	s.res.Moves += moves
-	s.res.Rounds = round
+	res := s.run.Result()
 	s.m.rounds.Set(uint64(round))
-	s.m.moves.Set(uint64(s.res.Moves))
+	s.m.moves.Set(uint64(res.Moves))
 	if s.journal != nil {
 		s.journal.Rounds = round
 	}
 	// The sink sees the entry after the round completes, so the partial
 	// result it may anchor a rotation on reflects that round.
 	if s.cfg.Sink != nil && g != nil {
-		if err := s.cfg.Sink.Append(entryFromBatch(round, g.pb), s.res); err != nil {
-			return err
-		}
-	}
-	if s.cfg.TraceEvery > 0 && round%s.cfg.TraceEvery == 0 {
-		if err := s.record(round); err != nil {
-			return err
-		}
+		return s.cfg.Sink.Append(entryFromBatch(round, g.pb), res)
 	}
 	return nil
 }
 
-// finish completes g (if any), publishes err, and finalizes the result
-// exactly as core.Drive does on its nil-stop exit path.
+// finish closes intake and publishes the result. On the clean path
+// (err == nil) the group still pending runs through one last round, so
+// no in-flight submission is dropped, and the result is finalized as
+// core.Drive finalizes a nil-stop run. After a failed round, g (that
+// round's group) and the pending group complete with the error.
 func (s *Server[S]) finish(g *group, err error) {
 	s.b.CloseSubmit()
-	if err == nil {
-		err = s.record(s.res.Rounds)
+	tail := s.b.Take()
+	if tail != nil && tail.subs == 0 {
+		tail = nil
+	}
+	if err == nil && tail != nil {
+		err = s.runRound(tail)
 	}
 	if err == nil {
-		s.res.Converged = true
+		s.res, err = s.run.Finish()
+		s.res.Converged = err == nil
+	} else {
+		s.res = s.run.Result()
 	}
 	s.err = err
-	if g != nil {
-		g.complete(uint64(s.res.Rounds), err)
-	}
-	// A group submitted between the failing round and CloseSubmit (or
-	// racing the stop signal) must still be completed — with the error,
-	// or by one last round on the clean path.
-	if tail := s.b.Take(); tail != nil && tail.subs > 0 {
-		if err == nil {
-			if rerr := s.runRound(tail); rerr != nil {
-				s.err = rerr
-				s.res.Converged = false
-				err = rerr
-			} else if s.cfg.TraceEvery > 0 {
-				if rerr := s.record(s.res.Rounds); rerr != nil {
-					s.err = rerr
-					s.res.Converged = false
-					err = rerr
-				}
-			}
+	for _, grp := range []*group{g, tail} {
+		if grp != nil {
+			grp.complete(uint64(s.res.Rounds), err)
 		}
-		tail.complete(uint64(s.res.Rounds), err)
 	}
 	if s.journal != nil {
 		res := s.res
@@ -330,17 +295,13 @@ func (s *Server[S]) finish(g *group, err error) {
 // loop is the single consumer: it owns the engine, the journal, and the
 // RunResult. One iteration = at most one round.
 func (s *Server[S]) loop() {
-	if err := s.record(0); err != nil {
-		s.finish(nil, err)
-		return
-	}
 	idleLeft := 0
 	for {
 		var g *group
 		// Fast path: pending work or control traffic without parking.
 		select {
 		case <-s.stopc:
-			s.drainAndExit()
+			s.finish(nil, nil)
 			return
 		case f := <-s.ctrl:
 			f()
@@ -359,7 +320,7 @@ func (s *Server[S]) loop() {
 			// Park until something happens.
 			select {
 			case <-s.stopc:
-				s.drainAndExit()
+				s.finish(nil, nil)
 				return
 			case f := <-s.ctrl:
 				f()
@@ -376,24 +337,8 @@ func (s *Server[S]) loop() {
 			s.finish(g, err)
 			return
 		}
-		g.complete(uint64(s.res.Rounds), nil)
+		g.complete(uint64(s.run.Result().Rounds), nil)
 		s.b.Recycle(g.pb)
 		idleLeft = s.cfg.IdleRounds
 	}
-}
-
-// drainAndExit is the clean shutdown path: close intake, flush the
-// pending group through one last round (no dropped in-flight
-// submissions), finalize trace/journal.
-func (s *Server[S]) drainAndExit() {
-	s.b.CloseSubmit()
-	if g := s.b.Take(); g != nil && g.subs > 0 {
-		if err := s.runRound(g); err != nil {
-			s.finish(g, err)
-			return
-		}
-		g.complete(uint64(s.res.Rounds), nil)
-		s.b.Recycle(g.pb)
-	}
-	s.finish(nil, nil)
 }

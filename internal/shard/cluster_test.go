@@ -27,6 +27,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/shard"
+	"repro/internal/transport"
 )
 
 var clusterCounts = []int{1, 2, 4, 7}
@@ -517,10 +518,47 @@ func fixCRCTrailer(b []byte) {
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(body))
 }
 
+// progressOffsets walks an LBCK v1 file to the run's progress and
+// returns the offsets of the checkpoint round, the partial result's
+// round count, the first trace point and the last traced round.
+func progressOffsets(t *testing.T, raw []byte) (round, resRounds, trace, lastTraced int) {
+	t.Helper()
+	var b transport.Buffer
+	b.Load(raw[:len(raw)-4])
+	must := func(_ any, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(b.U32())     // magic
+	must(b.U8())      // version
+	must(b.U8())      // model
+	must(b.String())  // protocol
+	must(b.F64())     // alpha
+	must(b.U32())     // shards
+	must(b.String())  // strategy
+	must(b.String())  // graph name
+	must(b.U32())     // n
+	must(b.I32s(nil)) // CSR offsets
+	must(b.I32s(nil)) // adjacency
+	must(b.F64s(nil)) // speeds
+	must(b.F64())     // λ₂
+	must(b.U64())     // seed
+	must(b.I64())     // MaxRounds
+	must(b.I64())     // TraceEvery
+	round = len(raw) - 4 - b.Remaining()
+	// Round, totalW, count and sinceRecompute precede the partial
+	// result: Rounds, Moves, the trace length, then 40-byte points.
+	resRounds = round + 4*8
+	trace = resRounds + 2*8 + 4
+	lastTraced = trace + 40*int(binary.LittleEndian.Uint32(raw[trace-4:]))
+	return round, resRounds, trace, lastTraced
+}
+
 // TestReadCheckpointRejectsCorrupt pins the loud-failure contract for
 // damaged checkpoint files: truncation, byte flips, trailing garbage, a
-// wrong magic and an out-of-range shard count must all be detected,
-// never silently decoded.
+// wrong magic, an out-of-range shard count and run progress that
+// disagrees with itself must all be detected, never silently decoded.
 func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 	class, err := experiments.ClassByKey("torus")
 	if err != nil {
@@ -576,4 +614,26 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 		fixCRCTrailer(b)
 		return b
 	}, "shards for")
+
+	// The file is the round-50 checkpoint of a 50-round run traced every
+	// 7 rounds: its trace holds rounds 0, 7, …, 49.
+	round, resRounds, trace, last := progressOffsets(t, raw)
+	patch := func(off int, v int64) func([]byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[off:], uint64(v))
+			fixCRCTrailer(b)
+			return b
+		}
+	}
+	corrupt("round-negative", patch(round, -3), "outside")
+	corrupt("round-zero", patch(round, 0), "outside")
+	corrupt("round-beyond-horizon", patch(round, int64(driveOpts.MaxRounds)+1), "outside")
+	corrupt("result-rounds", patch(resRounds, 3), "partial result")
+	corrupt("last-traced", patch(last, 50), "last traced")
+	corrupt("trace-out-of-order", patch(trace+40, 0), "ascend")
+	corrupt("trace-beyond-round", func(b []byte) []byte {
+		// Keep the last traced round consistent so the trace check
+		// itself trips.
+		return patch(last, 51)(patch(last-40, 51)(b))
+	}, "ascend")
 }

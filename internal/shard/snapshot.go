@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/rng"
 	"repro/internal/transport"
 )
 
@@ -66,8 +65,7 @@ type Checkpoint struct {
 	count          int64
 	sinceRecompute int64
 
-	res        core.RunResult
-	lastTraced int
+	res core.RunResult
 
 	states []*ownState
 }
@@ -82,13 +80,14 @@ func (ck *Checkpoint) Weighted() bool { return ck.model == modelWeighted }
 // Result returns the partial run result up to the checkpointed round.
 func (ck *Checkpoint) Result() core.RunResult { return ck.res }
 
-// checkpoint gathers every worker's state and writes the checkpoint
-// file atomically. Callers hold c.mu or have exclusive use of the
-// cluster (driveCluster runs single-threaded between Steps).
-func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res *core.RunResult, lastTraced int) error {
+// checkpoint gathers every worker's state and writes the checkpoint of
+// the run whose partial result is res, taken after its round
+// res.Rounds, to path atomically. Callers hold c.mu or have exclusive
+// use of the cluster (driveCluster runs single-threaded between Steps).
+func (c *clusterCore) checkpoint(path string, opts core.RunOpts, res *core.RunResult) error {
 	start := time.Now()
 	c.buf.Reset()
-	c.buf.PutU64(uint64(round))
+	c.buf.PutU64(uint64(res.Rounds))
 	states, err := c.gatherOwnStates(transport.KindCheckpoint, transport.KindCheckpointAck, c.buf.B)
 	if err != nil {
 		return fmt.Errorf("shard: checkpoint gather: %w", err)
@@ -97,7 +96,7 @@ func (c *clusterCore) checkpoint(path string, round int, opts core.RunOpts, res 
 	if err != nil {
 		return err
 	}
-	if err := c.writeCheckpoint(tmp, round, opts, res, lastTraced, states); err != nil {
+	if err := c.writeCheckpoint(tmp, opts, res, states); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -171,8 +170,11 @@ func (w *checkpointWriter) PutF64s(v []float64) {
 }
 
 // writeCheckpoint streams the LBCK body to f and appends the CRC32
-// trailer computed over it.
-func (c *clusterCore) writeCheckpoint(f io.Writer, round int, opts core.RunOpts, res *core.RunResult, lastTraced int, states []*ownState) error {
+// trailer computed over it. The v1 layout stores the round twice (as
+// the checkpoint round and as res.Rounds) and the last traced round
+// (−1 for an empty trace) after the trace; all three are derived from
+// res.
+func (c *clusterCore) writeCheckpoint(f io.Writer, opts core.RunOpts, res *core.RunResult, states []*ownState) error {
 	crc := crc32.NewIEEE()
 	w := &checkpointWriter{out: io.MultiWriter(f, crc)}
 	w.B = make([]byte, 0, checkpointStage+64)
@@ -192,7 +194,7 @@ func (c *clusterCore) writeCheckpoint(f io.Writer, round int, opts core.RunOpts,
 	w.PutU64(opts.Seed)
 	w.PutI64(int64(opts.MaxRounds))
 	w.PutI64(int64(opts.TraceEvery))
-	w.PutI64(int64(round))
+	w.PutI64(int64(res.Rounds))
 	w.PutF64(c.totalW)
 	w.PutI64(c.count)
 	w.PutI64(c.sinceRecompute)
@@ -207,7 +209,7 @@ func (c *clusterCore) writeCheckpoint(f io.Writer, round int, opts core.RunOpts,
 		w.PutI64(tp.Moves)
 		w.spill()
 	}
-	w.PutI64(int64(lastTraced))
+	w.PutI64(int64(lastTraced(res.Trace)))
 	for _, st := range states {
 		encodeOwnState(w, c.model, st)
 	}
@@ -374,7 +376,9 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if v, err = b.I64(); err != nil {
 		return nil, err
 	}
-	ck.lastTraced = int(v)
+	if err := ck.checkProgress(int(v)); err != nil {
+		return nil, err
+	}
 	ck.states = make([]*ownState, ck.p)
 	for s := 0; s < ck.p; s++ {
 		if ck.states[s], err = decodeOwnState(&b, ck.model); err != nil {
@@ -385,6 +389,39 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%d trailing bytes", b.Remaining())
 	}
 	return ck, nil
+}
+
+// checkProgress rejects run progress that no drive writes: a resume
+// continues from ck.res as it stands, so a CRC-valid file whose round,
+// partial result and trace disagree would otherwise resume to a
+// silently wrong result. stored is the file's last traced round.
+func (ck *Checkpoint) checkProgress(stored int) error {
+	if ck.Round < 1 || ck.Round > ck.MaxRounds {
+		return fmt.Errorf("round %d outside [1, %d]", ck.Round, ck.MaxRounds)
+	}
+	if ck.res.Rounds != ck.Round {
+		return fmt.Errorf("partial result at round %d for a checkpoint at round %d", ck.res.Rounds, ck.Round)
+	}
+	prev := -1
+	for _, tp := range ck.res.Trace {
+		if tp.Round <= prev || tp.Round > ck.Round {
+			return fmt.Errorf("trace rounds must ascend strictly within [0, %d], found %d after %d", ck.Round, tp.Round, prev)
+		}
+		prev = tp.Round
+	}
+	if stored != lastTraced(ck.res.Trace) {
+		return fmt.Errorf("last traced round %d, but the trace ends at round %d", stored, lastTraced(ck.res.Trace))
+	}
+	return nil
+}
+
+// lastTraced is the round of the trace's last point, or −1 for an
+// empty trace: the LBCK v1 field a Runner's trace determines.
+func lastTraced(trace []core.TracePoint) int {
+	if len(trace) == 0 {
+		return -1
+	}
+	return trace[len(trace)-1].Round
 }
 
 // system rebuilds the checkpointed core.System, revalidating the CSR.
@@ -503,11 +540,12 @@ type CheckpointConfig struct {
 	Every int
 }
 
-// Drive runs the cluster to opts.MaxRounds with core.Drive's exact
-// fixed-horizon loop shape (nil stop, no events), optionally writing
-// periodic checkpoints and resuming from one. The produced RunResult —
-// trace included — is bit-identical to core.Drive over any parity
-// engine, and a resumed run reproduces the uninterrupted run's result.
+// Drive runs the cluster to opts.MaxRounds on a core.Runner, the one
+// core.Drive runs on (nil stop, no events), writing a checkpoint after
+// every ck.Every-th round and resuming from one when from is non-nil.
+// The produced RunResult — trace included — is bit-identical to
+// core.Drive over any parity engine, and a resumed run reproduces the
+// uninterrupted run's result.
 func (c *UniformCluster) Drive(opts core.RunOpts, ck CheckpointConfig, from *Checkpoint) (core.RunResult, error) {
 	return driveCluster[*core.UniformState](c, c.clusterCore, opts, ck, from)
 }
@@ -518,11 +556,8 @@ func (c *WeightedCluster) Drive(opts core.RunOpts, ck CheckpointConfig, from *Ch
 }
 
 func driveCluster[S core.State](eng core.Engine[S], cc *clusterCore, opts core.RunOpts, ck CheckpointConfig, from *Checkpoint) (core.RunResult, error) {
-	if opts.MaxRounds <= 0 {
-		return core.RunResult{}, fmt.Errorf("shard: MaxRounds must be positive, got %d", opts.MaxRounds)
-	}
-	if opts.TraceEvery < 0 {
-		return core.RunResult{}, errors.New("shard: negative trace interval")
+	if err := opts.Validate(); err != nil {
+		return core.RunResult{}, err
 	}
 	if opts.Events != nil {
 		return core.RunResult{}, errors.New("shard: cluster Drive does not take events; use core.Drive")
@@ -530,63 +565,30 @@ func driveCluster[S core.State](eng core.Engine[S], cc *clusterCore, opts core.R
 	if ck.Every > 0 && ck.Path == "" {
 		return core.RunResult{}, errors.New("shard: checkpointing enabled without a path")
 	}
-	base := rng.New(opts.Seed)
-	var res core.RunResult
-	lastTraced := -1
-	start := 0
+	var done core.RunResult
 	if from != nil {
 		if from.Seed != opts.Seed || from.MaxRounds != opts.MaxRounds || from.TraceEvery != opts.TraceEvery {
-			return res, fmt.Errorf("shard: resume options (seed %d, rounds %d, trace %d) differ from checkpoint (%d, %d, %d)",
+			return core.RunResult{}, fmt.Errorf("shard: resume options (seed %d, rounds %d, trace %d) differ from checkpoint (%d, %d, %d)",
 				opts.Seed, opts.MaxRounds, opts.TraceEvery, from.Seed, from.MaxRounds, from.TraceEvery)
 		}
-		res = from.res
-		lastTraced = from.lastTraced
-		start = from.Round
+		done = from.res
 	}
-	record := func(round int) error {
-		if opts.TraceEvery <= 0 || round == lastTraced {
-			return nil
-		}
-		st, err := eng.State()
-		if err != nil {
-			return err
-		}
-		res.Trace = append(res.Trace, core.TracePoint{
-			Round:  round,
-			Psi0:   st.Psi0(),
-			Psi1:   st.Psi1(),
-			LDelta: st.LDelta(),
-			Moves:  res.Moves,
-		})
-		lastTraced = round
-		return nil
+	run, err := core.NewRunner(eng, opts.Seed, opts.TraceEvery, done)
+	if err != nil {
+		return core.RunResult{}, err
 	}
-	if start == 0 {
-		if err := record(0); err != nil {
-			return res, err
-		}
-	}
-	for round := start + 1; round <= opts.MaxRounds; round++ {
-		moves, err := eng.Step(uint64(round), base)
-		if err != nil {
-			return res, err
-		}
-		res.Moves += moves
-		res.Rounds = round
-		if opts.TraceEvery > 0 && round%opts.TraceEvery == 0 {
-			if err := record(round); err != nil {
-				return res, err
-			}
+	for round := done.Rounds + 1; round <= opts.MaxRounds; round++ {
+		if err := run.Step(); err != nil {
+			return run.Result(), err
 		}
 		if ck.Every > 0 && round%ck.Every == 0 {
-			if err := cc.checkpoint(ck.Path, round, opts, &res, lastTraced); err != nil {
+			res := run.Result()
+			if err := cc.checkpoint(ck.Path, opts, &res); err != nil {
 				return res, err
 			}
 		}
 	}
-	if err := record(res.Rounds); err != nil {
-		return res, err
-	}
-	res.Converged = true
-	return res, nil
+	res, err := run.Finish()
+	res.Converged = err == nil
+	return res, err
 }

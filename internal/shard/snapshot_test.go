@@ -82,7 +82,7 @@ func TestCheckpointAllocation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := cl.checkpoint(path, 1, core.RunOpts{MaxRounds: 1, Seed: 3}, &core.RunResult{Rounds: 1}, -1)
+	err := cl.checkpoint(path, core.RunOpts{MaxRounds: 1, Seed: 3}, &core.RunResult{Rounds: 1})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
