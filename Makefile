@@ -124,12 +124,12 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short native-fuzzing pass over the samplers, the graph generators
-# and the checkpoint decoder (each -fuzz run accepts exactly one
-# target, hence one line per target), including the differential check
-# of the Binomial zero-mass shortcut against the shortcut-free
-# reference. CI runs this on every push; longer local sessions can
-# raise FUZZTIME.
+# Short native-fuzzing pass over the samplers, the graph generators,
+# the decide kernels and the checkpoint decoder (each -fuzz run accepts
+# exactly one target, hence one line per target), including the
+# differential checks of the Binomial zero-mass shortcut and of the
+# branch-free decide kernels against their pre-optimisation references.
+# CI runs this on every push; longer local sessions can raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
@@ -138,6 +138,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzMultinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecideKernel$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
 
 ci: vet build race bench-check perfbench-check

@@ -39,6 +39,11 @@ type System struct {
 	speeds  machine.Speeds
 	lambda2 float64
 
+	// invSpeed[i] = 1/sᵢ, the migration threshold of every edge into i,
+	// computed once so that the decide kernels do not divide per edge.
+	// It holds the quotient 1/sᵢ itself, so reading it changes no result.
+	invSpeed []float64
+
 	sMax, sMin, sSum float64
 	maxDeg           int
 }
@@ -92,14 +97,19 @@ func NewSystem(g *graph.Graph, speeds machine.Speeds, opts ...SystemOption) (*Sy
 	}
 	sc := make(machine.Speeds, len(speeds))
 	copy(sc, speeds)
+	inv := make([]float64, len(sc))
+	for i, s := range sc {
+		inv[i] = 1 / s
+	}
 	return &System{
-		g:       g,
-		speeds:  sc,
-		lambda2: lambda2,
-		sMax:    sc.Max(),
-		sMin:    sc.Min(),
-		sSum:    sc.Sum(),
-		maxDeg:  g.MaxDegree(),
+		g:        g,
+		speeds:   sc,
+		lambda2:  lambda2,
+		invSpeed: inv,
+		sMax:     sc.Max(),
+		sMin:     sc.Min(),
+		sSum:     sc.Sum(),
+		maxDeg:   g.MaxDegree(),
 	}, nil
 }
 

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/rng"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+	"repro/internal/rng"
+)
 
 // UniformProtocol is one synchronous round of a load-balancing protocol
 // on a uniform-task state. Step must use only streams derived from base
@@ -78,6 +83,13 @@ func (p Algorithm1) Step(st *UniformState, round uint64, base *rng.Stream) int64
 // eligible edges: neighbor idx receives Binomial(remaining, q/rest)
 // where rest is the probability mass not yet consumed. One O(1)-expected
 // draw per eligible edge, no intermediate per-neighbor pick counts.
+//
+// The eligible edges are found without a data-dependent branch: each
+// chunk of up to 64 neighbors becomes a bitmask (eligibleMask), and only
+// its set bits are visited, in ascending neighbor order — the order, and
+// hence the draws, of a plain scan. A node of degree at most 64 with no
+// eligible edge (a balanced neighborhood) costs only its mask; the draws
+// live in drawMovers, out of this small hot frame.
 func (p Algorithm1) DecideNode(sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64) int64 {
 	nbs := sys.g.Neighbors(i)
 	deg := len(nbs)
@@ -87,39 +99,88 @@ func (p Algorithm1) DecideNode(sys *System, i int, wi int64, li float64, nbLoads
 	if wi == 0 {
 		return 0
 	}
-	alpha := p.effectiveAlpha(sys)
-	invDeg := 1 / float64(deg)
+	hi := min(deg, 64)
+	mask := eligibleMask(li, nbLoads[:hi], nbs[:hi], sys.invSpeed)
+	if mask == 0 && deg <= 64 {
+		return 0
+	}
+	return p.drawMovers(sys, i, wi, li, nbLoads, nodeStream, out, mask)
+}
+
+// drawMovers draws node i's mover counts over its eligible edges, given
+// the mask of its first 64 neighbors; it masks the later chunks as it
+// reaches them.
+func (p Algorithm1) drawMovers(sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64, mask uint64) int64 {
+	nbs := sys.g.Neighbors(i)
+	ep := newEdgeProb(sys, i, li, p.effectiveAlpha(sys), float64(wi))
+	invDeg := 1 / float64(len(nbs))
 	remaining := int(wi)
 	rest := 1.0 // probability mass of the categories not yet drawn
 	moves := int64(0)
-	for idx, jj := range nbs {
-		if remaining == 0 {
-			break
+	for lo := 0; ; {
+		for ; mask != 0; mask &= mask - 1 {
+			idx := lo + bits.TrailingZeros64(mask)
+			q := ep.at(int(nbs[idx]), nbLoads[idx]) * invDeg
+			if q <= 0 {
+				continue
+			}
+			// Clamp the conditional like rng.MultinomialInto: rest can drift
+			// at or below q when the eligible edges carry the full mass.
+			cp := 1.0
+			if rest > q {
+				cp = q / rest
+			}
+			k := nodeStream.Binomial(remaining, cp)
+			if k > 0 {
+				out[idx] = int64(k)
+				moves += int64(k)
+				remaining -= k
+				if remaining == 0 {
+					return moves
+				}
+			}
+			rest -= q
 		}
-		j := int(jj)
-		lj := nbLoads[idx]
-		if li-lj <= 1/sys.speeds[j] {
-			continue
+		if lo += 64; lo >= len(nbs) {
+			return moves
 		}
-		q := migrationProb(sys, i, j, li, lj, alpha, float64(wi)) * invDeg
-		if q <= 0 {
-			continue
-		}
-		// Clamp the conditional like rng.MultinomialInto: rest can drift
-		// at or below q when the eligible edges carry the full mass.
-		cp := 1.0
-		if rest > q {
-			cp = q / rest
-		}
-		k := nodeStream.Binomial(remaining, cp)
-		if k > 0 {
-			out[idx] = int64(k)
-			moves += int64(k)
-			remaining -= k
-		}
-		rest -= q
+		hi := min(lo+64, len(nbs))
+		mask = eligibleMask(li, nbLoads[lo:hi], nbs[lo:hi], sys.invSpeed)
 	}
-	return moves
+}
+
+// eligibleMask returns the edges, at most 64, over which a task of a
+// node with load li has an incentive to move: bit k is set iff
+// ℓᵢ − loads[k] > 1/s_nbs[k], written !(… <= …) so that it selects
+// exactly the edges a "skip if ℓᵢ − ℓⱼ <= 1/sⱼ" scan keeps. The loop
+// has no data-dependent branch (the comparison compiles to SETcc), so
+// random loads cost no mispredictions, and it must stay small enough
+// to inline into the kernels.
+func eligibleMask(li float64, loads []float64, nbs []int32, invSpeed []float64) uint64 {
+	loads = loads[:len(nbs)]
+	mask := uint64(0)
+	for k, j := range nbs {
+		var b uint64
+		if !(li-loads[k] <= invSpeed[j]) {
+			b = 1
+		}
+		mask |= b << (uint(k) & 63)
+	}
+	return mask
+}
+
+// eligibleMaskByNode is eligibleMask with the loads indexed by node (a
+// global snapshot) instead of by edge.
+func eligibleMaskByNode(li float64, loads []float64, nbs []int32, invSpeed []float64) uint64 {
+	mask := uint64(0)
+	for k, j := range nbs {
+		var b uint64
+		if !(li-loads[j] <= invSpeed[j]) {
+			b = 1
+		}
+		mask |= b << (uint(k) & 63)
+	}
+	return mask
 }
 
 // stepNodewise runs one synchronous round of a node-decomposable protocol
@@ -188,6 +249,55 @@ func migrationProb(sys *System, i, j int, li, lj, alpha, wi float64) float64 {
 		p = 1
 	}
 	if p < 0 {
+		p = 0
+	}
+	return p
+}
+
+// edgeProb is migrationProb for the edges of one node, with the
+// per-node factors computed once and 1/sⱼ read from System.invSpeed. The
+// degree ratio is left out where it is exactly 1, on every edge with
+// deg(j) <= deg(i): on all edges of a node of maximum degree, so of
+// every regular graph, without looking deg(j) up. Multiplying by an
+// exact 1 changes no float, and the rest is migrationProb's expression
+// in its order, so both return the same bits.
+type edgeProb struct {
+	g               *graph.Graph
+	invSpeed        []float64
+	deg             int
+	degF            float64
+	li, invI, alpha float64
+	wi              float64
+	degIsMax        bool // deg(i) = Δ: no edge needs the degree ratio
+}
+
+func newEdgeProb(sys *System, i int, li, alpha, wi float64) edgeProb {
+	deg := sys.g.Degree(i)
+	return edgeProb{
+		g:        sys.g,
+		invSpeed: sys.invSpeed,
+		deg:      deg,
+		degF:     float64(deg),
+		li:       li,
+		invI:     sys.invSpeed[i],
+		alpha:    alpha,
+		wi:       wi,
+		degIsMax: deg == sys.maxDeg,
+	}
+}
+
+// at returns p_ij for neighbor j with load lj.
+func (e *edgeProb) at(j int, lj float64) float64 {
+	num := e.li - lj
+	if !e.degIsMax {
+		if dj := e.g.Degree(j); dj > e.deg {
+			num = e.degF / float64(dj) * num
+		}
+	}
+	p := num / (e.alpha * (e.invI + e.invSpeed[j]) * e.wi)
+	if p > 1 {
+		p = 1
+	} else if p < 0 {
 		p = 0
 	}
 	return p

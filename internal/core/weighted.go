@@ -91,7 +91,7 @@ type WeightedScratch struct {
 	probs  []float64
 	counts []int
 	moves  []TaskMove
-	ident  []int16 // block-local identity permutation, len DecideBlock
+	ident  []int16 // identity permutation of the largest block so far
 	destOf []int32 // eligible-neighbor index per selected block position
 }
 
@@ -172,9 +172,7 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 	if cnt == 0 {
 		return nil
 	}
-	g := sys.g
-	alpha := p.effectiveAlpha(sys)
-	nbs := g.Neighbors(i)
+	nbs := sys.g.Neighbors(i)
 	deg := len(nbs)
 	li := loads[i]
 	if cap(sc.probs) < deg {
@@ -182,24 +180,17 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 		sc.counts = make([]int, deg)
 	}
 	// probs[idx] = P(a task targets neighbor idx AND passes its coin).
+	// The eligible edges come from the branch-free bitmask of
+	// Algorithm1.DecideNode; a node of degree at most 64 with none costs
+	// only its mask.
 	probs := sc.probs[:deg]
 	counts := sc.counts[:deg]
-	sumQ := 0.0
-	lastPos := -1 // last eligible neighbor: takes the block remainder
-	for idx, jj := range nbs {
-		probs[idx] = 0
-		j := int(jj)
-		if li-loads[j] <= 1/sys.speeds[j] {
-			continue
-		}
-		pij := migrationProb(sys, i, j, li, loads[j], alpha, wi)
-		if pij <= 0 {
-			continue
-		}
-		probs[idx] = pij / float64(deg)
-		sumQ += probs[idx]
-		lastPos = idx
+	mask := eligibleMaskByNode(li, loads, nbs[:min(deg, 64)], sys.invSpeed)
+	if mask == 0 && deg <= 64 {
+		return nil
 	}
+	// lastPos is the last eligible neighbor: it takes the block remainder.
+	sumQ, lastPos := p.edgeProbs(sys, i, wi, loads, probs, mask)
 	if lastPos < 0 {
 		return nil
 	}
@@ -207,10 +198,10 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 		sumQ = 1 // Σ pij/deg ≤ 1 exactly; guard the final rounding ulp
 	}
 	if sc.ident == nil {
-		sc.ident = make([]int16, DecideBlock)
+		sc.ident = make([]int16, 0, DecideBlock)
 		sc.destOf = make([]int32, DecideBlock)
 	}
-	ident, destOf := sc.ident, sc.destOf
+	destOf := sc.destOf
 	// Presize the move buffer to the expected mover count (E = cnt·ΣQ,
 	// concentrated within O(√E)) before truncating: append-driven growth
 	// would memmove the dead previous contents on every doubling, so
@@ -256,10 +247,13 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 		// Fisher–Yates over [0, bsz) in random order, split into runs of
 		// counts[idx] — a uniformly random ordered partition. Record each
 		// mover's destination per position and mark it in the bitmap.
-		var bm [DecideBlock / 64]uint64
-		for t := 0; t < bsz; t++ {
-			ident[t] = int16(t)
+		// ident is kept the identity between blocks, extended once to the
+		// largest block a scratch sees, and restored below in O(movers).
+		for len(sc.ident) < bsz {
+			sc.ident = append(sc.ident, int16(len(sc.ident)))
 		}
+		ident := sc.ident
+		var bm [DecideBlock / 64]uint64
 		t := 0
 		for idx := 0; idx <= lastPos; idx++ {
 			for c := counts[idx]; c > 0; c-- {
@@ -270,6 +264,16 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 				bm[pos>>6] |= 1 << (uint(pos) & 63)
 				t++
 			}
+		}
+		// Step k swapped cell k with a cell r >= k, so after t steps a
+		// cell c >= t holds c or a value below t, and it lost c exactly
+		// when c now sits in the prefix [0, t). Resetting the prefix and
+		// the cells its values name therefore restores the identity.
+		for s := 0; s < t; s++ {
+			if v := ident[s]; int(v) >= t {
+				ident[v] = v
+			}
+			ident[s] = int16(s)
 		}
 		// Emit the block's moves in descending position order by scanning
 		// the bitmap from the top word down.
@@ -288,6 +292,38 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 		return nil
 	}
 	return out
+}
+
+// edgeProbs fills probs, zero off the eligible edges, for node i with
+// total weight wi, given the mask of its first 64 neighbors; it masks
+// the later chunks as it reaches them. It returns Σ probs and the last
+// index with a positive probability, −1 if there is none.
+func (p Algorithm2) edgeProbs(sys *System, i int, wi float64, loads, probs []float64, mask uint64) (sumQ float64, lastPos int) {
+	nbs := sys.g.Neighbors(i)
+	deg := len(nbs)
+	for idx := range probs {
+		probs[idx] = 0
+	}
+	li := loads[i]
+	ep := newEdgeProb(sys, i, li, p.effectiveAlpha(sys), wi)
+	lastPos = -1
+	for lo := 0; ; {
+		for ; mask != 0; mask &= mask - 1 {
+			idx := lo + bits.TrailingZeros64(mask)
+			j := int(nbs[idx])
+			pij := ep.at(j, loads[j])
+			if pij <= 0 {
+				continue
+			}
+			probs[idx] = pij / float64(deg)
+			sumQ += probs[idx]
+			lastPos = idx
+		}
+		if lo += 64; lo >= deg {
+			return sumQ, lastPos
+		}
+		mask = eligibleMaskByNode(li, loads, nbs[lo:min(lo+64, deg)], sys.invSpeed)
+	}
 }
 
 // TaskMove records a pending migration of the task at position Idx of

@@ -53,6 +53,11 @@ type clusterCore struct {
 
 	mu     sync.Mutex
 	closed bool
+	// broken is set when a round exchange fails midway: the frame
+	// streams are then out of lockstep, so no further round runs and
+	// Close skips the done frames, which a worker blocked writing its
+	// own frame would never read.
+	broken bool
 
 	buf       transport.Buffer
 	moves     []int64
@@ -227,6 +232,9 @@ func (c *clusterCore) Step(r uint64, base *rng.Stream) (int64, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
+	if c.broken {
+		return 0, errBroken
+	}
 	moves, _, err := c.step(r, base, nil)
 	return moves, err
 }
@@ -249,6 +257,9 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	if c.closed {
 		return 0, led, ErrClosed
 	}
+	if c.broken {
+		return 0, led, errBroken
+	}
 	if batch != nil {
 		if err := c.validateBatchShape(batch); err != nil {
 			return 0, led, err
@@ -266,8 +277,31 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	return moves, led, err
 }
 
+// Barrier phases of a cluster round, in frame order, as barrierErr names
+// them.
+const (
+	phaseRound    = "round announce"
+	phaseBoundary = "boundary loads"
+	phaseHalo     = "halo loads"
+	phaseFlows    = "flows"
+	phaseGrant    = "grant"
+	phaseStepDone = "step done"
+	phaseStats    = "stats"
+)
+
+// errBroken refuses a round after a failed one.
+var errBroken = errors.New("shard: cluster out of lockstep after a failed round")
+
+// barrierErr marks the cluster broken and names the worker, the barrier
+// phase and the round of a failed round exchange.
+func (c *clusterCore) barrierErr(s int, phase string, r uint64, err error) error {
+	c.broken = true
+	return fmt.Errorf("shard: worker %d, %s, round %d: %w", s, phase, r, err)
+}
+
 // step runs one round, optionally fusing a pre-validated,
-// non-threshold-crossing event batch into the round's frames.
+// non-threshold-crossing event batch into the round's frames. Every
+// failure is a barrierErr.
 func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (int64, core.EventLedger, error) {
 	var led core.EventLedger
 	t0 := time.Now()
@@ -286,42 +320,15 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 			c.buf.PutU8(0)
 		}
 		if err := c.conns[s].WriteFrame(transport.KindRound, c.buf.B); err != nil {
-			return 0, led, err
+			return 0, led, c.barrierErr(s, phaseRound, r, err)
 		}
 	}
 	// Loads: gather each shard's boundary loads (with its event report
 	// when a batch rode the round frame), scatter each shard's halo
 	// loads — O(cut) traffic, independent of n.
 	for s := 0; s < c.p; s++ {
-		payload, err := c.conns[s].Expect(transport.KindBoundaryLoads)
-		if err != nil {
-			return 0, led, err
-		}
-		var b transport.Buffer
-		b.Load(payload)
-		want := c.bbase[s+1] - c.bbase[s]
-		bl, err := b.F64s(c.bstage[c.bbase[s]:c.bbase[s]])
-		if err != nil {
-			return 0, led, err
-		}
-		if len(bl) != want {
-			return 0, led, fmt.Errorf("shard: worker %d sent %d boundary loads for %d boundary nodes", s, len(bl), want)
-		}
-		if batch != nil {
-			if c.model == modelUniform {
-				arr, err := b.I64()
-				if err != nil {
-					return 0, led, err
-				}
-				dep, err := b.I64()
-				if err != nil {
-					return 0, led, err
-				}
-				led.Arrived += arr
-				led.Departed += dep
-			} else if err := c.decodeEventReport(s, &b); err != nil {
-				return 0, led, err
-			}
+		if err := c.gatherBoundary(s, batch, &led); err != nil {
+			return 0, led, c.barrierErr(s, phaseBoundary, r, err)
 		}
 	}
 	if batch != nil && c.model == modelWeighted {
@@ -339,38 +346,14 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 		c.buf.Reset()
 		c.buf.PutF64s(vals)
 		if err := c.conns[s].WriteFrame(transport.KindHaloLoads, c.buf.B); err != nil {
-			return 0, led, err
+			return 0, led, c.barrierErr(s, phaseHalo, r, err)
 		}
 	}
 	t1 := time.Now()
 	// Decide: gather each worker's move count and cross-shard lists.
 	for s := 0; s < c.p; s++ {
-		payload, err := c.conns[s].Expect(transport.KindFlows)
-		if err != nil {
-			return 0, led, err
-		}
-		var b transport.Buffer
-		b.Load(payload)
-		if c.moves[s], err = b.I64(); err != nil {
-			return 0, led, err
-		}
-		pp, err := b.U32()
-		if err != nil {
-			return 0, led, err
-		}
-		if int(pp) != c.p {
-			return 0, led, fmt.Errorf("shard: worker %d sent %d flow lists for %d shards", s, pp, c.p)
-		}
-		for d := 0; d < c.p; d++ {
-			if c.model == modelUniform {
-				if c.relayF[s][d], err = b.Flows(c.relayF[s][d][:0]); err != nil {
-					return 0, led, err
-				}
-			} else {
-				if c.relayW[s][d], err = b.WFlows(c.relayW[s][d][:0]); err != nil {
-					return 0, led, err
-				}
-			}
+		if err := c.gatherFlows(s); err != nil {
+			return 0, led, c.barrierErr(s, phaseFlows, r, err)
 		}
 	}
 	total := int64(0)
@@ -416,35 +399,15 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 			}
 		}
 		if err := c.conns[s].WriteFrame(transport.KindGrant, c.buf.B); err != nil {
-			return 0, led, err
+			return 0, led, c.barrierErr(s, phaseGrant, r, err)
 		}
 	}
 	// Commit: collect step-done (with fresh own-range sums on recompute
 	// rounds) and fold the new total weight in node order, exactly as
 	// the sequential RecomputeWeights does.
 	for s := 0; s < c.p; s++ {
-		payload, err := c.conns[s].Expect(transport.KindStepDone)
-		if err != nil {
-			return 0, led, err
-		}
-		var b transport.Buffer
-		b.Load(payload)
-		flag, err := b.U8()
-		if err != nil {
-			return 0, led, err
-		}
-		if (flag != 0) != (crossAt >= 0) {
-			return 0, led, fmt.Errorf("shard: worker %d recompute flag %d, coordinator crossing %d", s, flag, crossAt)
-		}
-		if flag != 0 {
-			lo, hi := c.part.Range(s)
-			fs, err := b.F64s(c.freshSum[lo:lo])
-			if err != nil {
-				return 0, led, err
-			}
-			if len(fs) != hi-lo {
-				return 0, led, fmt.Errorf("shard: worker %d sent %d sums for range of %d", s, len(fs), hi-lo)
-			}
+		if err := c.gatherStepDone(s, crossAt); err != nil {
+			return 0, led, c.barrierErr(s, phaseStepDone, r, err)
 		}
 	}
 	if crossAt >= 0 {
@@ -459,17 +422,116 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 	// stream stays in lockstep for whatever comes next.
 	for s := 0; s < c.p; s++ {
 		payload, err := c.conns[s].Expect(transport.KindStats)
-		if err != nil {
-			return 0, led, err
+		if err == nil {
+			var b transport.Buffer
+			b.Load(payload)
+			c.wstats[s], err = decodeWorkerStats(&b)
 		}
-		var b transport.Buffer
-		b.Load(payload)
-		if c.wstats[s], err = decodeWorkerStats(&b); err != nil {
-			return 0, led, err
+		if err != nil {
+			return 0, led, c.barrierErr(s, phaseStats, r, err)
 		}
 	}
 	c.observeStep(t0, t1, t2, time.Now())
 	return total, led, nil
+}
+
+// gatherBoundary reads worker s's boundary loads into its bstage range,
+// with its event report when a batch rode the round frame.
+func (c *clusterCore) gatherBoundary(s int, batch *core.EventBatch, led *core.EventLedger) error {
+	payload, err := c.conns[s].Expect(transport.KindBoundaryLoads)
+	if err != nil {
+		return err
+	}
+	var b transport.Buffer
+	b.Load(payload)
+	want := c.bbase[s+1] - c.bbase[s]
+	bl, err := b.F64s(c.bstage[c.bbase[s]:c.bbase[s]])
+	if err != nil {
+		return err
+	}
+	if len(bl) != want {
+		return fmt.Errorf("sent %d boundary loads for %d boundary nodes", len(bl), want)
+	}
+	if batch == nil {
+		return nil
+	}
+	if c.model != modelUniform {
+		return c.decodeEventReport(s, &b)
+	}
+	arr, err := b.I64()
+	if err != nil {
+		return err
+	}
+	dep, err := b.I64()
+	if err != nil {
+		return err
+	}
+	led.Arrived += arr
+	led.Departed += dep
+	return nil
+}
+
+// gatherFlows reads worker s's move count and its flow list to every
+// shard into the relay.
+func (c *clusterCore) gatherFlows(s int) error {
+	payload, err := c.conns[s].Expect(transport.KindFlows)
+	if err != nil {
+		return err
+	}
+	var b transport.Buffer
+	b.Load(payload)
+	if c.moves[s], err = b.I64(); err != nil {
+		return err
+	}
+	pp, err := b.U32()
+	if err != nil {
+		return err
+	}
+	if int(pp) != c.p {
+		return fmt.Errorf("sent %d flow lists for %d shards", pp, c.p)
+	}
+	for d := 0; d < c.p; d++ {
+		if c.model == modelUniform {
+			c.relayF[s][d], err = b.Flows(c.relayF[s][d][:0])
+		} else {
+			c.relayW[s][d], err = b.WFlows(c.relayW[s][d][:0])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gatherStepDone reads worker s's step-done frame: its recompute flag,
+// which must match the coordinator's crossing, and on recompute rounds
+// its fresh own-range sums into freshSum.
+func (c *clusterCore) gatherStepDone(s int, crossAt int64) error {
+	payload, err := c.conns[s].Expect(transport.KindStepDone)
+	if err != nil {
+		return err
+	}
+	var b transport.Buffer
+	b.Load(payload)
+	flag, err := b.U8()
+	if err != nil {
+		return err
+	}
+	if (flag != 0) != (crossAt >= 0) {
+		return fmt.Errorf("recompute flag %d, coordinator crossing %d", flag, crossAt)
+	}
+	if flag == 0 {
+		return nil
+	}
+	lo, hi := c.part.Range(s)
+	fs, err := b.F64s(c.freshSum[lo:lo])
+	if err != nil {
+		return err
+	}
+	if len(fs) != hi-lo {
+		return fmt.Errorf("sent %d sums for range of %d", len(fs), hi-lo)
+	}
+	return nil
 }
 
 // ApplyEvents implements core.DynamicEngine across the cluster. Each
@@ -789,8 +851,10 @@ func (c *clusterCore) Close() error {
 		return nil
 	}
 	c.closed = true
-	for s := 0; s < c.p; s++ {
-		_ = c.conns[s].WriteFrame(transport.KindDone, nil)
+	if !c.broken {
+		for s := 0; s < c.p; s++ {
+			_ = c.conns[s].WriteFrame(transport.KindDone, nil)
+		}
 	}
 	for _, cl := range c.closers {
 		_ = cl.Close()
