@@ -125,10 +125,11 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Short native-fuzzing pass over the samplers, the graph generators,
-# the decide kernels and the checkpoint decoder (each -fuzz run accepts
-# exactly one target, hence one line per target), including the
-# differential checks of the Binomial zero-mass shortcut and of the
-# branch-free decide kernels against their pre-optimisation references.
+# the decide kernels, the transport frame reader, the cluster config
+# decoder and the checkpoint decoder (each -fuzz run accepts exactly one
+# target, hence one line per target), including the differential checks
+# of the Binomial zero-mass shortcut and of the branch-free decide
+# kernels against their pre-optimisation references.
 # CI runs this on every push; longer local sessions can raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
@@ -139,6 +140,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideKernel$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
 
 ci: vet build race bench-check perfbench-check

@@ -33,26 +33,27 @@ type CSR struct {
 	offsets []int32 // len n+1
 	adj     []int32 // len 2|E|, each row sorted ascending
 	maxDeg  int
+	desc    Descriptor // the generator call that built it, if any
 }
 
 // CSR returns the graph's compressed-sparse-row view. The view aliases
 // the graph's internal storage — no copying — and inherits its
-// immutability.
+// immutability and its generator descriptor.
 func (g *Graph) CSR() *CSR {
-	return &CSR{name: g.name, n: g.n, offsets: g.offset, adj: g.adj, maxDeg: g.MaxDegree()}
+	return &CSR{name: g.name, n: g.n, offsets: g.offset, adj: g.adj, maxDeg: g.MaxDegree(), desc: g.desc}
 }
 
 // Graph wraps the CSR back into a *Graph, again without copying. The
-// two views share storage; both are immutable.
+// two views share storage and the descriptor; both are immutable.
 func (c *CSR) Graph() *Graph {
-	return &Graph{name: c.name, n: c.n, offset: c.offsets, adj: c.adj}
+	return &Graph{name: c.name, n: c.n, offset: c.offsets, adj: c.adj, desc: c.desc}
 }
 
 // NewCSR validates raw CSR arrays (monotone offsets, in-range sorted
 // rows, no self-loops or duplicates, symmetric adjacency) and returns
 // the view. It takes ownership of the slices; callers must not mutate
-// them afterwards. Generators that are correct by construction skip
-// this and assemble the struct directly.
+// them afterwards. The view has no descriptor. Generators that are
+// correct by construction skip this and assemble the struct directly.
 func NewCSR(name string, n int, offsets, adj []int32) (*CSR, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
@@ -133,7 +134,7 @@ func (c *CSR) Bytes() int64 { return 4 * int64(len(c.offsets)+len(c.adj)) }
 // neighbors, for the regular family constructors. It errors when the
 // adjacency would overflow the int32 offsets (e.g. Hypercube(27),
 // Complete(47000)) — the family size caps alone do not rule that out.
-func newUniformCSR(name string, n, deg int) (*CSR, error) {
+func newUniformCSR(name string, desc Descriptor, n, deg int) (*CSR, error) {
 	if err := checkCSRSize(int64(n) * int64(deg)); err != nil {
 		return nil, err
 	}
@@ -141,7 +142,7 @@ func newUniformCSR(name string, n, deg int) (*CSR, error) {
 	for v := 1; v <= n; v++ {
 		offsets[v] = offsets[v-1] + int32(deg)
 	}
-	return &CSR{name: name, n: n, offsets: offsets, adj: make([]int32, n*deg), maxDeg: deg}, nil
+	return &CSR{name: name, n: n, offsets: offsets, adj: make([]int32, n*deg), maxDeg: deg, desc: desc}, nil
 }
 
 // RingCSR builds the cycle C_n (n ≥ 3) directly in CSR form: no edge
@@ -150,7 +151,7 @@ func RingCSR(n int) (*CSR, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: ring needs n >= 3, got %d", n)
 	}
-	c, err := newUniformCSR(fmt.Sprintf("ring-%d", n), n, 2)
+	c, err := newUniformCSR(fmt.Sprintf("ring-%d", n), Descriptor{FamilyRing, [2]int{n}}, n, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +169,9 @@ func PathCSR(n int) (*CSR, error) {
 		return nil, ErrEmptyGraph
 	}
 	name := fmt.Sprintf("path-%d", n)
+	desc := Descriptor{FamilyPath, [2]int{n}}
 	if n == 1 {
-		return &CSR{name: name, n: 1, offsets: make([]int32, 2), adj: []int32{}}, nil
+		return &CSR{name: name, n: 1, offsets: make([]int32, 2), adj: []int32{}, desc: desc}, nil
 	}
 	if err := checkCSRSize(2 * (int64(n) - 1)); err != nil {
 		return nil, err
@@ -193,7 +195,7 @@ func PathCSR(n int) (*CSR, error) {
 	if n == 2 {
 		maxDeg = 1
 	}
-	return &CSR{name: name, n: n, offsets: offsets, adj: adj, maxDeg: maxDeg}, nil
+	return &CSR{name: name, n: n, offsets: offsets, adj: adj, maxDeg: maxDeg, desc: desc}, nil
 }
 
 // TorusCSR builds the rows×cols torus (both ≥ 3) directly in CSR form:
@@ -203,7 +205,7 @@ func TorusCSR(rows, cols int) (*CSR, error) {
 		return nil, fmt.Errorf("graph: torus needs dims >= 3, got %dx%d", rows, cols)
 	}
 	n := rows * cols
-	c, err := newUniformCSR(fmt.Sprintf("torus-%dx%d", rows, cols), n, 4)
+	c, err := newUniformCSR(fmt.Sprintf("torus-%dx%d", rows, cols), Descriptor{FamilyTorus, [2]int{rows, cols}}, n, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +256,7 @@ func HypercubeCSR(d int) (*CSR, error) {
 		return nil, fmt.Errorf("graph: hypercube dimension must be in [1,30], got %d", d)
 	}
 	n := 1 << d
-	c, err := newUniformCSR(fmt.Sprintf("hypercube-%d", d), n, d)
+	c, err := newUniformCSR(fmt.Sprintf("hypercube-%d", d), Descriptor{FamilyHypercube, [2]int{d}}, n, d)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +285,7 @@ func CompleteCSR(n int) (*CSR, error) {
 	if n <= 0 {
 		return nil, ErrEmptyGraph
 	}
-	c, err := newUniformCSR(fmt.Sprintf("complete-%d", n), n, n-1)
+	c, err := newUniformCSR(fmt.Sprintf("complete-%d", n), Descriptor{FamilyComplete, [2]int{n}}, n, n-1)
 	if err != nil {
 		return nil, err
 	}
@@ -357,5 +359,6 @@ func MeshCSR(rows, cols int) (*CSR, error) {
 			}
 		}
 	}
-	return &CSR{name: fmt.Sprintf("mesh-%dx%d", rows, cols), n: n, offsets: offsets, adj: adj, maxDeg: maxDeg}, nil
+	return &CSR{name: fmt.Sprintf("mesh-%dx%d", rows, cols), n: n, offsets: offsets, adj: adj, maxDeg: maxDeg,
+		desc: Descriptor{FamilyMesh, [2]int{rows, cols}}}, nil
 }

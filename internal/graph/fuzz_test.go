@@ -3,7 +3,8 @@
 // graph — symmetric sorted CSR adjacency, no self-loops or duplicates,
 // consistent degree accounting, and connectivity for the families that
 // guarantee it. These are exactly the invariants the protocol engines
-// and the churn rewiring of package dynamics rely on.
+// and the churn rewiring of package dynamics rely on. A graph built by
+// a CSR generator must also rebuild from its descriptor.
 package graph
 
 import (
@@ -100,5 +101,16 @@ func FuzzGenerators(f *testing.F) {
 			return // parameter rejection is a valid outcome
 		}
 		checkInvariants(t, g, connected)
+		// A generator's descriptor rebuilds the same arrays.
+		c := g.CSR()
+		if d := c.Descriptor(); d.Family != Explicit {
+			r, err := FromDescriptor(d)
+			if err != nil {
+				t.Fatalf("%v: descriptor %+v does not rebuild: %v", g, d, err)
+			}
+			if r.N() != c.N() || r.Digest() != c.Digest() || r.Name() != c.Name() {
+				t.Fatalf("%v: descriptor %+v rebuilt %s with %d nodes", g, d, r.Name(), r.N())
+			}
+		}
 	})
 }

@@ -19,6 +19,7 @@ type Graph struct {
 	n      int
 	offset []int32 // len n+1
 	adj    []int32 // len 2|E|
+	desc   Descriptor
 }
 
 // Edge is an undirected edge with U < V.

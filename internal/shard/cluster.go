@@ -39,6 +39,7 @@ import (
 type clusterCore struct {
 	sys      *core.System
 	csr      *graph.CSR
+	inst     instanceWire // what config frames and checkpoints carry
 	part     *Partition
 	model    uint8
 	proto    string
@@ -53,16 +54,16 @@ type clusterCore struct {
 
 	mu     sync.Mutex
 	closed bool
-	// broken is set when a round exchange fails midway: the frame
-	// streams are then out of lockstep, so no further round runs and
-	// Close skips the done frames, which a worker blocked writing its
+	// broken is set when an exchange with a worker fails midway: the
+	// frame streams are then out of lockstep, so no further exchange runs
+	// and Close skips the done frames, which a worker blocked writing its
 	// own frame would never read.
 	broken bool
 
 	buf       transport.Buffer
 	moves     []int64
 	shardBase []int64
-	freshSum  []float64
+	freshSum  []float64 // weighted only: the recompute round's fresh sums
 
 	// Halo exchange staging: the per-round load traffic is O(cut), not
 	// O(n). bstage holds every shard's gathered boundary loads
@@ -102,22 +103,30 @@ type clusterCore struct {
 	ckCount, ckNs, ckMaxNs int64
 }
 
-func newClusterCore(sys *core.System, model uint8, protoName string, alpha float64, strategy Strategy, rws []io.ReadWriter) (*clusterCore, error) {
+// clusterPartition partitions sys's graph into exactly p shards, one per
+// worker.
+func clusterPartition(sys *core.System, p int, strategy Strategy) (*Partition, error) {
 	if sys == nil {
 		return nil, errors.New("shard: nil system")
 	}
-	p := len(rws)
 	if p == 0 {
 		return nil, errors.New("shard: cluster needs at least one worker")
 	}
-	csr := sys.Graph().CSR()
-	part, err := NewPartition(csr, p, strategy)
+	part, err := NewPartition(sys.Graph().CSR(), p, strategy)
 	if err != nil {
 		return nil, err
 	}
 	if part.P() != p {
-		return nil, fmt.Errorf("shard: %d workers for a graph of %d nodes (partition supports at most %d)", p, csr.N(), part.P())
+		return nil, fmt.Errorf("shard: %d workers for a graph of %d nodes (partition supports at most %d)", p, sys.N(), part.P())
 	}
+	return part, nil
+}
+
+// newClusterCore sets up the coordinator for part, one worker per shard
+// over rws (len(rws) == part.P()).
+func newClusterCore(sys *core.System, model uint8, protoName string, alpha float64, part *Partition, rws []io.ReadWriter) (*clusterCore, error) {
+	p := part.P()
+	csr := part.csr
 	n := csr.N()
 	c := &clusterCore{
 		sys:       sys,
@@ -132,12 +141,29 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 		conns:     make([]*transport.Conn, p),
 		moves:     make([]int64, p),
 		shardBase: make([]int64, p),
-		freshSum:  make([]float64, n),
 		relayF:    make([][][]transport.Flow, p),
 		relayW:    make([][][]transport.WFlow, p),
 		evNode:    make([][]int32, p),
 		evW:       make([][][]float64, p),
 		wstats:    make([]WorkerStats, p),
+	}
+	if model == modelWeighted {
+		c.freshSum = make([]float64, n)
+	}
+	// The static instance goes out with every config frame and
+	// checkpoint: the graph's descriptor and digest, or its explicit CSR
+	// when it has no descriptor, plus one copy of the speeds.
+	c.inst = instanceWire{
+		Name:    csr.Name(),
+		N:       n,
+		Desc:    csr.Descriptor(),
+		Speeds:  sys.Speeds(),
+		Lambda2: sys.Lambda2(),
+	}
+	if c.inst.Desc.Family == graph.Explicit {
+		c.inst.Offsets, c.inst.Adj = csr.Offsets(), csr.Adj()
+	} else {
+		c.inst.Digest = csr.Digest()
 	}
 	for s := 0; s < p; s++ {
 		c.conns[s] = transport.NewConn(rws[s])
@@ -172,11 +198,12 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 	return c, nil
 }
 
-// configure ships each worker its config — instance description plus
-// that worker's own-range slice of the initial (or restored) state,
-// own[s]; NodeWeight travels only with a restored state. The frames
-// (23 MB each on a d = 18 hypercube) are staged in a local buffer sized
-// once per frame, so none outlives the session start.
+// configure ships each worker its config — the instance plus that
+// worker's own-range slice of the initial (or restored) state, own[s];
+// NodeWeight travels only with a restored state. The frames (3.15 MB
+// each on a d = 18 hypercube, 23 MB with an explicit CSR) are staged in
+// a local buffer sized once per frame, so none outlives the session
+// start.
 func (c *clusterCore) configure(own []*ownState, restored bool) error {
 	var b transport.Buffer
 	for s := 0; s < c.p; s++ {
@@ -189,12 +216,7 @@ func (c *clusterCore) configure(own []*ownState, restored bool) error {
 			Shard:    s,
 			Lo:       lo,
 			Strategy: string(c.strategy),
-			CSRName:  c.csr.Name(),
-			N:        c.n,
-			Offsets:  c.csr.Offsets(),
-			Adj:      c.csr.Adj(),
-			Speeds:   c.sys.Speeds(),
-			Lambda2:  c.sys.Lambda2(),
+			Instance: c.inst,
 			Restored: restored,
 		}
 		if c.model == modelUniform {
@@ -210,12 +232,12 @@ func (c *clusterCore) configure(own []*ownState, restored bool) error {
 		b.B = slices.Grow(b.B, cfg.encodedSize())
 		encodeConfig(&b, cfg)
 		if err := c.conns[s].WriteFrame(transport.KindConfig, b.B); err != nil {
-			return fmt.Errorf("shard: configure worker %d: %w", s, err)
+			return c.barrierErr(s, phaseConfigure, 0, err)
 		}
 	}
 	for s := 0; s < c.p; s++ {
 		if _, err := c.conns[s].Expect(transport.KindVote); err != nil {
-			return fmt.Errorf("shard: worker %d: %w", s, err)
+			return c.barrierErr(s, phaseConfigure, 0, err)
 		}
 	}
 	return nil
@@ -229,11 +251,8 @@ func (c *clusterCore) Step(r uint64, base *rng.Stream) (int64, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	if c.broken {
-		return 0, errBroken
+	if err := c.usable(); err != nil {
+		return 0, err
 	}
 	moves, _, err := c.step(r, base, nil)
 	return moves, err
@@ -254,11 +273,8 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, led, ErrClosed
-	}
-	if c.broken {
-		return 0, led, errBroken
+	if err := c.usable(); err != nil {
+		return 0, led, err
 	}
 	if batch != nil {
 		if err := c.validateBatchShape(batch); err != nil {
@@ -277,25 +293,48 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	return moves, led, err
 }
 
-// Barrier phases of a cluster round, in frame order, as barrierErr names
-// them.
+// Exchange phases, as barrierErr names them: the barriers of a cluster
+// round in frame order, then one phase per frame pair of the exchanges
+// outside a round (config / vote, events / events report, state request
+// / state, checkpoint / checkpoint ack, state load / events done).
 const (
-	phaseRound    = "round announce"
-	phaseBoundary = "boundary loads"
-	phaseHalo     = "halo loads"
-	phaseFlows    = "flows"
-	phaseGrant    = "grant"
-	phaseStepDone = "step done"
-	phaseStats    = "stats"
+	phaseConfigure  = "configure"
+	phaseRound      = "round announce"
+	phaseBoundary   = "boundary loads"
+	phaseHalo       = "halo loads"
+	phaseFlows      = "flows"
+	phaseGrant      = "grant"
+	phaseStepDone   = "step done"
+	phaseStats      = "stats"
+	phaseEvents     = "events"
+	phaseState      = "state"
+	phaseCheckpoint = "checkpoint"
+	phaseStateLoad  = "state load"
 )
 
-// errBroken refuses a round after a failed one.
-var errBroken = errors.New("shard: cluster out of lockstep after a failed round")
+// errBroken refuses an exchange after a failed one.
+var errBroken = errors.New("shard: cluster out of lockstep after a failed exchange")
 
-// barrierErr marks the cluster broken and names the worker, the barrier
-// phase and the round of a failed round exchange.
+// usable refuses an exchange on a closed or broken cluster. Callers hold
+// c.mu.
+func (c *clusterCore) usable() error {
+	if c.closed {
+		return ErrClosed
+	}
+	if c.broken {
+		return errBroken
+	}
+	return nil
+}
+
+// barrierErr marks the cluster broken and names the worker, the phase
+// and, for a round's barriers, the round of a failed exchange; the
+// exchanges outside a round pass r = 0 (rounds count from 1).
 func (c *clusterCore) barrierErr(s int, phase string, r uint64, err error) error {
 	c.broken = true
+	if r == 0 {
+		return fmt.Errorf("shard: worker %d, %s: %w", s, phase, err)
+	}
 	return fmt.Errorf("shard: worker %d, %s, round %d: %w", s, phase, r, err)
 }
 
@@ -455,20 +494,7 @@ func (c *clusterCore) gatherBoundary(s int, batch *core.EventBatch, led *core.Ev
 	if batch == nil {
 		return nil
 	}
-	if c.model != modelUniform {
-		return c.decodeEventReport(s, &b)
-	}
-	arr, err := b.I64()
-	if err != nil {
-		return err
-	}
-	dep, err := b.I64()
-	if err != nil {
-		return err
-	}
-	led.Arrived += arr
-	led.Departed += dep
-	return nil
+	return c.readEventReport(s, &b, led)
 }
 
 // gatherFlows reads worker s's move count and its flow list to every
@@ -551,8 +577,8 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var led core.EventLedger
-	if c.closed {
-		return led, ErrClosed
+	if err := c.usable(); err != nil {
+		return led, err
 	}
 	if batch == nil {
 		return led, nil
@@ -568,42 +594,44 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 		c.buf.Reset()
 		encodeEventSlice(&c.buf, c.model, batch, lo, hi)
 		if err := c.conns[s].WriteFrame(transport.KindEvents, c.buf.B); err != nil {
-			return led, err
+			return led, c.barrierErr(s, phaseEvents, 0, err)
 		}
-	}
-	if c.model == modelUniform {
-		for s := 0; s < c.p; s++ {
-			payload, err := c.conns[s].Expect(transport.KindEventsReport)
-			if err != nil {
-				return led, err
-			}
-			var b transport.Buffer
-			b.Load(payload)
-			arr, err := b.I64()
-			if err != nil {
-				return led, err
-			}
-			dep, err := b.I64()
-			if err != nil {
-				return led, err
-			}
-			led.Arrived += arr
-			led.Departed += dep
-		}
-		return led, nil
 	}
 	for s := 0; s < c.p; s++ {
 		payload, err := c.conns[s].Expect(transport.KindEventsReport)
-		if err != nil {
-			return led, err
+		if err == nil {
+			var b transport.Buffer
+			b.Load(payload)
+			err = c.readEventReport(s, &b, &led)
 		}
-		var b transport.Buffer
-		b.Load(payload)
-		if err := c.decodeEventReport(s, &b); err != nil {
-			return led, err
+		if err != nil {
+			return led, c.barrierErr(s, phaseEvents, 0, err)
 		}
 	}
+	if c.model == modelUniform {
+		return led, nil
+	}
 	return c.foldWeightedReports(batch), nil
+}
+
+// readEventReport decodes worker s's event report from b: the uniform
+// ledger counts, added to led, or the weighted drained weights, staged
+// for foldWeightedReports.
+func (c *clusterCore) readEventReport(s int, b *transport.Buffer, led *core.EventLedger) error {
+	if c.model != modelUniform {
+		return c.decodeEventReport(s, b)
+	}
+	arr, err := b.I64()
+	if err != nil {
+		return err
+	}
+	dep, err := b.I64()
+	if err != nil {
+		return err
+	}
+	led.Arrived += arr
+	led.Departed += dep
+	return nil
 }
 
 // batchMayCross reports whether a weighted batch might cross the
@@ -724,12 +752,12 @@ func (c *clusterCore) materializedEvents(batch *core.EventBatch) (core.EventLedg
 		c.buf.Reset()
 		encodeOwnState(&c.buf, c.model, own)
 		if err := c.conns[s].WriteFrame(transport.KindStateLoad, c.buf.B); err != nil {
-			return led, err
+			return led, c.barrierErr(s, phaseStateLoad, 0, err)
 		}
 	}
 	for s := 0; s < c.p; s++ {
 		if _, err := c.conns[s].Expect(transport.KindEventsDone); err != nil {
-			return led, err
+			return led, c.barrierErr(s, phaseStateLoad, 0, err)
 		}
 	}
 	c.totalW = st.TotalWeight()
@@ -765,36 +793,52 @@ func (c *clusterCore) validateBatchShape(batch *core.EventBatch) error {
 	return nil
 }
 
-// gatherOwnStates requests and decodes every worker's own-range state.
-// kind is KindStateReq/KindState for live gathers and
-// KindCheckpoint/KindCheckpointAck for checkpoints.
+// gatherOwnStates requests and decodes every worker's own-range state:
+// KindStateReq/KindState for live gathers and
+// KindCheckpoint/KindCheckpointAck for checkpoints. Every failure is a
+// barrierErr.
 func (c *clusterCore) gatherOwnStates(req, ack transport.Kind, payload []byte) ([]*ownState, error) {
+	phase := phaseState
+	if req == transport.KindCheckpoint {
+		phase = phaseCheckpoint
+	}
 	for s := 0; s < c.p; s++ {
 		if err := c.conns[s].WriteFrame(req, payload); err != nil {
-			return nil, err
+			return nil, c.barrierErr(s, phase, 0, err)
 		}
 	}
 	states := make([]*ownState, c.p)
 	for s := 0; s < c.p; s++ {
-		reply, err := c.conns[s].Expect(ack)
-		if err != nil {
-			return nil, err
-		}
-		var b transport.Buffer
-		b.Load(reply)
-		if states[s], err = decodeOwnState(&b, c.model); err != nil {
-			return nil, err
-		}
-		lo, hi := c.part.Range(s)
-		if c.model == modelUniform {
-			if len(states[s].Counts) != hi-lo {
-				return nil, fmt.Errorf("shard: worker %d sent %d counts for range of %d", s, len(states[s].Counts), hi-lo)
-			}
-		} else if len(states[s].SegLen) != hi-lo || len(states[s].NodeWeight) != hi-lo {
-			return nil, fmt.Errorf("shard: worker %d sent state sized %d/%d for range of %d", s, len(states[s].SegLen), len(states[s].NodeWeight), hi-lo)
+		var err error
+		if states[s], err = c.readOwnState(s, ack); err != nil {
+			return nil, c.barrierErr(s, phase, 0, err)
 		}
 	}
 	return states, nil
+}
+
+// readOwnState reads worker s's own-range state reply and checks that it
+// covers the worker's range.
+func (c *clusterCore) readOwnState(s int, ack transport.Kind) (*ownState, error) {
+	reply, err := c.conns[s].Expect(ack)
+	if err != nil {
+		return nil, err
+	}
+	var b transport.Buffer
+	b.Load(reply)
+	st, err := decodeOwnState(&b, c.model)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := c.part.Range(s)
+	if c.model == modelUniform {
+		if len(st.Counts) != hi-lo {
+			return nil, fmt.Errorf("sent %d counts for range of %d", len(st.Counts), hi-lo)
+		}
+	} else if len(st.SegLen) != hi-lo || len(st.NodeWeight) != hi-lo {
+		return nil, fmt.Errorf("sent state sized %d/%d for range of %d", len(st.SegLen), len(st.NodeWeight), hi-lo)
+	}
+	return st, nil
 }
 
 // assembleUniform stitches gathered own-range counts into a full vector.
@@ -883,6 +927,14 @@ var _ core.EventStepper = (*UniformCluster)(nil)
 // NewUniformCluster connects to one worker per shard over rws and ships
 // them the instance. counts is validated and encoded, not retained.
 func NewUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts []int64, rws []io.ReadWriter, strategy Strategy) (*UniformCluster, error) {
+	part, err := clusterPartition(sys, len(rws), strategy)
+	if err != nil {
+		return nil, err
+	}
+	return newUniformCluster(sys, proto, counts, part, rws)
+}
+
+func newUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts []int64, part *Partition, rws []io.ReadWriter) (*UniformCluster, error) {
 	name, alpha, err := protoSpec(proto)
 	if err != nil {
 		return nil, err
@@ -890,7 +942,7 @@ func NewUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts 
 	if _, err := core.NewUniformState(sys, counts); err != nil {
 		return nil, err
 	}
-	cc, err := newClusterCore(sys, modelUniform, name, alpha, strategy, rws)
+	cc, err := newClusterCore(sys, modelUniform, name, alpha, part, rws)
 	if err != nil {
 		return nil, err
 	}
@@ -910,8 +962,8 @@ func NewUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts 
 func (c *UniformCluster) State() (*core.UniformState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	if err := c.usable(); err != nil {
+		return nil, err
 	}
 	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
 	if err != nil {
@@ -924,8 +976,8 @@ func (c *UniformCluster) State() (*core.UniformState, error) {
 func (c *UniformCluster) Counts() ([]int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	if err := c.usable(); err != nil {
+		return nil, err
 	}
 	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
 	if err != nil {
@@ -947,6 +999,14 @@ var _ core.EventStepper = (*WeightedCluster)(nil)
 // NewWeightedCluster connects to one worker per shard over rws and
 // ships them the instance. perNode is flattened and copied.
 func NewWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, rws []io.ReadWriter, strategy Strategy) (*WeightedCluster, error) {
+	part, err := clusterPartition(sys, len(rws), strategy)
+	if err != nil {
+		return nil, err
+	}
+	return newWeightedCluster(sys, proto, perNode, part, rws)
+}
+
+func newWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, part *Partition, rws []io.ReadWriter) (*WeightedCluster, error) {
 	name, alpha, err := protoSpec(proto)
 	if err != nil {
 		return nil, err
@@ -959,7 +1019,7 @@ func NewWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNo
 			return nil, fmt.Errorf("shard: node %d: %w", i, err)
 		}
 	}
-	cc, err := newClusterCore(sys, modelWeighted, name, alpha, strategy, rws)
+	cc, err := newClusterCore(sys, modelWeighted, name, alpha, part, rws)
 	if err != nil {
 		return nil, err
 	}
@@ -994,8 +1054,8 @@ func NewWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNo
 func (c *WeightedCluster) State() (*core.WeightedState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	if err := c.usable(); err != nil {
+		return nil, err
 	}
 	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
 	if err != nil {
@@ -1037,9 +1097,10 @@ func localWorkers(p int) (rws []io.ReadWriter, closers []io.Closer, wait func())
 	return rws, closers, wg.Wait
 }
 
-// localShards resolves the shard count for the in-process cluster
-// starters with the engines' clamping rules.
-func localShards(sys *core.System, opts Options) (int, error) {
+// localPartition partitions the graph for the in-process cluster
+// starters with the engines' clamping rules; the cluster starts one
+// worker per shard of it.
+func localPartition(sys *core.System, opts Options) (*Partition, error) {
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = opts.Workers
@@ -1047,23 +1108,22 @@ func localShards(sys *core.System, opts Options) (int, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	part, err := NewPartition(sys.Graph().CSR(), shards, opts.Strategy)
-	if err != nil {
-		return 0, err
+	if sys == nil {
+		return nil, errors.New("shard: nil system")
 	}
-	return part.P(), nil
+	return NewPartition(sys.Graph().CSR(), shards, opts.Strategy)
 }
 
 // StartLocalUniformCluster runs a full coordinator/worker cluster
 // inside this process over net.Pipe — every wire frame is exercised,
 // no sockets needed. Closing the cluster stops the workers.
 func StartLocalUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts Options) (*UniformCluster, error) {
-	p, err := localShards(sys, opts)
+	part, err := localPartition(sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	rws, closers, wait := localWorkers(p)
-	c, err := NewUniformCluster(sys, proto, counts, rws, opts.Strategy)
+	rws, closers, wait := localWorkers(part.P())
+	c, err := newUniformCluster(sys, proto, counts, part, rws)
 	if err != nil {
 		for _, cl := range closers {
 			_ = cl.Close()
@@ -1079,12 +1139,12 @@ func StartLocalUniformCluster(sys *core.System, proto core.UniformNodeProtocol, 
 // StartLocalWeightedCluster is StartLocalUniformCluster for the
 // weighted model.
 func StartLocalWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, opts Options) (*WeightedCluster, error) {
-	p, err := localShards(sys, opts)
+	part, err := localPartition(sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	rws, closers, wait := localWorkers(p)
-	c, err := NewWeightedCluster(sys, proto, perNode, rws, opts.Strategy)
+	rws, closers, wait := localWorkers(part.P())
+	c, err := newWeightedCluster(sys, proto, perNode, part, rws)
 	if err != nil {
 		for _, cl := range closers {
 			_ = cl.Close()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -113,23 +114,13 @@ func (f *faultPipe) Read(p []byte) (int, error) {
 }
 
 // TestClusterBarrierErrorsName breaks worker s's pipe at every frame of
-// a round in turn, at P = 2 for both models: the run must end with an
-// error that names the worker, the barrier phase and the round, and
-// Close must then return — no hang on a worker still blocked writing.
+// a round in turn, and at every frame of the exchanges outside a round
+// (events, state, checkpoint, state load) right after that round, at
+// P = 2 for both models: the run must end with an error that names the
+// worker, the phase and, for a round's frames, the round, and Close must
+// then return — no hang on a worker still blocked writing.
 func TestClusterBarrierErrorsName(t *testing.T) {
 	const round = 3
-	phases := []struct {
-		kind transport.Kind
-		name string
-	}{
-		{transport.KindRound, phaseRound},
-		{transport.KindBoundaryLoads, phaseBoundary},
-		{transport.KindHaloLoads, phaseHalo},
-		{transport.KindFlows, phaseFlows},
-		{transport.KindGrant, phaseGrant},
-		{transport.KindStepDone, phaseStepDone},
-		{transport.KindStats, phaseStats},
-	}
 	g, err := graph.Torus(6, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -152,41 +143,114 @@ func TestClusterBarrierErrorsName(t *testing.T) {
 			weights[i] = append(weights[i], 0.5+float64(k%3)/4)
 		}
 	}
+	// A batch with events on both workers' ranges.
+	n := g.N()
+	uniformBatch := &core.EventBatch{Arrivals: make([]int64, n), Departures: make([]int64, n)}
+	uniformBatch.Arrivals[0], uniformBatch.Departures[n-1] = 3, 1
+	weightedBatch := &core.EventBatch{WeightArrivals: make([][]float64, n), WeightDepartures: make([]int64, n)}
+	weightedBatch.WeightArrivals[n-1], weightedBatch.WeightDepartures[0] = []float64{0.75}, 2
+
+	// cluster is the system under test, whichever its model: drive runs
+	// the whole horizon, the rest run one exchange each.
+	type cluster struct {
+		cc    *clusterCore
+		batch *core.EventBatch
+		drive func(CheckpointConfig) error
+		state func() error
+	}
+	// afterRound steps the cluster through the fault round, then runs the
+	// exchange.
+	afterRound := func(x func(cl cluster) error) func(cl cluster) error {
+		return func(cl cluster) error {
+			base := rng.New(9)
+			for r := uint64(1); r <= round; r++ {
+				if _, err := cl.cc.Step(r, base); err != nil {
+					return err
+				}
+			}
+			return x(cl)
+		}
+	}
+	drive := func(cl cluster) error { return cl.drive(CheckpointConfig{}) }
+	events := afterRound(func(cl cluster) error { _, err := cl.cc.ApplyEvents(cl.batch); return err })
+	state := afterRound(func(cl cluster) error { return cl.state() })
+	checkpoint := func(cl cluster) error {
+		return cl.drive(CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: round})
+	}
+	// A weighted batch that may cross the recompute threshold takes the
+	// materialized path: state gather, then state load.
+	stateLoad := afterRound(func(cl cluster) error {
+		cl.cc.sinceRecompute = int64(core.WeightRecomputeEvery) - 1
+		_, err := cl.cc.ApplyEvents(cl.batch)
+		return err
+	})
+	phases := []struct {
+		kind     transport.Kind
+		frame    string // the subtest's name for the frame
+		name     string // the phase the error names
+		inRound  bool
+		weighted bool // the exchange exists only for the weighted model
+		run      func(cl cluster) error
+	}{
+		{transport.KindRound, "round-announce", phaseRound, true, false, drive},
+		{transport.KindBoundaryLoads, "boundary-loads", phaseBoundary, true, false, drive},
+		{transport.KindHaloLoads, "halo-loads", phaseHalo, true, false, drive},
+		{transport.KindFlows, "flows", phaseFlows, true, false, drive},
+		{transport.KindGrant, "grant", phaseGrant, true, false, drive},
+		{transport.KindStepDone, "step-done", phaseStepDone, true, false, drive},
+		{transport.KindStats, "stats", phaseStats, true, false, drive},
+		{transport.KindEvents, "events", phaseEvents, false, false, events},
+		{transport.KindEventsReport, "events-report", phaseEvents, false, false, events},
+		{transport.KindStateReq, "state-request", phaseState, false, false, state},
+		{transport.KindState, "state", phaseState, false, false, state},
+		{transport.KindCheckpoint, "checkpoint", phaseCheckpoint, false, false, checkpoint},
+		{transport.KindCheckpointAck, "checkpoint-ack", phaseCheckpoint, false, false, checkpoint},
+		{transport.KindStateLoad, "state-load", phaseStateLoad, false, true, stateLoad},
+		{transport.KindEventsDone, "events-done", phaseStateLoad, false, true, stateLoad},
+	}
 	for _, model := range []string{"uniform", "weighted"} {
 		for _, ph := range phases {
+			if ph.weighted && model != "weighted" {
+				continue
+			}
 			for s := 0; s < 2; s++ {
-				t.Run(fmt.Sprintf("%s/%s/worker=%d", model, strings.ReplaceAll(ph.name, " ", "-"), s), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/worker=%d", model, ph.frame, s), func(t *testing.T) {
 					rws, closers, wait := localWorkers(2)
 					rws[s] = &faultPipe{Conn: rws[s].(net.Conn), kind: ph.kind, round: round}
-					var c *clusterCore
-					var drive func() error
+					var cl cluster
 					opts := core.RunOpts{MaxRounds: 2 * round, Seed: 9}
 					if model == "uniform" {
-						cl, err := NewUniformCluster(sys, core.Algorithm1{}, counts, rws, Contiguous)
+						uc, err := NewUniformCluster(sys, core.Algorithm1{}, counts, rws, Contiguous)
 						if err != nil {
 							t.Fatal(err)
 						}
-						c = cl.clusterCore
-						drive = func() error { _, err := cl.Drive(opts, CheckpointConfig{}, nil); return err }
+						cl = cluster{uc.clusterCore, uniformBatch,
+							func(ck CheckpointConfig) error { _, err := uc.Drive(opts, ck, nil); return err },
+							func() error { _, err := uc.State(); return err }}
 					} else {
-						cl, err := NewWeightedCluster(sys, core.Algorithm2{}, weights, rws, Contiguous)
+						wc, err := NewWeightedCluster(sys, core.Algorithm2{}, weights, rws, Contiguous)
 						if err != nil {
 							t.Fatal(err)
 						}
-						c = cl.clusterCore
-						drive = func() error { _, err := cl.Drive(opts, CheckpointConfig{}, nil); return err }
+						cl = cluster{wc.clusterCore, weightedBatch,
+							func(ck CheckpointConfig) error { _, err := wc.Drive(opts, ck, nil); return err },
+							func() error { _, err := wc.State(); return err }}
 					}
+					c := cl.cc
 					c.closers, c.wait = closers, wait
-					err := within(t, "Drive", drive)
+					err := within(t, "the exchange", func() error { return ph.run(cl) })
 					if err == nil {
-						t.Fatal("Drive succeeded through a broken pipe")
+						t.Fatal("the exchange succeeded through a broken pipe")
 					}
-					want := fmt.Sprintf("shard: worker %d, %s, round %d: ", s, ph.name, round)
+					want := fmt.Sprintf("shard: worker %d, %s: ", s, ph.name)
+					if ph.inRound {
+						want = fmt.Sprintf("shard: worker %d, %s, round %d: ", s, ph.name, round)
+					}
 					if !strings.Contains(err.Error(), want) {
-						t.Fatalf("Drive error %q does not name %q", err, want)
+						t.Fatalf("error %q does not name %q", err, want)
 					}
 					if _, err := c.Step(round+1, rng.New(9)); !errors.Is(err, errBroken) {
-						t.Fatalf("a round after the failed one returned %v, want %v", err, errBroken)
+						t.Fatalf("a round after the failed exchange returned %v, want %v", err, errBroken)
 					}
 					within(t, "Close", c.Close)
 				})

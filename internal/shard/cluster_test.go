@@ -27,6 +27,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/shard"
+	"repro/internal/spectral"
 	"repro/internal/transport"
 )
 
@@ -518,10 +519,18 @@ func fixCRCTrailer(b []byte) {
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(body))
 }
 
-// progressOffsets walks an LBCK v1 file to the run's progress and
-// returns the offsets of the checkpoint round, the partial result's
-// round count, the first trace point and the last traced round.
-func progressOffsets(t *testing.T, raw []byte) (round, resRounds, trace, lastTraced int) {
+// ckptOffsets are the offsets of fields in an LBCK file.
+type ckptOffsets struct {
+	digest     int // the graph digest; −1 for an explicit CSR
+	round      int // the checkpoint round
+	resRounds  int // the partial result's round count
+	trace      int // the first trace point
+	lastTraced int // the last traced round
+}
+
+// checkpointOffsets walks an LBCK v1 or v2 file to the graph digest and
+// the run's progress.
+func checkpointOffsets(t *testing.T, raw []byte) ckptOffsets {
 	t.Helper()
 	var b transport.Buffer
 	b.Load(raw[:len(raw)-4])
@@ -530,29 +539,44 @@ func progressOffsets(t *testing.T, raw []byte) (round, resRounds, trace, lastTra
 			t.Fatal(err)
 		}
 	}
-	must(b.U32())     // magic
-	must(b.U8())      // version
-	must(b.U8())      // model
-	must(b.String())  // protocol
-	must(b.F64())     // alpha
-	must(b.U32())     // shards
-	must(b.String())  // strategy
-	must(b.String())  // graph name
-	must(b.U32())     // n
-	must(b.I32s(nil)) // CSR offsets
-	must(b.I32s(nil)) // adjacency
+	at := func() int { return len(raw) - 4 - b.Remaining() }
+	must(b.U32()) // magic
+	version, err := b.U8()
+	must(version, err)
+	must(b.U8())     // model
+	must(b.String()) // protocol
+	must(b.F64())    // alpha
+	must(b.U32())    // shards
+	must(b.String()) // strategy
+	must(b.String()) // graph name
+	must(b.U32())    // n
+	family := uint8(graph.Explicit)
+	if version > 1 {
+		family, err = b.U8()
+		must(family, err)
+	}
+	o := ckptOffsets{digest: -1}
+	if graph.Family(family) == graph.Explicit {
+		must(b.I32s(nil)) // CSR offsets
+		must(b.I32s(nil)) // adjacency
+	} else {
+		must(b.U32()) // descriptor parameters
+		must(b.U32())
+		o.digest = at()
+		must(b.U32())
+	}
 	must(b.F64s(nil)) // speeds
 	must(b.F64())     // λ₂
 	must(b.U64())     // seed
 	must(b.I64())     // MaxRounds
 	must(b.I64())     // TraceEvery
-	round = len(raw) - 4 - b.Remaining()
+	o.round = at()
 	// Round, totalW, count and sinceRecompute precede the partial
 	// result: Rounds, Moves, the trace length, then 40-byte points.
-	resRounds = round + 4*8
-	trace = resRounds + 2*8 + 4
-	lastTraced = trace + 40*int(binary.LittleEndian.Uint32(raw[trace-4:]))
-	return round, resRounds, trace, lastTraced
+	o.resRounds = o.round + 4*8
+	o.trace = o.resRounds + 2*8 + 4
+	o.lastTraced = o.trace + 40*int(binary.LittleEndian.Uint32(raw[o.trace-4:]))
+	return o
 }
 
 // TestReadCheckpointRejectsCorrupt pins the loud-failure contract for
@@ -617,7 +641,8 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 
 	// The file is the round-50 checkpoint of a 50-round run traced every
 	// 7 rounds: its trace holds rounds 0, 7, …, 49.
-	round, resRounds, trace, last := progressOffsets(t, raw)
+	off := checkpointOffsets(t, raw)
+	round, resRounds, trace, last := off.round, off.resRounds, off.trace, off.lastTraced
 	patch := func(off int, v int64) func([]byte) []byte {
 		return func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[off:], uint64(v))
@@ -636,4 +661,155 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 		// itself trips.
 		return patch(last, 51)(patch(last-40, 51)(b))
 	}, "ascend")
+}
+
+// TestResumeRefusesOtherGraph: an LBCK v2 file stores the torus as its
+// descriptor and CSR digest. A digest that differs from the rebuilt
+// graph's still decodes — decoding builds nothing — but resuming it is
+// refused with an error that names the graph; a descriptor whose node
+// count differs from the stored speeds' is refused at decode.
+func TestResumeRefusesOtherGraph(t *testing.T) {
+	class, err := experiments.ClassByKey("torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, counts := buildInstance(t, class, 16)
+	cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := cl.Drive(driveOpts, shard.CheckpointConfig{Path: path, Every: 25}, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := checkpointOffsets(t, raw)
+	if off.digest < 0 {
+		t.Fatal("the torus checkpoint stores an explicit CSR, not its descriptor")
+	}
+	write := func(mutate func([]byte)) string {
+		b := append([]byte(nil), raw...)
+		mutate(b)
+		fixCRCTrailer(b)
+		p := filepath.Join(t.TempDir(), "other.ckpt")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ck, err := shard.ReadCheckpoint(write(func(b []byte) { b[off.digest] ^= 1 }))
+	if err != nil {
+		t.Fatalf("a checkpoint with another digest must decode: %v", err)
+	}
+	if _, err := ck.ResumeLocalUniform(); err == nil || !strings.Contains(err.Error(), "graph torus-4x4: rebuilt 16 nodes with digest") {
+		t.Fatalf("resume returned %v, want a refusal naming the graph and its digest", err)
+	}
+	// The torus's column count precedes the digest.
+	cols := write(func(b []byte) { binary.LittleEndian.PutUint32(b[off.digest-4:], 5) })
+	if _, err := shard.ReadCheckpoint(cols); err == nil || !strings.Contains(err.Error(), "descriptor builds 20 nodes, not 16") {
+		t.Fatalf("ReadCheckpoint returned %v, want a refusal of the 4x5 descriptor", err)
+	}
+}
+
+// TestClusterExplicitGraph: a graph without a generator descriptor (a
+// binary tree, built from an edge list) travels as its explicit CSR in
+// config frames and checkpoints. Both models must match the sequential
+// engine and resume from such a checkpoint to the same result.
+func TestClusterExplicitGraph(t *testing.T) {
+	class := experiments.GraphClass{
+		Key:   "bintree",
+		Build: graph.BinaryTree,
+		Lambda2: func(g *graph.Graph) float64 {
+			l2, err := spectral.Lambda2(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l2
+		},
+	}
+	t.Run("uniform", func(t *testing.T) {
+		sys, counts := buildInstance(t, class, 31)
+		ref, refCounts, err := harness.RunUniformEngine(harness.EngineSeq, sys, core.Algorithm1{}, counts, nil, driveOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, shard.Options{Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Drive(driveOpts, shard.CheckpointConfig{Path: path, Every: 20}, nil)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "explicit", ref, res)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := checkpointOffsets(t, raw); off.digest >= 0 {
+			t.Fatal("the binary tree's checkpoint stores a descriptor")
+		}
+		ck, err := shard.ReadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := ck.ResumeLocalUniform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		res, err = rc.Drive(driveOpts, shard.CheckpointConfig{}, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rc.Counts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "explicit resumed", ref, res)
+		sameCounts(t, "explicit resumed", refCounts, got)
+	})
+	t.Run("weighted", func(t *testing.T) {
+		sys, perNode := buildWeighted(t, class, 31, 10)
+		ref, refState, err := harness.RunWeightedEngine(harness.EngineSeq, sys, core.Algorithm2{}, perNode, nil, driveOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cl, err := shard.StartLocalWeightedCluster(sys, core.Algorithm2{}, perNode, shard.Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Drive(driveOpts, shard.CheckpointConfig{Path: path, Every: 15}, nil)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "explicit", ref, res)
+		ck, err := shard.ReadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := ck.ResumeLocalWeighted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		res, err = rc.Drive(driveOpts, shard.CheckpointConfig{}, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rc.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "explicit resumed", ref, res)
+		sameWeightedState(t, "explicit resumed", refState, got)
+	})
 }

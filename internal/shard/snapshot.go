@@ -11,14 +11,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/transport"
 )
 
 // Deterministic cluster checkpoints. A checkpoint is one self-contained
 // file written atomically (temp + rename) by the coordinator after a
-// completed round: the full instance description (CSR, speeds, λ₂,
+// completed round: the instance (the graph's generator descriptor and
+// CSR digest, or its explicit CSR when it has no descriptor; speeds, λ₂,
 // protocol, partition), the run options, the driver's progress (round,
 // partial RunResult, trace position), the coordinator's authoritative
 // weighted accumulators (totalW bits, recompute counter, task count)
@@ -29,10 +28,14 @@ import (
 // complete randomness cursor. Restoring the file and replaying rounds
 // c+1..MaxRounds therefore reproduces the uncheckpointed run's
 // RunResult bit for bit — floats are stored as IEEE bit patterns.
+//
+// The writer emits LBCK v2. v1 differs only in the instance: it always
+// stores the explicit CSR, with no family byte (instanceWire), and it
+// stays readable.
 
 const (
 	checkpointMagic   uint32 = 0x4c42434b // "LBCK"
-	checkpointVersion uint8  = 1
+	checkpointVersion uint8  = 2
 )
 
 // Checkpoint is a decoded cluster checkpoint: everything needed to
@@ -44,12 +47,7 @@ type Checkpoint struct {
 	p        int
 	strategy Strategy
 
-	csrName string
-	n       int
-	offsets []int32
-	adj     []int32
-	speeds  []float64
-	lambda2 float64
+	inst instanceWire
 
 	// Seed, MaxRounds and TraceEvery are the run options the checkpoint
 	// was taken under; Resume refuses different ones.
@@ -90,7 +88,7 @@ func (c *clusterCore) checkpoint(path string, opts core.RunOpts, res *core.RunRe
 	c.buf.PutU64(uint64(res.Rounds))
 	states, err := c.gatherOwnStates(transport.KindCheckpoint, transport.KindCheckpointAck, c.buf.B)
 	if err != nil {
-		return fmt.Errorf("shard: checkpoint gather: %w", err)
+		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
@@ -121,8 +119,8 @@ const checkpointStage = 64 << 10
 // the embedded staging Buffer with the transport codec; the array
 // writers below shadow Buffer's with the same layout and hand the stage
 // to out (the file plus a running CRC32) each time it fills, so a
-// checkpoint never holds its whole body in memory (24 MB on a d = 18
-// hypercube, most of it the static CSR).
+// checkpoint never holds its whole body in memory (4.2 MB on a d = 18
+// hypercube; 24 MB with an explicit CSR).
 type checkpointWriter struct {
 	transport.Buffer
 	out io.Writer
@@ -169,11 +167,10 @@ func (w *checkpointWriter) PutF64s(v []float64) {
 	}
 }
 
-// writeCheckpoint streams the LBCK body to f and appends the CRC32
-// trailer computed over it. The v1 layout stores the round twice (as
-// the checkpoint round and as res.Rounds) and the last traced round
-// (−1 for an empty trace) after the trace; all three are derived from
-// res.
+// writeCheckpoint streams the LBCK v2 body to f and appends the CRC32
+// trailer computed over it. The layout stores the round twice (as the
+// checkpoint round and as res.Rounds) and the last traced round (−1 for
+// an empty trace) after the trace; all three are derived from res.
 func (c *clusterCore) writeCheckpoint(f io.Writer, opts core.RunOpts, res *core.RunResult, states []*ownState) error {
 	crc := crc32.NewIEEE()
 	w := &checkpointWriter{out: io.MultiWriter(f, crc)}
@@ -185,12 +182,7 @@ func (c *clusterCore) writeCheckpoint(f io.Writer, opts core.RunOpts, res *core.
 	w.PutF64(c.alpha)
 	w.PutU32(uint32(c.p))
 	w.PutString(string(c.strategy))
-	w.PutString(c.csr.Name())
-	w.PutU32(uint32(c.n))
-	w.PutI32s(c.csr.Offsets())
-	w.PutI32s(c.csr.Adj())
-	w.PutF64s(c.sys.Speeds())
-	w.PutF64(c.sys.Lambda2())
+	c.inst.encode(w)
 	w.PutU64(opts.Seed)
 	w.PutI64(int64(opts.MaxRounds))
 	w.PutI64(int64(opts.TraceEvery))
@@ -223,10 +215,12 @@ func (c *clusterCore) writeCheckpoint(f io.Writer, opts core.RunOpts, res *core.
 	return err
 }
 
-// ReadCheckpoint decodes and validates a checkpoint file. Truncated or
-// corrupt files fail loudly: every length is bounds-checked during
-// decode, trailing garbage is rejected, and the graph is revalidated on
-// resume (NewCSR re-checks the CSR invariants).
+// ReadCheckpoint decodes and validates a checkpoint file, LBCK v1 or v2.
+// Truncated or corrupt files fail loudly: every length is bounds-checked
+// during decode and trailing garbage is rejected. The graph is rebuilt
+// on resume: from its descriptor, refused unless the node count and
+// digest match the file, or from the explicit CSR, which NewCSR
+// revalidates.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -262,7 +256,7 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != checkpointVersion {
+	if version != 1 && version != checkpointVersion {
 		return nil, fmt.Errorf("unsupported version %d", version)
 	}
 	ck := &Checkpoint{}
@@ -288,34 +282,14 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	ck.strategy = Strategy(strat)
-	if ck.csrName, err = b.String(); err != nil {
+	if ck.inst, err = decodeInstance(&b, version == 1); err != nil {
 		return nil, err
 	}
-	n, err := b.U32()
-	if err != nil {
-		return nil, err
-	}
-	ck.n = int(n)
 	// A partition never has more shards than nodes, and n itself is
-	// bounded by the file's size through the n+1 CSR offsets, so the
+	// bounded by the file's size through the n stored speeds, so the
 	// shard table below stays proportional to the input.
-	if ck.p < 1 || ck.p > ck.n {
-		return nil, fmt.Errorf("%d shards for %d nodes", ck.p, ck.n)
-	}
-	if ck.offsets, err = b.I32s(nil); err != nil {
-		return nil, err
-	}
-	if len(ck.offsets) != ck.n+1 {
-		return nil, fmt.Errorf("%d CSR offsets for %d nodes", len(ck.offsets), ck.n)
-	}
-	if ck.adj, err = b.I32s(nil); err != nil {
-		return nil, err
-	}
-	if ck.speeds, err = b.F64s(nil); err != nil {
-		return nil, err
-	}
-	if ck.lambda2, err = b.F64(); err != nil {
-		return nil, err
+	if ck.p < 1 || ck.p > ck.inst.N {
+		return nil, fmt.Errorf("%d shards for %d nodes", ck.p, ck.inst.N)
 	}
 	if ck.Seed, err = b.U64(); err != nil {
 		return nil, err
@@ -416,21 +390,12 @@ func (ck *Checkpoint) checkProgress(stored int) error {
 }
 
 // lastTraced is the round of the trace's last point, or −1 for an
-// empty trace: the LBCK v1 field a Runner's trace determines.
+// empty trace: the LBCK field a Runner's trace determines.
 func lastTraced(trace []core.TracePoint) int {
 	if len(trace) == 0 {
 		return -1
 	}
 	return trace[len(trace)-1].Round
-}
-
-// system rebuilds the checkpointed core.System, revalidating the CSR.
-func (ck *Checkpoint) system() (*core.System, error) {
-	csr, err := graph.NewCSR(ck.csrName, ck.n, ck.offsets, ck.adj)
-	if err != nil {
-		return nil, fmt.Errorf("shard: checkpoint graph: %w", err)
-	}
-	return core.NewSystem(csr.Graph(), machine.Speeds(ck.speeds), core.WithLambda2(ck.lambda2))
 }
 
 // resumeCore rebuilds a clusterCore from the checkpoint and ships the
@@ -439,11 +404,15 @@ func (ck *Checkpoint) resumeCore(rws []io.ReadWriter) (*clusterCore, error) {
 	if len(rws) != ck.p {
 		return nil, fmt.Errorf("shard: checkpoint needs %d workers, got %d", ck.p, len(rws))
 	}
-	sys, err := ck.system()
+	sys, err := ck.inst.system()
+	if err != nil {
+		return nil, fmt.Errorf("shard: checkpoint: %w", err)
+	}
+	part, err := clusterPartition(sys, ck.p, ck.strategy)
 	if err != nil {
 		return nil, err
 	}
-	c, err := newClusterCore(sys, ck.model, ck.proto, ck.alpha, ck.strategy, rws)
+	c, err := newClusterCore(sys, ck.model, ck.proto, ck.alpha, part, rws)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -18,11 +19,12 @@ import (
 )
 
 // FuzzReadCheckpoint feeds mutated checkpoint bodies, seeded with the
-// committed fixtures, to the decoder. The target appends the correct
-// CRC32 trailer to every input, so mutations reach the structural
-// decode instead of stopping at the checksum. Whatever the bytes, the
-// decoder must return a checkpoint or an error: no panic, and no
-// allocation out of proportion to the input.
+// committed v1 and v2 fixtures, to the decoder. The target appends the
+// correct CRC32 trailer to every input, so mutations reach the
+// structural decode instead of stopping at the checksum. Whatever the
+// bytes, the decoder must return a checkpoint or an error: no panic,
+// and no allocation out of proportion to the input. Like decodeConfig
+// it never runs a generator.
 func FuzzReadCheckpoint(f *testing.F) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.ckpt"))
 	if err != nil || len(fixtures) == 0 {
@@ -37,7 +39,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		raw := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
-		_, _ = decodeCheckpoint(raw)
+		alloc := allocated(func() { _, _ = decodeCheckpoint(raw) })
+		checkDecodeAlloc(t, "checkpoint", len(raw), alloc)
 	})
 }
 
@@ -100,8 +103,9 @@ func TestCheckpointAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Round != 1 || ck.n != cl.n || len(ck.adj) != len(cl.csr.Adj()) {
-		t.Fatalf("read back round %d, %d nodes, %d adjacency entries; want 1, %d, %d", ck.Round, ck.n, len(ck.adj), cl.n, len(cl.csr.Adj()))
+	if ck.Round != 1 || ck.inst.N != cl.n || ck.inst.Desc != cl.csr.Descriptor() || ck.inst.Digest != cl.csr.Digest() {
+		t.Fatalf("read back round %d, %d nodes, graph %+v digest %#08x; want 1, %d, %+v, %#08x",
+			ck.Round, ck.inst.N, ck.inst.Desc, ck.inst.Digest, cl.n, cl.csr.Descriptor(), cl.csr.Digest())
 	}
 }
 
@@ -116,28 +120,43 @@ func TestConfigureKeepsNoFrame(t *testing.T) {
 }
 
 // TestConfigEncodedSize pins encodedSize to encodeConfig's output for
-// every shape the coordinator sends.
+// every shape the coordinator sends: both models, fresh and restored,
+// with the graph as a descriptor or as an explicit CSR.
 func TestConfigEncodedSize(t *testing.T) {
-	base := clusterConfig{
-		Proto: "algorithm2", Alpha: 0.5, P: 3, Shard: 1, Lo: 4, Strategy: "contiguous",
-		CSRName: "ring(8)", N: 8, Offsets: make([]int32, 9), Adj: make([]int32, 16),
+	explicit := instanceWire{
+		Name: "ring(8)", N: 8, Offsets: make([]int32, 9), Adj: make([]int32, 16),
 		Speeds: make([]float64, 8), Lambda2: 0.25,
 	}
-	uniform, restoredUniform := base, base
-	uniform.Model, uniform.Counts = modelUniform, make([]int64, 3)
-	restoredUniform.Model, restoredUniform.Counts, restoredUniform.Restored = modelUniform, make([]int64, 3), true
-	weighted := base
-	weighted.Model, weighted.SegLen, weighted.Segs = modelWeighted, make([]int64, 3), make([]float64, 7)
-	restored := weighted
-	restored.Restored, restored.NodeWeight = true, make([]float64, 3)
-	for name, cfg := range map[string]*clusterConfig{
-		"uniform": &uniform, "uniform-restored": &restoredUniform,
-		"weighted": &weighted, "weighted-restored": &restored,
-	} {
-		var b transport.Buffer
-		encodeConfig(&b, cfg)
-		if got := cfg.encodedSize(); got != len(b.B) {
-			t.Errorf("%s: encodedSize %d, encodeConfig wrote %d bytes", name, got, len(b.B))
+	described := instanceWire{
+		Name: "ring-8", N: 8, Desc: graph.Descriptor{Family: graph.FamilyRing, Params: [2]int{8}}, Digest: 0xdeadbeef,
+		Speeds: make([]float64, 8), Lambda2: 0.25,
+	}
+	for form, inst := range map[string]instanceWire{"explicit": explicit, "descriptor": described} {
+		base := clusterConfig{Proto: "algorithm2", Alpha: 0.5, P: 3, Shard: 1, Lo: 4, Strategy: "contiguous", Instance: inst}
+		uniform, restoredUniform := base, base
+		uniform.Model, uniform.Counts = modelUniform, make([]int64, 3)
+		restoredUniform.Model, restoredUniform.Counts, restoredUniform.Restored = modelUniform, make([]int64, 3), true
+		weighted := base
+		weighted.Model, weighted.SegLen, weighted.Segs = modelWeighted, make([]int64, 3), make([]float64, 7)
+		restored := weighted
+		restored.Restored, restored.NodeWeight = true, make([]float64, 3)
+		for name, cfg := range map[string]*clusterConfig{
+			"uniform": &uniform, "uniform-restored": &restoredUniform,
+			"weighted": &weighted, "weighted-restored": &restored,
+		} {
+			var b transport.Buffer
+			encodeConfig(&b, cfg)
+			if got := cfg.encodedSize(); got != len(b.B) {
+				t.Errorf("%s/%s: encodedSize %d, encodeConfig wrote %d bytes", form, name, got, len(b.B))
+			}
+			b.Load(b.B)
+			got, err := decodeConfig(&b)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", form, name, err)
+			}
+			if !reflect.DeepEqual(got, cfg) {
+				t.Errorf("%s/%s: decoded %+v, want %+v", form, name, got, cfg)
+			}
 		}
 	}
 }

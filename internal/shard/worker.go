@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/task"
 	"repro/internal/transport"
@@ -149,24 +147,18 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 	// decodeConfig copied every field out of the frame; later frames are
 	// a small fraction of its size, so do not keep its buffer.
 	conn.ReleaseBuffer()
-	csr, err := graph.NewCSR(cfg.CSRName, cfg.N, cfg.Offsets, cfg.Adj)
+	sys, err := cfg.Instance.system()
 	if err != nil {
-		return nil, fmt.Errorf("shard: worker: rebuild graph: %w", err)
+		return nil, fmt.Errorf("shard: worker: %w", err)
 	}
-	sys, err := core.NewSystem(csr.Graph(), machine.Speeds(cfg.Speeds), core.WithLambda2(cfg.Lambda2))
-	if err != nil {
-		return nil, fmt.Errorf("shard: worker: rebuild system: %w", err)
-	}
-	if cfg.Shard < 0 || cfg.Shard >= cfg.P {
-		return nil, fmt.Errorf("shard: worker: shard %d of %d", cfg.Shard, cfg.P)
-	}
+	n := cfg.Instance.N
 	opts := Options{Shards: cfg.P, Workers: 1, Strategy: Strategy(cfg.Strategy)}
 	w := &worker{
 		conn:  conn,
 		model: cfg.Model,
 		own:   cfg.Shard,
 		p:     cfg.P,
-		n:     cfg.N,
+		n:     n,
 		tr: &workerTransport{
 			own: cfg.Shard,
 			in:  make([][]transport.Flow, cfg.P),
@@ -179,10 +171,10 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Lo < 0 || cfg.Lo+len(cfg.Counts) > cfg.N {
-			return nil, fmt.Errorf("shard: worker: own range [%d,%d) outside %d nodes", cfg.Lo, cfg.Lo+len(cfg.Counts), cfg.N)
+		if cfg.Lo < 0 || cfg.Lo+len(cfg.Counts) > n {
+			return nil, fmt.Errorf("shard: worker: own range [%d,%d) outside %d nodes", cfg.Lo, cfg.Lo+len(cfg.Counts), n)
 		}
-		counts := make([]int64, cfg.N)
+		counts := make([]int64, n)
 		copy(counts[cfg.Lo:], cfg.Counts)
 		e, err := New(sys, proto, counts, opts)
 		if err != nil {
@@ -207,10 +199,10 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Lo < 0 || cfg.Lo+len(cfg.SegLen) > cfg.N {
-			return nil, fmt.Errorf("shard: worker: own range [%d,%d) outside %d nodes", cfg.Lo, cfg.Lo+len(cfg.SegLen), cfg.N)
+		if cfg.Lo < 0 || cfg.Lo+len(cfg.SegLen) > n {
+			return nil, fmt.Errorf("shard: worker: own range [%d,%d) outside %d nodes", cfg.Lo, cfg.Lo+len(cfg.SegLen), n)
 		}
-		perNode, err := expandSegments(cfg.N, cfg.Lo, cfg.SegLen, cfg.Segs)
+		perNode, err := expandSegments(n, cfg.Lo, cfg.SegLen, cfg.Segs)
 		if err != nil {
 			return nil, err
 		}

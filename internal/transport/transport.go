@@ -30,8 +30,9 @@ import (
 type Kind uint8
 
 const (
-	// KindConfig carries the full instance description from coordinator
-	// to worker at session start (or a resume directive).
+	// KindConfig carries the instance (a graph descriptor or the
+	// explicit CSR, plus the speeds) and the worker's own-range state from
+	// coordinator to worker at session start or resume.
 	KindConfig Kind = 1
 	// KindRound announces a round to the workers: round number and the
 	// round's rng stream words.
@@ -164,26 +165,50 @@ func (c *Conn) WriteFrame(kind Kind, payload []byte) error {
 	return c.w.Flush()
 }
 
+// readChunk is the first allocation for a frame payload that does not
+// fit the read buffer, and readGrowth the factor by which the buffer then
+// grows as bytes arrive. A header that claims more than the stream
+// delivers costs at most readGrowth times the bytes that came, and an
+// honest frame is read with at most 1/(readGrowth−1) of its length in
+// discarded smaller buffers. Doubling discards up to a whole frame per
+// read, which showed as ~23 MB more peak RSS on the cluster benchmark
+// than allocating the claimed length; eightfold growth stays within that
+// benchmark's run-to-run spread (EXPERIMENTS.md).
+const (
+	readChunk  = 64 << 10
+	readGrowth = 8
+)
+
 // ReadFrame reads the next frame. The returned payload is valid until
 // the next ReadFrame call: frames are read into one reused buffer, which
 // keeps the capacity of the largest frame read since the last
-// ReleaseBuffer.
+// ReleaseBuffer. The buffer grows only as payload bytes arrive, never
+// past the frame, so a header cannot make the reader allocate the length
+// it claims (up to the 1 GiB cap) before the bytes exist.
 func (c *Conn) ReadFrame() (Kind, []byte, error) {
 	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(c.hdr[:4])
+	n := int(binary.LittleEndian.Uint32(c.hdr[:4]))
 	kind := Kind(c.hdr[4])
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("transport: frame length %d exceeds limit", n)
 	}
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
+	buf := c.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(readGrowth*cap(buf), readChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(c.r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			c.buf = buf
+			return 0, nil, fmt.Errorf("transport: truncated %v frame: %w", kind, err)
+		}
 	}
-	c.buf = c.buf[:n]
-	if _, err := io.ReadFull(c.r, c.buf); err != nil {
-		return 0, nil, fmt.Errorf("transport: truncated %v frame: %w", kind, err)
-	}
+	c.buf = buf
 	c.framesRecv.Add(1)
 	c.bytesRecv.Add(uint64(len(c.hdr)) + uint64(n))
 	return kind, c.buf, nil
@@ -191,8 +216,8 @@ func (c *Conn) ReadFrame() (Kind, []byte, error) {
 
 // ReleaseBuffer drops the read buffer, so that a frame much larger than
 // the ones that follow it (a session's config) is not held for the rest
-// of the session; the next ReadFrame allocates a buffer sized to its
-// own frame.
+// of the session; the next ReadFrame grows a new buffer for its own
+// frame.
 func (c *Conn) ReleaseBuffer() { c.buf = nil }
 
 // Expect reads the next frame and requires it to be of the given kind.

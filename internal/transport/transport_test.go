@@ -2,6 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -169,4 +172,83 @@ func TestConnReleaseBuffer(t *testing.T) {
 	if p := read(); string(p) != "b" || cap(p) >= len(big) {
 		t.Fatalf("released read: payload %q with capacity %d, want a buffer sized to the frame", p, cap(p))
 	}
+}
+
+// readOnly is a stream that reads data and discards writes.
+func readOnly(data []byte) io.ReadWriter {
+	return struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(data), io.Discard}
+}
+
+// TestReadFrameGrowsWithInput: a header may claim up to the 1 GiB cap,
+// but the read buffer grows only with the payload bytes that arrive. A
+// 5-byte header claiming the cap once allocated the whole GiB.
+func TestReadFrameGrowsWithInput(t *testing.T) {
+	for _, payload := range []int{0, 10, readChunk + 1, 3*readChunk + 17} {
+		stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
+		stream = append(stream, byte(KindConfig))
+		stream = append(stream, make([]byte, payload)...)
+		c := NewConn(readOnly(stream))
+		if _, _, err := c.ReadFrame(); err == nil {
+			t.Fatalf("%d of %d payload bytes: truncated frame accepted", payload, maxFrame)
+		}
+		if limit := max(readChunk, readGrowth*payload); cap(c.buf) > limit {
+			t.Fatalf("%d of %d payload bytes: buffer grew to %d, limit %d", payload, maxFrame, cap(c.buf), limit)
+		}
+	}
+	// A frame that does arrive whole reads back intact through the
+	// growth steps, and the buffer keeps its capacity for the next one.
+	var stream bytes.Buffer
+	c := NewConn(&stream)
+	big := make([]byte, 9*readChunk+3)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	for _, p := range [][]byte{big, []byte("a")} {
+		if err := c.WriteFrame(KindState, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, p, err := c.ReadFrame(); err != nil || !bytes.Equal(p, big) || cap(p) != len(big) {
+		t.Fatalf("big frame: %d bytes (cap %d), %v; want %d intact", len(p), cap(p), err, len(big))
+	}
+	if _, p, err := c.ReadFrame(); err != nil || string(p) != "a" || cap(p) != len(big) {
+		t.Fatalf("next frame: %q (cap %d), %v; want the reused buffer", p, cap(p), err)
+	}
+}
+
+// FuzzReadFrame reads arbitrary byte streams as frames, alternating
+// ReadFrame and Expect: whatever the bytes, each call returns a frame or
+// an error, never panics, and the read buffer stays within readGrowth
+// times the input (or one readChunk), whatever lengths the headers
+// claim.
+func FuzzReadFrame(f *testing.F) {
+	var b bytes.Buffer
+	c := NewConn(&b)
+	_ = c.WriteFrame(KindRound, []byte("round"))
+	_ = c.WriteFrame(KindVote, nil)
+	c.WriteError("boom")
+	f.Add(b.Bytes(), uint8(KindVote))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, maxFrame), byte(KindConfig)), uint8(KindConfig))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, maxFrame+1), byte(KindConfig)), uint8(KindConfig))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 1<<20), byte(KindState), 1, 2, 3), uint8(KindState))
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8) {
+		c := NewConn(readOnly(data))
+		for i := 0; i <= len(data)/5; i++ {
+			var err error
+			if i%2 == 0 {
+				_, _, err = c.ReadFrame()
+			} else {
+				_, err = c.Expect(Kind(kind))
+			}
+			if limit := max(readChunk, readGrowth*len(data)); cap(c.buf) > limit {
+				t.Fatalf("read buffer of %d bytes for %d input bytes", cap(c.buf), len(data))
+			}
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return
+			}
+		}
+	})
 }
