@@ -126,7 +126,8 @@ cover:
 
 # Short native-fuzzing pass over the samplers, the graph generators,
 # the decide kernels, the transport frame reader, the cluster config
-# decoder and the checkpoint decoder (each -fuzz run accepts exactly one
+# decoder, the worker's event-slice, own-state and stats decoders and
+# the checkpoint decoder (each -fuzz run accepts exactly one
 # target, hence one line per target), including the differential checks
 # of the Binomial zero-mass shortcut and of the branch-free decide
 # kernels against their pre-optimisation references.
@@ -142,6 +143,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideKernel$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerDecoders$$' -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
 
 ci: vet build race bench-check perfbench-check

@@ -18,6 +18,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -46,6 +48,10 @@ type System struct {
 
 	sMax, sMin, sSum float64
 	maxDeg           int
+
+	// haloDeg is set on a window System only (NewWindowSystem): the true
+	// degree of each halo node, whose row the window does not hold.
+	haloDeg []int32
 }
 
 // SystemOption customizes NewSystem.
@@ -113,10 +119,80 @@ func NewSystem(g *graph.Graph, speeds machine.Speeds, opts ...SystemOption) (*Sy
 	}, nil
 }
 
+// NewWindowSystem builds the System one shard decides on when it holds
+// only its own rows. g holds those rows as vertices 0…g.N()−1, in a local
+// id space whose ids g.N()… are the shard's halo, the out-of-shard
+// neighbors its rows name. own and halo are their speeds, halo in slot
+// order, and haloDeg[k] is the true degree of halo id g.N()+k. maxDeg and
+// sMax are the whole instance's Δ and s_max, not the window's: the decide
+// kernels read Δ for the degree-ratio shortcut of p_ij and s_max for the
+// default α = 4·s_max, and a window that misses the instance's largest
+// degree or speed would otherwise change both. Connectivity and λ₂
+// belong to the whole instance, so a window has neither check nor value:
+// Lambda2, SMin and STotal read zero.
+func NewWindowSystem(g *graph.Graph, own, halo machine.Speeds, haloDeg []int32, maxDeg int, sMax float64) (*System, error) {
+	if g == nil {
+		return nil, ErrNilGraph
+	}
+	if len(own) != g.N() || len(halo) != len(haloDeg) {
+		return nil, fmt.Errorf("%w: %d own and %d halo speeds for %d rows and %d halo nodes", ErrSpeedMismatch, len(own), len(halo), g.N(), len(haloDeg))
+	}
+	sc := slices.Concat(own, halo)
+	for i, s := range sc {
+		if !(s > 0 && s <= sMax) || math.IsInf(s, 1) {
+			return nil, fmt.Errorf("core: window speed %g at node %d outside (0, s_max = %g]", s, i, sMax)
+		}
+	}
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) > maxDeg {
+			return nil, fmt.Errorf("core: window row %d has degree %d above Δ = %d", v, g.Degree(v), maxDeg)
+		}
+		for _, j := range g.Neighbors(v) {
+			if j < 0 || int(j) >= len(sc) {
+				return nil, fmt.Errorf("core: window row %d names node %d outside %d local ids", v, j, len(sc))
+			}
+		}
+	}
+	for k, d := range haloDeg {
+		if d < 1 || int(d) > maxDeg {
+			return nil, fmt.Errorf("core: halo node %d has degree %d outside [1, Δ = %d]", k, d, maxDeg)
+		}
+	}
+	inv := make([]float64, len(sc))
+	for i, s := range sc {
+		inv[i] = 1 / s
+	}
+	return &System{
+		g:        g,
+		speeds:   sc,
+		invSpeed: inv,
+		sMax:     sMax,
+		maxDeg:   maxDeg,
+		haloDeg:  slices.Clone(haloDeg),
+	}, nil
+}
+
+// degree returns deg(j) for any id the System holds a speed for: a row
+// of its graph, or a halo node of a window System.
+func (s *System) degree(j int) int {
+	if j < s.g.N() {
+		return s.g.Degree(j)
+	}
+	return int(s.haloDeg[j-s.g.N()])
+}
+
+// Footprint returns the bytes of the System's own vectors: the speeds,
+// their reciprocals and a window's halo degrees. The graph is not
+// counted; the engines count the CSR they decide on.
+func (s *System) Footprint() int64 {
+	return int64(len(s.speeds)+len(s.invSpeed))*8 + int64(len(s.haloDeg))*4
+}
+
 // Graph returns the network.
 func (s *System) Graph() *graph.Graph { return s.g }
 
-// N returns the number of processors.
+// N returns the number of processors: the rows of the graph, which on a
+// window System (NewWindowSystem) are the shard's own nodes only.
 func (s *System) N() int { return s.g.N() }
 
 // Speed returns sᵢ.

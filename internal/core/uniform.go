@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -255,14 +254,15 @@ func migrationProb(sys *System, i, j int, li, lj, alpha, wi float64) float64 {
 }
 
 // edgeProb is migrationProb for the edges of one node, with the
-// per-node factors computed once and 1/sⱼ read from System.invSpeed. The
-// degree ratio is left out where it is exactly 1, on every edge with
-// deg(j) <= deg(i): on all edges of a node of maximum degree, so of
-// every regular graph, without looking deg(j) up. Multiplying by an
-// exact 1 changes no float, and the rest is migrationProb's expression
-// in its order, so both return the same bits.
+// per-node factors computed once and 1/sⱼ read from System.invSpeed.
+// deg(j) comes from System.degree, so a halo neighbor of a window System
+// has its true degree. The degree ratio is left out where it is exactly
+// 1, on every edge with deg(j) <= deg(i): on all edges of a node of
+// maximum degree Δ, so of every regular graph, without looking deg(j)
+// up. Multiplying by an exact 1 changes no float, and the rest is
+// migrationProb's expression in its order, so both return the same bits.
 type edgeProb struct {
-	g               *graph.Graph
+	sys             *System
 	invSpeed        []float64
 	deg             int
 	degF            float64
@@ -274,7 +274,7 @@ type edgeProb struct {
 func newEdgeProb(sys *System, i int, li, alpha, wi float64) edgeProb {
 	deg := sys.g.Degree(i)
 	return edgeProb{
-		g:        sys.g,
+		sys:      sys,
 		invSpeed: sys.invSpeed,
 		deg:      deg,
 		degF:     float64(deg),
@@ -290,7 +290,7 @@ func newEdgeProb(sys *System, i int, li, alpha, wi float64) edgeProb {
 func (e *edgeProb) at(j int, lj float64) float64 {
 	num := e.li - lj
 	if !e.degIsMax {
-		if dj := e.g.Degree(j); dj > e.deg {
+		if dj := e.sys.degree(j); dj > e.deg {
 			num = e.degF / float64(dj) * num
 		}
 	}

@@ -95,6 +95,12 @@ type WeightedScratch struct {
 	destOf []int32 // eligible-neighbor index per selected block position
 }
 
+// Footprint returns the scratch's buffer bytes.
+func (sc *WeightedScratch) Footprint() int64 {
+	return int64(cap(sc.probs))*8 + int64(cap(sc.counts))*8 + int64(cap(sc.moves))*24 +
+		int64(cap(sc.ident))*2 + int64(cap(sc.destOf))*4
+}
+
 // NewWeightedScratch returns a scratch pre-sized for nodes of degree up
 // to maxDeg (larger degrees grow the buffers on demand).
 func NewWeightedScratch(maxDeg int) *WeightedScratch {

@@ -130,101 +130,50 @@ func (c *CSR) DegreeSum() int { return len(c.adj) }
 // node" denominator of the scaling benchmarks.
 func (c *CSR) Bytes() int64 { return 4 * int64(len(c.offsets)+len(c.adj)) }
 
-// newUniformCSR allocates a CSR where every vertex has exactly deg
-// neighbors, for the regular family constructors. It errors when the
-// adjacency would overflow the int32 offsets (e.g. Hypercube(27),
-// Complete(47000)) — the family size caps alone do not rule that out.
-func newUniformCSR(name string, desc Descriptor, n, deg int) (*CSR, error) {
-	if err := checkCSRSize(int64(n) * int64(deg)); err != nil {
+// build runs d's generator: the rows [0, n) of its row kernel (see
+// Descriptor.Rows), wrapped as a CSR with d's name, maximum degree and
+// descriptor. Generators are correct by construction, so nothing is
+// revalidated.
+func build(d Descriptor) (*CSR, error) {
+	n, err := d.Nodes()
+	if err != nil {
 		return nil, err
 	}
-	offsets := make([]int32, n+1)
-	for v := 1; v <= n; v++ {
-		offsets[v] = offsets[v-1] + int32(deg)
+	r := d.rows(0, n)
+	a, b := d.Params[0], d.Params[1]
+	var name string
+	var maxDeg int
+	switch d.Family {
+	case FamilyRing:
+		name, maxDeg = fmt.Sprintf("ring-%d", a), 2
+	case FamilyPath:
+		name, maxDeg = fmt.Sprintf("path-%d", a), min(n-1, 2)
+	case FamilyTorus:
+		name, maxDeg = fmt.Sprintf("torus-%dx%d", a, b), 4
+	case FamilyMesh:
+		name = fmt.Sprintf("mesh-%dx%d", a, b)
+		for v := 0; v < n; v++ {
+			maxDeg = max(maxDeg, int(r.Offsets[v+1]-r.Offsets[v]))
+		}
+	case FamilyHypercube:
+		name, maxDeg = fmt.Sprintf("hypercube-%d", a), a
+	default:
+		name, maxDeg = fmt.Sprintf("complete-%d", a), n-1
 	}
-	return &CSR{name: name, n: n, offsets: offsets, adj: make([]int32, n*deg), maxDeg: deg, desc: desc}, nil
+	return &CSR{name: name, n: n, offsets: r.Offsets, adj: r.Adj, maxDeg: maxDeg, desc: d}, nil
 }
 
 // RingCSR builds the cycle C_n (n ≥ 3) directly in CSR form: no edge
 // list, no map — just the two sorted neighbors of every vertex.
-func RingCSR(n int) (*CSR, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("graph: ring needs n >= 3, got %d", n)
-	}
-	c, err := newUniformCSR(fmt.Sprintf("ring-%d", n), Descriptor{FamilyRing, [2]int{n}}, n, 2)
-	if err != nil {
-		return nil, err
-	}
-	c.adj[0], c.adj[1] = 1, int32(n-1)
-	for v := 1; v < n-1; v++ {
-		c.adj[2*v], c.adj[2*v+1] = int32(v-1), int32(v+1)
-	}
-	c.adj[2*(n-1)], c.adj[2*(n-1)+1] = 0, int32(n-2)
-	return c, nil
-}
+func RingCSR(n int) (*CSR, error) { return build(Descriptor{FamilyRing, [2]int{n}}) }
 
 // PathCSR builds the path P_n directly in CSR form.
-func PathCSR(n int) (*CSR, error) {
-	if n <= 0 {
-		return nil, ErrEmptyGraph
-	}
-	name := fmt.Sprintf("path-%d", n)
-	desc := Descriptor{FamilyPath, [2]int{n}}
-	if n == 1 {
-		return &CSR{name: name, n: 1, offsets: make([]int32, 2), adj: []int32{}, desc: desc}, nil
-	}
-	if err := checkCSRSize(2 * (int64(n) - 1)); err != nil {
-		return nil, err
-	}
-	offsets := make([]int32, n+1)
-	adj := make([]int32, 2*(n-1))
-	pos := int32(0)
-	for v := 0; v < n; v++ {
-		offsets[v] = pos
-		if v > 0 {
-			adj[pos] = int32(v - 1)
-			pos++
-		}
-		if v < n-1 {
-			adj[pos] = int32(v + 1)
-			pos++
-		}
-	}
-	offsets[n] = pos
-	maxDeg := 2
-	if n == 2 {
-		maxDeg = 1
-	}
-	return &CSR{name: name, n: n, offsets: offsets, adj: adj, maxDeg: maxDeg, desc: desc}, nil
-}
+func PathCSR(n int) (*CSR, error) { return build(Descriptor{FamilyPath, [2]int{n}}) }
 
 // TorusCSR builds the rows×cols torus (both ≥ 3) directly in CSR form:
 // every vertex's four wrap-around neighbors, sorted in place.
 func TorusCSR(rows, cols int) (*CSR, error) {
-	if rows < 3 || cols < 3 {
-		return nil, fmt.Errorf("graph: torus needs dims >= 3, got %dx%d", rows, cols)
-	}
-	n := rows * cols
-	c, err := newUniformCSR(fmt.Sprintf("torus-%dx%d", rows, cols), Descriptor{FamilyTorus, [2]int{rows, cols}}, n, 4)
-	if err != nil {
-		return nil, err
-	}
-	var nb [4]int32
-	for r := 0; r < rows; r++ {
-		up := ((r - 1 + rows) % rows) * cols
-		down := ((r + 1) % rows) * cols
-		row := r * cols
-		for col := 0; col < cols; col++ {
-			v := row + col
-			nb[0] = int32(up + col)
-			nb[1] = int32(down + col)
-			nb[2] = int32(row + (col-1+cols)%cols)
-			nb[3] = int32(row + (col+1)%cols)
-			sort4(&nb)
-			copy(c.adj[4*v:], nb[:])
-		}
-	}
-	return c, nil
+	return build(Descriptor{FamilyTorus, [2]int{rows, cols}})
 }
 
 // sort4 sorts four elements with a fixed comparator network.
@@ -247,118 +196,13 @@ func sort4(a *[4]int32) {
 }
 
 // HypercubeCSR builds the d-dimensional hypercube Q_d (n = 2^d)
-// directly in CSR form. Row v is emitted already sorted: clearing v's
-// set bits from high to low yields the smaller neighbors in ascending
-// order, then setting its unset bits from low to high yields the larger
-// ones.
-func HypercubeCSR(d int) (*CSR, error) {
-	if d <= 0 || d > 30 {
-		return nil, fmt.Errorf("graph: hypercube dimension must be in [1,30], got %d", d)
-	}
-	n := 1 << d
-	c, err := newUniformCSR(fmt.Sprintf("hypercube-%d", d), Descriptor{FamilyHypercube, [2]int{d}}, n, d)
-	if err != nil {
-		return nil, err
-	}
-	pos := 0
-	for v := 0; v < n; v++ {
-		for bit := d - 1; bit >= 0; bit-- {
-			if v&(1<<bit) != 0 {
-				c.adj[pos] = int32(v &^ (1 << bit))
-				pos++
-			}
-		}
-		for bit := 0; bit < d; bit++ {
-			if v&(1<<bit) == 0 {
-				c.adj[pos] = int32(v | 1<<bit)
-				pos++
-			}
-		}
-	}
-	return c, nil
-}
+// directly in CSR form, each row already sorted (see hypercubeRows).
+func HypercubeCSR(d int) (*CSR, error) { return build(Descriptor{FamilyHypercube, [2]int{d}}) }
 
 // CompleteCSR builds K_n directly in CSR form (row v is 0..n-1 minus
 // v). The layout is Θ(n²); callers wanting large n should pick a sparse
 // family.
-func CompleteCSR(n int) (*CSR, error) {
-	if n <= 0 {
-		return nil, ErrEmptyGraph
-	}
-	c, err := newUniformCSR(fmt.Sprintf("complete-%d", n), Descriptor{FamilyComplete, [2]int{n}}, n, n-1)
-	if err != nil {
-		return nil, err
-	}
-	pos := 0
-	for v := 0; v < n; v++ {
-		for u := 0; u < n; u++ {
-			if u != v {
-				c.adj[pos] = int32(u)
-				pos++
-			}
-		}
-	}
-	return c, nil
-}
+func CompleteCSR(n int) (*CSR, error) { return build(Descriptor{FamilyComplete, [2]int{n}}) }
 
 // MeshCSR builds the rows×cols open grid directly in CSR form.
-func MeshCSR(rows, cols int) (*CSR, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, ErrEmptyGraph
-	}
-	n := rows * cols
-	if err := checkCSRSize(4 * int64(n)); err != nil {
-		return nil, err
-	}
-	offsets := make([]int32, n+1)
-	// Degrees first (2, 3 or 4 depending on boundary), then fill.
-	for r := 0; r < rows; r++ {
-		for col := 0; col < cols; col++ {
-			deg := 0
-			if r > 0 {
-				deg++
-			}
-			if r < rows-1 {
-				deg++
-			}
-			if col > 0 {
-				deg++
-			}
-			if col < cols-1 {
-				deg++
-			}
-			v := r*cols + col
-			offsets[v+1] = offsets[v] + int32(deg)
-		}
-	}
-	adj := make([]int32, offsets[n])
-	maxDeg := 0
-	for r := 0; r < rows; r++ {
-		for col := 0; col < cols; col++ {
-			v := r*cols + col
-			pos := offsets[v]
-			// Emitted in ascending vertex order: up, left, right, down.
-			if r > 0 {
-				adj[pos] = int32(v - cols)
-				pos++
-			}
-			if col > 0 {
-				adj[pos] = int32(v - 1)
-				pos++
-			}
-			if col < cols-1 {
-				adj[pos] = int32(v + 1)
-				pos++
-			}
-			if r < rows-1 {
-				adj[pos] = int32(v + cols)
-				pos++
-			}
-			if d := int(pos - offsets[v]); d > maxDeg {
-				maxDeg = d
-			}
-		}
-	}
-	return &CSR{name: fmt.Sprintf("mesh-%dx%d", rows, cols), n: n, offsets: offsets, adj: adj, maxDeg: maxDeg,
-		desc: Descriptor{FamilyMesh, [2]int{rows, cols}}}, nil
-}
+func MeshCSR(rows, cols int) (*CSR, error) { return build(Descriptor{FamilyMesh, [2]int{rows, cols}}) }

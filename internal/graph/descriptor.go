@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 )
 
@@ -101,47 +99,4 @@ func (d Descriptor) Nodes() (int, error) {
 
 // FromDescriptor rebuilds the CSR d's generator builds. It is the one
 // way back from a descriptor to a graph.
-func FromDescriptor(d Descriptor) (*CSR, error) {
-	if _, err := d.Nodes(); err != nil {
-		return nil, err
-	}
-	a, b := d.Params[0], d.Params[1]
-	switch d.Family {
-	case FamilyRing:
-		return RingCSR(a)
-	case FamilyPath:
-		return PathCSR(a)
-	case FamilyTorus:
-		return TorusCSR(a, b)
-	case FamilyMesh:
-		return MeshCSR(a, b)
-	case FamilyHypercube:
-		return HypercubeCSR(a)
-	default:
-		return CompleteCSR(a)
-	}
-}
-
-// digestChunk is the number of int32s Digest encodes at a time.
-const digestChunk = 4 << 10
-
-// Digest returns the CRC-32 (IEEE) of the offsets followed by the
-// adjacency, each entry as 4 little-endian bytes. The arrays are encoded
-// a fixed-size chunk at a time, never copied whole, so the digest of a
-// d = 18 hypercube costs one 16 KiB buffer. Two CSRs with equal digests
-// and node counts are, up to a CRC collision, the same graph.
-func (c *CSR) Digest() uint32 {
-	var chunk [4 * digestChunk]byte
-	crc := uint32(0)
-	for _, arr := range [2][]int32{c.offsets, c.adj} {
-		for len(arr) > 0 {
-			k := min(len(arr), digestChunk)
-			for i, v := range arr[:k] {
-				binary.LittleEndian.PutUint32(chunk[4*i:], uint32(v))
-			}
-			crc = crc32.Update(crc, crc32.IEEETable, chunk[:4*k])
-			arr = arr[k:]
-		}
-	}
-	return crc
-}
+func FromDescriptor(d Descriptor) (*CSR, error) { return build(d) }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -141,5 +142,78 @@ func TestDigestChunks(t *testing.T) {
 	mesh, _ := MeshCSR(4, 4)
 	if ring.Digest() == torus.Digest() || torus.Digest() == mesh.Digest() {
 		t.Fatal("distinct 16-node graphs share a digest")
+	}
+}
+
+// checkRows fails t unless d's rows [lo, hi) are exactly rows [lo, hi)
+// of c, rebased, and their digest is the one c computes for the range.
+func checkRows(t *testing.T, c *CSR, d Descriptor, lo, hi int) {
+	t.Helper()
+	r, err := d.Rows(lo, hi)
+	if err != nil {
+		t.Fatalf("%s rows [%d,%d): %v", c.Name(), lo, hi, err)
+	}
+	off := c.Offsets()
+	if r.Lo != lo || r.Len() != hi-lo || !slices.Equal(r.Adj, c.Adj()[off[lo]:off[hi]]) {
+		t.Fatalf("%s rows [%d,%d): built %+v", c.Name(), lo, hi, r)
+	}
+	for k := range r.Offsets {
+		if r.Offsets[k] != off[lo+k]-off[lo] {
+			t.Fatalf("%s rows [%d,%d): offset %d is %d, want %d", c.Name(), lo, hi, k, r.Offsets[k], off[lo+k]-off[lo])
+		}
+	}
+	if got, want := r.Digest(), c.RowsDigest(lo, hi); got != want {
+		t.Fatalf("%s rows [%d,%d): digest %#08x, RowsDigest %#08x", c.Name(), lo, hi, got, want)
+	}
+	if err := r.Validate(c.N()); err != nil {
+		t.Fatalf("%s rows [%d,%d): %v", c.Name(), lo, hi, err)
+	}
+}
+
+// TestDescriptorRows: every generator's rows for a range are that range
+// of its whole build, rows [0, n) digest to the CSR's Digest, and a
+// range outside the graph is refused.
+func TestDescriptorRows(t *testing.T) {
+	for _, call := range generatorCalls() {
+		c, err := call.build()
+		if err != nil {
+			continue
+		}
+		n := c.N()
+		for _, rg := range [][2]int{{0, n}, {0, 0}, {n, n}, {n / 3, n - n/4}, {n / 2, n/2 + 1}} {
+			checkRows(t, c, call.desc, rg[0], rg[1])
+		}
+		if c.RowsDigest(0, n) != c.Digest() {
+			t.Fatalf("%s: RowsDigest(0, n) differs from Digest", c.Name())
+		}
+		for _, rg := range [][2]int{{-1, 1}, {1, 0}, {0, n + 1}} {
+			if _, err := call.desc.Rows(rg[0], rg[1]); err == nil {
+				t.Fatalf("%s: rows [%d,%d) accepted", c.Name(), rg[0], rg[1])
+			}
+		}
+	}
+}
+
+// TestRowsValidate: shipped rows are refused when their offsets do not
+// span the adjacency from 0 or decrease, or a row leaves [0, n), loops
+// or is unsorted.
+func TestRowsValidate(t *testing.T) {
+	good := Rows{Lo: 1, Offsets: []int32{0, 2, 4}, Adj: []int32{0, 2, 1, 3}}
+	if err := good.Validate(4); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]Rows{
+		"span":     {Lo: 1, Offsets: []int32{0, 2, 3}, Adj: []int32{0, 2, 1, 3}},
+		"base":     {Lo: 1, Offsets: []int32{1, 2, 4}, Adj: []int32{0, 2, 1, 3}},
+		"empty":    {Lo: 1},
+		"decrease": {Lo: 1, Offsets: []int32{0, 3, 2, 4}, Adj: []int32{0, 2, 1, 3}},
+		"range":    {Lo: 3, Offsets: []int32{0, 2, 4}, Adj: []int32{0, 2, 1, 3}},
+		"neighbor": {Lo: 1, Offsets: []int32{0, 2, 4}, Adj: []int32{0, 4, 1, 3}},
+		"loop":     {Lo: 1, Offsets: []int32{0, 2, 4}, Adj: []int32{1, 2, 1, 3}},
+		"sorted":   {Lo: 1, Offsets: []int32{0, 2, 4}, Adj: []int32{2, 0, 1, 3}},
+	} {
+		if err := r.Validate(4); err == nil {
+			t.Errorf("%s: %+v accepted", name, r)
+		}
 	}
 }

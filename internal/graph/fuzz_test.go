@@ -4,7 +4,8 @@
 // consistent degree accounting, and connectivity for the families that
 // guarantee it. These are exactly the invariants the protocol engines
 // and the churn rewiring of package dynamics rely on. A graph built by
-// a CSR generator must also rebuild from its descriptor.
+// a CSR generator must also rebuild from its descriptor, whole and as
+// any one row range.
 package graph
 
 import (
@@ -111,6 +112,9 @@ func FuzzGenerators(f *testing.F) {
 			if r.N() != c.N() || r.Digest() != c.Digest() || r.Name() != c.Name() {
 				t.Fatalf("%v: descriptor %+v rebuilt %s with %d nodes", g, d, r.Name(), r.N())
 			}
+			// And any row range of it, on its own.
+			lo := int(seed % uint64(c.N()+1))
+			checkRows(t, c, d, lo, lo+int(seed>>32%uint64(c.N()-lo+1)))
 		}
 	})
 }

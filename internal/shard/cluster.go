@@ -37,16 +37,18 @@ import (
 // the coordinator and replayed in that exact order from per-worker
 // reports; per-shard partial sums would change the rounding.
 type clusterCore struct {
-	sys      *core.System
-	csr      *graph.CSR
-	inst     instanceWire // what config frames and checkpoints carry
-	part     *Partition
-	model    uint8
-	proto    string
-	alpha    float64
-	strategy Strategy
-	p        int
-	n        int
+	sys  *core.System
+	csr  *graph.CSR
+	inst instanceWire // what checkpoints carry
+	// rowDigest[s] is the digest of shard s's rows, which its config
+	// frame carries instead of the rows when the graph has a descriptor.
+	rowDigest []uint32
+	part      *Partition
+	model     uint8
+	proto     string
+	alpha     float64
+	p         int
+	n         int
 
 	conns   []*transport.Conn
 	closers []io.Closer
@@ -135,7 +137,6 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 		model:     model,
 		proto:     protoName,
 		alpha:     alpha,
-		strategy:  part.Strategy(),
 		p:         p,
 		n:         n,
 		conns:     make([]*transport.Conn, p),
@@ -150,9 +151,10 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 	if model == modelWeighted {
 		c.freshSum = make([]float64, n)
 	}
-	// The static instance goes out with every config frame and
-	// checkpoint: the graph's descriptor and digest, or its explicit CSR
-	// when it has no descriptor, plus one copy of the speeds.
+	// The static instance goes out with every checkpoint: the graph's
+	// descriptor and digest, or its explicit CSR when it has no
+	// descriptor, plus one copy of the speeds, which the config frames'
+	// windows slice too.
 	c.inst = instanceWire{
 		Name:    csr.Name(),
 		N:       n,
@@ -164,6 +166,10 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 		c.inst.Offsets, c.inst.Adj = csr.Offsets(), csr.Adj()
 	} else {
 		c.inst.Digest = csr.Digest()
+		c.rowDigest = make([]uint32, p)
+		for s := range c.rowDigest {
+			c.rowDigest[s] = csr.RowsDigest(part.Range(s))
+		}
 	}
 	for s := 0; s < p; s++ {
 		c.conns[s] = transport.NewConn(rws[s])
@@ -198,36 +204,15 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 	return c, nil
 }
 
-// configure ships each worker its config — the instance plus that
-// worker's own-range slice of the initial (or restored) state, own[s];
-// NodeWeight travels only with a restored state. The frames (3.15 MB
-// each on a d = 18 hypercube, 23 MB with an explicit CSR) are staged in
-// a local buffer sized once per frame, so none outlives the session
-// start.
+// configure ships each worker its config — the cut points, its window
+// of the instance and its own-range slice of the initial (or restored)
+// state, own[s]; NodeWeight travels only with a restored state. Each
+// frame (3.67 MB on a d = 18 hypercube at P = 2) is staged in a local
+// buffer sized once per frame, so none outlives the session start.
 func (c *clusterCore) configure(own []*ownState, restored bool) error {
 	var b transport.Buffer
 	for s := 0; s < c.p; s++ {
-		lo, _ := c.part.Range(s)
-		cfg := &clusterConfig{
-			Model:    c.model,
-			Proto:    c.proto,
-			Alpha:    c.alpha,
-			P:        c.p,
-			Shard:    s,
-			Lo:       lo,
-			Strategy: string(c.strategy),
-			Instance: c.inst,
-			Restored: restored,
-		}
-		if c.model == modelUniform {
-			cfg.Counts = own[s].Counts
-		} else {
-			cfg.SegLen = own[s].SegLen
-			cfg.Segs = own[s].Segs
-			if restored {
-				cfg.NodeWeight = own[s].NodeWeight
-			}
-		}
+		cfg := c.config(s, own[s], restored)
 		b.Reset()
 		b.B = slices.Grow(b.B, cfg.encodedSize())
 		encodeConfig(&b, cfg)
@@ -241,6 +226,68 @@ func (c *clusterCore) configure(own []*ownState, restored bool) error {
 		}
 	}
 	return nil
+}
+
+// config is shard s's config frame for its own-range state own.
+func (c *clusterCore) config(s int, own *ownState, restored bool) *clusterConfig {
+	cuts := make([]int32, c.p+1)
+	for d := 0; d < c.p; d++ {
+		_, hi := c.part.Range(d)
+		cuts[d+1] = int32(hi)
+	}
+	cfg := &clusterConfig{
+		Model:    c.model,
+		Proto:    c.proto,
+		Alpha:    c.alpha,
+		Shard:    s,
+		Cuts:     cuts,
+		Window:   c.window(s),
+		Restored: restored,
+	}
+	if c.model == modelUniform {
+		cfg.Counts = own.Counts
+	} else {
+		cfg.SegLen = own.SegLen
+		cfg.Segs = own.Segs
+		if restored {
+			cfg.NodeWeight = own.NodeWeight
+		}
+	}
+	return cfg
+}
+
+// window is shard s's window of the instance: its rows (as the rows
+// digest, or as the rebased rows of a graph without a descriptor), the
+// instance's Δ and s_max, its own speeds and its halo's speeds and
+// degrees in halo-slot order.
+func (c *clusterCore) window(s int) windowWire {
+	lo, hi := c.part.Range(s)
+	halo := c.part.Halo(s)
+	w := windowWire{
+		Name:       c.inst.Name,
+		N:          c.n,
+		Desc:       c.inst.Desc,
+		MaxDeg:     c.csr.MaxDegree(),
+		SMax:       c.sys.SMax(),
+		Speeds:     c.inst.Speeds[lo:hi],
+		HaloSpeeds: make([]float64, len(halo)),
+		HaloDeg:    make([]int32, len(halo)),
+	}
+	for k, v := range halo {
+		w.HaloSpeeds[k] = c.inst.Speeds[v]
+		w.HaloDeg[k] = int32(c.csr.Degree(int(v)))
+	}
+	if w.Desc.Family != graph.Explicit {
+		w.Digest = c.rowDigest[s]
+		return w
+	}
+	off := c.csr.Offsets()
+	w.Offsets = make([]int32, hi-lo+1)
+	for k := range w.Offsets {
+		w.Offsets[k] = off[lo+k] - off[lo]
+	}
+	w.Adj = c.csr.Adj()[off[lo]:off[hi]]
+	return w
 }
 
 // Step implements core.Engine: one synchronous round r, bit-identical

@@ -215,7 +215,10 @@ func TestClusterRoundBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := core.NewSystem(g, machine.Uniform(n))
+		// The closed-form λ₂: the per-round bytes do not depend on it,
+		// and an eigensolve on a 65,536-node ring costs minutes under
+		// -race.
+		sys, err := core.NewSystem(g, machine.Uniform(n), core.WithLambda2(spectral.Lambda2Ring(n)))
 		if err != nil {
 			t.Fatal(err)
 		}

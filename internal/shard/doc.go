@@ -55,4 +55,11 @@
 // trajectories, traces, ledgers and final task multisets are therefore
 // bit-identical to core.RunWeighted as well; see DESIGN.md ("Weighted
 // tasks at scale") for the replay argument.
+//
+// The cluster layer (cluster.go, worker.go) runs the same engines
+// across processes: a coordinator and one worker per shard. A worker
+// holds only its own rows and its halo, in a local id space, on a
+// window partition and a window core.System that carries the
+// instance-wide values the decide kernels read; see DESIGN.md ("What a
+// worker holds").
 package shard

@@ -45,6 +45,9 @@ type Engine struct {
 	csr   *graph.CSR
 	proto core.UniformNodeProtocol
 	part  *Partition
+	// gbase is the global id of row 0 (see newEngine): 0 in process, the
+	// first own node in a cluster worker.
+	gbase int
 
 	mu     sync.Mutex
 	counts []int64
@@ -73,6 +76,7 @@ type Engine struct {
 	wg      sync.WaitGroup
 	closed  bool
 	times   PhaseTimes
+	busy    []ShardTimes // per-shard busy time, written by the shard's worker
 
 	// flowsCross counts the cross-shard flow records produced by decide
 	// phases so far (telemetry; read via CrossFlows).
@@ -103,9 +107,20 @@ const (
 // New validates the instance, partitions the CSR view of the network,
 // and starts the worker pool. counts is copied.
 func New(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts Options) (*Engine, error) {
-	if sys == nil {
-		return nil, errors.New("shard: nil system")
+	part, workers, err := enginePartition(sys, opts)
+	if err != nil {
+		return nil, err
 	}
+	return newEngine(sys, proto, counts, part, workers, 0)
+}
+
+// newEngine builds an engine over part with the given worker count. The
+// engine holds counts for sys's N() rows and loads for every id of
+// part's id space. gbase is the global id of row 0: node i's stream is
+// keyed by gbase+i, so a cluster worker deciding its own rows in local
+// ids draws the streams of their global ids. In process gbase is 0 and
+// the id space is the whole instance.
+func newEngine(sys *core.System, proto core.UniformNodeProtocol, counts []int64, part *Partition, workers, gbase int) (*Engine, error) {
 	if proto == nil {
 		return nil, errors.New("shard: nil protocol")
 	}
@@ -114,40 +129,26 @@ func New(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts 
 	if err != nil {
 		return nil, err
 	}
-	n := sys.N()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = workers
-	}
 	csr := sys.Graph().CSR()
-	part, err := NewPartition(csr, shards, opts.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	p := part.P()
-	if workers > p {
-		workers = p
-	}
 	e := &Engine{
 		sys:      sys,
 		csr:      csr,
 		proto:    proto,
 		part:     part,
+		gbase:    gbase,
 		counts:   st.Counts(),
-		loads:    make([]float64, n),
+		loads:    make([]float64, len(part.shardOf)),
 		local:    make([][]int64, p),
 		outFlows: make([][][]transport.Flow, p),
 		moves:    make([]int64, p),
+		busy:     make([]ShardTimes, p),
 		tr:       newMemTransport(p),
 		scratch:  make([]*decideScratch, workers),
 		workers:  workers,
 		kick:     make([]chan phase, workers),
 	}
-	e.view = DenseLoadView(e.loads)
+	e.view = newLoadView(e.loads, sys.N())
 	maxDeg := csr.MaxDegree()
 	for s := 0; s < p; s++ {
 		lo, hi := part.Range(s)
@@ -175,6 +176,28 @@ func New(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts 
 	return e, nil
 }
 
+// enginePartition partitions sys's graph for an in-process engine: P =
+// opts.Shards (0 means the worker count), clamped to [1, n], and the
+// worker count opts.Workers (0 means GOMAXPROCS), at most P.
+func enginePartition(sys *core.System, opts Options) (*Partition, int, error) {
+	if sys == nil {
+		return nil, 0, errors.New("shard: nil system")
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	shards := opts.Shards
+	if shards <= 0 {
+		shards = workers
+	}
+	part, err := NewPartition(sys.Graph().CSR(), shards, opts.Strategy)
+	if err != nil {
+		return nil, 0, err
+	}
+	return part, min(workers, part.P()), nil
+}
+
 // dispatch runs one phase on every worker and blocks at the barrier.
 // Callers hold e.mu.
 func (e *Engine) dispatch(ph phase) {
@@ -195,10 +218,14 @@ func (e *Engine) runPhase(w int, ph phase) {
 		case phaseLoads:
 			e.snapshotLoads(s)
 		case phaseDecide:
+			t := time.Now()
 			e.decideShard(s, ph.round, e.scratch[w])
 			e.tr.PublishFlows(s, e.outFlows[s])
+			e.busy[s].Decide += time.Since(t)
 		case phaseCommit:
+			t := time.Now()
 			e.commitShard(s)
+			e.busy[s].Commit += time.Since(t)
 		}
 	}
 }
@@ -242,7 +269,7 @@ func (e *Engine) decideShard(s int, roundStream *rng.Stream, sc *decideScratch) 
 		for idx, j := range nbs {
 			sc.nb[idx] = e.view.Load(j)
 		}
-		roundStream.SplitTo(uint64(i), &sc.child)
+		roundStream.SplitTo(uint64(e.gbase+i), &sc.child)
 		m := e.proto.DecideNode(sys, i, wi, e.view.LoadAt(i), sc.nb[:deg], &sc.child, sc.out)
 		if m == 0 {
 			continue
@@ -335,7 +362,9 @@ func (e *Engine) Step(r uint64, base *rng.Stream) (int64, error) {
 func (e *Engine) Phases() PhaseTimes {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.times
+	t := e.times
+	t.Shards = append([]ShardTimes(nil), e.busy...)
+	return t
 }
 
 // CrossFlows returns the cumulative number of cross-shard flow records
@@ -398,17 +427,23 @@ func (e *Engine) Partition() *Partition { return e.part }
 func (e *Engine) Workers() int { return e.workers }
 
 // Footprint returns the engine's resident state in bytes: the CSR
-// arrays plus every flat vector and preallocated shard buffer. It is
-// the "bytes per node" numerator of the scaling benchmarks — memory is
-// bounded by the CSR arrays plus O(n) vectors and O(cut) flow
-// capacity, never by edge maps.
+// arrays, every flat vector, the partition's tables and lists, and every
+// preallocated shard and decide buffer. It is the "bytes per node"
+// numerator of the scaling benchmarks — memory is bounded by the CSR
+// arrays plus O(n) vectors and O(cut) flow capacity, never by edge
+// maps. A cluster worker's engine holds its own rows and halo only, so
+// its footprint is O(n/P + |halo|). The System's vectors are counted by
+// System.Footprint.
 func (e *Engine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	bytes := e.csr.Bytes()
 	bytes += int64(len(e.counts)) * 8
 	bytes += int64(len(e.loads)) * 8
-	bytes += int64(len(e.part.shardOf)) * 4
+	bytes += e.part.bytes()
+	for _, sc := range e.scratch {
+		bytes += int64(len(sc.nb))*8 + int64(len(sc.out))*8
+	}
 	for s := range e.local {
 		bytes += int64(len(e.local[s])) * 8
 		for d := range e.outFlows[s] {

@@ -9,6 +9,7 @@ package shard_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -334,5 +335,50 @@ func TestShardWorkerStriping(t *testing.T) {
 		}
 		sameRun(t, "striping", ref, res)
 		sameCounts(t, "striping", refCounts, gotCounts)
+	}
+}
+
+// TestPhasesReportShardBusy: both in-process engines report each
+// shard's decide and commit busy time, which lies inside the phase's
+// barrier-to-barrier time, and the phases line prints it.
+func TestPhasesReportShardBusy(t *testing.T) {
+	class, err := experiments.ClassByKey("torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, counts := buildInstance(t, class, 64)
+	ue, err := shard.New(sys, core.Algorithm1{}, counts, shard.Options{Shards: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ue.Close()
+	_, perNode := buildWeighted(t, class, 64, 8)
+	we, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, shard.Options{Shards: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer we.Close()
+	for _, eng := range []interface {
+		Step(uint64, *rng.Stream) (int64, error)
+		Phases() shard.PhaseTimes
+	}{ue, we} {
+		base := rng.New(4)
+		for r := uint64(1); r <= 5; r++ {
+			if _, err := eng.Step(r, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ph := eng.Phases()
+		if len(ph.Shards) != 3 {
+			t.Fatalf("%d shard times for 3 shards", len(ph.Shards))
+		}
+		for s, st := range ph.Shards {
+			if st.Decide <= 0 || st.Decide > ph.Decide || st.Commit < 0 || st.Commit > ph.Commit {
+				t.Errorf("shard %d busy %+v outside the phases' decide %v and commit %v", s, st, ph.Decide, ph.Commit)
+			}
+		}
+		if !strings.Contains(ph.String(), "; shard busy decide ") {
+			t.Errorf("phases line %q prints no shard busy times", ph)
+		}
 	}
 }

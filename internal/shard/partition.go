@@ -31,8 +31,13 @@ const (
 // exact foreign loads a shard's decide phase can read, which the
 // cluster layer uses to exchange O(cut) loads per round instead of the
 // full vector.
+//
+// A cluster worker holds a window of a partition instead
+// (newWindowPartition): the same type over the worker's local id space,
+// with one shard's range, a shard table over its rows and halo, and no
+// graph.
 type Partition struct {
-	csr      *graph.CSR
+	csr      *graph.CSR // nil in a window
 	strategy Strategy
 	p        int
 
@@ -234,4 +239,88 @@ func (pt *Partition) DegreeMass(s int) int64 {
 		mass += int64(pt.csr.Degree(int(v))) + 1
 	}
 	return mass
+}
+
+// newWindowPartition is the partition as one cluster worker holds it, in
+// the worker's local id space: shard own's rows are the local ids
+// 0…m−1 and the only range, and its halo slots follow at m…m+h−1. No
+// other shard has a range. shardOf covers the local ids — own for the
+// rows, and for each halo slot the shard that owns it, found from the
+// cut points — boundary[own] lists the rows with an out-of-shard
+// neighbor, and crossEdges[own][d] counts the rows' arcs into shard d.
+// halo[own] lists each halo slot's global id, ascending: the
+// partition's halo-slot order, so slot k of the worker's halo frame is
+// the load of halo[own][k], local id m+k. Nothing is indexed by all n
+// nodes.
+//
+// rows are shard own's rows in global ids; their adjacency is rewritten
+// in place into local ids.
+func newWindowPartition(rows graph.Rows, cuts []int32, own int) *Partition {
+	p := len(cuts) - 1
+	lo, hi := cuts[own], cuts[own+1]
+	m := hi - lo
+	var halo []int32
+	for _, w := range rows.Adj {
+		if w < lo || w >= hi {
+			halo = append(halo, w)
+		}
+	}
+	slices.Sort(halo)
+	halo = slices.Clip(slices.Compact(halo))
+	pt := &Partition{
+		p:          p,
+		lo:         make([]int32, p),
+		hi:         make([]int32, p),
+		shardOf:    make([]int32, int(m)+len(halo)),
+		boundary:   make([][]int32, p),
+		halo:       make([][]int32, p),
+		crossEdges: make([][]int, p),
+	}
+	for s := range pt.crossEdges {
+		pt.crossEdges[s] = make([]int, p)
+		if s > own {
+			pt.lo[s], pt.hi[s] = m, m
+		}
+	}
+	pt.hi[own] = m
+	for k := range m {
+		pt.shardOf[k] = int32(own)
+	}
+	for k, v := range halo {
+		s, found := slices.BinarySearch(cuts, v)
+		if !found {
+			s--
+		}
+		pt.shardOf[int(m)+k] = int32(s)
+	}
+	cross := pt.crossEdges[own]
+	for k := 0; k < rows.Len(); k++ {
+		external := false
+		for a := rows.Offsets[k]; a < rows.Offsets[k+1]; a++ {
+			w := rows.Adj[a]
+			if w >= lo && w < hi {
+				rows.Adj[a] = w - lo
+				continue
+			}
+			slot, _ := slices.BinarySearch(halo, w)
+			rows.Adj[a] = m + int32(slot)
+			cross[pt.shardOf[int(m)+slot]]++
+			external = true
+		}
+		if external {
+			pt.boundary[own] = append(pt.boundary[own], int32(k))
+		}
+	}
+	pt.halo[own] = halo
+	return pt
+}
+
+// bytes is the partition's resident size: the shard table, the cut
+// points, the boundary and halo lists and the cross-edge matrix.
+func (pt *Partition) bytes() int64 {
+	b := int64(len(pt.shardOf)+len(pt.lo)+len(pt.hi)) * 4
+	for s := 0; s < pt.p; s++ {
+		b += int64(cap(pt.boundary[s])+cap(pt.halo[s]))*4 + int64(len(pt.crossEdges[s]))*8
+	}
+	return b
 }

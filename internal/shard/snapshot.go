@@ -181,7 +181,7 @@ func (c *clusterCore) writeCheckpoint(f io.Writer, opts core.RunOpts, res *core.
 	w.PutString(c.proto)
 	w.PutF64(c.alpha)
 	w.PutU32(uint32(c.p))
-	w.PutString(string(c.strategy))
+	w.PutString(string(c.part.Strategy()))
 	c.inst.encode(w)
 	w.PutU64(opts.Seed)
 	w.PutI64(int64(opts.MaxRounds))

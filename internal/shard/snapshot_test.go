@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -121,42 +122,32 @@ func TestConfigureKeepsNoFrame(t *testing.T) {
 
 // TestConfigEncodedSize pins encodedSize to encodeConfig's output for
 // every shape the coordinator sends: both models, fresh and restored,
-// with the graph as a descriptor or as an explicit CSR.
+// with the rows as a descriptor and digest or explicit, and checks that
+// each decodes to what was encoded.
 func TestConfigEncodedSize(t *testing.T) {
-	explicit := instanceWire{
-		Name: "ring(8)", N: 8, Offsets: make([]int32, 9), Adj: make([]int32, 16),
-		Speeds: make([]float64, 8), Lambda2: 0.25,
+	var shapes []*clusterConfig
+	for _, cfg := range testConfigs(t) {
+		other := *cfg
+		other.Restored = !cfg.Restored
+		if other.Model == modelWeighted && !other.Restored {
+			other.NodeWeight = nil
+		}
+		shapes = append(shapes, cfg, &other)
 	}
-	described := instanceWire{
-		Name: "ring-8", N: 8, Desc: graph.Descriptor{Family: graph.FamilyRing, Params: [2]int{8}}, Digest: 0xdeadbeef,
-		Speeds: make([]float64, 8), Lambda2: 0.25,
-	}
-	for form, inst := range map[string]instanceWire{"explicit": explicit, "descriptor": described} {
-		base := clusterConfig{Proto: "algorithm2", Alpha: 0.5, P: 3, Shard: 1, Lo: 4, Strategy: "contiguous", Instance: inst}
-		uniform, restoredUniform := base, base
-		uniform.Model, uniform.Counts = modelUniform, make([]int64, 3)
-		restoredUniform.Model, restoredUniform.Counts, restoredUniform.Restored = modelUniform, make([]int64, 3), true
-		weighted := base
-		weighted.Model, weighted.SegLen, weighted.Segs = modelWeighted, make([]int64, 3), make([]float64, 7)
-		restored := weighted
-		restored.Restored, restored.NodeWeight = true, make([]float64, 3)
-		for name, cfg := range map[string]*clusterConfig{
-			"uniform": &uniform, "uniform-restored": &restoredUniform,
-			"weighted": &weighted, "weighted-restored": &restored,
-		} {
-			var b transport.Buffer
-			encodeConfig(&b, cfg)
-			if got := cfg.encodedSize(); got != len(b.B) {
-				t.Errorf("%s/%s: encodedSize %d, encodeConfig wrote %d bytes", form, name, got, len(b.B))
-			}
-			b.Load(b.B)
-			got, err := decodeConfig(&b)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", form, name, err)
-			}
-			if !reflect.DeepEqual(got, cfg) {
-				t.Errorf("%s/%s: decoded %+v, want %+v", form, name, got, cfg)
-			}
+	for _, cfg := range shapes {
+		name := fmt.Sprintf("%s/model %d/restored %t", cfg.Window.Name, cfg.Model, cfg.Restored)
+		var b transport.Buffer
+		encodeConfig(&b, cfg)
+		if got := cfg.encodedSize(); got != len(b.B) {
+			t.Errorf("%s: encodedSize %d, encodeConfig wrote %d bytes", name, got, len(b.B))
+		}
+		b.Load(b.B)
+		got, err := decodeConfig(&b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, cfg) {
+			t.Errorf("%s: decoded %+v, want %+v", name, got, cfg)
 		}
 	}
 }

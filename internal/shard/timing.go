@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -14,12 +16,27 @@ import (
 // numbers expose where a configuration stalls — a commit share that
 // grows with P is barrier overhead and flow-buffer traffic, a decide
 // share that grows with skew is protocol work concentrating in one
-// shard while the others idle at the barrier.
+// shard while the others idle at the barrier. Shards says which shard
+// that is: the in-process engines record each shard's own decide and
+// commit time, two clock reads per shard per phase, so the slowest
+// shard's busy time sits beside the phase's barrier-to-barrier time.
 type PhaseTimes struct {
 	Snapshot time.Duration
 	Decide   time.Duration
 	Commit   time.Duration
 	Rounds   int64
+	// Shards[s] is shard s's cumulative busy time in the decide and
+	// commit phases; nil where no per-shard time is recorded (the
+	// cluster coordinator, whose workers report WorkerStats instead).
+	Shards []ShardTimes `json:",omitempty"`
+}
+
+// ShardTimes is one shard's cumulative busy time in the decide and
+// commit phases: the time its worker spent running that shard, not the
+// barrier-to-barrier wall time.
+type ShardTimes struct {
+	Decide time.Duration
+	Commit time.Duration
 }
 
 // Total is the summed wall-clock time across the three phases.
@@ -27,15 +44,28 @@ func (t PhaseTimes) Total() time.Duration {
 	return t.Snapshot + t.Decide + t.Commit
 }
 
-// String renders per-round phase averages, e.g.
-// "snapshot 1.2ms/round (3%), decide 30ms/round (75%), commit 8.8ms/round (22%) over 40 rounds".
-// It delegates to obs.FormatPhases, the one formatter behind both this
-// string (lbsim's "phases:" line) and serve's Stats.String.
+// String renders per-round phase averages and, where recorded, each
+// shard's per-round busy time, e.g.
+// "snapshot 1.2ms/round (3%), decide 30ms/round (75%), commit 8.8ms/round (22%) over 40 rounds; shard busy decide 29ms 11ms, commit 8.1ms 3ms per round".
+// The phase part is obs.FormatPhases, the one formatter behind both
+// this string (lbsim's "phases:" line) and serve's Stats.String.
 func (t PhaseTimes) String() string {
-	return obs.FormatPhases(t.Rounds,
+	s := obs.FormatPhases(t.Rounds,
 		obs.PhaseBreakdown{Name: "snapshot", Dur: t.Snapshot},
 		obs.PhaseBreakdown{Name: "decide", Dur: t.Decide},
 		obs.PhaseBreakdown{Name: "commit", Dur: t.Commit})
+	if len(t.Shards) == 0 || t.Rounds == 0 {
+		return s
+	}
+	per := func(d time.Duration) string {
+		return (d / time.Duration(t.Rounds)).Round(time.Microsecond).String()
+	}
+	decide := make([]string, len(t.Shards))
+	commit := make([]string, len(t.Shards))
+	for k, st := range t.Shards {
+		decide[k], commit[k] = per(st.Decide), per(st.Commit)
+	}
+	return fmt.Sprintf("%s; shard busy decide %s, commit %s per round", s, strings.Join(decide, " "), strings.Join(commit, " "))
 }
 
 // PhaseTimer is implemented by engines that record per-phase round

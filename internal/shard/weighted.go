@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -42,6 +41,7 @@ type WeightedEngine struct {
 	csr   *graph.CSR
 	proto core.WeightedFlatProtocol
 	part  *Partition
+	gbase int // the global id of row 0 (see newEngine)
 
 	mu sync.Mutex
 
@@ -139,6 +139,7 @@ type WeightedEngine struct {
 	wg      sync.WaitGroup
 	closed  bool
 	times   PhaseTimes
+	busy    []ShardTimes // per-shard busy time, written by the shard's worker
 
 	// flowsCross counts the cross-shard flow records produced by decide
 	// phases so far (telemetry; read via CrossFlows).
@@ -157,9 +158,18 @@ type weightedScratch struct {
 // with the exact operation order of core.NewWeightedState, so the
 // engine starts bit-identical to a freshly built sequential state.
 func NewWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, opts Options) (*WeightedEngine, error) {
-	if sys == nil {
-		return nil, errors.New("shard: nil system")
+	part, workers, err := enginePartition(sys, opts)
+	if err != nil {
+		return nil, err
 	}
+	return newWeighted(sys, proto, perNode, part, workers, 0)
+}
+
+// newWeighted builds a weighted engine over part with the given worker
+// count: task pools, weight sums and commit buffers for sys's N() rows,
+// loads for every id of part's id space, node streams keyed by gbase+i
+// (see newEngine).
+func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, part *Partition, workers, gbase int) (*WeightedEngine, error) {
 	if proto == nil {
 		return nil, errors.New("shard: nil protocol")
 	}
@@ -172,28 +182,14 @@ func NewWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 			return nil, fmt.Errorf("shard: node %d: %w", i, err)
 		}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = workers
-	}
 	csr := sys.Graph().CSR()
-	part, err := NewPartition(csr, shards, opts.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	p := part.P()
-	if workers > p {
-		workers = p
-	}
 	e := &WeightedEngine{
 		sys:        sys,
 		csr:        csr,
 		proto:      proto,
 		part:       part,
+		gbase:      gbase,
 		pool:       make([][]float64, p),
 		spare:      make([][]float64, p),
 		off:        make([][]int64, p),
@@ -201,11 +197,12 @@ func NewWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		segLen:     make([][]int64, p),
 		priv:       make([][][]float64, p),
 		nodeWeight: make([]float64, n),
-		loads:      make([]float64, n),
+		loads:      make([]float64, len(part.shardOf)),
 		outFlows:   make([][][]transport.WFlow, p),
 		remIdx:     make([][]int32, p),
 		remPos:     make([][]int64, p),
 		moves:      make([]int64, p),
+		busy:       make([]ShardTimes, p),
 		tr:         newMemTransport(p),
 		arrCnt:     make([][]int32, p),
 		arrFill:    make([][]int32, p),
@@ -224,7 +221,7 @@ func NewWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		workers:    workers,
 		kick:       make([]chan phase, workers),
 	}
-	e.view = DenseLoadView(e.loads)
+	e.view = newLoadView(e.loads, n)
 	for s := 0; s < p; s++ {
 		lo, hi := part.Range(s)
 		size := hi - lo
@@ -293,10 +290,14 @@ func (e *WeightedEngine) runPhase(w int, ph phase) {
 		case phaseLoads:
 			e.snapshotLoads(s)
 		case phaseDecide:
+			t := time.Now()
 			e.decideShard(s, ph.round, e.scratch[w])
 			e.tr.PublishWFlows(s, e.outFlows[s])
+			e.busy[s].Decide += time.Since(t)
 		case phaseCommit:
+			t := time.Now()
 			e.commitShard(s)
+			e.busy[s].Commit += time.Since(t)
 		}
 	}
 }
@@ -351,7 +352,7 @@ func (e *WeightedEngine) decideShard(s int, roundStream *rng.Stream, sc *weighte
 		cnt := int(segLen[k])
 		var ms []core.TaskMove
 		if cnt > 0 {
-			roundStream.SplitTo(uint64(i), &sc.child)
+			roundStream.SplitTo(uint64(e.gbase+i), &sc.child)
 			ms = e.proto.DecideNodeFlat(e.sys, i, cnt, e.nodeWeight[i], e.view.Dense(), &sc.child, sc.ws)
 		}
 		if len(ms) > 0 {
@@ -772,7 +773,9 @@ func (e *WeightedEngine) Step(r uint64, base *rng.Stream) (int64, error) {
 func (e *WeightedEngine) Phases() PhaseTimes {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.times
+	t := e.times
+	t.Shards = append([]ShardTimes(nil), e.busy...)
+	return t
 }
 
 // CrossFlows returns the cumulative number of cross-shard flow records
@@ -1155,16 +1158,21 @@ func (e *WeightedEngine) Workers() int { return e.workers }
 
 // Footprint returns the engine's resident state in bytes: the CSR
 // arrays, the task-weight pools and private segments, the offset and
-// length arrays and every flat O(n) vector — the "bytes per node"
-// numerator of the weighted scaling benchmark. The in-place commit
-// keeps no ping-pong twin of the pool; spare is empty until an event
-// batch forces a compaction.
+// length arrays, every flat vector, the partition's tables and lists
+// and the decide scratch — the "bytes per node" numerator of the
+// weighted scaling benchmark. The in-place commit keeps no ping-pong
+// twin of the pool; spare is empty until an event batch forces a
+// compaction. A cluster worker's engine holds its own rows and halo
+// only (see Engine.Footprint).
 func (e *WeightedEngine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	bytes := e.csr.Bytes()
 	bytes += int64(len(e.nodeWeight)+len(e.loads)+len(e.freshSum)) * 8
-	bytes += int64(len(e.part.shardOf))*4 + int64(len(e.sumValid))
+	bytes += e.part.bytes() + int64(len(e.sumValid)) + int64(len(e.segView))*24
+	for _, sc := range e.scratch {
+		bytes += sc.ws.Footprint()
+	}
 	for s := range e.pool {
 		bytes += int64(cap(e.pool[s])+cap(e.spare[s])) * 8
 		bytes += int64(len(e.off[s])+len(e.noff[s])+len(e.segLen[s])+len(e.remPos[s])+len(e.arrPos[s])) * 8

@@ -19,12 +19,13 @@ const (
 	modelWeighted uint8 = 1
 )
 
-// instanceWire is the static instance as a config frame and an LBCK v2
-// checkpoint carry it. A graph that a generator built travels as its
-// descriptor, node count and CSR digest, and the receiver rebuilds it; a
-// graph without a descriptor travels as its explicit CSR arrays, which
-// the receiver revalidates. Speeds and λ₂ always travel as values, so
-// the receiver reconstructs the core.System without an eigensolve.
+// instanceWire is the static instance as an LBCK v2 checkpoint carries
+// it (a config frame carries only one worker's window of it, see
+// windowWire). A graph that a generator built travels as its descriptor,
+// node count and CSR digest, and resume rebuilds it; a graph without a
+// descriptor travels as its explicit CSR arrays, which resume
+// revalidates. Speeds and λ₂ always travel as values, so resume
+// reconstructs the core.System without an eigensolve.
 //
 // Layout: name, n, family (u8), then offsets and adjacency for
 // graph.Explicit or the two parameters and the digest (u32 each)
@@ -67,15 +68,6 @@ func (w *instanceWire) encode(b wireWriter) {
 	}
 	b.PutF64s(w.Speeds)
 	b.PutF64(w.Lambda2)
-}
-
-// encodedSize is the exact length of w's encoding.
-func (w *instanceWire) encodedSize() int {
-	size := 4 + len(w.Name) + 4 + 1 + 4 + 8*len(w.Speeds) + 8
-	if w.Desc.Family == graph.Explicit {
-		return size + 4 + 4*len(w.Offsets) + 4 + 4*len(w.Adj)
-	}
-	return size + 3*4
 }
 
 // decodeInstance reads an instanceWire; v1 reads the LBCK v1 layout. It
@@ -161,23 +153,124 @@ func (w *instanceWire) system() (*core.System, error) {
 	return core.NewSystem(csr.Graph(), machine.Speeds(w.Speeds), core.WithLambda2(w.Lambda2))
 }
 
-// clusterConfig is the session-start frame: the instance a worker needs
-// to build its engine, plus the initial (or restored) state of the
-// worker's own index range only. A worker never holds another shard's
-// tasks — decisions and commits touch only its own range, and foreign
-// loads arrive per round through the halo exchange — so shipping (or
-// retaining) out-of-range state would be a dead buffer. Lo anchors the
-// range; its length is implied by the state vectors.
-type clusterConfig struct {
-	Model    uint8
-	Proto    string  // registered protocol name
-	Alpha    float64 // protocol damping (0 means default)
-	P        int
-	Shard    int // this worker's shard index
-	Lo       int // first vertex of the worker's own range
-	Strategy string
+// windowWire is the instance as one worker holds it, the config frame's
+// instance: the graph's name and node count, the worker's own rows, the
+// instance-wide Δ and s_max, and the speeds of its own rows and of its
+// halo, with each halo node's degree. Rows that a generator built travel
+// as the descriptor plus the digest of those rows (graph.CSR.RowsDigest),
+// and the worker rebuilds only them; rows without a descriptor travel as
+// the rows themselves, rebased offsets and global-id adjacency, and the
+// worker revalidates them. Halo entries follow the partition's halo-slot
+// order, ascending global id, which the worker derives from its rows.
+//
+// Layout: name, n, family (u8), then offsets and adjacency for
+// graph.Explicit or the two parameters and the rows digest (u32 each)
+// otherwise, then Δ (u32), s_max, own speeds, halo speeds and halo
+// degrees. The layout is private to one build: coordinator and workers
+// must come from the same source, and checkpoints never carry it.
+type windowWire struct {
+	Name       string
+	N          int
+	Desc       graph.Descriptor
+	Digest     uint32  // descriptor form: digest of the own rows
+	Offsets    []int32 // explicit form: own rows, rebased
+	Adj        []int32 // explicit form: own rows, global ids
+	MaxDeg     int
+	SMax       float64
+	Speeds     []float64 // own rows
+	HaloSpeeds []float64 // halo slots
+	HaloDeg    []int32   // halo slots
+}
 
-	Instance instanceWire
+func (w *windowWire) encode(b *transport.Buffer) {
+	b.PutString(w.Name)
+	b.PutU32(uint32(w.N))
+	b.PutU8(uint8(w.Desc.Family))
+	if w.Desc.Family == graph.Explicit {
+		b.PutI32s(w.Offsets)
+		b.PutI32s(w.Adj)
+	} else {
+		b.PutU32(uint32(w.Desc.Params[0]))
+		b.PutU32(uint32(w.Desc.Params[1]))
+		b.PutU32(w.Digest)
+	}
+	b.PutU32(uint32(w.MaxDeg))
+	b.PutF64(w.SMax)
+	b.PutF64s(w.Speeds)
+	b.PutF64s(w.HaloSpeeds)
+	b.PutI32s(w.HaloDeg)
+}
+
+// encodedSize is the exact length of w's encoding.
+func (w *windowWire) encodedSize() int {
+	size := 4 + len(w.Name) + 4 + 1 + 4 + 8 + 3*4 + 8*(len(w.Speeds)+len(w.HaloSpeeds)) + 4*len(w.HaloDeg)
+	if w.Desc.Family == graph.Explicit {
+		return size + 4 + 4*len(w.Offsets) + 4 + 4*len(w.Adj)
+	}
+	return size + 3*4
+}
+
+// decodeWindow reads a windowWire. Like decodeInstance it allocates no
+// more than the input holds and builds nothing; a descriptor must
+// describe exactly n nodes. decodeConfig checks the arrays against the
+// own range.
+func decodeWindow(b *transport.Buffer) (windowWire, error) {
+	var w windowWire
+	var err error
+	read := func(f func() error) {
+		if err == nil {
+			err = f()
+		}
+	}
+	read(func() (e error) { w.Name, e = b.String(); return })
+	read(func() (e error) { v, e := b.U32(); w.N = int(v); return e })
+	read(func() (e error) { v, e := b.U8(); w.Desc.Family = graph.Family(v); return e })
+	if err != nil {
+		return w, err
+	}
+	if w.Desc.Family == graph.Explicit {
+		read(func() (e error) { w.Offsets, e = b.I32s(nil); return })
+		read(func() (e error) { w.Adj, e = b.I32s(nil); return })
+	} else {
+		for k := range w.Desc.Params {
+			read(func() (e error) { v, e := b.U32(); w.Desc.Params[k] = int(v); return e })
+		}
+		read(func() (e error) { w.Digest, e = b.U32(); return })
+		read(func() error {
+			dn, err := w.Desc.Nodes()
+			if err != nil {
+				return fmt.Errorf("graph %s: %w", w.Name, err)
+			}
+			if dn != w.N {
+				return fmt.Errorf("graph %s: descriptor builds %d nodes, not %d", w.Name, dn, w.N)
+			}
+			return nil
+		})
+	}
+	read(func() (e error) { v, e := b.U32(); w.MaxDeg = int(v); return e })
+	read(func() (e error) { w.SMax, e = b.F64(); return })
+	read(func() (e error) { w.Speeds, e = b.F64s(nil); return })
+	read(func() (e error) { w.HaloSpeeds, e = b.F64s(nil); return })
+	read(func() (e error) { w.HaloDeg, e = b.I32s(nil); return })
+	return w, err
+}
+
+// clusterConfig is the session-start frame: the cut points of the
+// partition, the worker's window of the instance, and the initial (or
+// restored) state of the worker's own range only. A worker never holds
+// another shard's rows or tasks — decisions and commits touch only its
+// own range, and its halo's loads arrive per round — so shipping (or
+// retaining) anything else would be a dead buffer.
+type clusterConfig struct {
+	Model uint8
+	Proto string  // registered protocol name
+	Alpha float64 // protocol damping (0 means default)
+	Shard int     // this worker's shard index
+	// Cuts holds the P+1 cut points: shard s owns the global ids
+	// [Cuts[s], Cuts[s+1]).
+	Cuts []int32
+
+	Window windowWire
 
 	// Own-range state. Uniform: Counts. Weighted: per-node segment
 	// lengths plus the concatenated segment contents (the ownState
@@ -191,11 +284,19 @@ type clusterConfig struct {
 	NodeWeight []float64
 }
 
+// P returns the number of shards.
+func (c *clusterConfig) P() int { return len(c.Cuts) - 1 }
+
+// ownRange returns the worker's global id range.
+func (c *clusterConfig) ownRange() (lo, hi int) {
+	return int(c.Cuts[c.Shard]), int(c.Cuts[c.Shard+1])
+}
+
 // encodedSize is the exact length of c's encodeConfig encoding, so the
 // coordinator can size a config frame's buffer once instead of growing
 // it by appends.
 func (c *clusterConfig) encodedSize() int {
-	size := 1 + 4 + len(c.Proto) + 8 + 3*4 + 4 + len(c.Strategy) + c.Instance.encodedSize() + 1
+	size := 1 + 4 + len(c.Proto) + 8 + 4 + 4 + 4*len(c.Cuts) + c.Window.encodedSize() + 1
 	if c.Model == modelUniform {
 		return size + 4 + 8*len(c.Counts)
 	}
@@ -210,11 +311,9 @@ func encodeConfig(b *transport.Buffer, c *clusterConfig) {
 	b.PutU8(c.Model)
 	b.PutString(c.Proto)
 	b.PutF64(c.Alpha)
-	b.PutU32(uint32(c.P))
 	b.PutU32(uint32(c.Shard))
-	b.PutU32(uint32(c.Lo))
-	b.PutString(c.Strategy)
-	c.Instance.encode(b)
+	b.PutI32s(c.Cuts)
+	c.Window.encode(b)
 	if c.Model == modelUniform {
 		b.PutI64s(c.Counts)
 	} else {
@@ -232,8 +331,11 @@ func encodeConfig(b *transport.Buffer, c *clusterConfig) {
 }
 
 // decodeConfig decodes a config frame. Like decodeInstance it allocates
-// in proportion to the frame and builds nothing; the shard count is held
-// to [1, n], which the stored speeds bound.
+// in proportion to the frame and builds nothing. It refuses cut points
+// that are not 0 = c₀ < c₁ < … < c_P = n with the shard in [0, P), and
+// own-range arrays — explicit rows, own speeds, state — that do not
+// cover exactly the shard's range; the halo arrays must agree in length
+// and fit beside it.
 func decodeConfig(b *transport.Buffer) (*clusterConfig, error) {
 	c := &clusterConfig{}
 	var err error
@@ -245,38 +347,106 @@ func decodeConfig(b *transport.Buffer) (*clusterConfig, error) {
 	read(func() (e error) { c.Model, e = b.U8(); return })
 	read(func() (e error) { c.Proto, e = b.String(); return })
 	read(func() (e error) { c.Alpha, e = b.F64(); return })
-	read(func() (e error) { v, e := b.U32(); c.P = int(v); return e })
 	read(func() (e error) { v, e := b.U32(); c.Shard = int(v); return e })
-	read(func() (e error) { v, e := b.U32(); c.Lo = int(v); return e })
-	read(func() (e error) { c.Strategy, e = b.String(); return })
-	read(func() (e error) { c.Instance, e = decodeInstance(b, false); return })
+	read(func() (e error) { c.Cuts, e = b.I32s(nil); return })
+	read(func() (e error) { c.Window, e = decodeWindow(b); return })
+	read(c.checkCuts)
+	var m int
 	read(func() error {
-		if c.P < 1 || c.P > c.Instance.N || c.Shard >= c.P {
-			return fmt.Errorf("shard %d of %d for %d nodes", c.Shard, c.P, c.Instance.N)
+		lo, hi := c.ownRange()
+		m = hi - lo
+		w := &c.Window
+		if w.Desc.Family == graph.Explicit && len(w.Offsets) != m+1 {
+			return fmt.Errorf("%d row offsets for range [%d,%d)", len(w.Offsets), lo, hi)
+		}
+		if len(w.Speeds) != m {
+			return fmt.Errorf("%d speeds for range [%d,%d)", len(w.Speeds), lo, hi)
+		}
+		if len(w.HaloSpeeds) != len(w.HaloDeg) || len(w.HaloDeg) > w.N-m {
+			return fmt.Errorf("%d halo speeds and %d halo degrees beside %d of %d nodes", len(w.HaloSpeeds), len(w.HaloDeg), m, w.N)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("shard: decode cluster config: %w", err)
-	}
 	if c.Model == modelUniform {
 		read(func() (e error) { c.Counts, e = b.I64s(nil); return })
+		read(func() error { return checkLen("counts", len(c.Counts), m) })
 	} else {
 		read(func() (e error) { c.SegLen, e = b.I64s(nil); return })
 		read(func() (e error) { c.Segs, e = b.F64s(nil); return })
+		read(func() error { return checkLen("segment lengths", len(c.SegLen), m) })
 	}
 	read(func() (e error) {
 		v, e := b.U8()
 		c.Restored = v != 0
 		return e
 	})
-	if err == nil && c.Restored && c.Model == modelWeighted {
-		c.NodeWeight, err = b.F64s(nil)
+	if c.Restored && c.Model == modelWeighted {
+		read(func() (e error) { c.NodeWeight, e = b.F64s(nil); return })
+		read(func() error { return checkLen("restored weight sums", len(c.NodeWeight), m) })
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: decode cluster config: %w", err)
 	}
 	return c, nil
+}
+
+// checkCuts holds the cut points to 0 = c₀ < c₁ < … < c_P = n and the
+// shard to [0, P).
+func (c *clusterConfig) checkCuts() error {
+	p, n := c.P(), c.Window.N
+	if p < 1 || c.Shard >= p {
+		return fmt.Errorf("shard %d of %d for %d nodes", c.Shard, max(p, 0), n)
+	}
+	if c.Cuts[0] != 0 || int(c.Cuts[p]) != n {
+		return fmt.Errorf("cut points span [%d,%d), not the %d nodes", c.Cuts[0], c.Cuts[p], n)
+	}
+	for s := 0; s < p; s++ {
+		if c.Cuts[s] >= c.Cuts[s+1] {
+			return fmt.Errorf("cut points %d and %d leave shard %d empty", c.Cuts[s], c.Cuts[s+1], s)
+		}
+	}
+	return nil
+}
+
+// checkLen refuses an own-range array of another length than the range.
+func checkLen(what string, got, want int) error {
+	if got != want {
+		return fmt.Errorf("%d %s for a range of %d", got, what, want)
+	}
+	return nil
+}
+
+// build rebuilds the worker's window of the instance from a decoded
+// config: its own rows — regenerated from the descriptor and refused
+// unless their digest is the sender's, or the shipped rows, revalidated
+// — rewritten into the local id space, the window partition over that
+// space, and the window System the decide kernels run on. The error
+// names the graph.
+func (c *clusterConfig) build() (*core.System, *Partition, error) {
+	w := &c.Window
+	lo, hi := c.ownRange()
+	var rows graph.Rows
+	var err error
+	if w.Desc.Family == graph.Explicit {
+		rows = graph.Rows{Lo: lo, Offsets: w.Offsets, Adj: w.Adj}
+		err = rows.Validate(w.N)
+	} else if rows, err = w.Desc.Rows(lo, hi); err == nil {
+		if got := rows.Digest(); got != w.Digest {
+			err = fmt.Errorf("rebuilt rows [%d,%d) with digest %#08x, sender has digest %#08x", lo, hi, got, w.Digest)
+		}
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("graph %s: %w", w.Name, err)
+	}
+	part := newWindowPartition(rows, c.Cuts, c.Shard)
+	if h := len(part.Halo(c.Shard)); h != len(w.HaloDeg) {
+		return nil, nil, fmt.Errorf("graph %s: rows [%d,%d) have %d halo nodes, sender has %d", w.Name, lo, hi, h, len(w.HaloDeg))
+	}
+	sys, err := core.NewWindowSystem(rows.Window(w.Name), w.Speeds, w.HaloSpeeds, w.HaloDeg, w.MaxDeg, w.SMax)
+	if err != nil {
+		return nil, nil, fmt.Errorf("graph %s: %w", w.Name, err)
+	}
+	return sys, part, nil
 }
 
 // encodeEventSlice writes the [lo,hi) slice of an event batch: sparse
@@ -330,33 +500,38 @@ func encodeEventSlice(b *transport.Buffer, model uint8, batch *core.EventBatch, 
 	}
 }
 
-// decodeEventSlice rebuilds a full-length event batch whose entries
-// outside the worker's range are zero.
-func decodeEventSlice(b *transport.Buffer, model uint8, n int) (*core.EventBatch, error) {
+// decodeEventSlice rebuilds a worker's slice of an event batch as
+// own-range arrays: entry i−lo holds node i's events, for i in [lo, hi).
+// An entry outside the range is refused. The arrays are sized by the
+// range, never by n.
+func decodeEventSlice(b *transport.Buffer, model uint8, lo, hi int) (*core.EventBatch, error) {
 	batch := &core.EventBatch{}
+	// node reads one entry's node id as an index into the own range.
+	node := func() (int, error) {
+		i, err := b.U32()
+		if err != nil {
+			return 0, err
+		}
+		if int64(i) < int64(lo) || int64(i) >= int64(hi) {
+			return 0, fmt.Errorf("shard: event node %d outside own range [%d,%d)", i, lo, hi)
+		}
+		return int(i) - lo, nil
+	}
 	if model == modelUniform {
 		readSparse := func() ([]int64, error) {
 			cnt, err := b.U32()
-			if err != nil {
+			if err != nil || cnt == 0 {
 				return nil, err
 			}
-			if cnt == 0 {
-				return nil, nil
-			}
-			v := make([]int64, n)
+			v := make([]int64, hi-lo)
 			for j := uint32(0); j < cnt; j++ {
-				i, err := b.U32()
+				k, err := node()
 				if err != nil {
 					return nil, err
 				}
-				k, err := b.I64()
-				if err != nil {
+				if v[k], err = b.I64(); err != nil {
 					return nil, err
 				}
-				if int(i) >= n {
-					return nil, fmt.Errorf("shard: event node %d of %d", i, n)
-				}
-				v[i] = k
 			}
 			return v, nil
 		}
@@ -374,42 +549,31 @@ func decodeEventSlice(b *transport.Buffer, model uint8, n int) (*core.EventBatch
 		return nil, err
 	}
 	if cnt > 0 {
-		batch.WeightArrivals = make([][]float64, n)
+		batch.WeightArrivals = make([][]float64, hi-lo)
 	}
 	for j := uint32(0); j < cnt; j++ {
-		i, err := b.U32()
+		k, err := node()
 		if err != nil {
 			return nil, err
 		}
-		ws, err := b.F64s(nil)
-		if err != nil {
+		if batch.WeightArrivals[k], err = b.F64s(nil); err != nil {
 			return nil, err
 		}
-		if int(i) >= n {
-			return nil, fmt.Errorf("shard: event node %d of %d", i, n)
-		}
-		batch.WeightArrivals[i] = ws
 	}
-	cnt, err = b.U32()
-	if err != nil {
+	if cnt, err = b.U32(); err != nil {
 		return nil, err
 	}
 	if cnt > 0 {
-		batch.WeightDepartures = make([]int64, n)
+		batch.WeightDepartures = make([]int64, hi-lo)
 	}
 	for j := uint32(0); j < cnt; j++ {
-		i, err := b.U32()
+		k, err := node()
 		if err != nil {
 			return nil, err
 		}
-		k, err := b.I64()
-		if err != nil {
+		if batch.WeightDepartures[k], err = b.I64(); err != nil {
 			return nil, err
 		}
-		if int(i) >= n {
-			return nil, fmt.Errorf("shard: event node %d of %d", i, n)
-		}
-		batch.WeightDepartures[i] = k
 	}
 	return batch, nil
 }

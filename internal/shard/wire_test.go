@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,10 +30,13 @@ func checkDecodeAlloc(t *testing.T, what string, input int, alloc uint64) {
 	}
 }
 
-// testInstances is a graph with a descriptor and one without, both on 8
-// nodes, as the coordinator would send them.
-func testInstances(t testing.TB) (described, explicit instanceWire) {
-	ring, err := graph.RingCSR(8)
+// testConfigs returns config frames as the coordinator builds them for
+// both models at P = 2 on 8 nodes: on a ring, whose rows travel as its
+// descriptor and their digest, and on a star, whose rows travel
+// explicitly. Uniform frames are shard 1's, weighted ones shard 0's and
+// restored.
+func testConfigs(t testing.TB) []*clusterConfig {
+	ring, err := graph.Ring(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,34 +44,43 @@ func testInstances(t testing.TB) (described, explicit instanceWire) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := star.CSR()
-	speeds := []float64{1, 2, 1, 1, 2, 1, 1, 1}
-	described = instanceWire{Name: ring.Name(), N: 8, Desc: ring.Descriptor(), Digest: ring.Digest(), Speeds: speeds, Lambda2: 0.58}
-	explicit = instanceWire{Name: csr.Name(), N: 8, Offsets: csr.Offsets(), Adj: csr.Adj(), Speeds: speeds, Lambda2: 1}
-	return described, explicit
+	speeds := machine.Speeds{1, 2, 1, 1, 2, 1, 1, 1}
+	var cfgs []*clusterConfig
+	for _, g := range []*graph.Graph{ring, star} {
+		sys, err := core.NewSystem(g, speeds, core.WithLambda2(0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := clusterPartition(sys, 2, Contiguous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := newClusterCore(sys, modelUniform, "algorithm1", 0, part, make([]io.ReadWriter, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, c.config(1, &ownState{Counts: []int64{3, 0, 9, 1}}, false))
+		c.model, c.proto, c.alpha = modelWeighted, "algorithm2", 0.5
+		cfgs = append(cfgs, c.config(0, &ownState{
+			SegLen: []int64{2, 0, 1, 0}, Segs: []float64{0.5, 0.25, 1}, NodeWeight: []float64{0.75, 0, 1, 0},
+		}, true))
+	}
+	return cfgs
 }
 
 // FuzzDecodeConfig feeds mutated config frames, seeded with descriptor
-// and explicit-CSR frames of both models, to the worker's decoder.
+// and explicit-rows frames of both models, to the worker's decoder.
 // Whatever the bytes, it must return a config or an error: no panic,
 // and no allocation out of proportion to the frame. Decoding never runs
-// a generator — a descriptor is checked against the stored speeds'
-// count by arithmetic alone — so a small frame cannot describe a graph
-// whose build would allocate gigabytes.
+// a generator — a descriptor is checked against the node count by
+// arithmetic alone, and the cut points, own-range arrays and halo arrays
+// against each other — so a small frame cannot describe rows whose
+// build would allocate gigabytes.
 func FuzzDecodeConfig(f *testing.F) {
-	described, explicit := testInstances(f)
-	for _, inst := range []instanceWire{described, explicit} {
-		for _, cfg := range []clusterConfig{
-			{Model: modelUniform, Proto: "algorithm1", P: 2, Shard: 1, Lo: 4, Strategy: "contiguous", Instance: inst,
-				Counts: []int64{3, 0, 9, 1}},
-			{Model: modelWeighted, Proto: "algorithm2", Alpha: 0.5, P: 2, Lo: 0, Strategy: "degree", Instance: inst,
-				SegLen: []int64{2, 0, 1, 0}, Segs: []float64{0.5, 0.25, 1}, Restored: true,
-				NodeWeight: []float64{0.75, 0, 1, 0}},
-		} {
-			var b transport.Buffer
-			encodeConfig(&b, &cfg)
-			f.Add(b.B)
-		}
+	for _, cfg := range testConfigs(f) {
+		var b transport.Buffer
+		encodeConfig(&b, cfg)
+		f.Add(b.B)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var b transport.Buffer
@@ -77,8 +90,63 @@ func FuzzDecodeConfig(f *testing.F) {
 	})
 }
 
+// FuzzWorkerDecoders feeds mutated frames to the worker-side decoders of
+// the per-round and state frames: an event slice of either model for the
+// own range [4, 12) (decodeEventSlice), an own state of either model
+// (decodeOwnState) and a worker stats report (decodeWorkerStats). The
+// first input byte picks the decoder. Whatever the rest, each must
+// return a value or an error: no panic, no allocation out of proportion
+// to the input, and an event slice never holds an entry outside the own
+// range.
+func FuzzWorkerDecoders(f *testing.F) {
+	batch := &core.EventBatch{
+		Arrivals: make([]int64, 16), Departures: make([]int64, 16),
+		WeightArrivals: make([][]float64, 16), WeightDepartures: make([]int64, 16),
+	}
+	batch.Arrivals[5], batch.Departures[11] = 3, 2
+	batch.WeightArrivals[4], batch.WeightDepartures[9] = []float64{0.5, 1}, 1
+	for pick, model := range []uint8{modelUniform, modelWeighted} {
+		var b transport.Buffer
+		encodeEventSlice(&b, model, batch, 4, 12)
+		f.Add(append([]byte{byte(pick)}, b.B...))
+		b.Reset()
+		encodeOwnState(&b, model, &ownState{Counts: []int64{1, 2}, SegLen: []int64{1, 0}, Segs: []float64{0.5}, NodeWeight: []float64{0.5, 0}})
+		f.Add(append([]byte{byte(2 + pick)}, b.B...))
+	}
+	var b transport.Buffer
+	encodeWorkerStats(&b, WorkerStats{DecideNs: 7, FlowsOut: 3})
+	f.Add(append([]byte{4}, b.B...))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) == 0 {
+			return
+		}
+		var b transport.Buffer
+		b.Load(frame[1:])
+		var got *core.EventBatch
+		alloc := allocated(func() {
+			switch model := uint8(frame[0] % 2); frame[0] % 5 {
+			case 0, 1:
+				got, _ = decodeEventSlice(&b, model, 4, 12)
+			case 2, 3:
+				_, _ = decodeOwnState(&b, model)
+			default:
+				_, _ = decodeWorkerStats(&b)
+			}
+		})
+		checkDecodeAlloc(t, "worker frame", len(frame), alloc)
+		if got == nil {
+			return
+		}
+		for _, l := range []int{len(got.Arrivals), len(got.Departures), len(got.WeightArrivals), len(got.WeightDepartures)} {
+			if l != 0 && l != 8 {
+				t.Fatalf("event slice of %d entries for an own range of 8", l)
+			}
+		}
+	})
+}
+
 // TestWorkerRefusesOtherGraph: a worker refuses a config whose
-// descriptor does not rebuild the coordinator's graph — a different
+// descriptor does not rebuild the coordinator's rows — a different rows
 // digest at the same node count, or a different node count — with an
 // error that names the graph, and the coordinator names the worker and
 // the phase. Close must not hang on the refusing workers.
@@ -93,11 +161,11 @@ func TestWorkerRefusesOtherGraph(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		tamper func(*instanceWire)
+		tamper func(*clusterCore)
 		want   string
 	}{
-		{"digest", func(w *instanceWire) { w.Digest ^= 1 }, "graph ring-8: rebuilt 8 nodes with digest"},
-		{"nodes", func(w *instanceWire) { w.Desc.Params[0] = 9 }, "graph ring-8: descriptor builds 9 nodes, not 8"},
+		{"digest", func(c *clusterCore) { c.rowDigest[0] ^= 1 }, "graph ring-8: rebuilt rows [0,4) with digest"},
+		{"nodes", func(c *clusterCore) { c.inst.Desc.Params[0] = 9 }, "graph ring-8: descriptor builds 9 nodes, not 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			part, err := clusterPartition(sys, 2, Contiguous)
@@ -110,7 +178,7 @@ func TestWorkerRefusesOtherGraph(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.closers, c.wait = closers, wait
-			tc.tamper(&c.inst)
+			tc.tamper(c)
 			err = c.configure([]*ownState{{Counts: make([]int64, 4)}, {Counts: make([]int64, 4)}}, false)
 			if err == nil || !strings.Contains(err.Error(), "shard: worker 0, configure: ") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("configure returned %v, want an error naming worker 0, the configure phase and %q", err, tc.want)
@@ -121,31 +189,41 @@ func TestWorkerRefusesOtherGraph(t *testing.T) {
 }
 
 // TestDecodeConfigRejects: the config decoder refuses, before anything
-// is built, a frame whose node count is not the stored speeds' count, a
-// descriptor that builds another node count or that no generator has,
-// an explicit CSR with the wrong offsets, and a shard outside [0, P)
-// with P outside [1, n].
+// is built, cut points that do not split [0, n) into P non-empty shards
+// with the shard in [0, P), a descriptor that builds another node count
+// or that no generator has, own-range arrays — explicit rows, speeds,
+// state — that do not cover exactly the shard's range, and halo arrays
+// that disagree or do not fit beside it.
 func TestDecodeConfigRejects(t *testing.T) {
-	described, explicit := testInstances(t)
+	cfgs := testConfigs(t)
+	described, explicit := cfgs[0], cfgs[2]
 	cases := []struct {
 		name   string
-		inst   instanceWire
+		cfg    *clusterConfig
 		tamper func(*clusterConfig)
 		want   string
 	}{
-		{"nodes-vs-speeds", described, func(c *clusterConfig) { c.Instance.N = 1 << 30 }, "speeds for"},
-		{"descriptor-nodes", described, func(c *clusterConfig) { c.Instance.Desc.Params[0] = 9 }, "descriptor builds 9 nodes, not 8"},
+		{"own-speeds", described, func(c *clusterConfig) { c.Window.Speeds = c.Window.Speeds[:3] }, "3 speeds for range [4,8)"},
+		{"descriptor-nodes", described, func(c *clusterConfig) { c.Window.Desc.Params[0] = 9 }, "descriptor builds 9 nodes, not 8"},
 		{"descriptor-overflow", described, func(c *clusterConfig) {
-			c.Instance.Desc = graph.Descriptor{Family: graph.FamilyComplete, Params: [2]int{50_000}}
+			c.Window.Desc = graph.Descriptor{Family: graph.FamilyComplete, Params: [2]int{50_000}}
 		}, "overflow"},
-		{"unknown-family", described, func(c *clusterConfig) { c.Instance.Desc.Family = graph.FamilyComplete + 1 }, "no generator"},
-		{"offsets", explicit, func(c *clusterConfig) { c.Instance.Offsets = c.Instance.Offsets[:8] }, "CSR offsets for"},
+		{"unknown-family", described, func(c *clusterConfig) { c.Window.Desc.Family = graph.FamilyComplete + 1 }, "no generator"},
+		{"offsets", explicit, func(c *clusterConfig) { c.Window.Offsets = c.Window.Offsets[:4] }, "4 row offsets for range [4,8)"},
 		{"shard", described, func(c *clusterConfig) { c.Shard = 2 }, "shard 2 of 2"},
-		{"zero-shards", described, func(c *clusterConfig) { c.P, c.Shard = 0, 0 }, "shard 0 of 0"},
-		{"shards-beyond-nodes", described, func(c *clusterConfig) { c.P = 9 }, "of 9 for 8 nodes"},
+		{"zero-shards", described, func(c *clusterConfig) { c.Cuts, c.Shard = []int32{8}, 0 }, "shard 0 of 0"},
+		{"cuts-span", described, func(c *clusterConfig) { c.Cuts = []int32{0, 4, 9} }, "cut points span [0,9), not the 8 nodes"},
+		{"empty-shard", described, func(c *clusterConfig) { c.Cuts = []int32{0, 4, 4, 8} }, "leave shard 1 empty"},
+		{"halo", described, func(c *clusterConfig) { c.Window.HaloDeg = append(c.Window.HaloDeg, 2) }, "halo degrees"},
+		{"halo-size", described, func(c *clusterConfig) {
+			c.Window.HaloSpeeds, c.Window.HaloDeg = make([]float64, 5), make([]int32, 5)
+		}, "5 halo speeds and 5 halo degrees beside 4 of 8 nodes"},
+		{"counts", described, func(c *clusterConfig) { c.Counts = c.Counts[:3] }, "3 counts for a range of 4"},
+		{"segments", cfgs[1], func(c *clusterConfig) { c.SegLen = c.SegLen[:3] }, "3 segment lengths for a range of 4"},
+		{"weight-sums", cfgs[1], func(c *clusterConfig) { c.NodeWeight = c.NodeWeight[:3] }, "3 restored weight sums for a range of 4"},
 	}
 	for _, tc := range cases {
-		cfg := clusterConfig{Model: modelUniform, Proto: "algorithm1", P: 2, Shard: 1, Lo: 4, Instance: tc.inst, Counts: make([]int64, 4)}
+		cfg := *tc.cfg
 		tc.tamper(&cfg)
 		var b transport.Buffer
 		encodeConfig(&b, &cfg)

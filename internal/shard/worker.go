@@ -13,17 +13,22 @@ import (
 
 // A cluster worker executes exactly one shard of an instance inside its
 // own process, driven frame by frame by the coordinator (cluster.go).
-// The worker builds the same engine the in-process path uses —
-// Options{Shards: P} with the identical partition — and drives that
-// shard's three phases directly, so every decide and commit runs the
+// It holds its own rows and its halo, nothing indexed by all n nodes,
+// in a local id space: its own nodes are the ids 0…m−1 and its halo
+// slots follow at m…m+h−1, in the partition's ascending halo-slot order.
+// From the config frame it rebuilds only its own rows (the descriptor's
+// row range, checked against the coordinator's digest of those rows),
+// rewrites them into local ids, and builds the same engine the in-process
+// path uses over a window partition (the cut points and a halo-slot
+// owner table) and a window core.System (own + halo speeds, the halo's
+// true degrees, the instance's Δ and s_max). It drives that shard's
+// three phases directly, so every decide and commit runs the
 // byte-for-byte identical code; only the flow exchange differs, swapped
-// behind the Transport interface. State is own-range only: the config
-// frame ships just this shard's slice (the rest of the engine's dense
-// vectors stays zero/empty), and the per-round load exchange is
-// O(cut), not O(n) — own boundary loads out, halo loads back, never
-// the full vector. Entries outside the own range and halo are never
-// read (LoadView's locality contract), so nothing here holds a full
-// copy of the global state.
+// behind the Transport interface. Node streams stay keyed by global id
+// (the engine's gbase), and flows change between local and global ids
+// only where this file encodes or decodes a frame, so no frame byte
+// depends on the local ids. The per-round load exchange is O(cut): own
+// boundary loads out, halo loads back.
 
 // workerTransport is the socket-backed Transport of a cluster worker:
 // the worker's own published lists are held locally (its intra-shard
@@ -93,8 +98,8 @@ type worker struct {
 	model  uint8
 	own    int
 	p      int
-	n      int
-	lo, hi int
+	lo, hi int     // global own range: local id k is global lo+k
+	halo   []int32 // global id of each halo slot (the partition's halo list)
 	tr     *workerTransport
 
 	ue *Engine
@@ -103,15 +108,14 @@ type worker struct {
 	// Rebuild inputs, retained so a coordinator-materialized state
 	// (KindStateLoad) can replace the weighted engine mid-session.
 	sys    *core.System
+	part   *Partition
 	wproto core.WeightedFlatProtocol
-	opts   Options
 
-	// Halo exchange: this shard's boundary and halo vertex lists (both
-	// aliases of the partition's sorted storage), the engine's load
-	// view, and the gather/scatter staging slices.
+	// Halo exchange: this shard's boundary rows (local ids, an alias of
+	// the partition's storage), the engine's load view, and the
+	// gather/scatter staging slices.
 	view     LoadView
 	boundary []int32
-	halo     []int32
 	bvals    []float64
 	hvals    []float64
 
@@ -128,8 +132,8 @@ type worker struct {
 	stats WorkerStats
 }
 
-// newWorker reads the config frame, builds the engine it describes and
-// acknowledges readiness.
+// newWorker reads the config frame, builds the window and the engine it
+// describes and acknowledges readiness.
 func newWorker(conn *transport.Conn) (*worker, error) {
 	kind, payload, err := conn.ReadFrame()
 	if err != nil {
@@ -147,22 +151,26 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 	// decodeConfig copied every field out of the frame; later frames are
 	// a small fraction of its size, so do not keep its buffer.
 	conn.ReleaseBuffer()
-	sys, err := cfg.Instance.system()
+	sys, part, err := cfg.build()
 	if err != nil {
 		return nil, fmt.Errorf("shard: worker: %w", err)
 	}
-	n := cfg.Instance.N
-	opts := Options{Shards: cfg.P, Workers: 1, Strategy: Strategy(cfg.Strategy)}
+	lo, hi := cfg.ownRange()
 	w := &worker{
-		conn:  conn,
-		model: cfg.Model,
-		own:   cfg.Shard,
-		p:     cfg.P,
-		n:     n,
+		conn:     conn,
+		model:    cfg.Model,
+		own:      cfg.Shard,
+		p:        cfg.P(),
+		lo:       lo,
+		hi:       hi,
+		halo:     part.Halo(cfg.Shard),
+		sys:      sys,
+		part:     part,
+		boundary: part.Boundary(cfg.Shard),
 		tr: &workerTransport{
 			own: cfg.Shard,
-			in:  make([][]transport.Flow, cfg.P),
-			inW: make([][]transport.WFlow, cfg.P),
+			in:  make([][]transport.Flow, cfg.P()),
+			inW: make([][]transport.WFlow, cfg.P()),
 		},
 	}
 	switch cfg.Model {
@@ -171,75 +179,37 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Lo < 0 || cfg.Lo+len(cfg.Counts) > n {
-			return nil, fmt.Errorf("shard: worker: own range [%d,%d) outside %d nodes", cfg.Lo, cfg.Lo+len(cfg.Counts), n)
-		}
-		counts := make([]int64, n)
-		copy(counts[cfg.Lo:], cfg.Counts)
-		e, err := New(sys, proto, counts, opts)
+		e, err := newEngine(sys, proto, cfg.Counts, part, 1, lo)
 		if err != nil {
 			return nil, err
 		}
-		if e.part.P() != cfg.P {
-			e.Close()
-			return nil, fmt.Errorf("shard: worker: partition clamps %d shards to %d", cfg.P, e.part.P())
-		}
 		e.tr = w.tr
 		w.ue = e
-		w.lo, w.hi = e.part.Range(cfg.Shard)
 		w.view = e.view
-		w.boundary = e.part.Boundary(cfg.Shard)
-		w.halo = e.part.Halo(cfg.Shard)
-		if w.lo != cfg.Lo || w.hi-w.lo != len(cfg.Counts) {
-			e.Close()
-			return nil, fmt.Errorf("shard: worker: config range [%d,%d) does not match partition range [%d,%d)", cfg.Lo, cfg.Lo+len(cfg.Counts), w.lo, w.hi)
-		}
 	case modelWeighted:
 		proto, err := weightedProtoFor(cfg.Proto, cfg.Alpha)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Lo < 0 || cfg.Lo+len(cfg.SegLen) > n {
-			return nil, fmt.Errorf("shard: worker: own range [%d,%d) outside %d nodes", cfg.Lo, cfg.Lo+len(cfg.SegLen), n)
-		}
-		perNode, err := expandSegments(n, cfg.Lo, cfg.SegLen, cfg.Segs)
+		perNode, err := expandSegments(cfg.SegLen, cfg.Segs)
 		if err != nil {
 			return nil, err
 		}
-		e, err := NewWeighted(sys, proto, perNode, opts)
+		e, err := newWeighted(sys, proto, perNode, part, 1, lo)
 		if err != nil {
 			return nil, err
-		}
-		if e.part.P() != cfg.P {
-			e.Close()
-			return nil, fmt.Errorf("shard: worker: partition clamps %d shards to %d", cfg.P, e.part.P())
 		}
 		if cfg.Restored {
 			// The checkpointed cached sums drift from the exact folds
 			// between periodic recomputes; adopt them bit-for-bit instead
-			// of the fresh folds NewWeighted computed.
-			if len(cfg.NodeWeight) != len(cfg.SegLen) {
-				e.Close()
-				return nil, fmt.Errorf("shard: worker: %d restored weight sums for range of %d", len(cfg.NodeWeight), len(cfg.SegLen))
-			}
-			copy(e.nodeWeight[cfg.Lo:], cfg.NodeWeight)
-			for i := range e.sumValid {
-				e.sumValid[i] = false
-			}
+			// of the fresh folds newWeighted computed.
+			copy(e.nodeWeight, cfg.NodeWeight)
+			clear(e.sumValid)
 		}
 		e.tr = w.tr
 		w.we = e
-		w.sys = sys
 		w.wproto = proto
-		w.opts = opts
-		w.lo, w.hi = e.part.Range(cfg.Shard)
 		w.view = e.view
-		w.boundary = e.part.Boundary(cfg.Shard)
-		w.halo = e.part.Halo(cfg.Shard)
-		if w.lo != cfg.Lo || w.hi-w.lo != len(cfg.SegLen) {
-			e.Close()
-			return nil, fmt.Errorf("shard: worker: config range [%d,%d) does not match partition range [%d,%d)", cfg.Lo, cfg.Lo+len(cfg.SegLen), w.lo, w.hi)
-		}
 	default:
 		return nil, fmt.Errorf("shard: worker: unknown model %d", cfg.Model)
 	}
@@ -250,23 +220,52 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 	return w, nil
 }
 
-// expandSegments unpacks an own-range (SegLen, Segs) pair into a
-// full-length per-node weights slice, empty outside [lo, lo+len(segLen)).
-// The returned segments alias segs.
-func expandSegments(n, lo int, segLen []int64, segs []float64) ([]task.Weights, error) {
-	perNode := make([]task.Weights, n)
+// expandSegments unpacks an own-range (SegLen, Segs) pair into per-node
+// weights, one entry per own node. The returned segments alias segs.
+func expandSegments(segLen []int64, segs []float64) ([]task.Weights, error) {
+	perNode := make([]task.Weights, len(segLen))
 	idx := int64(0)
 	for k, l := range segLen {
 		if l < 0 || idx+l > int64(len(segs)) {
 			return nil, fmt.Errorf("shard: worker: segment [%d,%d) outside pool of %d", idx, idx+l, len(segs))
 		}
-		perNode[lo+k] = task.Weights(segs[idx : idx+l])
+		perNode[k] = task.Weights(segs[idx : idx+l])
 		idx += l
 	}
 	if idx != int64(len(segs)) {
 		return nil, fmt.Errorf("shard: worker: %d pool weights beyond the segments", int64(len(segs))-idx)
 	}
 	return perNode, nil
+}
+
+// globalFlows rewrites outbound flow destinations from local halo ids to
+// global ids, in place, before the lists are encoded; the engine resets
+// them at its next decide.
+func (w *worker) globalFlows(fs []transport.Flow) []transport.Flow {
+	m := int32(w.hi - w.lo)
+	for k := range fs {
+		fs[k].Node = w.halo[fs[k].Node-m]
+	}
+	return fs
+}
+
+// globalWFlows is globalFlows for the weighted model.
+func (w *worker) globalWFlows(fs []transport.WFlow) []transport.WFlow {
+	m := int32(w.hi - w.lo)
+	for k := range fs {
+		fs[k].Dst = w.halo[fs[k].Dst-m]
+	}
+	return fs
+}
+
+// localID rewrites an inbound flow's global destination into its own
+// local id, refusing a destination outside the own range.
+func (w *worker) localID(v *int32) error {
+	if *v < int32(w.lo) || *v >= int32(w.hi) {
+		return fmt.Errorf("shard: worker: flow into node %d outside own range [%d,%d)", *v, w.lo, w.hi)
+	}
+	*v -= int32(w.lo)
+	return nil
 }
 
 func (w *worker) close() {
@@ -342,7 +341,7 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	}
 	w.evbuf.Reset()
 	if evFlag != 0 {
-		batch, err := decodeEventSlice(&b, w.model, w.n)
+		batch, err := decodeEventSlice(&b, w.model, w.lo, w.hi)
 		if err != nil {
 			return 0, err
 		}
@@ -383,7 +382,7 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	if len(hv) != len(w.halo) {
 		return 0, fmt.Errorf("shard: worker: %d halo loads for %d halo nodes", len(hv), len(w.halo))
 	}
-	w.view.FillHalo(w.halo, hv)
+	w.view.FillHalo(hv)
 
 	// Phase 2: decide own shard, publish locally, ship the cross-shard
 	// lists (the own-destination list stays local and never hits the
@@ -400,7 +399,7 @@ func (w *worker) round(payload []byte) (uint64, error) {
 			if d == w.own {
 				w.buf.PutFlows(nil)
 			} else {
-				w.buf.PutFlows(w.tr.lists[d])
+				w.buf.PutFlows(w.globalFlows(w.tr.lists[d]))
 				w.stats.FlowsOut += int64(len(w.tr.lists[d]))
 			}
 		}
@@ -414,7 +413,7 @@ func (w *worker) round(payload []byte) (uint64, error) {
 			if d == w.own {
 				w.buf.PutWFlows(nil)
 			} else {
-				w.buf.PutWFlows(w.tr.wlists[d])
+				w.buf.PutWFlows(w.globalWFlows(w.tr.wlists[d]))
 				w.stats.FlowsOut += int64(len(w.tr.wlists[d]))
 			}
 		}
@@ -462,7 +461,7 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	w.buf.Reset()
 	if crossed {
 		w.buf.PutU8(1)
-		w.buf.PutF64s(w.we.freshSum[w.lo:w.hi])
+		w.buf.PutF64s(w.we.freshSum)
 	} else {
 		w.buf.PutU8(0)
 	}
@@ -495,6 +494,11 @@ func (w *worker) loadGrantFlows(b *transport.Buffer) error {
 		if w.tr.in[src], err = b.Flows(w.tr.in[src][:0]); err != nil {
 			return err
 		}
+		for k := range w.tr.in[src] {
+			if err := w.localID(&w.tr.in[src][k].Node); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -511,6 +515,11 @@ func (w *worker) loadGrantWFlows(b *transport.Buffer) error {
 		if w.tr.inW[src], err = b.WFlows(w.tr.inW[src][:0]); err != nil {
 			return err
 		}
+		for k := range w.tr.inW[src] {
+			if err := w.localID(&w.tr.inW[src][k].Dst); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -520,7 +529,7 @@ func (w *worker) loadGrantWFlows(b *transport.Buffer) error {
 func (w *worker) events(payload []byte) error {
 	var b transport.Buffer
 	b.Load(payload)
-	batch, err := decodeEventSlice(&b, w.model, w.n)
+	batch, err := decodeEventSlice(&b, w.model, w.lo, w.hi)
 	if err != nil {
 		return err
 	}
@@ -531,9 +540,11 @@ func (w *worker) events(payload []byte) error {
 	return w.conn.WriteFrame(transport.KindEventsReport, w.evbuf.B)
 }
 
-// applyLocalEvents applies a workload batch to the worker's own range,
-// staging the event report in w.evbuf. For the weighted model the
-// report carries, per own node in ascending order, the exact weights
+// applyLocalEvents applies an own-range workload batch (indexed by
+// local id, see decodeEventSlice) to the worker's own range, staging
+// the event report, which names global ids, in w.evbuf. For the
+// weighted model the report carries, per own node in ascending order,
+// the exact weights
 // the drain removes — computed against the pre-event state with
 // WeightedState.Drain's clamp-and-truncate rule — so the coordinator
 // can replay the global totalW and ledger float64 operation sequence in
@@ -552,14 +563,15 @@ func (w *worker) applyLocalEvents(batch *core.EventBatch) error {
 		return nil
 	}
 	e := w.we
+	m := w.hi - w.lo
 	cnt := uint32(0)
-	for i := w.lo; i < w.hi; i++ {
+	for i := 0; i < m; i++ {
 		if e.drainCount(i, batch) > 0 {
 			cnt++
 		}
 	}
 	w.evbuf.PutU32(cnt)
-	for i := w.lo; i < w.hi; i++ {
+	for i := 0; i < m; i++ {
 		k := e.drainCount(i, batch)
 		if k <= 0 {
 			continue
@@ -579,7 +591,7 @@ func (w *worker) applyLocalEvents(batch *core.EventBatch) error {
 			}
 		}
 		w.scratch = drained[:0]
-		w.evbuf.PutU32(uint32(i))
+		w.evbuf.PutU32(uint32(w.lo + i))
 		w.evbuf.PutF64s(drained)
 	}
 	e.sinceRecompute = 0
@@ -605,24 +617,20 @@ func (w *worker) adoptState(payload []byte) error {
 	if len(st.SegLen) != w.hi-w.lo || len(st.NodeWeight) != w.hi-w.lo {
 		return fmt.Errorf("shard: worker: state sized %d/%d for range of %d", len(st.SegLen), len(st.NodeWeight), w.hi-w.lo)
 	}
-	perNode, err := expandSegments(w.n, w.lo, st.SegLen, st.Segs)
+	perNode, err := expandSegments(st.SegLen, st.Segs)
 	if err != nil {
 		return err
 	}
-	e, err := NewWeighted(w.sys, w.wproto, perNode, w.opts)
+	e, err := newWeighted(w.sys, w.wproto, perNode, w.part, 1, w.lo)
 	if err != nil {
 		return err
 	}
-	copy(e.nodeWeight[w.lo:w.hi], st.NodeWeight)
-	for i := range e.sumValid {
-		e.sumValid[i] = false
-	}
+	copy(e.nodeWeight, st.NodeWeight)
+	clear(e.sumValid)
 	e.tr = w.tr
 	w.we.Close()
 	w.we = e
 	w.view = e.view
-	w.boundary = e.part.Boundary(w.own)
-	w.halo = e.part.Halo(w.own)
 	return w.conn.WriteFrame(transport.KindEventsDone, nil)
 }
 
@@ -632,7 +640,7 @@ func (w *worker) adoptState(payload []byte) error {
 func (w *worker) encodeOwnState() {
 	w.buf.Reset()
 	if w.model == modelUniform {
-		w.buf.PutI64s(w.ue.counts[w.lo:w.hi])
+		w.buf.PutI64s(w.ue.counts)
 		return
 	}
 	e := w.we
@@ -644,7 +652,7 @@ func (w *worker) encodeOwnState() {
 			w.buf.PutF64(x)
 		}
 	}
-	w.buf.PutF64s(e.nodeWeight[w.lo:w.hi])
+	w.buf.PutF64s(e.nodeWeight)
 }
 
 // uniformProtoFor resolves a wire protocol name for the uniform model.
