@@ -126,24 +126,29 @@ cover:
 
 # Short native-fuzzing pass over the samplers, the graph generators,
 # the decide kernels, the transport frame reader, the cluster config
-# decoder, the worker's event-slice, own-state and stats decoders and
-# the checkpoint decoder (each -fuzz run accepts exactly one
-# target, hence one line per target), including the differential checks
-# of the Binomial zero-mass shortcut and of the branch-free decide
-# kernels against their pre-optimisation references.
+# decoder, the worker's event-slice, own-state and stats decoders, the
+# checkpoint decoder and the journal reader (each -fuzz run accepts
+# exactly one target, hence one line per target), including the
+# differential checks of the Binomial zero-mass shortcut and of the
+# branch-free decide kernels against their pre-optimisation references.
+# -fuzzminimizetime 100x bounds the minimization of each new input to
+# 100 execs: with Go's default of 60 s, minimizing one KB-sized input
+# (a checkpoint seed) used up the whole run. A crasher is still
+# reported and saved.
 # CI runs this on every push; longer local sessions can raise FUZZTIME.
 FUZZTIME ?= 5s
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
-	$(GO) test -run '^$$' -fuzz '^FuzzBinomialZeroShortcut$$' -fuzztime $(FUZZTIME) ./internal/rng
-	$(GO) test -run '^$$' -fuzz '^FuzzPoisson$$' -fuzztime $(FUZZTIME) ./internal/rng
-	$(GO) test -run '^$$' -fuzz '^FuzzMultinomial$$' -fuzztime $(FUZZTIME) ./internal/rng
-	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) ./internal/rng
-	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzDecideKernel$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime $(FUZZTIME) ./internal/shard
-	$(GO) test -run '^$$' -fuzz '^FuzzWorkerDecoders$$' -fuzztime $(FUZZTIME) ./internal/shard
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzBinomial$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzBinomialZeroShortcut$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzPoisson$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzMultinomial$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzEqualSplit$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerators$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecideKernel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerDecoders$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 
 ci: vet build race bench-check perfbench-check

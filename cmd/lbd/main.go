@@ -133,8 +133,8 @@ func parseFlags(argv []string) (*flags, error) {
 	fs.StringVar(&fl.protocol, "protocol", "paper", "weighted protocol: paper|literal|baseline")
 	fs.StringVar(&fl.placement, "placement", "proportional", "initial placement: corner|random|proportional")
 
-	fs.StringVar(&fl.engine, "engine", "seq", "execution engine: seq|forkjoin|actor|shard|cluster")
-	fs.IntVar(&fl.distWorkers, "dist-workers", 0, "pin the forkjoin/shard worker-pool size (0 = all cores)")
+	fs.StringVar(&fl.engine, "engine", "seq", "execution engine: seq|shard|cluster")
+	fs.IntVar(&fl.distWorkers, "dist-workers", 0, "pin the shard engine's worker-pool size (0 = all cores)")
 	fs.IntVar(&fl.shards, "shards", 0, "shard engine: partition count P (0 = worker count)")
 	fs.StringVar(&fl.shardStrategy, "shard-strategy", "contiguous", "shard engine: partition strategy contiguous|degree")
 
@@ -426,6 +426,46 @@ type errNode int
 
 func (e errNode) Error() string { return fmt.Sprintf("node %d out of range", int(e)) }
 
+// probedState is the read surface of both sequential states.
+type probedState interface {
+	core.State
+	Load(i int) float64
+	Loads() []float64
+}
+
+// stateProber answers every probe from one read of state: the live
+// state of the seq engine, or one gather from every worker of a
+// cluster. Loads makes GET /load?k= a single read instead of one per
+// node, which on a cluster would be n gathers.
+func stateProber[S probedState](n int, state func() (S, error)) serve.Prober {
+	return serve.Prober{
+		NodeLoad: func(i int) (float64, error) {
+			if i < 0 || i >= n {
+				return 0, errNode(i)
+			}
+			st, err := state()
+			if err != nil {
+				return 0, err
+			}
+			return st.Load(i), nil
+		},
+		Loads: func() ([]float64, error) {
+			st, err := state()
+			if err != nil {
+				return nil, err
+			}
+			return st.Loads(), nil
+		},
+		Psi0: func() float64 {
+			st, err := state()
+			if err != nil {
+				return 0
+			}
+			return st.Psi0()
+		},
+	}
+}
+
 // clusterStatser is the telemetry surface both cluster engines promote
 // from their embedded core.
 type clusterStatser interface {
@@ -593,41 +633,14 @@ func buildInstance(fl *flags) (*instance, error) {
 		var p serve.Prober
 		switch raw := h.Raw.(type) {
 		case *core.WeightedState:
-			p = serve.Prober{
-				NodeLoad: func(i int) (float64, error) {
-					if i < 0 || i >= n {
-						return 0, errNode(i)
-					}
-					return raw.Load(i), nil
-				},
-				Psi0: raw.Psi0,
-			}
+			p = stateProber(n, func() (*core.WeightedState, error) { return raw, nil })
 		case *shard.WeightedEngine:
 			p = serve.Prober{
 				NodeLoad: raw.NodeLoad,
 				Psi0:     func() float64 { return psi0FromWeights(sys, raw.NodeWeights()) },
 			}
-		default:
-			// forkjoin: materialize state on demand (small-n engines only).
-			p = serve.Prober{
-				NodeLoad: func(i int) (float64, error) {
-					if i < 0 || i >= n {
-						return 0, errNode(i)
-					}
-					st, err := h.State()
-					if err != nil {
-						return 0, err
-					}
-					return st.Load(i), nil
-				},
-				Psi0: func() float64 {
-					st, err := h.State()
-					if err != nil {
-						return 0
-					}
-					return st.Psi0()
-				},
-			}
+		case *shard.WeightedCluster:
+			p = stateProber(n, raw.State)
 		}
 		registerEngineMetrics(srv.Registry(), h.Raw)
 		return &instance{sys: sys, srv: srv, handler: withPprof(serve.NewHandler(srv, p), fl.pprofOn), probe: p, sink: sink, close: h.Close}, nil
@@ -637,7 +650,7 @@ func buildInstance(fl *flags) (*instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		h, err := harness.BuildUniformEngine(fl.engine, sys, core.Algorithm1{}, counts, fl.seed, eo)
+		h, err := harness.BuildUniformEngine(fl.engine, sys, core.Algorithm1{}, counts, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -649,32 +662,14 @@ func buildInstance(fl *flags) (*instance, error) {
 		var p serve.Prober
 		switch raw := h.Raw.(type) {
 		case *core.UniformState:
-			p = serve.Prober{
-				NodeLoad: func(i int) (float64, error) {
-					if i < 0 || i >= n {
-						return 0, errNode(i)
-					}
-					return raw.Load(i), nil
-				},
-				Psi0: raw.Psi0,
-			}
+			p = stateProber(n, func() (*core.UniformState, error) { return raw, nil })
 		case *shard.Engine:
 			p = serve.Prober{
 				NodeLoad: raw.NodeLoad,
 				Psi0:     func() float64 { return psi0FromCounts(sys, raw.Counts()) },
 			}
-		default:
-			// forkjoin/actor: snapshot counts on demand.
-			speeds := sys.Speeds()
-			p = serve.Prober{
-				NodeLoad: func(i int) (float64, error) {
-					if i < 0 || i >= n {
-						return 0, errNode(i)
-					}
-					return float64(h.Counts()[i]) / speeds[i], nil
-				},
-				Psi0: func() float64 { return psi0FromCounts(sys, h.Counts()) },
-			}
+		case *shard.UniformCluster:
+			p = stateProber(n, raw.State)
 		}
 		registerEngineMetrics(srv.Registry(), h.Raw)
 		return &instance{sys: sys, srv: srv, handler: withPprof(serve.NewHandler(srv, p), fl.pprofOn), probe: p, sink: sink, close: h.Close}, nil
@@ -1045,7 +1040,7 @@ func verifyJournal(j *serve.Journal, engine string, eo harness.EngineOpts) error
 		if err != nil {
 			return err
 		}
-		h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, j.Seed, eo)
+		h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, eo)
 		if err != nil {
 			return err
 		}

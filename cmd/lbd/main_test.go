@@ -1,14 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // parse builds a flags value through the real FlagSet so tests get the
@@ -167,5 +173,144 @@ func TestHTTPServerDropsStalledHeader(t *testing.T) {
 	}
 	if elapsed < headerTimeout/2 {
 		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, headerTimeout)
+	}
+}
+
+// loadRanking serves a torus instance of the given model on engine,
+// admits five single-op batches (one per round, so every engine runs
+// the same trajectory), then asks GET /load?k=3. It returns the
+// response body and how many frames the request moved at a cluster's
+// coordinator (0 on the other engines).
+func loadRanking(t *testing.T, model, engine string) (body string, frames float64) {
+	t.Helper()
+	fl := parse(t,
+		"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
+		"-speeds", "twoclass", "-smax", "2", "-placement", "random",
+		"-model", model, "-engine", engine, "-shards", "2",
+		"-nojournal", "-maxwait", "1ms")
+	inst, err := buildInstance(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.close()
+	defer inst.srv.Stop()
+	for k := 0; k < 5; k++ {
+		op := serve.Op{Kind: serve.OpArrive, Node: 7 * k, Count: 40}
+		if model == "weighted" {
+			op = serve.Op{Kind: serve.OpArriveWeighted, Node: 7 * k, Weight: 0.75}
+		}
+		tk, err := inst.srv.Submit(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst.srv.Do(func() {}) // the last admitted round has finished
+	ts := httptest.NewServer(inst.handler)
+	defer ts.Close()
+	before := clusterFrames(t, inst.srv.Registry())
+	resp, err := http.Get(ts.URL + "/load?k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s/%s: status %d: %s", model, engine, resp.StatusCode, raw)
+	}
+	return string(raw), clusterFrames(t, inst.srv.Registry()) - before
+}
+
+// clusterFrames sums the coordinator's transport frames, both
+// directions, from the daemon's registry.
+func clusterFrames(t *testing.T, reg *obs.Registry) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	if f := fams["lbd_cluster_transport_frames"]; f != nil {
+		for _, s := range f.Samples {
+			total += s.Value
+		}
+	}
+	return total
+}
+
+// TestClusterLoadRankingIsOneGather: on a cluster-served daemon,
+// GET /load?k=3 returns the sequential engine's ranking and reads the
+// loads with one state gather — a request and a reply per worker, 2P
+// frames — instead of one gather per node.
+func TestClusterLoadRankingIsOneGather(t *testing.T) {
+	const shards = 2
+	for _, model := range []string{"uniform", "weighted"} {
+		t.Run(model, func(t *testing.T) {
+			want, _ := loadRanking(t, model, "seq")
+			got, frames := loadRanking(t, model, "cluster")
+			if got != want {
+				t.Errorf("cluster ranking %s, want seq's %s", got, want)
+			}
+			if frames == 0 || frames > 2*shards {
+				t.Errorf("GET /load?k=3 moved %g frames at the coordinator, want 1..%d", frames, 2*shards)
+			}
+		})
+	}
+}
+
+// TestReplayJournalOfRemovedEngine: the journal meta's engine key is
+// provenance only, so a journal recorded under an engine name this
+// build no longer has still replays bit-exact on the remaining engines.
+func TestReplayJournalOfRemovedEngine(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "run.jsonl")
+	fl := parse(t,
+		"-selfdrive", "-rate", "4000", "-duration", "200ms",
+		"-graph", "ring", "-n", "48", "-tasks", "480", "-seed", "6",
+		"-engine", "seq", "-batch", "64", "-maxwait", "1ms",
+		"-journal", jpath)
+	if err := runSelfdrive(context.Background(), fl); err != nil {
+		t.Fatalf("selfdrive: %v", err)
+	}
+	f, err := os.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := serve.ReadJournal(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An -engine value of earlier builds, since deleted.
+	const removedEngine = "forkjoin"
+	j.Meta["engine"] = removedEngine
+	old := filepath.Join(dir, "old.jsonl")
+	out, err := os.Create(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"seq", "shard", "cluster"} {
+		if err := runReplay(parse(t, "-replay", old, "-engine", engine, "-shards", "2")); err != nil {
+			t.Fatalf("replay on %s: %v", engine, err)
+		}
+	}
+	if err := runReplay(parse(t, "-replay", old, "-engine", removedEngine)); err == nil ||
+		!strings.Contains(err.Error(), "unknown uniform engine") {
+		t.Fatalf("replay on the removed engine: %v, want the unknown-engine error", err)
 	}
 }

@@ -81,8 +81,8 @@ func TestRunDynamicSmoke(t *testing.T) {
 			t.Errorf("runDynamic(%s): %v", model, err)
 		}
 	}
-	if err := runDynamic(sys, 400, "uniform", "forkjoin", "paper", "random", 1, cfg, harness.EngineOpts{}); err != nil {
-		t.Errorf("runDynamic(forkjoin): %v", err)
+	if err := runDynamic(sys, 400, "uniform", "cluster", "paper", "random", 1, cfg, harness.EngineOpts{Shards: 2}); err != nil {
+		t.Errorf("runDynamic(cluster): %v", err)
 	}
 	if err := runDynamic(sys, 400, "uniform", "shard", "paper", "random", 1, cfg,
 		harness.EngineOpts{Shards: 3, Workers: 2}); err != nil {
@@ -106,7 +106,7 @@ func TestRunFixedSmoke(t *testing.T) {
 		eo     harness.EngineOpts
 	}{
 		{"seq", harness.EngineOpts{}},
-		{"forkjoin", harness.EngineOpts{Workers: 2}},
+		{"cluster", harness.EngineOpts{Shards: 2}},
 		{"shard", harness.EngineOpts{Shards: 5, Workers: 2}},
 		{"shard", harness.EngineOpts{Shards: 3, Strategy: "degree"}},
 	} {
@@ -212,7 +212,7 @@ func TestRunFixedWeightedSmoke(t *testing.T) {
 		eo        harness.EngineOpts
 	}{
 		{"seq", "corner", harness.EngineOpts{}},
-		{"forkjoin", "random", harness.EngineOpts{Workers: 2}},
+		{"cluster", "random", harness.EngineOpts{Shards: 2}},
 		{"shard", "proportional", harness.EngineOpts{Shards: 5, Workers: 2}},
 		{"shard", "corner", harness.EngineOpts{Shards: 3, Strategy: "degree"}},
 	} {

@@ -15,7 +15,7 @@
 //	  (Theorem 1.2), and fits log–log scaling exponents against the
 //	  table's predictions. Repetitions execute concurrently on the
 //	  harness worker pool (-workers, 0 = all cores) and -engine picks
-//	  the execution engine (seq|forkjoin|actor|shard|cluster — the trajectories, and
+//	  the execution engine (seq|shard|cluster — the trajectories, and
 //	  therefore the table, are identical).
 package main
 
@@ -53,7 +53,7 @@ func run() error {
 		classesFl = flag.String("classes", "complete,ring,torus,hypercube", "classes to include")
 		jsonOut   = flag.Bool("json", false, "emit JSON instead of text")
 		workers   = flag.Int("workers", 0, "concurrent repetitions in -mode measure (0 = all cores)")
-		engine    = flag.String("engine", "seq", "execution engine: seq|forkjoin|actor|shard|cluster (identical trajectories)")
+		engine    = flag.String("engine", "seq", "execution engine: seq|shard|cluster (identical trajectories)")
 	)
 	flag.Parse()
 

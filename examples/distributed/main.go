@@ -1,9 +1,11 @@
-// Command distributed runs the protocol on the message-passing actor
-// runtime: one goroutine per processor, channels as network links, loads
-// and migrations exchanged strictly along graph edges — the paper's
-// locality model made literal. It then verifies that the concurrent
-// execution reproduces the sequential engine's trajectory bit-for-bit
-// under the same seed (the determinism property package dist guarantees).
+// Command distributed runs the protocol on an in-process cluster: a
+// coordinator and four shard workers, each in its own goroutine, that
+// talk only through the wire protocol over net.Pipe. A worker holds its
+// own nodes and their halo (the neighbours in other shards), and a
+// round moves only halo loads and cross-shard migrations between them —
+// the paper's locality model, with every message on a wire. The example
+// then verifies that the distributed execution reproduces the
+// sequential engine's trajectory bit-for-bit under the same seed.
 package main
 
 import (
@@ -11,10 +13,10 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/spectral"
 	"repro/internal/workload"
 )
@@ -46,25 +48,25 @@ func run() error {
 		return err
 	}
 
-	// Actor network: n goroutines, 2·deg messages per node per round.
-	net, err := dist.NewNetwork(sys, counts, 0)
+	const workers = 4
+	cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, shard.Options{Shards: workers})
 	if err != nil {
 		return err
 	}
-	defer net.Close()
+	defer cl.Close()
 
-	// The actor network is a core.Engine, so the shared driver gives it
-	// stop conditions and potential tracing exactly like the sequential
-	// engine — one Drive call replaces the bespoke run loop.
+	// The cluster is a core.Engine, so the shared driver gives it stop
+	// conditions and potential tracing exactly like the sequential
+	// engine; each stop check gathers the state from the workers.
 	const seed = 7
-	fmt.Printf("network: %s with %d processor goroutines\n", g, n)
-	res, err := core.Drive[*core.UniformState](net, core.StopAtNash(),
+	fmt.Printf("cluster: %s over %d shard workers on net.Pipe\n", g, workers)
+	res, err := core.Drive[*core.UniformState](cl, core.StopAtNash(),
 		core.RunOpts{MaxRounds: 500_000, Seed: seed, TraceEvery: 2000})
 	if err != nil {
 		return err
 	}
 	rounds := res.Rounds
-	fmt.Printf("actors:  exact NE after %d rounds (converged=%v, %d moves)\n", rounds, res.Converged, res.Moves)
+	fmt.Printf("cluster: exact NE after %d rounds (converged=%v, %d moves)\n", rounds, res.Converged, res.Moves)
 	for _, p := range res.Trace {
 		fmt.Printf("trace:   round %6d  Ψ₀=%-12.4g L_Δ=%.3f\n", p.Round, p.Psi0, p.LDelta)
 	}
@@ -79,21 +81,20 @@ func run() error {
 	for r := 1; r <= rounds; r++ {
 		proto.Step(seq, uint64(r), base)
 	}
+	st, err := cl.State()
+	if err != nil {
+		return err
+	}
 	mismatch := 0
-	for i, c := range net.Counts() {
-		if c != seq.Count(i) {
+	for i := 0; i < n; i++ {
+		if st.Count(i) != seq.Count(i) {
 			mismatch++
 		}
 	}
 	if mismatch == 0 {
-		fmt.Println("replay:  sequential engine reproduced the concurrent trajectory exactly")
+		fmt.Println("replay:  sequential engine reproduced the distributed trajectory exactly")
 	} else {
 		fmt.Printf("replay:  %d nodes differ (unexpected!)\n", mismatch)
-	}
-
-	st, err := net.State()
-	if err != nil {
-		return err
 	}
 	fmt.Printf("final:   Ψ₀=%.3g, L_Δ=%.3f, NE=%v\n", core.Psi0(st), core.LDelta(st), core.IsNash(st))
 	return nil

@@ -7,15 +7,15 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestRunSmoke executes the actor-network example end to end. Its
-// output is itself the acceptance check for the dist engines: the
-// sequential replay of the concurrent run must match exactly.
+// TestRunSmoke executes the cluster example end to end. Its output is
+// itself an acceptance check for the cluster: the sequential replay of
+// the distributed run must match exactly.
 func TestRunSmoke(t *testing.T) {
 	out := testutil.CaptureStdout(t, run)
 	for _, want := range []string{
-		"processor goroutines",
+		"shard workers on net.Pipe",
 		"exact NE after",
-		"sequential engine reproduced the concurrent trajectory exactly",
+		"sequential engine reproduced the distributed trajectory exactly",
 		"NE=true",
 	} {
 		if !strings.Contains(out, want) {
@@ -23,6 +23,6 @@ func TestRunSmoke(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "unexpected!") {
-		t.Errorf("concurrent and sequential trajectories diverged:\n%s", out)
+		t.Errorf("distributed and sequential trajectories diverged:\n%s", out)
 	}
 }

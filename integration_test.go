@@ -11,11 +11,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/spectral"
 	"repro/internal/task"
 	"repro/internal/workload"
@@ -151,8 +151,8 @@ func TestEndToEndWeightedPipeline(t *testing.T) {
 }
 
 // TestEnginesAgreeEndToEnd runs the same instance on the sequential
-// engine, the fork–join runtime and the actor network and demands
-// identical final states.
+// engine, the in-process shard engine and the in-process cluster and
+// demands identical final states.
 func TestEnginesAgreeEndToEnd(t *testing.T) {
 	g, err := graph.Hypercube(4)
 	if err != nil {
@@ -183,35 +183,35 @@ func TestEnginesAgreeEndToEnd(t *testing.T) {
 		proto.Step(seq, r, base)
 	}
 
-	rt, err := dist.NewRuntime(sys, core.Algorithm1{}, counts)
+	eng, err := shard.New(sys, core.Algorithm1{}, counts, shard.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	baseRT := rng.New(seed)
+	defer eng.Close()
+	cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, shard.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	baseShard, baseCluster := rng.New(seed), rng.New(seed)
 	for r := uint64(1); r <= rounds; r++ {
-		if _, err := rt.Round(r, baseRT); err != nil {
+		if _, err := eng.Step(r, baseShard); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Step(r, baseCluster); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	net, err := dist.NewNetwork(sys, counts, 0)
+	shardCounts := eng.Counts()
+	clusterCounts, err := cl.Counts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
-	baseNet := rng.New(seed)
-	for r := uint64(1); r <= rounds; r++ {
-		if _, err := net.Step(r, baseNet); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rtCounts, netCounts := rt.Counts(), net.Counts()
 	for i := 0; i < n; i++ {
-		if seq.Count(i) != rtCounts[i] || seq.Count(i) != netCounts[i] {
-			t.Fatalf("engines disagree at node %d: seq=%d forkjoin=%d actors=%d",
-				i, seq.Count(i), rtCounts[i], netCounts[i])
+		if seq.Count(i) != shardCounts[i] || seq.Count(i) != clusterCounts[i] {
+			t.Fatalf("engines disagree at node %d: seq=%d shard=%d cluster=%d",
+				i, seq.Count(i), shardCounts[i], clusterCounts[i])
 		}
 	}
 }

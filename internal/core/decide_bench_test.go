@@ -99,7 +99,7 @@ func BenchmarkDecideNode(b *testing.B) {
 }
 
 // benchDecideUniform decides one round of Algorithm 1 on counts, the
-// loop of core.DecideRange without the delta merge.
+// sequential engine's decide loop without the delta merge.
 func benchDecideUniform(b *testing.B, sys *core.System, counts []int64) {
 	st, err := core.NewUniformState(sys, counts)
 	if err != nil {

@@ -89,17 +89,15 @@ type State interface {
 //
 // The sequential protocols implement Engine through the adapters behind
 // RunUniform/RunWeighted, whose State is the live state itself; the
-// concurrent engines in package dist (fork–join Runtime, actor Network,
-// WeightedRuntime), the in-process shard engines (shard.Engine,
-// shard.WeightedEngine, whose weighted State aliases its task pools and
-// weight sums) and the process clusters (shard.UniformCluster,
-// shard.WeightedCluster, which gather a fresh state from their workers)
-// implement it directly. Because every engine draws node i's round-r
-// randomness from base.At(r, i), and every run loop — Drive, the serve
-// daemon, the cluster's checkpointing Drive — advances its engine
-// through a Runner, any engine driven with the same seed yields
-// bit-identical trajectories, and therefore identical RunResults and
-// traces.
+// in-process shard engines (shard.Engine, shard.WeightedEngine, whose
+// weighted State aliases its task pools and weight sums) and the
+// process clusters (shard.UniformCluster, shard.WeightedCluster, which
+// gather a fresh state from their workers) implement it directly.
+// Because every engine draws node i's round-r randomness from
+// base.At(r, i), and every run loop — Drive, the serve daemon, the
+// cluster's checkpointing Drive — advances its engine through a Runner,
+// any engine driven with the same seed yields bit-identical
+// trajectories, and therefore identical RunResults and traces.
 type Engine[S State] interface {
 	Step(round uint64, base *rng.Stream) (int64, error)
 	State() (S, error)

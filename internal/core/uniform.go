@@ -20,8 +20,8 @@ type UniformProtocol interface {
 // migrations depend only on its own task count, the loads of itself and
 // its direct neighbors, and the stream base.At(round, i). That locality
 // is exactly the paper's model, and it is what lets the concurrent
-// engines in package dist (fork–join runtime, actor network) execute the
-// decisions in parallel while reproducing the sequential trajectory
+// engines in package shard (in process and across processes) execute
+// the decisions in parallel while reproducing the sequential trajectory
 // bit-for-bit.
 type UniformNodeProtocol interface {
 	UniformProtocol
@@ -184,34 +184,22 @@ func eligibleMaskByNode(li float64, loads []float64, nbs []int32, invSpeed []flo
 
 // stepNodewise runs one synchronous round of a node-decomposable protocol
 // on the sequential engine: decide every node on the round-start load
-// snapshot, then apply the aggregated deltas. Package dist executes the
-// same DecideNode calls concurrently; because node i's round-r stream
-// base.At(r, i) is derived purely from the seed, the trajectories agree
-// exactly.
+// snapshot, accumulating migration deltas, then apply them. Package
+// shard executes the same DecideNode calls concurrently; because node
+// i's round-r stream base.At(r, i) is derived purely from the seed, the
+// trajectories agree exactly.
 func stepNodewise(st *UniformState, round uint64, base *rng.Stream, p UniformNodeProtocol) int64 {
 	sys := st.sys
-	n := sys.g.N()
-	loads := st.Loads() // round-start snapshot: all tasks act concurrently
-	delta := make([]int64, n)
-	maxDeg := sys.maxDeg
-	nb := make([]float64, maxDeg)
-	out := make([]int64, maxDeg)
-	moves := DecideRange(sys, p, st.counts, loads, base.Split(round), 0, n, nb, out, delta)
-	st.applyDelta(delta)
-	return moves
-}
-
-// DecideRange evaluates p.DecideNode for every node in [lo, hi) of one
-// round-start snapshot (counts, loads), accumulating migration deltas
-// into delta and returning the total moves. nb and out are scratch
-// buffers of at least MaxDegree elements. It is the single source of
-// truth for the decide-and-merge loop: the sequential engine runs it
-// over [0, n) and the fork–join workers in package dist run it over
-// their shards, which is what keeps the engines bit-identical.
-func DecideRange(sys *System, p UniformNodeProtocol, counts []int64, loads []float64, roundStream *rng.Stream, lo, hi int, nb []float64, out, delta []int64) int64 {
 	g := sys.g
+	n := g.N()
+	counts := st.counts
+	loads := st.Loads() // round-start snapshot: all tasks act concurrently
+	roundStream := base.Split(round)
+	delta := make([]int64, n)
+	nb := make([]float64, sys.maxDeg)
+	out := make([]int64, sys.maxDeg)
 	moves := int64(0)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		wi := counts[i]
 		if wi == 0 {
 			continue
@@ -233,6 +221,7 @@ func DecideRange(sys *System, p UniformNodeProtocol, counts []int64, loads []flo
 			}
 		}
 	}
+	st.applyDelta(delta)
 	return moves
 }
 

@@ -41,33 +41,25 @@ type Algorithm2 struct {
 	Alpha float64
 }
 
-// WeightedNodeProtocol is a WeightedProtocol whose round factorizes into
-// independent per-node decisions on the round-start snapshot, the
-// weighted analogue of UniformNodeProtocol. Package dist executes
-// DecideNode concurrently; ApplyMoves is deterministic in the multiset
-// of pending moves, so concurrent and sequential execution produce the
-// same state.
-type WeightedNodeProtocol interface {
-	WeightedProtocol
-	DecideNode(st *WeightedState, i int, loads []float64, nodeStream *rng.Stream) []TaskMove
-}
-
-// WeightedFlatProtocol is a WeightedNodeProtocol whose per-node decision
-// can also run against flat state — a task count, a cached node weight
-// and the global load snapshot — without a *WeightedState, writing into
+// WeightedFlatProtocol is a WeightedProtocol whose round factorizes
+// into independent per-node decisions on the round-start snapshot, the
+// weighted analogue of UniformNodeProtocol, and whose per-node decision
+// runs against flat state — a task count, a cached node weight and the
+// global load snapshot — without a *WeightedState, writing into
 // caller-owned scratch. This is what Algorithm 2's exchangeability buys:
 // because the migration probability is independent of the moving task's
 // own weight, the decision needs only (cnt, Wᵢ, loads), never the
 // per-task multiset, so an engine that stores weights in one contiguous
-// pool (package shard) can evaluate it allocation-free.
+// pool (package shard) can evaluate it allocation-free. ApplyMoves is
+// deterministic in the multiset of pending moves, so concurrent and
+// sequential execution produce the same state.
 type WeightedFlatProtocol interface {
-	WeightedNodeProtocol
+	WeightedProtocol
 	// DecideNodeFlat computes node i's outgoing migrations for one round
-	// from flat inputs, drawing the identical stream values as DecideNode
-	// (which delegates here). The returned moves are sorted by task
-	// index descending — the core.ApplyMoves application order — so
-	// committing engines need not re-sort them. The returned slice
-	// aliases sc and is valid until the next call with the same scratch.
+	// from flat inputs. The returned moves are sorted by task index
+	// descending — the core.ApplyMoves application order — so committing
+	// engines need not re-sort them. The returned slice aliases sc and
+	// is valid until the next call with the same scratch.
 	DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []float64, nodeStream *rng.Stream, sc *WeightedScratch) []TaskMove
 }
 
@@ -110,7 +102,6 @@ func NewWeightedScratch(maxDeg int) *WeightedScratch {
 	}
 }
 
-var _ WeightedNodeProtocol = Algorithm2{}
 var _ WeightedFlatProtocol = Algorithm2{}
 
 // Name implements WeightedProtocol.
@@ -125,7 +116,7 @@ func (p Algorithm2) effectiveAlpha(sys *System) float64 {
 
 // Step implements WeightedProtocol. It reuses one scratch across the
 // node loop (append copies each node's moves out of it), which draws
-// the identical stream values as per-node DecideNode calls.
+// the identical stream values as a fresh scratch per node.
 func (p Algorithm2) Step(st *WeightedState, round uint64, base *rng.Stream) int {
 	n := st.sys.g.N()
 	loads := st.Loads()
@@ -139,28 +130,14 @@ func (p Algorithm2) Step(st *WeightedState, round uint64, base *rng.Stream) int 
 	return ApplyMoves(st, pending)
 }
 
-// DecideNode computes node i's outgoing migrations for one round of
-// Algorithm 2, given the round-start load snapshot and the node's
-// deterministic stream. It performs the exact batched sampling of the
-// per-task process — see DecideNodeFlat — and returns the moves sorted
-// by task index descending. Exposed so concurrent runtimes (package
-// dist) can execute the identical decision per node goroutine. It
-// delegates to DecideNodeFlat with a fresh scratch, which both
-// guarantees the two entry points are draw-identical and makes the
-// returned slice safe to retain.
-func (p Algorithm2) DecideNode(st *WeightedState, i int, loads []float64, nodeStream *rng.Stream) []TaskMove {
-	g := st.sys.g
-	return p.DecideNodeFlat(st.sys, i, len(st.tasks[i]), st.nodeWeight[i], loads,
-		nodeStream, NewWeightedScratch(len(g.Neighbors(i))))
-}
-
-// DecideNodeFlat implements WeightedFlatProtocol: the batched sampling
-// of DecideNode against flat inputs — node i's task count, its cached
-// total weight Wᵢ and the global round-start load snapshot — drawing
-// into sc instead of allocating. Note the per-task weights never enter:
-// the migration condition and probability depend only on loads and Wᵢ
-// (the paper's key design decision), so the tasks are exchangeable and
-// batching the per-task categorical draws is exact.
+// DecideNodeFlat implements WeightedFlatProtocol: node i's outgoing
+// migrations for one round of Algorithm 2, an exact batched sampling of
+// the per-task process against flat inputs — node i's task count, its
+// cached total weight Wᵢ and the global round-start load snapshot —
+// drawing into sc instead of allocating. Note the per-task weights
+// never enter: the migration condition and probability depend only on
+// loads and Wᵢ (the paper's key design decision), so the tasks are
+// exchangeable and batching the per-task categorical draws is exact.
 //
 // The batching works per block of DecideBlock consecutive positions:
 // the i.i.d. per-task draws factor over any partition of the positions,

@@ -12,10 +12,10 @@ import (
 
 // TestDecideNodeFlatScratchReuse pins that DecideNodeFlat is
 // insensitive to scratch reuse: a dirty shared scratch must produce the
-// exact moves a fresh per-call scratch (the DecideNode path) produces,
-// with the identical stream consumption. This is the property that lets
-// the shard engine evaluate millions of nodes through one per-worker
-// scratch.
+// exact moves a fresh per-call scratch sized to the node's degree
+// produces, with the identical stream consumption. This is the property
+// that lets the shard engine evaluate millions of nodes through one
+// per-worker scratch.
 func TestDecideNodeFlatScratchReuse(t *testing.T) {
 	g, err := graph.Torus(4, 4)
 	if err != nil {
@@ -48,7 +48,8 @@ func TestDecideNodeFlatScratchReuse(t *testing.T) {
 		roundStream := base.Split(round)
 		var pending []TaskMove
 		for i := 0; i < n; i++ {
-			fresh := proto.DecideNode(st, i, loads, roundStream.Split(uint64(i)))
+			fresh := proto.DecideNodeFlat(sys, i, len(st.tasks[i]), st.nodeWeight[i], loads,
+				roundStream.Split(uint64(i)), NewWeightedScratch(len(g.Neighbors(i))))
 			reused := proto.DecideNodeFlat(sys, i, len(st.tasks[i]), st.nodeWeight[i], loads,
 				roundStream.Split(uint64(i)), shared)
 			if len(fresh) != len(reused) {

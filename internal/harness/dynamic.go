@@ -151,8 +151,8 @@ func runDynamicLoop(opts DynamicOpts, traceEvery int, res *DynamicResult,
 // events through core.Drive's Events hook, segmented at churn events,
 // with the topology rewired and the engine rebuilt between segments.
 // All churn randomness is keyed by (Workload.Seed, event round, seq)
-// and all protocol randomness by (Seed, epoch), so seq, forkjoin and
-// actor produce bit-identical trajectories, traces and ledgers.
+// and all protocol randomness by (Seed, epoch), so seq, shard and
+// cluster produce bit-identical trajectories, traces and ledgers.
 func RunUniformDynamic(engine string, sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts DynamicOpts) (DynamicResult, error) {
 	if err := opts.validate(); err != nil {
 		return DynamicResult{}, err
@@ -194,7 +194,7 @@ func RunUniformDynamic(engine string, sys *core.System, proto core.UniformNodePr
 }
 
 // RunWeightedDynamic is the weighted-model analogue of
-// RunUniformDynamic (engines: seq and forkjoin).
+// RunUniformDynamic (engines: seq, shard and cluster).
 func RunWeightedDynamic(engine string, sys *core.System, proto core.WeightedProtocol, perNode []task.Weights, opts DynamicOpts) (DynamicResult, error) {
 	if err := opts.validate(); err != nil {
 		return DynamicResult{}, err

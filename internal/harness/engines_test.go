@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -11,29 +12,20 @@ import (
 	"repro/internal/task"
 )
 
-// TestEngineLists pins the dispatcher's engine menus: every uniform
-// engine plus the weighted list, shard and cluster included since the
-// respective engines landed.
+// TestEngineLists pins the dispatcher's engine menus: both task models
+// run on the sequential reference, the shard engine and the cluster.
 func TestEngineLists(t *testing.T) {
-	wantU := []string{EngineSeq, EngineForkJoin, EngineActor, EngineShard, EngineCluster}
-	if got := UniformEngines(); len(got) != len(wantU) {
-		t.Fatalf("UniformEngines() = %v", got)
-	}
-	wantW := []string{EngineSeq, EngineForkJoin, EngineShard, EngineCluster}
-	got := WeightedEngines()
-	if len(got) != len(wantW) {
-		t.Fatalf("WeightedEngines() = %v, want %v", got, wantW)
-	}
-	for i := range wantW {
-		if got[i] != wantW[i] {
-			t.Fatalf("WeightedEngines()[%d] = %q, want %q", i, got[i], wantW[i])
+	want := []string{EngineSeq, EngineShard, EngineCluster}
+	for model, got := range map[string][]string{"uniform": UniformEngines(), "weighted": WeightedEngines()} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s engines = %v, want %v", model, got, want)
 		}
 	}
 }
 
 // TestWeightedEngineSupports pins the capability matrix the experiments
-// use for engine fallback: seq runs anything, forkjoin needs a
-// node-decomposable protocol, shard needs a flat-decidable one.
+// use for engine fallback: seq runs anything, shard needs a
+// flat-decidable protocol, the cluster one registered on the wire.
 func TestWeightedEngineSupports(t *testing.T) {
 	cases := []struct {
 		engine string
@@ -42,8 +34,6 @@ func TestWeightedEngineSupports(t *testing.T) {
 	}{
 		{"", core.BaselineWeighted{}, true},
 		{EngineSeq, core.BaselineWeighted{}, true},
-		{EngineForkJoin, core.Algorithm2{}, true},
-		{EngineForkJoin, core.BaselineWeighted{}, false},
 		{EngineShard, core.Algorithm2{}, true},
 		{EngineShard, core.BaselineWeighted{}, false},
 		{EngineShard, core.Algorithm2Literal{}, false},
@@ -86,9 +76,6 @@ func TestEngineOptsResolved(t *testing.T) {
 	}{
 		{"seq-defaults", EngineOpts{}, EngineSeq, 100, EngineOpts{Workers: 1}},
 		{"seq-ignores-flags", EngineOpts{Workers: 9, Shards: 4}, EngineSeq, 100, EngineOpts{Workers: 1}},
-		{"actor-one-per-node", EngineOpts{}, EngineActor, 24, EngineOpts{Workers: 24}},
-		{"forkjoin-defaults", EngineOpts{}, EngineForkJoin, 1000, EngineOpts{Workers: procs}},
-		{"forkjoin-capped-at-n", EngineOpts{Workers: 64}, EngineForkJoin, 8, EngineOpts{Workers: 8}},
 		{"shard-defaults", EngineOpts{}, EngineShard, 1000,
 			EngineOpts{Workers: procs, Shards: procs, Strategy: "contiguous"}},
 		{"shard-explicit", EngineOpts{Workers: 2, Shards: 5, Strategy: "degree"}, EngineShard, 1000,
@@ -97,12 +84,16 @@ func TestEngineOptsResolved(t *testing.T) {
 			EngineOpts{Workers: 4, Shards: 8, Strategy: "contiguous"}},
 		{"shard-workers-capped-at-p", EngineOpts{Workers: 8, Shards: 2}, EngineShard, 100,
 			EngineOpts{Workers: 2, Shards: 2, Strategy: "contiguous"}},
+		{"shard-workers-capped-at-n", EngineOpts{Workers: 64}, EngineShard, 8,
+			EngineOpts{Workers: 8, Shards: 8, Strategy: "contiguous"}},
 		{"cluster-defaults", EngineOpts{}, EngineCluster, 1000,
 			EngineOpts{Workers: procs, Shards: procs, Strategy: "contiguous"}},
 		{"cluster-one-worker-per-shard", EngineOpts{Workers: 8, Shards: 3}, EngineCluster, 100,
 			EngineOpts{Workers: 3, Shards: 3, Strategy: "contiguous"}},
 		{"cluster-clamp-p-to-n", EngineOpts{Shards: 1000}, EngineCluster, 8,
 			EngineOpts{Workers: 8, Shards: 8, Strategy: "contiguous"}},
+		{"cluster-one-worker-per-node", EngineOpts{Shards: 24}, EngineCluster, 24,
+			EngineOpts{Workers: 24, Shards: 24, Strategy: "contiguous"}},
 	}
 	for _, c := range cases {
 		if got := c.eo.Resolved(c.engine, c.n); cfgOf(got) != cfgOf(c.want) {

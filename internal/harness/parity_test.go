@@ -62,8 +62,8 @@ func sameRun(t *testing.T, engine string, want, got core.RunResult) {
 	}
 }
 
-// TestUniformEngineParity drives the sequential engine, the fork–join
-// runtime and the actor network through the unified driver on every
+// TestUniformEngineParity drives the sequential engine, the shard
+// engine and the in-process cluster through the unified driver on every
 // Table-1 class, with a stop condition, tracing, and a CheckEvery that
 // does not divide TraceEvery, and demands bit-identical results.
 func TestUniformEngineParity(t *testing.T) {
@@ -85,7 +85,7 @@ func TestUniformEngineParity(t *testing.T) {
 			if last := ref.Trace[len(ref.Trace)-1].Round; last != ref.Rounds {
 				t.Fatalf("reference trace ends at round %d, want %d", last, ref.Rounds)
 			}
-			for _, engine := range []string{harness.EngineForkJoin, harness.EngineActor, harness.EngineShard} {
+			for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 				res, gotCounts, err := harness.RunUniformEngine(engine, sys, core.Algorithm1{}, counts, stop, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
@@ -117,7 +117,7 @@ func TestUniformEngineParityMaxRounds(t *testing.T) {
 	if last := ref.Trace[len(ref.Trace)-1].Round; last != 45 {
 		t.Fatalf("final round missing from trace: last point at %d", last)
 	}
-	for _, engine := range []string{harness.EngineForkJoin, harness.EngineActor, harness.EngineShard} {
+	for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 		res, _, err := harness.RunUniformEngine(engine, sys, core.Algorithm1{}, counts, nil, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -126,9 +126,10 @@ func TestUniformEngineParityMaxRounds(t *testing.T) {
 	}
 }
 
-// TestWeightedEngineParity drives Algorithm 2 sequentially and on the
-// weighted fork–join runtime through the unified driver on every
-// Table-1 class and demands identical results and final states.
+// TestWeightedEngineParity drives Algorithm 2 sequentially, on the
+// weighted shard engine and on the in-process cluster through the
+// unified driver on every Table-1 class and demands identical results
+// and final states.
 func TestWeightedEngineParity(t *testing.T) {
 	for _, class := range experiments.Table1Classes() {
 		class := class
@@ -158,7 +159,7 @@ func TestWeightedEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, engine := range []string{harness.EngineForkJoin, harness.EngineShard} {
+			for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 				res, gotState, err := harness.RunWeightedEngine(engine, sys, core.Algorithm2{}, perNode, stop, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
@@ -235,7 +236,7 @@ func sameDynamic(t *testing.T, engine string, want, got harness.DynamicResult) {
 
 // TestUniformDynamicEngineParity is the dynamic-workload acceptance
 // test: a run with simultaneous arrivals, departures, bursts and node
-// churn must be bit-identical across seq, forkjoin and actor on every
+// churn must be bit-identical across seq, shard and cluster on every
 // Table-1 class, and must conserve tasks net of the event ledger.
 func TestUniformDynamicEngineParity(t *testing.T) {
 	for _, class := range experiments.Table1Classes() {
@@ -268,7 +269,7 @@ func TestUniformDynamicEngineParity(t *testing.T) {
 			if ref.Metrics.TimeAvgPsi0 <= 0 || ref.Metrics.Bursts == 0 {
 				t.Fatalf("metrics not populated: %+v", ref.Metrics)
 			}
-			for _, engine := range []string{harness.EngineForkJoin, harness.EngineActor, harness.EngineShard} {
+			for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 				res, err := harness.RunUniformDynamic(engine, sys, core.Algorithm1{}, counts, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", engine, err)
@@ -280,8 +281,8 @@ func TestUniformDynamicEngineParity(t *testing.T) {
 }
 
 // TestWeightedDynamicEngineParity: the weighted dynamic path (arrivals
-// with random weights, completions, churn) must match between seq and
-// forkjoin, including the exact task multisets.
+// with random weights, completions, churn) must match between seq,
+// shard and cluster, including the exact task multisets.
 func TestWeightedDynamicEngineParity(t *testing.T) {
 	class, err := experiments.ClassByKey("torus")
 	if err != nil {
@@ -315,7 +316,7 @@ func TestWeightedDynamicEngineParity(t *testing.T) {
 	if got, want := int64(ref.FinalState.TaskCount()), int64(30*n)+ref.Ledger.ArrivedTasks-ref.Ledger.DepartedTasks; got != want {
 		t.Fatalf("conservation: %d tasks, want %d", got, want)
 	}
-	for _, engine := range []string{harness.EngineForkJoin, harness.EngineShard} {
+	for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 		res, err := harness.RunWeightedDynamic(engine, sys, core.Algorithm2{}, perNode, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -372,13 +373,13 @@ func TestEngineDispatchErrors(t *testing.T) {
 		t.Error("unknown weighted engine accepted")
 	}
 	// The baseline protocol does not factorize into per-node decisions,
-	// so the fork–join engine must reject it rather than mis-run it.
-	if _, _, err := harness.RunWeightedEngine(harness.EngineForkJoin, sys, core.BaselineWeighted{}, perNode, nil, opts); err == nil {
-		t.Error("forkjoin accepted a non-node weighted protocol")
+	// so the shard engine must reject it rather than mis-run it.
+	if _, _, err := harness.RunWeightedEngine(harness.EngineShard, sys, core.BaselineWeighted{}, perNode, nil, opts); err == nil {
+		t.Error("shard accepted a non-node weighted protocol")
 	}
 	// ErrMaxRounds passes through with the final counts intact.
 	never := func(*core.UniformState) bool { return false }
-	_, got, err := harness.RunUniformEngine(harness.EngineForkJoin, sys, core.Algorithm1{}, counts, never, opts)
+	_, got, err := harness.RunUniformEngine(harness.EngineShard, sys, core.Algorithm1{}, counts, never, opts)
 	if !errors.Is(err, core.ErrMaxRounds) {
 		t.Fatalf("want ErrMaxRounds, got %v", err)
 	}
@@ -396,7 +397,7 @@ func TestEngineDispatchErrors(t *testing.T) {
 // node makes every round sample several full blocks plus a remainder,
 // with block gates deep in the BTPE regime (n·p well above the
 // mode-walk threshold). Results, traces and final task multisets must
-// be bit-identical across seq, forkjoin and shard — the property that
+// be bit-identical across seq, shard and cluster — the property that
 // licenses regenerating goldens from any engine.
 func TestWeightedEngineParityBlockRegime(t *testing.T) {
 	class, err := experiments.ClassByKey("ring")
@@ -429,7 +430,7 @@ func TestWeightedEngineParityBlockRegime(t *testing.T) {
 	if ref.Moves == 0 {
 		t.Fatal("block-regime scenario produced no migrations")
 	}
-	for _, engine := range []string{harness.EngineForkJoin, harness.EngineShard} {
+	for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 		res, gotState, err := harness.RunWeightedEngine(engine, sys, core.Algorithm2{}, perNode, nil, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -455,7 +456,7 @@ func TestWeightedEngineParityBlockRegime(t *testing.T) {
 // TestWeightedDynamicEngineParityBlockRegime is the dynamic counterpart:
 // the same multi-block corner start run through the full event scenario
 // (arrivals, completions, bursts, alternating churn) must stay
-// bit-identical between seq, forkjoin and shard.
+// bit-identical between seq, shard and cluster.
 func TestWeightedDynamicEngineParityBlockRegime(t *testing.T) {
 	class, err := experiments.ClassByKey("ring")
 	if err != nil {
@@ -488,7 +489,7 @@ func TestWeightedDynamicEngineParityBlockRegime(t *testing.T) {
 	if ref.Ledger.ArrivedTasks == 0 || ref.Ledger.DepartedTasks == 0 {
 		t.Fatalf("scenario generated no weighted traffic: %+v", ref.Ledger)
 	}
-	for _, engine := range []string{harness.EngineForkJoin, harness.EngineShard} {
+	for _, engine := range []string{harness.EngineShard, harness.EngineCluster} {
 		res, err := harness.RunWeightedDynamic(engine, sys, core.Algorithm2{}, perNode, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)

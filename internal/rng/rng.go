@@ -2,9 +2,9 @@
 // generator substrate for the load-balancing simulations.
 //
 // The simulator must be reproducible: the same seed must yield the same
-// trajectory, including when the simulation is executed by one goroutine
-// per processor (package dist). math/rand's global state is unsuitable for
-// that, so this package implements:
+// trajectory, including when the simulation is executed by concurrent
+// workers or worker processes (package shard). math/rand's global state
+// is unsuitable for that, so this package implements:
 //
 //   - xoshiro256** as the core generator (fast, 256-bit state, passes
 //     BigCrush), seeded via SplitMix64 so that low-entropy seeds still
@@ -117,7 +117,7 @@ func StreamFromWords(w [5]uint64) *Stream {
 
 // At pins the simulator's keying contract for (round, node) streams:
 // At(r, i) ≡ Split(r).Split(i). The sequential engine in package core
-// and the concurrent engines in package dist draw node i's round-r
+// and the concurrent engines in package shard draw node i's round-r
 // randomness from exactly this stream (they derive Split(r) once per
 // round and Split(i) per node, which is identical). Because the
 // derivation reads only the parent's immutable identity, At is safe to

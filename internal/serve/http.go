@@ -12,12 +12,16 @@ import (
 )
 
 // Prober is the engine-reading surface the HTTP layer needs beyond
-// Submit: per-node load and an optional Ψ₀ probe. cmd/lbd wires these
-// from the concrete engine; both run through Server.Do so they see a
-// quiescent engine.
+// Submit: per-node load, an optional all-node load read and an
+// optional Ψ₀ probe. cmd/lbd wires these from the concrete engine; all
+// run through Server.Do so they see a quiescent engine.
 type Prober struct {
 	// NodeLoad returns node i's current load ℓᵢ.
 	NodeLoad func(i int) (float64, error)
+	// Loads returns all n loads in one read (nil: GET /load?k= calls
+	// NodeLoad once per node). An engine whose every read gathers the
+	// state from its workers sets it, so a ranking costs one gather.
+	Loads func() ([]float64, error)
 	// Psi0 returns the live potential (nil: /stats reports 0).
 	Psi0 func() float64
 }
@@ -212,19 +216,25 @@ func (h *handler) load(w http.ResponseWriter, r *http.Request) {
 	if k > h.n {
 		k = h.n
 	}
-	entries := make([]loadEntry, 0, h.n)
+	var loads []float64
 	var lerr error
 	h.s.Do(func() {
+		if h.p.Loads != nil {
+			loads, lerr = h.p.Loads()
+			return
+		}
+		loads = make([]float64, h.n)
 		for i := 0; i < h.n && lerr == nil; i++ {
-			var l float64
-			if l, lerr = h.p.NodeLoad(i); lerr == nil {
-				entries = append(entries, loadEntry{Node: i, Load: l})
-			}
+			loads[i], lerr = h.p.NodeLoad(i)
 		}
 	})
 	if lerr != nil {
 		writeErr(w, http.StatusInternalServerError, lerr)
 		return
+	}
+	entries := make([]loadEntry, len(loads))
+	for i, l := range loads {
+		entries[i] = loadEntry{Node: i, Load: l}
 	}
 	sort.Slice(entries, func(a, b int) bool {
 		if entries[a].Load != entries[b].Load {

@@ -384,7 +384,7 @@ func (e *Engine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
 	if e.closed {
 		return core.EventLedger{}, ErrClosed
 	}
-	return core.ApplyCountsBatch(e.counts, batch, nil)
+	return core.ApplyCountsBatch(e.counts, batch)
 }
 
 // State implements core.Engine by materializing the flat counts as a

@@ -9,16 +9,20 @@ package shard_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/experiments"
+	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/shard"
+	"repro/internal/task"
 	"repro/internal/workload"
 )
 
@@ -168,15 +172,68 @@ func TestShardParityDynamic(t *testing.T) {
 	}
 }
 
-// TestShardStepByStep drives the engine directly (no harness) and
-// checks per-round move totals and counts against the sequential
-// protocol, plus conservation after every round.
-func TestShardStepByStep(t *testing.T) {
-	class, err := experiments.ClassByKey("torus")
+// stepCase is one instance of the step-by-step tests: a graph family,
+// a speed profile, the protocol seed and the number of rounds.
+type stepCase struct {
+	name   string
+	build  func() (*graph.Graph, error)
+	speeds func(n int) (machine.Speeds, error)
+	seed   uint64
+	rounds uint64
+}
+
+func uniformSpeeds(n int) (machine.Speeds, error) { return machine.Uniform(n), nil }
+
+func twoClassSpeeds(n int) (machine.Speeds, error) { return machine.TwoClass(n, 0.25, 2) }
+
+func randomSpeeds(n int) (machine.Speeds, error) {
+	return machine.RandomIntegers(n, 3, rng.New(uint64(n)))
+}
+
+// stepCases crosses several graph families with the speed profiles.
+var stepCases = []stepCase{
+	{"ring16-uniform", func() (*graph.Graph, error) { return graph.Ring(16) }, uniformSpeeds, 1, 60},
+	{"torus4x4-twoclass", func() (*graph.Graph, error) { return graph.Torus(4, 4) }, twoClassSpeeds, 2, 60},
+	{"torus6x6-twoclass", func() (*graph.Graph, error) { return graph.Torus(6, 6) }, twoClassSpeeds, 5, 40},
+	{"hypercube4-random", func() (*graph.Graph, error) { return graph.Hypercube(4) }, randomSpeeds, 3, 50},
+	{"complete12-random", func() (*graph.Graph, error) { return graph.Complete(12) }, randomSpeeds, 4, 40},
+	{"mesh3x5-twoclass", func() (*graph.Graph, error) { return graph.Mesh(3, 5) }, twoClassSpeeds, 5, 60},
+}
+
+// system builds the case's graph and speeds.
+func (tc stepCase) system(t *testing.T) *core.System {
+	t.Helper()
+	g, err := tc.build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, counts := buildInstance(t, class, 36)
+	sp, err := tc.speeds(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// twoCorners is the adversarial start with tasksPerNode·n tasks split
+// between the first and the last node.
+func twoCorners(t *testing.T, n int, tasksPerNode int64) []int64 {
+	t.Helper()
+	counts, err := workload.TwoCorners(n, tasksPerNode*int64(n), 0, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts
+}
+
+// stepUniform drives eng and the sequential protocol round by round
+// and demands identical move totals and counts after every round, plus
+// conservation.
+func stepUniform(t *testing.T, sys *core.System, proto core.UniformNodeProtocol, counts []int64, eng *shard.Engine, seed, rounds uint64) {
+	t.Helper()
 	total := int64(0)
 	for _, c := range counts {
 		total += c
@@ -185,14 +242,8 @@ func TestShardStepByStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := shard.New(sys, core.Algorithm1{}, counts, shard.Options{Shards: 7, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	seqBase, shardBase := rng.New(5), rng.New(5)
-	proto := core.Algorithm1{}
-	for r := uint64(1); r <= 40; r++ {
+	seqBase, shardBase := rng.New(seed), rng.New(seed)
+	for r := uint64(1); r <= rounds; r++ {
 		wantMoves := proto.Step(st, r, seqBase)
 		gotMoves, err := eng.Step(r, shardBase)
 		if err != nil {
@@ -213,6 +264,46 @@ func TestShardStepByStep(t *testing.T) {
 			t.Fatalf("round %d: conservation broken, %d tasks, want %d", r, sum, total)
 		}
 	}
+}
+
+// TestShardStepByStep drives the engine directly (no harness) on every
+// step case and checks per-round move totals and counts against the
+// sequential protocol, plus conservation after every round.
+func TestShardStepByStep(t *testing.T) {
+	for _, tc := range stepCases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys := tc.system(t)
+			counts := twoCorners(t, sys.N(), 50)
+			eng, err := shard.New(sys, core.Algorithm1{}, counts, shard.Options{Shards: 7, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			stepUniform(t, sys, core.Algorithm1{}, counts, eng, tc.seed, tc.rounds)
+		})
+	}
+}
+
+// TestShardPerTaskProtocol runs the literal per-task formulation of
+// Algorithm 1 on the shard engine round by round: the engine is generic
+// over core.UniformNodeProtocol, not tied to the batched decide.
+func TestShardPerTaskProtocol(t *testing.T) {
+	g, err := graph.Ring(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, machine.Uniform(g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := twoCorners(t, sys.N(), 20)
+	eng, err := shard.New(sys, core.Algorithm1PerTask{}, counts, shard.Options{Shards: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	stepUniform(t, sys, core.Algorithm1PerTask{}, counts, eng, 9, 25)
 }
 
 // TestShardApplyEvents checks dynamic event application parity against
@@ -303,6 +394,75 @@ func TestShardLifecycle(t *testing.T) {
 	if _, _, err := harness.RunWeightedEngine(harness.EngineShard, sys, core.Algorithm2{}, nil, nil,
 		core.RunOpts{MaxRounds: 1, Seed: 1}); err == nil {
 		t.Error("weighted shard dispatch accepted nil perNode")
+	}
+}
+
+// TestNoGoroutineLeak builds, steps and closes both in-process engines
+// and both in-process clusters three times and checks that the
+// goroutine count settles back: every worker pool, every cluster worker
+// and every pipe goroutine exits on Close.
+func TestNoGoroutineLeak(t *testing.T) {
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, machine.Uniform(g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := twoCorners(t, sys.N(), 20)
+	weights, err := task.RandomWeights(100, 0.1, 1, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode, err := workload.WeightedAllOnOne(sys.N(), weights, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := shard.Options{Shards: 3, Workers: 2}
+	before := runtime.NumGoroutine()
+	for rep := 0; rep < 3; rep++ {
+		eng, err := shard.New(sys, core.Algorithm1{}, counts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcl, err := shard.StartLocalWeightedCluster(sys, core.Algorithm2{}, perNode, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []interface {
+			Step(uint64, *rng.Stream) (int64, error)
+			Close() error
+		}{eng, weng, cl, wcl}
+		base := rng.New(uint64(rep))
+		for r := uint64(1); r <= 5; r++ {
+			for _, e := range engines {
+				if _, err := e.Step(r, base); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, e := range engines {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Goroutines unwind asynchronously after Close returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

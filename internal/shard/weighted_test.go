@@ -169,52 +169,63 @@ func TestWeightedShardParityDynamic(t *testing.T) {
 }
 
 // TestWeightedShardStepByStep drives the engine directly (no harness)
-// and checks per-round move totals, cached weight sums and weight
-// conservation against the sequential protocol.
+// on every step case from the all-on-one weighted start and checks
+// per-round move totals, cached weight sums and weight conservation
+// against the sequential protocol, then the final task multisets.
 func TestWeightedShardStepByStep(t *testing.T) {
-	class, err := experiments.ClassByKey("torus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, perNode := buildWeighted(t, class, 36, 40)
-	st, err := core.NewWeightedState(sys, perNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, shard.Options{Shards: 7, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	total := st.TotalWeight()
-	seqBase, shardBase := rng.New(5), rng.New(5)
-	proto := core.Algorithm2{}
-	for r := uint64(1); r <= 40; r++ {
-		wantMoves := int64(proto.Step(st, r, seqBase))
-		gotMoves, err := eng.Step(r, shardBase)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotMoves != wantMoves {
-			t.Fatalf("round %d: %d moves, want %d", r, gotMoves, wantMoves)
-		}
-		nw := eng.NodeWeights()
-		sum := 0.0
-		for i := range nw {
-			if nw[i] != st.NodeWeight(i) {
-				t.Fatalf("round %d node %d: weight %g, want %g", r, i, nw[i], st.NodeWeight(i))
+	for _, tc := range stepCases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys := tc.system(t)
+			n := sys.N()
+			weights, err := task.RandomWeights(40*n, 0.1, 1, rng.New(tc.seed))
+			if err != nil {
+				t.Fatal(err)
 			}
-			sum += nw[i]
-		}
-		if rel := (sum - total) / total; rel > 1e-9 || rel < -1e-9 {
-			t.Fatalf("round %d: conservation broken, total %g, want %g", r, sum, total)
-		}
+			perNode, err := workload.WeightedAllOnOne(n, weights, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := core.NewWeightedState(sys, perNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, shard.Options{Shards: 7, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			total := st.TotalWeight()
+			seqBase, shardBase := rng.New(tc.seed+100), rng.New(tc.seed+100)
+			proto := core.Algorithm2{}
+			for r := uint64(1); r <= tc.rounds; r++ {
+				wantMoves := int64(proto.Step(st, r, seqBase))
+				gotMoves, err := eng.Step(r, shardBase)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotMoves != wantMoves {
+					t.Fatalf("round %d: %d moves, want %d", r, gotMoves, wantMoves)
+				}
+				nw := eng.NodeWeights()
+				sum := 0.0
+				for i := range nw {
+					if nw[i] != st.NodeWeight(i) {
+						t.Fatalf("round %d node %d: weight %g, want %g", r, i, nw[i], st.NodeWeight(i))
+					}
+					sum += nw[i]
+				}
+				if rel := (sum - total) / total; rel > 1e-9 || rel < -1e-9 {
+					t.Fatalf("round %d: conservation broken, total %g, want %g", r, sum, total)
+				}
+			}
+			got, err := eng.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWeightedState(t, "step-by-step", st, got)
+		})
 	}
-	got, err := eng.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameWeightedState(t, "step-by-step", st, got)
 }
 
 // TestWeightedShardApplyEvents checks dynamic event application parity
