@@ -22,14 +22,18 @@ bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Run the Table-1, batching, dynamic-event and shard-round benchmarks
-# (uniform ShardRound and WeightedShardRound both match) once and emit
-# BENCH_core.json (ns/op plus the rounds/theory-rounds, allocation and
-# bytes-per-node metrics) via cmd/benchjson. The file is committed as
-# the bench-gate baseline — rerun this target and commit the result
-# when a slowdown is intentional. Two steps (not a pipe) so a failing
-# benchmark run fails the target instead of writing a truncated JSON.
+# (uniform ShardRound and WeightedShardRound both match) and the
+# per-node decide kernels (BenchmarkDecideNode in ./internal/core, the
+# only gated run whose Algorithm 1 nodes have eligible edges and take
+# over 10 ms) once and emit BENCH_core.json (ns/op plus the
+# rounds/theory-rounds, allocation, bytes-per-node and ns/node metrics)
+# via cmd/benchjson. The file is committed as the bench-gate baseline —
+# rerun this target and commit the result when a slowdown is
+# intentional. Separate steps (not a pipe) so a failing benchmark run
+# fails the target instead of writing a truncated JSON.
 bench-json:
 	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x -cpu 1 . > BENCH_core.txt
+	$(GO) test -run '^$$' -bench 'DecideNode' -benchtime 1x -cpu 1 ./internal/core >> BENCH_core.txt
 	$(GO) run ./cmd/benchjson < BENCH_core.txt > BENCH_core.json
 	rm -f BENCH_core.txt
 
@@ -54,11 +58,12 @@ bench-serve:
 	$(GO) run ./cmd/benchjson < BENCH_serve.txt > BENCH_serve.json
 	rm -f BENCH_serve.txt
 
-# Regression gate: re-measure the bench-json and bench-scale suites
-# into *.fresh.json and diff them against the committed BENCH_core.json
-# / BENCH_scale.json baselines with cmd/benchgate. The gate judges
-# fresh/baseline ns/op ratios normalized by their median — a uniformly
-# slower machine cancels out, a single regressed benchmark does not —
+# Regression gate: re-measure the bench-json (decide kernels included)
+# and bench-scale suites into *.fresh.json and diff them against the
+# committed BENCH_core.json / BENCH_scale.json baselines with
+# cmd/benchgate. The gate judges fresh/baseline ns/op ratios
+# normalized by their median — a uniformly slower machine cancels out,
+# a single regressed benchmark does not —
 # and ignores sub-10ms benchmarks (pure noise at one iteration), so it
 # stays non-flaky on shared CI runners while still catching asymptotic
 # hot-path regressions. Refresh the baselines with `make bench-json
@@ -81,6 +86,7 @@ bench-serve:
 BENCH_GATE_TOLERANCE ?= 1.5
 bench-gate:
 	$(GO) test -run '^$$' -bench 'Table1|RoundBatchedVsPerTask|DynamicEvents|ShardRound|WeightedShardRound|WeightedCornerRound' -benchtime 1x -cpu 1 . > BENCH_core.fresh.txt
+	$(GO) test -run '^$$' -bench 'DecideNode' -benchtime 1x -cpu 1 ./internal/core >> BENCH_core.fresh.txt
 	$(GO) run ./cmd/benchjson < BENCH_core.fresh.txt > BENCH_core.fresh.json
 	rm -f BENCH_core.fresh.txt
 	$(GO) test -run '^$$' -bench 'ShardRound|WeightedShardRound|ShardBuild|WeightedCornerRound|ClusterRound' -benchtime 1x -cpu 1 . > BENCH_scale.fresh.txt
@@ -127,7 +133,9 @@ cover:
 # Short native-fuzzing pass over the samplers, the graph generators,
 # the decide kernels, the transport frame reader, the cluster config
 # decoder, the worker's event-slice, own-state and stats decoders, the
-# checkpoint decoder and the journal reader (each -fuzz run accepts
+# round frames that carry flows (the coordinator's flows reader and the
+# worker's grant readers), the checkpoint decoder and the journal
+# reader (each -fuzz run accepts
 # exactly one target, hence one line per target), including the
 # differential checks of the Binomial zero-mass shortcut and of the
 # branch-free decide kernels against their pre-optimisation references.
@@ -148,6 +156,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerDecoders$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundFlows$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 

@@ -365,40 +365,6 @@ func weightedProtocol(name string) (core.WeightedProtocol, error) {
 	}
 }
 
-// psi0FromCounts computes Ψ₀ from a counts snapshot without building a
-// UniformState (the shard engine at n=10⁶ has no materialized state).
-func psi0FromCounts(sys *core.System, counts []int64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	speeds := sys.Speeds()
-	avg := float64(total) / sys.STotal()
-	s := 0.0
-	for i, c := range counts {
-		e := float64(c) - avg*speeds[i]
-		s += e * e / speeds[i]
-	}
-	return s
-}
-
-// psi0FromWeights is the weighted counterpart, from a node-weight
-// snapshot.
-func psi0FromWeights(sys *core.System, w []float64) float64 {
-	var totalW float64
-	for _, wi := range w {
-		totalW += wi
-	}
-	speeds := sys.Speeds()
-	avg := totalW / sys.STotal()
-	s := 0.0
-	for i, wi := range w {
-		e := wi - avg*speeds[i]
-		s += e * e / speeds[i]
-	}
-	return s
-}
-
 // daemonServer is cmd/lbd's view of a serve.Server of either task
 // model (the generic parameter never appears in the method set).
 type daemonServer interface {
@@ -456,13 +422,21 @@ func stateProber[S probedState](n int, state func() (S, error)) serve.Prober {
 			}
 			return st.Loads(), nil
 		},
-		Psi0: func() float64 {
-			st, err := state()
-			if err != nil {
-				return 0
-			}
-			return st.Psi0()
-		},
+		Psi0: statePsi0(state),
+	}
+}
+
+// statePsi0 reads Ψ₀ from the engine's state. The state carries the
+// engine's running total (the weighted shard State is a zero-copy view
+// of it), so /stats reports the Ψ₀ that a trace point, or a sequential
+// replay, records at the same round.
+func statePsi0[S core.State](state func() (S, error)) func() float64 {
+	return func() float64 {
+		st, err := state()
+		if err != nil {
+			return 0
+		}
+		return st.Psi0()
 	}
 }
 
@@ -635,10 +609,7 @@ func buildInstance(fl *flags) (*instance, error) {
 		case *core.WeightedState:
 			p = stateProber(n, func() (*core.WeightedState, error) { return raw, nil })
 		case *shard.WeightedEngine:
-			p = serve.Prober{
-				NodeLoad: raw.NodeLoad,
-				Psi0:     func() float64 { return psi0FromWeights(sys, raw.NodeWeights()) },
-			}
+			p = serve.Prober{NodeLoad: raw.NodeLoad, Psi0: statePsi0(raw.State)}
 		case *shard.WeightedCluster:
 			p = stateProber(n, raw.State)
 		}
@@ -664,10 +635,7 @@ func buildInstance(fl *flags) (*instance, error) {
 		case *core.UniformState:
 			p = stateProber(n, func() (*core.UniformState, error) { return raw, nil })
 		case *shard.Engine:
-			p = serve.Prober{
-				NodeLoad: raw.NodeLoad,
-				Psi0:     func() float64 { return psi0FromCounts(sys, raw.Counts()) },
-			}
+			p = serve.Prober{NodeLoad: raw.NodeLoad, Psi0: statePsi0(raw.State)}
 		case *shard.UniformCluster:
 			p = stateProber(n, raw.State)
 		}
@@ -994,61 +962,70 @@ func runReplay(fl *flags) error {
 	return verifyJournal(j, fl.engine, fl.engineOpts())
 }
 
-// verifyJournal rebuilds the journaled instance from its meta, replays
-// the recorded batches on the named engine, and compares the result
-// bit-for-bit against the journal's live-run footer.
-func verifyJournal(j *serve.Journal, engine string, eo harness.EngineOpts) error {
+// replayJournal rebuilds the journaled instance from its meta and
+// replays the recorded batches on the named engine. It returns the
+// replayed result and the Ψ₀ of the final state.
+func replayJournal(j *serve.Journal, engine string, eo harness.EngineOpts) (core.RunResult, float64, error) {
+	var res core.RunResult
 	mf, err := flagsFromMeta(j.Meta)
 	if err != nil {
-		return err
+		return res, 0, err
 	}
 	sys, err := buildSystem(mf)
 	if err != nil {
-		return err
+		return res, 0, err
 	}
 	if sys.N() != j.N {
-		return fmt.Errorf("rebuilt system has n=%d, journal recorded n=%d", sys.N(), j.N)
+		return res, 0, fmt.Errorf("rebuilt system has n=%d, journal recorded n=%d", sys.N(), j.N)
 	}
 	m := mf.tasks
 	if m <= 0 {
 		m = 64 * int64(sys.N())
 	}
-	var res core.RunResult
 	if j.Weighted {
 		if mf.model != "weighted" {
-			return fmt.Errorf("journal is weighted but meta model is %q", mf.model)
+			return res, 0, fmt.Errorf("journal is weighted but meta model is %q", mf.model)
 		}
 		proto, err := weightedProtocol(mf.protocol)
 		if err != nil {
-			return err
+			return res, 0, err
 		}
 		perNode, err := initialWeighted(sys, m, mf.placement, mf.seed)
 		if err != nil {
-			return err
+			return res, 0, err
 		}
 		h, err := harness.BuildWeightedEngine(engine, sys, proto, perNode, eo)
 		if err != nil {
-			return err
+			return res, 0, err
 		}
-		res, err = serve.Replay[*core.WeightedState](j, h.Engine)
-		h.Close()
-		if err != nil {
-			return err
+		defer h.Close()
+		if res, err = serve.Replay[*core.WeightedState](j, h.Engine); err != nil {
+			return res, 0, err
 		}
-	} else {
-		counts, err := initialCounts(sys, m, mf.placement, mf.seed)
-		if err != nil {
-			return err
-		}
-		h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, eo)
-		if err != nil {
-			return err
-		}
-		res, err = serve.Replay[*core.UniformState](j, h.Engine)
-		h.Close()
-		if err != nil {
-			return err
-		}
+		return res, statePsi0(h.Engine.State)(), nil
+	}
+	counts, err := initialCounts(sys, m, mf.placement, mf.seed)
+	if err != nil {
+		return res, 0, err
+	}
+	h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, eo)
+	if err != nil {
+		return res, 0, err
+	}
+	defer h.Close()
+	if res, err = serve.Replay[*core.UniformState](j, h.Engine); err != nil {
+		return res, 0, err
+	}
+	return res, statePsi0(h.Engine.State)(), nil
+}
+
+// verifyJournal rebuilds the journaled instance from its meta, replays
+// the recorded batches on the named engine, and compares the result
+// bit-for-bit against the journal's live-run footer.
+func verifyJournal(j *serve.Journal, engine string, eo harness.EngineOpts) error {
+	res, psi0, err := replayJournal(j, engine, eo)
+	if err != nil {
+		return err
 	}
 	if j.Result == nil {
 		fmt.Printf("replay:   rounds=%d moves=%d (journal has no result footer to compare)\n",
@@ -1059,7 +1036,7 @@ func verifyJournal(j *serve.Journal, engine string, eo harness.EngineOpts) error
 		return fmt.Errorf("replay DIVERGED from the live run:\n  live:   rounds=%d moves=%d ledger=%+v\n  replay: rounds=%d moves=%d ledger=%+v",
 			j.Result.Rounds, j.Result.Moves, j.Result.Ledger, res.Rounds, res.Moves, res.Ledger)
 	}
-	fmt.Printf("replay:   bit-exact on engine=%s  rounds=%d moves=%d trace=%d points\n",
-		engine, res.Rounds, res.Moves, len(res.Trace))
+	fmt.Printf("replay:   bit-exact on engine=%s  rounds=%d moves=%d trace=%d points psi0=%g\n",
+		engine, res.Rounds, res.Moves, len(res.Trace), psi0)
 	return nil
 }

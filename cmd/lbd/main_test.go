@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -312,5 +315,73 @@ func TestReplayJournalOfRemovedEngine(t *testing.T) {
 	if err := runReplay(parse(t, "-replay", old, "-engine", removedEngine)); err == nil ||
 		!strings.Contains(err.Error(), "unknown uniform engine") {
 		t.Fatalf("replay on the removed engine: %v, want the unknown-engine error", err)
+	}
+}
+
+// TestStatsPsi0MatchesSeqReplay: the Ψ₀ that GET /stats reports equals,
+// bit for bit, the Ψ₀ of a sequential replay of the daemon's journal to
+// the same round, on the seq and shard engines and for both task
+// models. The weighted arrivals and completions move the engine's
+// running total away from a node-order re-sum of the node weights.
+func TestStatsPsi0MatchesSeqReplay(t *testing.T) {
+	for _, model := range []string{"uniform", "weighted"} {
+		for _, engine := range []string{"seq", "shard"} {
+			t.Run(model+"/"+engine, func(t *testing.T) {
+				fl := parse(t,
+					"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
+					"-speeds", "twoclass", "-smax", "2", "-placement", "random",
+					"-model", model, "-engine", engine, "-shards", "3", "-maxwait", "1ms")
+				inst, err := buildInstance(fl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer inst.close()
+				for k := 0; k < 40; k++ {
+					op := serve.Op{Kind: serve.OpArrive, Node: 7 * k % 64, Count: 3}
+					switch {
+					case model == "weighted" && k%5 == 4:
+						op = serve.Op{Kind: serve.OpCompleteWeighted, Node: 11 * k % 64, Count: 2}
+					case model == "weighted":
+						op = serve.Op{Kind: serve.OpArriveWeighted, Node: 7 * k % 64, Weight: 0.1 + 0.0217*float64(k)}
+					case k%5 == 4:
+						op = serve.Op{Kind: serve.OpComplete, Node: 11 * k % 64, Count: 2}
+					}
+					tk, err := inst.srv.Submit(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tk.Wait(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				inst.srv.Do(func() {}) // the last admitted round has finished
+				ts := httptest.NewServer(inst.handler)
+				defer ts.Close()
+				resp, err := http.Get(ts.URL + "/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st serve.Stats
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := inst.srv.Stop()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Rounds != uint64(res.Rounds) || res.Rounds == 0 {
+					t.Fatalf("/stats read round %d, the run stopped at round %d", st.Rounds, res.Rounds)
+				}
+				_, want, err := replayJournal(inst.srv.Journal(), "seq", harness.EngineOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(st.Psi0) != math.Float64bits(want) {
+					t.Fatalf("/stats Ψ₀ %v, seq replay to round %d %v", st.Psi0, res.Rounds, want)
+				}
+			})
+		}
 	}
 }

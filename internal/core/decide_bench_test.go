@@ -14,8 +14,8 @@ import (
 )
 
 // BenchmarkDecideNode times the per-node decide kernels alone, as the
-// engines call them (neighbor-load gather, stream split, kernel), over
-// every node of three instances, and reports ns/node:
+// engines call them (stream split, kernel against the load vector),
+// over every node of three instances, and reports ns/node:
 //
 //   - alg1/cluster-d=18: Algorithm 1 on the cluster workload's instance,
 //     a d = 18 hypercube of two-class nodes (a quarter at speed 2) with
@@ -106,10 +106,8 @@ func benchDecideUniform(b *testing.B, sys *core.System, counts []int64) {
 		b.Fatal(err)
 	}
 	loads := st.Loads()
-	g := sys.Graph()
 	proto := core.Algorithm1{}
-	nb := make([]float64, sys.MaxDegree())
-	out := make([]int64, sys.MaxDegree())
+	out := make([]core.Outflow, 0, sys.MaxDegree())
 	roundStream := rng.New(1).Split(1)
 	var child rng.Stream
 	b.ResetTimer()
@@ -118,12 +116,9 @@ func benchDecideUniform(b *testing.B, sys *core.System, counts []int64) {
 			if wi == 0 {
 				continue
 			}
-			nbs := g.Neighbors(i)
-			for idx, j := range nbs {
-				nb[idx] = loads[j]
-			}
 			roundStream.SplitTo(uint64(i), &child)
-			decideSink += proto.DecideNode(sys, i, wi, loads[i], nb[:len(nbs)], &child, out)
+			_, m := proto.DecideNode(sys, i, wi, loads, &child, out)
+			decideSink += m
 		}
 	}
 	reportPerNode(b, sys.N())

@@ -1,14 +1,17 @@
 // Differential tests for the decide kernels. Algorithm1.DecideNode and
 // Algorithm2.DecideNodeFlat find their eligible edges with a branch-free
-// bitmask, evaluate p_ij through edgeProb (1/sⱼ from System.invSpeed,
-// no degree ratio where it is exactly 1), and (Algorithm 2) restore the
-// block identity permutation in O(movers) instead of rewriting it. None
-// of that may change a result: the references below are the code as it
-// stood before, and every call must return what they return and leave
-// the node stream where they leave it. The tests sweep degrees across the 64-edge chunk
+// bitmask, evaluate p_ij through edgeNum and edgeProb (1/sⱼ from
+// System.invSpeed, no degree ratio where it is exactly 1), and (Algorithm 2) restore the block
+// identity permutation in O(movers) instead of rewriting it; Algorithm 1
+// reads the loads by node and returns only the neighbors that receive
+// tasks. None of that may change a result: the references below are the
+// code as it stood before — by edge, with a dense per-neighbor output —
+// and every call must return what they return and leave the node stream
+// where they leave it. The tests sweep degrees across the 64-edge chunk
 // seams, irregular neighborhoods, four speed profiles, exact ties
-// ℓᵢ − ℓⱼ == 1/sⱼ, every rng.Binomial branch and the DecideBlock seams;
-// the fuzzer roams the same space.
+// ℓᵢ − ℓⱼ == 1/sⱼ, every rng.Binomial branch and the DecideBlock seams,
+// and run Algorithm 1 on the window System of a cluster worker too; the
+// fuzzer roams the same space.
 package core
 
 import (
@@ -117,6 +120,35 @@ func refDecideNode(p Algorithm1, sys *System, i int, wi int64, li float64, nbLoa
 			remaining -= k
 		}
 		rest -= q
+	}
+	return moves
+}
+
+// refPerTaskDecideNode is Algorithm1PerTask.DecideNode by edge, verbatim:
+// neighbor loads indexed like Graph.Neighbors(i) and a dense output.
+func refPerTaskDecideNode(p Algorithm1PerTask, sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64) int64 {
+	nbs := sys.g.Neighbors(i)
+	deg := len(nbs)
+	for idx := 0; idx < deg; idx++ {
+		out[idx] = 0
+	}
+	if wi == 0 {
+		return 0
+	}
+	alpha := Algorithm1{Alpha: p.Alpha}.effectiveAlpha(sys)
+	moves := int64(0)
+	for t := int64(0); t < wi; t++ {
+		idx := nodeStream.Intn(deg)
+		j := int(nbs[idx])
+		lj := nbLoads[idx]
+		if li-lj <= 1/sys.speeds[j] {
+			continue
+		}
+		pij := refMigrationProb(sys, i, j, li, lj, alpha, float64(wi))
+		if nodeStream.Bernoulli(pij) {
+			out[idx]++
+			moves++
+		}
 	}
 	return moves
 }
@@ -285,28 +317,157 @@ func (ks *kernelStats) note(c kernelCase) {
 }
 
 // checkAlgorithm1 runs both Algorithm 1 kernels on c with wi tasks and
-// compares the moves, out and the stream position.
+// compares the moves, the flows expanded to one count per edge, and the
+// stream position.
 func checkAlgorithm1(t *testing.T, c kernelCase, wi int64) {
 	t.Helper()
-	nbs := c.sys.g.Neighbors(c.i)
-	nb := make([]float64, len(nbs))
-	for idx, j := range nbs {
-		nb[idx] = c.loads[j]
+	p := Algorithm1{Alpha: c.alpha}
+	checkUniformKernel(t, "Algorithm1", p, c.sys, c.i, c.loads, c, wi, func(nb []float64, r *rng.Stream, out []int64) int64 {
+		return refDecideNode(p, c.sys, c.i, wi, c.loads[c.i], nb, r, out)
+	})
+}
+
+// checkPerTask is checkAlgorithm1 for Algorithm1PerTask.
+func checkPerTask(t *testing.T, c kernelCase, wi int64) {
+	t.Helper()
+	p := Algorithm1PerTask{Alpha: c.alpha}
+	checkUniformKernel(t, "Algorithm1PerTask", p, c.sys, c.i, c.loads, c, wi, func(nb []float64, r *rng.Stream, out []int64) int64 {
+		return refPerTaskDecideNode(p, c.sys, c.i, wi, c.loads[c.i], nb, r, out)
+	})
+}
+
+// checkAlgorithm1Window runs Algorithm1 on node c.i of w, a window of
+// c.sys as a cluster worker holds it (local ids, halo degrees), and
+// compares it with the by-edge reference on the whole System.
+func checkAlgorithm1Window(t *testing.T, c kernelCase, w window, wi int64) {
+	t.Helper()
+	loads := make([]float64, len(w.global))
+	for k, v := range w.global {
+		loads[k] = c.loads[v]
 	}
 	p := Algorithm1{Alpha: c.alpha}
-	gotOut, wantOut := make([]int64, len(nbs)+1), make([]int64, len(nbs)+1)
-	gotOut[len(nbs)], wantOut[len(nbs)] = -7, -7 // past deg(i): untouched
+	checkUniformKernel(t, "Algorithm1 window", p, w.sys, c.i-w.lo, loads, c, wi, func(nb []float64, r *rng.Stream, out []int64) int64 {
+		return refDecideNode(p, c.sys, c.i, wi, c.loads[c.i], nb, r, out)
+	})
+}
+
+// checkUniformKernel runs kernel p on node i of sys against loads, which
+// sys indexes by node, and ref on c's node with c's neighbor loads by
+// edge, from the same stream; the rows of i in sys and of c.i in c.sys
+// must list the same neighbors in the same order. It expands the flows
+// into one count per edge, refusing any that is not a neighbor, out of
+// row order or empty, and requires the counts, their total, the moves
+// and the next stream value to equal the reference's, and the flows to
+// alias the scratch they were given.
+func checkUniformKernel(t *testing.T, name string, p UniformNodeProtocol, sys *System, i int, loads []float64, c kernelCase, wi int64, ref func(nb []float64, r *rng.Stream, out []int64) int64) {
+	t.Helper()
+	nbs := sys.g.Neighbors(i)
+	nb := make([]float64, len(nbs))
+	for idx, j := range c.sys.g.Neighbors(c.i) {
+		nb[idx] = c.loads[j]
+	}
 	a, b := rng.New(c.seed), rng.New(c.seed)
-	got := p.DecideNode(c.sys, c.i, wi, c.loads[c.i], nb, a, gotOut)
-	want := refDecideNode(p, c.sys, c.i, wi, c.loads[c.i], nb, b, wantOut)
-	if got != want || !slices.Equal(gotOut, wantOut) {
-		t.Fatalf("%s node %d (deg %d) wi=%d alpha=%g seed %d: DecideNode = %d %v, reference %d %v",
-			c.sys.g.Name(), c.i, len(nbs), wi, c.alpha, c.seed, got, gotOut, want, wantOut)
+	scratch := make([]Outflow, 0, len(nbs))
+	flows, got := p.DecideNode(sys, i, wi, loads, a, scratch)
+	wantOut := make([]int64, len(nbs))
+	want := ref(nb, b, wantOut)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s %s node %d (deg %d) wi=%d alpha=%g seed %d: %s",
+			name, c.sys.g.Name(), c.i, len(nbs), wi, c.alpha, c.seed, fmt.Sprintf(format, args...))
+	}
+	gotOut := make([]int64, len(nbs))
+	sum, idx := int64(0), 0
+	for _, f := range flows {
+		for idx < len(nbs) && nbs[idx] != f.To {
+			idx++
+		}
+		if idx == len(nbs) || f.Count <= 0 {
+			fail("flows %v: %v is not a later neighbor or moves nothing", flows, f)
+		}
+		gotOut[idx] = f.Count
+		sum += f.Count
+		idx++
+	}
+	if got != want || sum != got || !slices.Equal(gotOut, wantOut) {
+		fail("DecideNode = %d %v (flows %v), reference %d %v", got, gotOut, flows, want, wantOut)
+	}
+	if len(flows) > 0 && &flows[0] != &scratch[:1][0] {
+		fail("flows do not alias the scratch")
 	}
 	if a.Uint64() != b.Uint64() {
-		t.Fatalf("%s node %d wi=%d seed %d: DecideNode consumed a different number of draws",
-			c.sys.g.Name(), c.i, wi, c.seed)
+		fail("DecideNode consumed a different number of draws")
 	}
+}
+
+// window is the window System of rows [lo, hi) of a System.
+type window struct {
+	sys    *System
+	lo, hi int
+	global []int32 // the node of each local id
+}
+
+// windowOf returns the window of rows [lo, hi) of sys as a cluster
+// worker builds it (core.NewWindowSystem over graph.Rows.Window): own
+// rows as local ids 0…m−1 in their row order, the out-of-range neighbors
+// as halo ids m… in ascending global id with their true degrees, and the
+// instance's Δ and s_max.
+func windowOf(t testing.TB, sys *System, lo, hi int) window {
+	t.Helper()
+	g := sys.g
+	var halo []int32
+	for v := lo; v < hi; v++ {
+		for _, j := range g.Neighbors(v) {
+			if int(j) < lo || int(j) >= hi {
+				halo = append(halo, j)
+			}
+		}
+	}
+	slices.Sort(halo)
+	halo = slices.Compact(halo)
+	rows := graph.Rows{Lo: lo, Offsets: []int32{0}}
+	for v := lo; v < hi; v++ {
+		for _, j := range g.Neighbors(v) {
+			local := j - int32(lo)
+			if int(j) < lo || int(j) >= hi {
+				k, _ := slices.BinarySearch(halo, j)
+				local = int32(hi - lo + k)
+			}
+			rows.Adj = append(rows.Adj, local)
+		}
+		rows.Offsets = append(rows.Offsets, int32(len(rows.Adj)))
+	}
+	haloSpeeds := make(machine.Speeds, len(halo))
+	haloDeg := make([]int32, len(halo))
+	w := window{lo: lo, hi: hi, global: make([]int32, 0, hi-lo+len(halo))}
+	for v := lo; v < hi; v++ {
+		w.global = append(w.global, int32(v))
+	}
+	for k, j := range halo {
+		haloSpeeds[k] = sys.speeds[j]
+		haloDeg[k] = int32(g.Degree(int(j)))
+		w.global = append(w.global, j)
+	}
+	var err error
+	if w.sys, err = NewWindowSystem(rows.Window(g.Name()), sys.speeds[lo:hi], haloSpeeds, haloDeg, sys.maxDeg, sys.sMax); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// haloUpEdges counts c.i's eligible edges into a node outside [lo, hi)
+// of higher degree: the edges on which a window's p_ij needs a halo
+// degree.
+func haloUpEdges(c kernelCase, lo, hi int) int {
+	g := c.sys.g
+	up := 0
+	for _, j := range g.Neighbors(c.i) {
+		out := int(j) < lo || int(j) >= hi
+		if out && c.loads[c.i]-c.loads[j] > 1/c.sys.speeds[j] && g.Degree(int(j)) > g.Degree(c.i) {
+			up++
+		}
+	}
+	return up
 }
 
 // checkAlgorithm2 runs both Algorithm 2 kernels on c with cnt tasks of
@@ -334,20 +495,25 @@ func checkAlgorithm2(t *testing.T, c kernelCase, cnt int, wi float64, got, want 
 	}
 }
 
-// checkEdgeProb compares edgeProb with migrationProb's reference, bit
-// for bit, on every edge of c, eligible or not.
+// checkEdgeProb compares edgeNum and edgeProb, as the kernels call them,
+// with migrationProb's reference, bit for bit, on every edge of c,
+// eligible or not.
 func checkEdgeProb(t *testing.T, c kernelCase, wi float64) {
 	t.Helper()
-	alpha := Algorithm1{Alpha: c.alpha}.effectiveAlpha(c.sys)
+	sys := c.sys
+	alpha := Algorithm1{Alpha: c.alpha}.effectiveAlpha(sys)
 	li := c.loads[c.i]
-	ep := newEdgeProb(c.sys, c.i, li, alpha, wi)
-	for _, jj := range c.sys.g.Neighbors(c.i) {
-		j := int(jj)
-		got := ep.at(j, c.loads[j])
-		want := refMigrationProb(c.sys, c.i, j, li, c.loads[j], alpha, wi)
+	deg := sys.g.Degree(c.i)
+	for _, j := range sys.g.Neighbors(c.i) {
+		num := li - c.loads[j]
+		if deg != sys.maxDeg {
+			num = sys.edgeNum(j, deg, num)
+		}
+		got := edgeProb(num, alpha, sys.invSpeed[c.i], sys.invSpeed[j], wi)
+		want := refMigrationProb(sys, c.i, int(j), li, c.loads[j], alpha, wi)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s edge %d→%d alpha=%g wi=%g: edgeProb = %v, reference %v",
-				c.sys.g.Name(), c.i, j, alpha, wi, got, want)
+				sys.g.Name(), c.i, j, alpha, wi, got, want)
 		}
 	}
 }
@@ -480,8 +646,9 @@ func kernelNodes(g *graph.Graph, r *rng.Stream) []int {
 // TestDecideKernelMatchesReference is the sweep: every graph × speed
 // profile × sampled node, at two loads scales and two dampings (the
 // default 4·s_max and a small α whose p_ij clamp at 1), for Algorithm 1
-// with task counts that reach every rng.Binomial branch and for
-// Algorithm 2 with task counts across the DecideBlock seams.
+// with task counts that reach every rng.Binomial branch, for
+// Algorithm1PerTask with up to 300 tasks, and for Algorithm 2 with task
+// counts across the DecideBlock seams.
 func TestDecideKernelMatchesReference(t *testing.T) {
 	var branches [binBranches]int
 	refBranches = &branches
@@ -539,6 +706,58 @@ func TestDecideKernelMatchesReference(t *testing.T) {
 		ks.calls, ks.ties, ks.upEdges, branches)
 }
 
+// TestDecideKernelWindow runs Algorithm1 on the window System a cluster
+// worker decides on — its rows in local ids, its halo's true degrees —
+// and compares it with the by-edge reference on the whole instance. Each
+// graph of the sweep is cut into three row ranges. That puts the hub of
+// the star and the 140-degree side of the bipartite graph in the halo of
+// their low-degree neighbors, so eligible edges into a halo node of
+// higher degree are reached; α covers the default, a clamping 0.3 and an
+// unclamped 7.
+func TestDecideKernelWindow(t *testing.T) {
+	meta := rng.New(2027)
+	wis := []int64{1, 7, 40, 300, 200_000}
+	if testing.Short() {
+		wis = []int64{7, 200_000}
+	}
+	calls, haloUp := 0, 0
+	for _, g := range kernelGraphs(t) {
+		n := g.N()
+		cuts := []int{0, n / 3, 2 * n / 3, n}
+		for _, speeds := range kernelSpeeds(t, n, meta) {
+			sys, err := NewSystem(g, speeds, WithLambda2(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wins []window
+			for k := 0; k < 3; k++ {
+				if cuts[k] < cuts[k+1] {
+					wins = append(wins, windowOf(t, sys, cuts[k], cuts[k+1]))
+				}
+			}
+			loads := make([]float64, n)
+			for _, i := range kernelNodes(g, meta) {
+				w := wins[slices.IndexFunc(wins, func(w window) bool { return i < w.hi })]
+				for _, alpha := range []float64{0, 0.3, 7} {
+					li := float64(1+meta.Intn(64)) / speeds[i]
+					neighborLoads(sys, i, li, 3, meta, loads)
+					c := kernelCase{sys: sys, i: i, loads: loads, alpha: alpha}
+					haloUp += haloUpEdges(c, w.lo, w.hi)
+					for _, wi := range wis {
+						c.seed = meta.Uint64()
+						checkAlgorithm1Window(t, c, w, wi)
+						calls++
+					}
+				}
+			}
+		}
+	}
+	if haloUp == 0 {
+		t.Error("no eligible edge into a halo node of higher degree was tested")
+	}
+	t.Logf("%d window calls, %d eligible edges into a halo node of higher degree", calls, haloUp)
+}
+
 // TestDecideKernelScratchAcrossCalls drives both Algorithm 2 kernels
 // through many calls on one scratch each, mixing task counts across the
 // block seams, so a swap log that failed to restore the identity would
@@ -569,9 +788,11 @@ func TestDecideKernelScratchAcrossCalls(t *testing.T) {
 	}
 }
 
-// FuzzDecideKernel compares both kernels with their references on one
+// FuzzDecideKernel compares the kernels with their references on one
 // node of a fuzzed instance: graph shape and size, speed profile, task
-// count, damping and load spread all come from the input.
+// count, damping and load spread all come from the input. Algorithm 1
+// runs on the whole System and on the window of a random row range
+// around the node, and Algorithm1PerTask on up to 2,000 tasks.
 func FuzzDecideKernel(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(64), uint32(40), uint16(0), float64(3))
 	f.Add(uint64(2), uint8(1), uint16(200), uint32(4096), uint16(300), float64(50))
@@ -599,6 +820,11 @@ func FuzzDecideKernel(f *testing.F) {
 		neighborLoads(sys, i, li, spread, r, loads)
 		c := kernelCase{sys: sys, i: i, loads: loads, alpha: float64(alphaMilli) / 1000, seed: r.Uint64()}
 		checkAlgorithm1(t, c, int64(cnt))
+		lo := r.Intn(i + 1)
+		c.seed = r.Uint64()
+		checkAlgorithm1Window(t, c, windowOf(t, sys, lo, i+1+r.Intn(g.N()-i)), int64(cnt))
+		c.seed = r.Uint64()
+		checkPerTask(t, c, int64(1+cnt%2000))
 		got, want := NewWeightedScratch(sys.maxDeg), NewWeightedScratch(sys.maxDeg)
 		checkAlgorithm2(t, c, cnt, float64(cnt)*(0.1+r.Float64()), got, want)
 		c.seed = r.Uint64() // a second call on the same scratch

@@ -26,12 +26,21 @@ type UniformProtocol interface {
 type UniformNodeProtocol interface {
 	UniformProtocol
 	// DecideNode computes node i's outgoing migrations for one round
-	// using only information local to i: its task count wi, its load li,
-	// the round-start loads of its neighbors (nbLoads, indexed like
-	// Graph.Neighbors(i)), and its per-round stream. The first deg(i)
-	// entries of out are overwritten with the number of tasks sent to
-	// each neighbor; the return value is their sum.
-	DecideNode(sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64) int64
+	// using only information local to i: its task count wi, the
+	// round-start load vector indexed by node id (of which it reads
+	// loads[i] and its neighbors' entries), and its per-round stream. It
+	// returns the neighbors that receive tasks, in the order
+	// Graph.Neighbors(i) lists them, and their total. The flows are
+	// appended to out[:0], so a caller that passes capacity for deg(i)
+	// entries allocates nothing; the returned slice aliases out.
+	DecideNode(sys *System, i int, wi int64, loads []float64, nodeStream *rng.Stream, out []Outflow) ([]Outflow, int64)
+}
+
+// Outflow is one neighbor a node sends tasks to in a round: Count tasks
+// move to node To.
+type Outflow struct {
+	To    int32
+	Count int64
 }
 
 // Algorithm1 is the paper's protocol for uniform tasks on machines with
@@ -84,42 +93,45 @@ func (p Algorithm1) Step(st *UniformState, round uint64, base *rng.Stream) int64
 // draw per eligible edge, no intermediate per-neighbor pick counts.
 //
 // The eligible edges are found without a data-dependent branch: each
-// chunk of up to 64 neighbors becomes a bitmask (eligibleMask), and only
-// its set bits are visited, in ascending neighbor order — the order, and
-// hence the draws, of a plain scan. A node of degree at most 64 with no
-// eligible edge (a balanced neighborhood) costs only its mask; the draws
-// live in drawMovers, out of this small hot frame.
-func (p Algorithm1) DecideNode(sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64) int64 {
-	nbs := sys.g.Neighbors(i)
-	deg := len(nbs)
-	for idx := 0; idx < deg; idx++ {
-		out[idx] = 0
-	}
+// chunk of up to 64 neighbors becomes a bitmask (eligibleMaskByNode),
+// and only its set bits are visited, in ascending neighbor order — the
+// order, and hence the draws, of a plain scan. A node of degree at most
+// 64 with no eligible edge (a balanced neighborhood) costs only its
+// mask; the draws live in drawMovers, out of this small hot frame.
+func (p Algorithm1) DecideNode(sys *System, i int, wi int64, loads []float64, nodeStream *rng.Stream, out []Outflow) ([]Outflow, int64) {
+	out = out[:0]
 	if wi == 0 {
-		return 0
+		return out, 0
 	}
-	hi := min(deg, 64)
-	mask := eligibleMask(li, nbLoads[:hi], nbs[:hi], sys.invSpeed)
-	if mask == 0 && deg <= 64 {
-		return 0
+	nbs := sys.g.Neighbors(i)
+	mask := eligibleMaskByNode(loads[i], loads, nbs[:min(len(nbs), 64)], sys.invSpeed)
+	if mask == 0 && len(nbs) <= 64 {
+		return out, 0
 	}
-	return p.drawMovers(sys, i, wi, li, nbLoads, nodeStream, out, mask)
+	return p.drawMovers(sys, i, wi, loads, nodeStream, out, mask)
 }
 
 // drawMovers draws node i's mover counts over its eligible edges, given
 // the mask of its first 64 neighbors; it masks the later chunks as it
-// reaches them.
-func (p Algorithm1) drawMovers(sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64, mask uint64) int64 {
+// reaches them. The per-node factors of p_ij are locals (see edgeProb).
+func (p Algorithm1) drawMovers(sys *System, i int, wi int64, loads []float64, nodeStream *rng.Stream, out []Outflow, mask uint64) ([]Outflow, int64) {
 	nbs := sys.g.Neighbors(i)
-	ep := newEdgeProb(sys, i, li, p.effectiveAlpha(sys), float64(wi))
-	invDeg := 1 / float64(len(nbs))
+	deg := len(nbs)
+	degIsMax := deg == sys.maxDeg // no edge needs the degree ratio
+	invDeg := 1 / float64(deg)
+	li, invI, invSpeed := loads[i], sys.invSpeed[i], sys.invSpeed
+	alpha, wf := p.effectiveAlpha(sys), float64(wi)
 	remaining := int(wi)
 	rest := 1.0 // probability mass of the categories not yet drawn
 	moves := int64(0)
 	for lo := 0; ; {
 		for ; mask != 0; mask &= mask - 1 {
-			idx := lo + bits.TrailingZeros64(mask)
-			q := ep.at(int(nbs[idx]), nbLoads[idx]) * invDeg
+			j := nbs[lo+bits.TrailingZeros64(mask)]
+			num := li - loads[j]
+			if !degIsMax {
+				num = sys.edgeNum(j, deg, num)
+			}
+			q := edgeProb(num, alpha, invI, invSpeed[j], wf) * invDeg
 			if q <= 0 {
 				continue
 			}
@@ -131,45 +143,30 @@ func (p Algorithm1) drawMovers(sys *System, i int, wi int64, li float64, nbLoads
 			}
 			k := nodeStream.Binomial(remaining, cp)
 			if k > 0 {
-				out[idx] = int64(k)
+				out = append(out, Outflow{To: j, Count: int64(k)})
 				moves += int64(k)
 				remaining -= k
 				if remaining == 0 {
-					return moves
+					return out, moves
 				}
 			}
 			rest -= q
 		}
-		if lo += 64; lo >= len(nbs) {
-			return moves
+		if lo += 64; lo >= deg {
+			return out, moves
 		}
-		hi := min(lo+64, len(nbs))
-		mask = eligibleMask(li, nbLoads[lo:hi], nbs[lo:hi], sys.invSpeed)
+		mask = eligibleMaskByNode(li, loads, nbs[lo:min(lo+64, deg)], sys.invSpeed)
 	}
 }
 
-// eligibleMask returns the edges, at most 64, over which a task of a
-// node with load li has an incentive to move: bit k is set iff
-// ℓᵢ − loads[k] > 1/s_nbs[k], written !(… <= …) so that it selects
-// exactly the edges a "skip if ℓᵢ − ℓⱼ <= 1/sⱼ" scan keeps. The loop
-// has no data-dependent branch (the comparison compiles to SETcc), so
-// random loads cost no mispredictions, and it must stay small enough
-// to inline into the kernels.
-func eligibleMask(li float64, loads []float64, nbs []int32, invSpeed []float64) uint64 {
-	loads = loads[:len(nbs)]
-	mask := uint64(0)
-	for k, j := range nbs {
-		var b uint64
-		if !(li-loads[k] <= invSpeed[j]) {
-			b = 1
-		}
-		mask |= b << (uint(k) & 63)
-	}
-	return mask
-}
-
-// eligibleMaskByNode is eligibleMask with the loads indexed by node (a
-// global snapshot) instead of by edge.
+// eligibleMaskByNode returns the edges, at most 64, over which a task of
+// a node with load li has an incentive to move, given the loads indexed
+// by node: bit k is set iff ℓᵢ − loads[nbs[k]] > 1/s_nbs[k], written
+// !(… <= …) so that it selects exactly the edges a "skip if
+// ℓᵢ − ℓⱼ <= 1/sⱼ" scan keeps. The loop has no data-dependent branch
+// (the comparison compiles to SETcc), so random loads cost no
+// mispredictions, and it must stay small enough to inline into the
+// kernels.
 func eligibleMaskByNode(li float64, loads []float64, nbs []int32, invSpeed []float64) uint64 {
 	mask := uint64(0)
 	for k, j := range nbs {
@@ -190,35 +187,29 @@ func eligibleMaskByNode(li float64, loads []float64, nbs []int32, invSpeed []flo
 // trajectories agree exactly.
 func stepNodewise(st *UniformState, round uint64, base *rng.Stream, p UniformNodeProtocol) int64 {
 	sys := st.sys
-	g := sys.g
-	n := g.N()
+	n := sys.g.N()
 	counts := st.counts
 	loads := st.Loads() // round-start snapshot: all tasks act concurrently
 	roundStream := base.Split(round)
 	delta := make([]int64, n)
-	nb := make([]float64, sys.maxDeg)
-	out := make([]int64, sys.maxDeg)
+	out := make([]Outflow, 0, sys.maxDeg)
+	var nodeStream rng.Stream // roundStream.Split(i), without the allocation
 	moves := int64(0)
 	for i := 0; i < n; i++ {
 		wi := counts[i]
 		if wi == 0 {
 			continue
 		}
-		nbs := g.Neighbors(i)
-		deg := len(nbs)
-		for idx, jj := range nbs {
-			nb[idx] = loads[jj]
-		}
-		m := p.DecideNode(sys, i, wi, loads[i], nb[:deg], roundStream.Split(uint64(i)), out)
+		roundStream.SplitTo(uint64(i), &nodeStream)
+		var m int64
+		out, m = p.DecideNode(sys, i, wi, loads, &nodeStream, out)
 		if m == 0 {
 			continue
 		}
 		moves += m
 		delta[i] -= m
-		for idx := 0; idx < deg; idx++ {
-			if out[idx] > 0 {
-				delta[nbs[idx]] += out[idx]
-			}
+		for _, f := range out {
+			delta[f.To] += f.Count
 		}
 	}
 	st.applyDelta(delta)
@@ -242,52 +233,32 @@ func migrationProb(sys *System, i, j int, li, lj, alpha, wi float64) float64 {
 	return p
 }
 
-// edgeProb is migrationProb for the edges of one node, with the
-// per-node factors computed once and 1/sⱼ read from System.invSpeed.
-// deg(j) comes from System.degree, so a halo neighbor of a window System
-// has its true degree. The degree ratio is left out where it is exactly
-// 1, on every edge with deg(j) <= deg(i): on all edges of a node of
-// maximum degree Δ, so of every regular graph, without looking deg(j)
-// up. Multiplying by an exact 1 changes no float, and the rest is
-// migrationProb's expression in its order, so both return the same bits.
-type edgeProb struct {
-	sys             *System
-	invSpeed        []float64
-	deg             int
-	degF            float64
-	li, invI, alpha float64
-	wi              float64
-	degIsMax        bool // deg(i) = Δ: no edge needs the degree ratio
+// edgeNum and edgeProb are migrationProb for the eligible edges of one
+// node, in its expression and order, split so that the kernels hold the
+// node's factors in locals and the per-edge part inlines into them:
+// p_ij = edgeProb(edgeNum(…), α, 1/sᵢ, 1/sⱼ, Wᵢ), with 1/s read from
+// System.invSpeed.
+
+// edgeNum returns (deg(i)/d_ij)·diff for node i of degree deg, neighbor
+// j and diff = ℓᵢ − ℓⱼ. deg(j) comes from System.degree, so a halo
+// neighbor of a window System has its true degree. The ratio is left
+// out where it is exactly 1, on every edge with deg(j) <= deg(i), so
+// the kernels skip the call on a node of maximum degree Δ — every node
+// of a regular graph. Multiplying by an exact 1 changes no float.
+func (s *System) edgeNum(j int32, deg int, diff float64) float64 {
+	if dj := s.degree(int(j)); dj > deg {
+		return float64(deg) / float64(dj) * diff
+	}
+	return diff
 }
 
-func newEdgeProb(sys *System, i int, li, alpha, wi float64) edgeProb {
-	deg := sys.g.Degree(i)
-	return edgeProb{
-		sys:      sys,
-		invSpeed: sys.invSpeed,
-		deg:      deg,
-		degF:     float64(deg),
-		li:       li,
-		invI:     sys.invSpeed[i],
-		alpha:    alpha,
-		wi:       wi,
-		degIsMax: deg == sys.maxDeg,
-	}
-}
-
-// at returns p_ij for neighbor j with load lj.
-func (e *edgeProb) at(j int, lj float64) float64 {
-	num := e.li - lj
-	if !e.degIsMax {
-		if dj := e.sys.degree(j); dj > e.deg {
-			num = e.degF / float64(dj) * num
-		}
-	}
-	p := num / (e.alpha * (e.invI + e.invSpeed[j]) * e.wi)
+// edgeProb returns num/(α·(1/sᵢ+1/sⱼ)·Wᵢ) clamped to [0, 1].
+func edgeProb(num, alpha, invI, invJ, wi float64) float64 {
+	p := num / (alpha * (invI + invJ) * wi)
 	if p > 1 {
-		p = 1
+		return 1
 	} else if p < 0 {
-		p = 0
+		return 0
 	}
 	return p
 }
@@ -312,29 +283,40 @@ func (p Algorithm1PerTask) Step(st *UniformState, round uint64, base *rng.Stream
 }
 
 // DecideNode implements UniformNodeProtocol: the literal per-task loop.
-func (p Algorithm1PerTask) DecideNode(sys *System, i int, wi int64, li float64, nbLoads []float64, nodeStream *rng.Stream, out []int64) int64 {
+// It tallies the movers per neighbor in out[:deg] and then drops the
+// neighbors that receive none, so the flows keep ascending neighbor
+// order.
+func (p Algorithm1PerTask) DecideNode(sys *System, i int, wi int64, loads []float64, nodeStream *rng.Stream, out []Outflow) ([]Outflow, int64) {
+	out = out[:0]
+	if wi == 0 {
+		return out, 0
+	}
 	nbs := sys.g.Neighbors(i)
 	deg := len(nbs)
-	for idx := 0; idx < deg; idx++ {
-		out[idx] = 0
-	}
-	if wi == 0 {
-		return 0
+	for _, j := range nbs {
+		out = append(out, Outflow{To: j})
 	}
 	alpha := Algorithm1{Alpha: p.Alpha}.effectiveAlpha(sys)
+	li := loads[i]
 	moves := int64(0)
 	for t := int64(0); t < wi; t++ {
 		idx := nodeStream.Intn(deg)
 		j := int(nbs[idx])
-		lj := nbLoads[idx]
+		lj := loads[j]
 		if li-lj <= 1/sys.speeds[j] {
 			continue
 		}
 		pij := migrationProb(sys, i, j, li, lj, alpha, float64(wi))
 		if nodeStream.Bernoulli(pij) {
-			out[idx]++
+			out[idx].Count++
 			moves++
 		}
 	}
-	return moves
+	kept := out[:0]
+	for _, f := range out {
+		if f.Count > 0 {
+			kept = append(kept, f)
+		}
+	}
+	return kept, moves
 }

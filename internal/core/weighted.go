@@ -163,9 +163,9 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 		sc.counts = make([]int, deg)
 	}
 	// probs[idx] = P(a task targets neighbor idx AND passes its coin).
-	// The eligible edges come from the branch-free bitmask of
-	// Algorithm1.DecideNode; a node of degree at most 64 with none costs
-	// only its mask.
+	// The eligible edges come from the branch-free bitmask that
+	// Algorithm1.DecideNode builds too; a node of degree at most 64 with
+	// none costs only its mask.
 	probs := sc.probs[:deg]
 	counts := sc.counts[:deg]
 	mask := eligibleMaskByNode(li, loads, nbs[:min(deg, 64)], sys.invSpeed)
@@ -280,21 +280,27 @@ func (p Algorithm2) DecideNodeFlat(sys *System, i, cnt int, wi float64, loads []
 // edgeProbs fills probs, zero off the eligible edges, for node i with
 // total weight wi, given the mask of its first 64 neighbors; it masks
 // the later chunks as it reaches them. It returns Σ probs and the last
-// index with a positive probability, −1 if there is none.
+// index with a positive probability, −1 if there is none. The per-node
+// factors of p_ij are locals (see edgeProb).
 func (p Algorithm2) edgeProbs(sys *System, i int, wi float64, loads, probs []float64, mask uint64) (sumQ float64, lastPos int) {
 	nbs := sys.g.Neighbors(i)
 	deg := len(nbs)
 	for idx := range probs {
 		probs[idx] = 0
 	}
-	li := loads[i]
-	ep := newEdgeProb(sys, i, li, p.effectiveAlpha(sys), wi)
+	degIsMax := deg == sys.maxDeg // no edge needs the degree ratio
+	li, invI, invSpeed := loads[i], sys.invSpeed[i], sys.invSpeed
+	alpha := p.effectiveAlpha(sys)
 	lastPos = -1
 	for lo := 0; ; {
 		for ; mask != 0; mask &= mask - 1 {
 			idx := lo + bits.TrailingZeros64(mask)
-			j := int(nbs[idx])
-			pij := ep.at(j, loads[j])
+			j := nbs[idx]
+			num := li - loads[j]
+			if !degIsMax {
+				num = sys.edgeNum(j, deg, num)
+			}
+			pij := edgeProb(num, alpha, invI, invSpeed[j], wi)
 			if pij <= 0 {
 				continue
 			}

@@ -553,27 +553,8 @@ func (c *clusterCore) gatherFlows(s int) error {
 	}
 	var b transport.Buffer
 	b.Load(payload)
-	if c.moves[s], err = b.I64(); err != nil {
-		return err
-	}
-	pp, err := b.U32()
-	if err != nil {
-		return err
-	}
-	if int(pp) != c.p {
-		return fmt.Errorf("sent %d flow lists for %d shards", pp, c.p)
-	}
-	for d := 0; d < c.p; d++ {
-		if c.model == modelUniform {
-			c.relayF[s][d], err = b.Flows(c.relayF[s][d][:0])
-		} else {
-			c.relayW[s][d], err = b.WFlows(c.relayW[s][d][:0])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	c.moves[s], err = decodeFlows(&b, c.model, c.relayF[s], c.relayW[s])
+	return err
 }
 
 // gatherStepDone reads worker s's step-done frame: its recompute flag,

@@ -83,12 +83,13 @@ type Engine struct {
 	flowsCross int64
 }
 
-// decideScratch is one worker's reusable decide-loop storage; child is
-// the SplitTo target, so deriving a node stream allocates nothing.
+// decideScratch is one worker's reusable decide-loop storage: outflows
+// holds a node's outflows (capacity Δ, so DecideNode never grows it),
+// and child is the SplitTo target, so deriving a node stream allocates
+// nothing.
 type decideScratch struct {
-	nb    []float64
-	out   []int64
-	child rng.Stream
+	outflows []core.Outflow
+	child    rng.Stream
 }
 
 // phase is one barrier-separated stage of a round, dispatched to every
@@ -164,7 +165,7 @@ func newEngine(sys *core.System, proto core.UniformNodeProtocol, counts []int64,
 		}
 	}
 	for w := 0; w < workers; w++ {
-		e.scratch[w] = &decideScratch{nb: make([]float64, maxDeg), out: make([]int64, maxDeg)}
+		e.scratch[w] = &decideScratch{outflows: make([]core.Outflow, 0, maxDeg)}
 		e.kick[w] = make(chan phase)
 		go func(w int) {
 			for ph := range e.kick[w] {
@@ -246,7 +247,7 @@ func (e *Engine) snapshotLoads(s int) {
 // writes shard-s buffers. The node stream is the contract stream
 // roundStream.Split(i), derived allocation-free via SplitTo.
 func (e *Engine) decideShard(s int, roundStream *rng.Stream, sc *decideScratch) {
-	part, csr, sys := e.part, e.csr, e.sys
+	part, sys := e.part, e.sys
 	lo, hi := part.Range(s)
 	local := e.local[s]
 	for k := range local {
@@ -258,34 +259,25 @@ func (e *Engine) decideShard(s int, roundStream *rng.Stream, sc *decideScratch) 
 			flows[d] = flows[d][:0]
 		}
 	}
+	loads := e.view.Dense()
 	moves := int64(0)
 	for i := lo; i < hi; i++ {
 		wi := e.counts[i]
 		if wi == 0 {
 			continue
 		}
-		nbs := csr.Neighbors(i)
-		deg := len(nbs)
-		for idx, j := range nbs {
-			sc.nb[idx] = e.view.Load(j)
-		}
 		roundStream.SplitTo(uint64(e.gbase+i), &sc.child)
-		m := e.proto.DecideNode(sys, i, wi, e.view.LoadAt(i), sc.nb[:deg], &sc.child, sc.out)
+		out, m := e.proto.DecideNode(sys, i, wi, loads, &sc.child, sc.outflows)
 		if m == 0 {
 			continue
 		}
 		moves += m
 		local[i-lo] -= m
-		for idx := 0; idx < deg; idx++ {
-			amount := sc.out[idx]
-			if amount == 0 {
-				continue
-			}
-			j := nbs[idx]
-			if d := int(part.shardOf[j]); d == s {
-				local[int(j)-lo] += amount
+		for _, f := range out {
+			if d := int(part.shardOf[f.To]); d == s {
+				local[int(f.To)-lo] += f.Count
 			} else {
-				flows[d] = append(flows[d], transport.Flow{Node: j, Amount: amount})
+				flows[d] = append(flows[d], transport.Flow{Node: f.To, Amount: f.Count})
 			}
 		}
 	}
@@ -442,7 +434,7 @@ func (e *Engine) Footprint() int64 {
 	bytes += int64(len(e.loads)) * 8
 	bytes += e.part.bytes()
 	for _, sc := range e.scratch {
-		bytes += int64(len(sc.nb))*8 + int64(len(sc.out))*8
+		bytes += int64(cap(sc.outflows)) * 16
 	}
 	for s := range e.local {
 		bytes += int64(len(e.local[s])) * 8

@@ -8,8 +8,8 @@ package shard
 // touch.
 //
 // The view is one dense vector over an engine's id space, so protocol
-// code keeps plain []float64 indexing (core.WeightedFlatProtocol's
-// DecideNodeFlat signature) with zero indirection cost. Ids [0, own) are
+// code keeps plain []float64 indexing (the DecideNode and
+// DecideNodeFlat signatures) with zero indirection cost. Ids [0, own) are
 // rows the engine's snapshot phase refreshes; ids [own, len) are halo
 // slots that FillHalo refreshes. The two owners differ in size only:
 //
@@ -31,17 +31,11 @@ type LoadView struct {
 // through the engine are immediately visible to readers of the view.
 func newLoadView(loads []float64, own int) LoadView { return LoadView{dense: loads, own: own} }
 
-// Load returns vertex j's snapshot load. Only indices inside the
-// reading shard's own rows or halo slots are guaranteed fresh.
-func (v LoadView) Load(j int32) float64 { return v.dense[j] }
-
-// LoadAt is Load for an int index (own-span reads use int loops).
-func (v LoadView) LoadAt(i int) float64 { return v.dense[i] }
-
-// Dense exposes the backing vector for flat-protocol decides
-// (DecideNodeFlat receives the whole vector but reads only the
-// deciding node's own and neighbor entries — the same locality
-// contract the view formalizes).
+// Dense exposes the backing vector for the decide kernels (DecideNode
+// and DecideNodeFlat receive the whole vector but read only the
+// deciding node's own and neighbor entries — the same locality contract
+// the view formalizes). Only entries of the reading shard's own rows
+// and halo slots are guaranteed fresh.
 func (v LoadView) Dense() []float64 { return v.dense }
 
 // FillHalo writes a halo frame into the view: vals[k] is the load of

@@ -618,6 +618,110 @@ func decodeOwnState(b *transport.Buffer, model uint8) (*ownState, error) {
 	return st, nil
 }
 
+// decodeFlows reads a worker's flows frame: its move count, then its
+// flow list to each shard, uniform lists into f and weighted ones into
+// w, reusing their capacity. f and w have one entry per shard, and the
+// frame must carry exactly that many lists.
+func decodeFlows(b *transport.Buffer, model uint8, f [][]transport.Flow, w [][]transport.WFlow) (int64, error) {
+	moves, err := b.I64()
+	if err != nil {
+		return 0, err
+	}
+	p, err := b.U32()
+	if err != nil {
+		return 0, err
+	}
+	if int64(p) != int64(len(f)) {
+		return 0, fmt.Errorf("sent %d flow lists for %d shards", p, len(f))
+	}
+	for d := range f {
+		if model == modelUniform {
+			f[d], err = b.Flows(f[d][:0])
+		} else {
+			w[d], err = b.WFlows(w[d][:0])
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return moves, nil
+}
+
+// decodeGrant reads the flow lists of a uniform grant frame, one from
+// each shard, into in (one entry per shard), reusing its capacity. Every
+// destination must lie in the receiving worker's own range [lo, hi) and
+// is rebased to its local id.
+func decodeGrant(b *transport.Buffer, lo, hi int, in [][]transport.Flow) error {
+	if err := grantShards(b, len(in)); err != nil {
+		return err
+	}
+	for src := range in {
+		var err error
+		if in[src], err = b.Flows(in[src][:0]); err != nil {
+			return err
+		}
+		for k := range in[src] {
+			if err := ownLocal(&in[src][k].Node, lo, hi); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// decodeWGrant reads a weighted grant frame: the shards' global move
+// bases into bases' storage and the recompute crossing, then the task
+// flows as decodeGrant does.
+func decodeWGrant(b *transport.Buffer, lo, hi int, bases []int64, in [][]transport.WFlow) ([]int64, int64, error) {
+	bases, err := b.I64s(bases[:0])
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(bases) != len(in) {
+		return nil, 0, fmt.Errorf("shard: worker: %d move bases for %d shards", len(bases), len(in))
+	}
+	crossAt, err := b.I64()
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := grantShards(b, len(in)); err != nil {
+		return nil, 0, err
+	}
+	for src := range in {
+		if in[src], err = b.WFlows(in[src][:0]); err != nil {
+			return nil, 0, err
+		}
+		for k := range in[src] {
+			if err := ownLocal(&in[src][k].Dst, lo, hi); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	return bases, crossAt, nil
+}
+
+// grantShards reads a grant's list count, which must be p.
+func grantShards(b *transport.Buffer, p int) error {
+	n, err := b.U32()
+	if err != nil {
+		return err
+	}
+	if int64(n) != int64(p) {
+		return fmt.Errorf("shard: worker: grant for %d shards, have %d", n, p)
+	}
+	return nil
+}
+
+// ownLocal rewrites an inbound flow's global destination into its local
+// id, refusing a destination outside the own range [lo, hi).
+func ownLocal(v *int32, lo, hi int) error {
+	if int64(*v) < int64(lo) || int64(*v) >= int64(hi) {
+		return fmt.Errorf("shard: worker: flow into node %d outside own range [%d,%d)", *v, lo, hi)
+	}
+	*v -= int32(lo)
+	return nil
+}
+
 // protoSpec extracts the wire (name, alpha) pair for a protocol the
 // cluster can ship to workers. Only the paper's two algorithms are
 // registered; anything else cannot cross the process boundary.

@@ -145,6 +145,81 @@ func FuzzWorkerDecoders(f *testing.F) {
 	})
 }
 
+// FuzzRoundFlows feeds mutated per-round frames that carry flows to
+// their decoders: a worker's flows frame at the coordinator of P = 3
+// shards (decodeFlows, either model), and a grant at a worker whose own
+// range is [4, 12) (decodeGrant, decodeWGrant). The first input byte
+// picks the decoder. Whatever the rest, each must return or fail: no
+// panic, no allocation out of proportion to the input, and an accepted
+// grant names only own-range nodes, rebased to the local ids 0…7.
+func FuzzRoundFlows(f *testing.F) {
+	const p, lo, hi = 3, 4, 12
+	flows := [][]transport.Flow{{{Node: 5, Amount: 2}}, nil, {{Node: 11, Amount: 1}, {Node: 4, Amount: 7}}}
+	wflows := [][]transport.WFlow{{{Dst: 6, G: 0, W: 0.5}}, {{Dst: 11, G: 3, W: 1}}, nil}
+	for pick, model := range []uint8{modelUniform, modelWeighted} {
+		var b transport.Buffer
+		b.PutI64(9)
+		b.PutU32(p)
+		for d := 0; d < p; d++ {
+			if model == modelUniform {
+				b.PutFlows(flows[d])
+			} else {
+				b.PutWFlows(wflows[d])
+			}
+		}
+		f.Add(append([]byte{byte(pick)}, b.B...))
+	}
+	var b transport.Buffer
+	b.PutU32(p)
+	for _, l := range flows {
+		b.PutFlows(l)
+	}
+	f.Add(append([]byte{2}, b.B...))
+	b.Reset()
+	b.PutI64s([]int64{0, 4, 9})
+	b.PutI64(-1)
+	b.PutU32(p)
+	for _, l := range wflows {
+		b.PutWFlows(l)
+	}
+	f.Add(append([]byte{3}, b.B...))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) == 0 {
+			return
+		}
+		var b transport.Buffer
+		b.Load(frame[1:])
+		fl, wl := make([][]transport.Flow, p), make([][]transport.WFlow, p)
+		var err error
+		alloc := allocated(func() {
+			switch frame[0] % 4 {
+			case 0, 1:
+				_, err = decodeFlows(&b, []uint8{modelUniform, modelWeighted}[frame[0]%2], fl, wl)
+			case 2:
+				err = decodeGrant(&b, lo, hi, fl)
+			default:
+				_, _, err = decodeWGrant(&b, lo, hi, nil, wl)
+			}
+		})
+		checkDecodeAlloc(t, "round flows", len(frame), alloc)
+		if err != nil || frame[0]%4 < 2 {
+			return
+		}
+		for src := range fl {
+			for _, f := range fl[src] {
+				if f.Node < 0 || f.Node >= hi-lo {
+					t.Fatalf("accepted grant names local node %d of an own range of %d", f.Node, hi-lo)
+				}
+			}
+			for _, f := range wl[src] {
+				if f.Dst < 0 || f.Dst >= hi-lo {
+					t.Fatalf("accepted weighted grant names local node %d of an own range of %d", f.Dst, hi-lo)
+				}
+			}
+		}
+	})
+}
+
 // TestWorkerRefusesOtherGraph: a worker refuses a config whose
 // descriptor does not rebuild the coordinator's rows — a different rows
 // digest at the same node count, or a different node count — with an

@@ -258,16 +258,6 @@ func (w *worker) globalWFlows(fs []transport.WFlow) []transport.WFlow {
 	return fs
 }
 
-// localID rewrites an inbound flow's global destination into its own
-// local id, refusing a destination outside the own range.
-func (w *worker) localID(v *int32) error {
-	if *v < int32(w.lo) || *v >= int32(w.hi) {
-		return fmt.Errorf("shard: worker: flow into node %d outside own range [%d,%d)", *v, w.lo, w.hi)
-	}
-	*v -= int32(w.lo)
-	return nil
-}
-
 func (w *worker) close() {
 	if w.ue != nil {
 		w.ue.Close()
@@ -434,27 +424,18 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	t = time.Now()
 	crossed := false
 	if w.model == modelUniform {
-		if err := w.loadGrantFlows(&b); err != nil {
+		if err := decodeGrant(&b, w.lo, w.hi, w.tr.in); err != nil {
 			return 0, err
 		}
 		w.ue.commitShard(w.own)
 	} else {
 		e := w.we
-		sb, err := b.I64s(e.shardBase[:0])
+		sb, crossAt, err := decodeWGrant(&b, w.lo, w.hi, e.shardBase, w.tr.inW)
 		if err != nil {
 			return 0, err
 		}
-		if len(sb) != w.p {
-			return 0, fmt.Errorf("shard: worker: %d move bases for %d shards", len(sb), w.p)
-		}
-		e.shardBase = sb
-		if e.crossAt, err = b.I64(); err != nil {
-			return 0, err
-		}
-		crossed = e.crossAt >= 0
-		if err := w.loadGrantWFlows(&b); err != nil {
-			return 0, err
-		}
+		e.shardBase, e.crossAt = sb, crossAt
+		crossed = crossAt >= 0
 		e.commitShard(w.own)
 	}
 	w.stats.CommitNs += int64(time.Since(t))
@@ -480,48 +461,6 @@ func (w *worker) round(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	return r, nil
-}
-
-func (w *worker) loadGrantFlows(b *transport.Buffer) error {
-	p, err := b.U32()
-	if err != nil {
-		return err
-	}
-	if int(p) != w.p {
-		return fmt.Errorf("shard: worker: grant for %d shards, have %d", p, w.p)
-	}
-	for src := 0; src < w.p; src++ {
-		if w.tr.in[src], err = b.Flows(w.tr.in[src][:0]); err != nil {
-			return err
-		}
-		for k := range w.tr.in[src] {
-			if err := w.localID(&w.tr.in[src][k].Node); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (w *worker) loadGrantWFlows(b *transport.Buffer) error {
-	p, err := b.U32()
-	if err != nil {
-		return err
-	}
-	if int(p) != w.p {
-		return fmt.Errorf("shard: worker: grant for %d shards, have %d", p, w.p)
-	}
-	for src := 0; src < w.p; src++ {
-		if w.tr.inW[src], err = b.WFlows(w.tr.inW[src][:0]); err != nil {
-			return err
-		}
-		for k := range w.tr.inW[src] {
-			if err := w.localID(&w.tr.inW[src][k].Dst); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // events applies a standalone pre-round workload batch (KindEvents) to
