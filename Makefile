@@ -134,8 +134,8 @@ cover:
 # the decide kernels, the transport frame reader, the cluster config
 # decoder, the worker's event-slice, own-state and stats decoders, the
 # round frames that carry flows (the coordinator's flows reader and the
-# worker's grant readers), the checkpoint decoder and the journal
-# reader (each -fuzz run accepts
+# worker's grant readers), the checkpoint decoder, the journal reader
+# and lbd's /tasks and /complete body decoder (each -fuzz run accepts
 # exactly one target, hence one line per target), including the
 # differential checks of the Binomial zero-mass shortcut and of the
 # branch-free decide kernels against their pre-optimisation references.
@@ -159,5 +159,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundFlows$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 
 ci: vet build race bench-check perfbench-check

@@ -85,9 +85,9 @@ func BenchmarkBatcherSubmit(b *testing.B) {
 		weighted bool
 	}{{"uniform", false}, {"weighted", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			// BatchSize out of reach and MaxWait far away: pure submit
-			// cost, no flush signalling.
-			bt, err := serve.NewBatcher(n, mode.weighted, 1<<30, time.Hour, nil)
+			// No round loop takes the group: after the first submission's
+			// wake, pure submit cost.
+			bt, err := serve.NewBatcher(n, mode.weighted, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -109,17 +109,17 @@ func BenchmarkBatcherSubmit(b *testing.B) {
 }
 
 // BenchmarkServeRound measures one full serving round against a live
-// 10⁶-node weighted shard engine: 8192 submissions batch into exactly
-// one pre-round event batch (size-triggered flush), the loop applies
-// it, journals it, and steps Algorithm 2. ns/op is the end-to-end
-// admission period a saturated daemon sustains per round.
+// 10⁶-node weighted shard engine: 8192 submissions, made while the loop
+// is held in Server.Do, batch into exactly one pre-round event batch;
+// the loop applies it, journals it, and steps Algorithm 2. ns/op is the
+// end-to-end admission period a saturated daemon sustains per round.
 func BenchmarkServeRound(b *testing.B) {
 	const n = 1_000_000
 	const per = 8192
 	eng, _ := buildWeightedServeEngine(b, n, 16)
 	defer eng.Close()
 	srv, err := serve.New[*core.WeightedState](eng, serve.Config{
-		N: n, Weighted: true, BatchSize: per, MaxWait: time.Hour, Seed: 1,
+		N: n, Weighted: true, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -129,16 +129,18 @@ func BenchmarkServeRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var last serve.Ticket
-		for k := 0; k < per; k++ {
-			op := serve.Op{Kind: serve.OpArriveWeighted, Node: st.Intn(n), Weight: 0.1 + 0.9*st.Float64()}
-			if k%4 == 3 {
-				op = serve.Op{Kind: serve.OpCompleteWeighted, Node: st.Intn(n)}
+		var err error
+		srv.Do(func() {
+			for k := 0; k < per && err == nil; k++ {
+				op := serve.Op{Kind: serve.OpArriveWeighted, Node: st.Intn(n), Weight: 0.1 + 0.9*st.Float64()}
+				if k%4 == 3 {
+					op = serve.Op{Kind: serve.OpCompleteWeighted, Node: st.Intn(n)}
+				}
+				last, err = srv.Submit(op)
 			}
-			t, err := srv.Submit(op)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = t
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 		if _, err := last.Wait(); err != nil {
 			b.Fatal(err)

@@ -90,8 +90,6 @@ type flags struct {
 	shardStrategy string
 
 	// serve loop
-	batch           int
-	maxWait         time.Duration
 	idleRounds      int
 	trace           int
 	journalPath     string
@@ -138,8 +136,6 @@ func parseFlags(argv []string) (*flags, error) {
 	fs.IntVar(&fl.shards, "shards", 0, "shard engine: partition count P (0 = worker count)")
 	fs.StringVar(&fl.shardStrategy, "shard-strategy", "contiguous", "shard engine: partition strategy contiguous|degree")
 
-	fs.IntVar(&fl.batch, "batch", 0, "flush the pending batch at this many submissions (0 = 4096)")
-	fs.DurationVar(&fl.maxWait, "maxwait", 0, "flush a non-empty batch this long after its first submission (0 = 2ms)")
 	fs.IntVar(&fl.idleRounds, "idlerounds", 0, "event-less rounds to keep stepping after traffic pauses")
 	fs.IntVar(&fl.trace, "trace", 0, "sample a potential trace point every k rounds (0 = off; materializes state)")
 	fs.StringVar(&fl.journalPath, "journal", "", "write the admitted-batch journal (JSONL) here on shutdown")
@@ -548,8 +544,6 @@ func dumpMetrics(reg *obs.Registry, path string) error {
 func (fl *flags) serveConfig() serve.Config {
 	return serve.Config{
 		Weighted:       fl.model == "weighted",
-		BatchSize:      fl.batch,
-		MaxWait:        fl.maxWait,
 		IdleRounds:     fl.idleRounds,
 		Seed:           fl.seed,
 		TraceEvery:     fl.trace,
@@ -654,14 +648,6 @@ func (fl *flags) banner(sys *core.System) string {
 	if fl.engine == harness.EngineShard || fl.engine == harness.EngineCluster {
 		s += fmt.Sprintf(" shards=%d (%s)", eo.Shards, eo.Strategy)
 	}
-	batch, maxWait := fl.batch, fl.maxWait
-	if batch <= 0 {
-		batch = 4096
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
-	}
-	s += fmt.Sprintf(" batch=%d maxwait=%v", batch, maxWait)
 	return s
 }
 

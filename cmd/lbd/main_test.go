@@ -55,7 +55,7 @@ func TestSelfdriveDirectThenReplayAcrossEngines(t *testing.T) {
 	fl := parse(t,
 		"-selfdrive", "-rate", "4000", "-duration", "250ms",
 		"-graph", "ring", "-n", "64", "-tasks", "640", "-seed", "3",
-		"-engine", "seq", "-batch", "64", "-maxwait", "1ms",
+		"-engine", "seq",
 		"-journal", jpath, "-verify")
 	if err := runSelfdrive(context.Background(), fl); err != nil {
 		t.Fatalf("selfdrive: %v", err)
@@ -82,7 +82,7 @@ func TestSelfdriveRotatedJournalReplay(t *testing.T) {
 	fl := parse(t,
 		"-selfdrive", "-rate", "4000", "-duration", "250ms",
 		"-graph", "ring", "-n", "64", "-tasks", "640", "-seed", "3",
-		"-engine", "seq", "-batch", "64", "-maxwait", "1ms",
+		"-engine", "seq",
 		"-journal", jpath, "-journal-max-bytes", "512", "-verify")
 	if err := runSelfdrive(context.Background(), fl); err != nil {
 		t.Fatalf("selfdrive with rotation: %v", err)
@@ -103,7 +103,6 @@ func TestSelfdriveWeightedHTTP(t *testing.T) {
 		"-rate", "1000", "-duration", "250ms",
 		"-graph", "ring", "-n", "32", "-tasks", "320", "-seed", "5",
 		"-model", "weighted", "-engine", "seq",
-		"-batch", "32", "-maxwait", "1ms",
 		"-journal", jpath, "-verify")
 	if err := runSelfdrive(context.Background(), fl); err != nil {
 		t.Fatalf("selfdrive http: %v", err)
@@ -190,7 +189,7 @@ func loadRanking(t *testing.T, model, engine string) (body string, frames float6
 		"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
 		"-speeds", "twoclass", "-smax", "2", "-placement", "random",
 		"-model", model, "-engine", engine, "-shards", "2",
-		"-nojournal", "-maxwait", "1ms")
+		"-nojournal")
 	inst, err := buildInstance(fl)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +278,7 @@ func TestReplayJournalOfRemovedEngine(t *testing.T) {
 	fl := parse(t,
 		"-selfdrive", "-rate", "4000", "-duration", "200ms",
 		"-graph", "ring", "-n", "48", "-tasks", "480", "-seed", "6",
-		"-engine", "seq", "-batch", "64", "-maxwait", "1ms",
+		"-engine", "seq",
 		"-journal", jpath)
 	if err := runSelfdrive(context.Background(), fl); err != nil {
 		t.Fatalf("selfdrive: %v", err)
@@ -330,7 +329,7 @@ func TestStatsPsi0MatchesSeqReplay(t *testing.T) {
 				fl := parse(t,
 					"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
 					"-speeds", "twoclass", "-smax", "2", "-placement", "random",
-					"-model", model, "-engine", engine, "-shards", "3", "-maxwait", "1ms")
+					"-model", model, "-engine", engine, "-shards", "3")
 				inst, err := buildInstance(fl)
 				if err != nil {
 					t.Fatal(err)

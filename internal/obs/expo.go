@@ -98,13 +98,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			var cum uint64
 			for k, c := range buckets {
 				cum += c
-				// The last power-of-two bucket clamps everything above
-				// it, so its true upper bound is +Inf; emitting a
-				// finite le there would lie about the distribution.
+				// The last bucket clamps everything above it, so its
+				// true upper bound is +Inf; emitting a finite le there
+				// would lie about the distribution.
 				if k == len(buckets)-1 {
 					break
 				}
-				le := formatValue(float64(int64(1)<<(k+1)) * scale)
+				le := formatValue(float64(bucketUpper(k)) * scale)
 				fmt.Fprintf(bw, "%s_bucket%s %d\n", m.name,
 					labelString(m.labels, Label{"le", le}), cum)
 			}

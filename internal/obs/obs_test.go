@@ -78,6 +78,32 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if !sawInf || count != 7 || inf != 7 {
 		t.Fatalf("histogram: count=%g +Inf=%g sawInf=%v", count, inf, sawInf)
 	}
+	// The finite le values are the log-linear upper bounds, in order:
+	// 1..8 for the exact buckets, then 2³ per octave up to 2⁸.
+	var les []string
+	cum := map[string]float64{}
+	for _, s := range hist.Samples {
+		if s.Name == "lb_batch_size_bucket" && s.Labels["le"] != "+Inf" {
+			les = append(les, s.Labels["le"])
+			cum[s.Labels["le"]] = s.Value
+		}
+	}
+	if len(les) != histogramBuckets(8)-1 {
+		t.Fatalf("histogram has %d finite buckets, want %d", len(les), histogramBuckets(8)-1)
+	}
+	for k, le := range les {
+		if want := formatValue(float64(bucketUpper(k))); le != want {
+			t.Fatalf("bucket %d: le=%s, want %s", k, le, want)
+		}
+	}
+	if les[len(les)-1] != "256" {
+		t.Fatalf("last finite le = %s, want 256", les[len(les)-1])
+	}
+	// 0, 1, 2, 3 and 7 lie below 8; 100 lies in [96, 104).
+	if cum["8"] != 5 || cum["96"] != 5 || cum["104"] != 6 || cum["256"] != 6 {
+		t.Fatalf("cumulative counts le=8:%g le=96:%g le=104:%g le=256:%g, want 5 5 6 6",
+			cum["8"], cum["96"], cum["104"], cum["256"])
+	}
 	if want := float64(0 + 1 + 2 + 3 + 7 + 100 + 1<<40); sum != want {
 		t.Fatalf("histogram sum = %g, want %g", sum, want)
 	}
@@ -122,20 +148,41 @@ func TestParserAcceptsTimestamps(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets pins BucketOf and the quantile estimator
-// against the serve metrics they generalize.
+// TestHistogramBuckets pins the log-linear ladder: exact buckets for
+// 0..7, then 2³ contiguous buckets per octave whose width is at most
+// 1/8 of their lower bound, the overflow clamp, and quantiles read as
+// bucket upper bounds within 12.5% of the observed value.
 func TestHistogramBuckets(t *testing.T) {
-	if got := BucketOf(0, 8); got != 0 {
-		t.Fatalf("BucketOf(0) = %d", got)
+	for v, want := range map[int64]int{-5: 0, 0: 0, 1: 1, 7: 7, 8: 8, 15: 15, 16: 16, 17: 16, 18: 17, 31: 23, 32: 24} {
+		if got := BucketOf(v, histogramBuckets(20)); got != want {
+			t.Fatalf("BucketOf(%d) = %d, want %d", v, got, want)
+		}
 	}
-	if got := BucketOf(1, 8); got != 0 {
-		t.Fatalf("BucketOf(1) = %d", got)
+	n := histogramBuckets(8)
+	if n != 49 {
+		t.Fatalf("an 8-octave histogram has %d buckets, want 49", n)
 	}
-	if got := BucketOf(7, 8); got != 2 {
-		t.Fatalf("BucketOf(7) = %d", got)
+	if got := BucketOf(1<<40, n); got != n-1 {
+		t.Fatalf("BucketOf(2^40, %d buckets) = %d", n, got)
 	}
-	if got := BucketOf(1<<40, 8); got != 7 {
-		t.Fatalf("BucketOf(2^40, 8 buckets) = %d", got)
+	if got := BucketOf(1<<8, n); got != n-1 {
+		t.Fatalf("BucketOf(2^8, %d buckets) = %d, want the overflow bucket", n, got)
+	}
+	lower := int64(0)
+	for v := int64(0); v < 1<<16; v++ {
+		k := BucketOf(v, histogramBuckets(20))
+		if k > 0 {
+			lower = bucketUpper(k - 1)
+		} else {
+			lower = 0
+		}
+		up := bucketUpper(k)
+		if v < lower || v >= up {
+			t.Fatalf("value %d in bucket %d = [%d, %d)", v, k, lower, up)
+		}
+		if v >= 8 && float64(up-lower) > float64(lower)/8 {
+			t.Fatalf("bucket %d = [%d, %d) is wider than 1/8 of its lower bound", k, lower, up)
+		}
 	}
 	r := NewRegistry()
 	h := r.NewHistogram("q", "", 16)
@@ -143,13 +190,17 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("empty quantile = %g", q)
 	}
 	for i := 0; i < 100; i++ {
-		h.Observe(3) // bucket 1: [2,4)
+		h.Observe(900) // bucket [896, 960)
 	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Fatalf("p50 of all-3s = %g, want bucket upper bound 4", q)
+	if q := h.Quantile(0.5); q != 960 {
+		t.Fatalf("p50 of all-900s = %g, want bucket upper bound 960", q)
 	}
-	if q := h.Quantile(0.99); q != 4 {
-		t.Fatalf("p99 of all-3s = %g, want 4", q)
+	if q := h.Quantile(0.99); q != 960 {
+		t.Fatalf("p99 of all-900s = %g, want 960", q)
+	}
+	h.Observe(1 << 40)
+	if q := h.Quantile(1); q != 1<<16 {
+		t.Fatalf("quantile in the overflow bucket = %g, want its lower bound 2^16", q)
 	}
 }
 
@@ -282,15 +333,16 @@ func TestFormatPhases(t *testing.T) {
 }
 
 // TestQuantileOfMatchesFloatMath sanity-checks QuantileOf on a spread
-// distribution.
+// distribution: each quantile is the upper bound of the bucket holding
+// it, within 12.5% above the observed value.
 func TestQuantileOfMatchesFloatMath(t *testing.T) {
-	hist := make([]uint64, 10)
-	hist[0] = 90 // [1,2)
-	hist[5] = 10 // [32,64)
-	if q := QuantileOf(hist, 0.5); q != 2 {
-		t.Fatalf("p50 = %g, want 2", q)
+	hist := make([]uint64, histogramBuckets(10))
+	hist[BucketOf(100, len(hist))] = 90 // [96, 104)
+	hist[BucketOf(700, len(hist))] = 10 // [640, 704)
+	if q := QuantileOf(hist, 0.5); q != 104 {
+		t.Fatalf("p50 = %g, want 104", q)
 	}
-	if q := QuantileOf(hist, 0.95); q != 64 {
-		t.Fatalf("p95 = %g, want 64", q)
+	if q := QuantileOf(hist, 0.95); q != 704 {
+		t.Fatalf("p95 = %g, want 704", q)
 	}
 }

@@ -1,5 +1,5 @@
 // Package obs is the repo's zero-dependency observability layer: a
-// metrics registry (atomic counters, gauges, and power-of-two
+// metrics registry (atomic counters, gauges, and log-linear
 // histograms with quantile estimation) with Prometheus text-format
 // exposition, a span recorder that emits Chrome-trace JSON for offline
 // flame views, and the shared phase-breakdown formatter used by both
@@ -214,38 +214,60 @@ func (r *Registry) NewGaugeFunc(name, help string, f func() float64, labels ...L
 	r.register(&metric{name: name, help: help, kind: kindGauge, labels: labels, gf: f})
 }
 
-// Histogram is a power-of-two bucketed integer histogram: bucket k
-// counts observations in [2ᵏ, 2ᵏ⁺¹), values below 1 land in bucket 0
-// and values at or above 2ⁿ⁻¹ clamp into the last bucket. Observe is a
-// two-atomic-add operation; quantiles are ≤2× overestimates (the upper
-// bound of the bucket where the cumulative count crosses the target).
+// Histogram is a log-linear integer histogram: every octave [2ᵉ, 2ᵉ⁺¹)
+// splits into 2³ equal-width buckets, so a bucket's width is at most
+// 1/8 of its lower bound and a quantile read as a bucket's upper bound
+// overestimates by at most 12.5%. Values 0..7 get exact buckets,
+// negative values count as 0, and values at or above 2^octaves clamp
+// into a final overflow bucket. Observe is a two-atomic-add operation
+// with an O(1) bucket index.
 type Histogram struct {
 	buckets []atomic.Uint64
 	sum     atomic.Int64
 	count   atomic.Uint64
 }
 
-// NewHistogram registers a histogram with n power-of-two buckets.
-func (r *Registry) NewHistogram(name, help string, n int, labels ...Label) *Histogram {
-	if n < 1 || n > 63 {
-		panic(fmt.Sprintf("obs: histogram %q needs 1..63 buckets, got %d", name, n))
+// subBits is log₂ of the sub-buckets per octave.
+const subBits = 3
+
+// histogramBuckets returns the bucket count of a histogram resolving
+// values below 2^octaves: 2³ exact buckets for 0..7, 2³ per octave
+// above, and the overflow bucket.
+func histogramBuckets(octaves int) int { return (octaves-subBits+1)<<subBits + 1 }
+
+// NewHistogram registers a histogram resolving values below 2^octaves
+// with 12.5% relative error; larger values land in its overflow
+// bucket.
+func (r *Registry) NewHistogram(name, help string, octaves int, labels ...Label) *Histogram {
+	if octaves < subBits || octaves > 62 {
+		panic(fmt.Sprintf("obs: histogram %q needs %d..62 octaves, got %d", name, subBits, octaves))
 	}
 	m := r.register(&metric{name: name, help: help, kind: kindHistogram, labels: labels,
-		h: &Histogram{buckets: make([]atomic.Uint64, n)}})
+		h: &Histogram{buckets: make([]atomic.Uint64, histogramBuckets(octaves))}})
 	return m.h
 }
 
-// BucketOf returns the power-of-two bucket index for v in an
-// n-bucket histogram.
+// BucketOf returns the log-linear bucket index for v in an n-bucket
+// histogram: v itself below 2³, then 2³ buckets per octave, clamped to
+// the last bucket.
 func BucketOf(v int64, n int) int {
-	if v < 1 {
-		v = 1
+	if v < 1<<subBits {
+		return min(int(max(v, 0)), n-1)
 	}
-	b := bits.Len64(uint64(v)) - 1
-	if b >= n {
-		b = n - 1
+	e := bits.Len64(uint64(v)) - 1 // v ∈ [2ᵉ, 2ᵉ⁺¹), e ≥ 3
+	sub := int(v>>(e-subBits)) & (1<<subBits - 1)
+	return min((e-subBits+1)<<subBits+sub, n-1)
+}
+
+// bucketUpper returns bucket k's exclusive upper bound: k+1 for the
+// exact buckets, (9+j)·2^(e−3) for sub-bucket j of octave e.
+func bucketUpper(k int) int64 {
+	if k < 1<<subBits {
+		return int64(k) + 1
 	}
-	return b
+	e := k>>subBits + subBits - 1
+	m := int64(k&(1<<subBits-1)) + 1<<subBits
+	return (m + 1) << (e - subBits)
 }
 
 // Observe records one value. Allocation-free.
@@ -272,7 +294,9 @@ func (h *Histogram) snapshot() []uint64 {
 
 // Quantile returns the upper bound (in the histogram's unit) of the
 // bucket where the cumulative count crosses q∈[0,1], or 0 for an
-// empty histogram — a ≤2× overestimate by construction.
+// empty histogram — at most a 12.5% overestimate by construction. A
+// quantile in the overflow bucket reads as its lower bound, the
+// largest value the histogram resolves.
 func (h *Histogram) Quantile(q float64) float64 {
 	return QuantileOf(h.snapshot(), q)
 }
@@ -290,12 +314,13 @@ func QuantileOf(hist []uint64, q float64) float64 {
 	if target >= total {
 		target = total - 1
 	}
-	var cum uint64
-	for k, c := range hist {
-		cum += c
-		if cum > target {
-			return float64(int64(1) << (k + 1))
-		}
+	k, cum := 0, hist[0]
+	for cum <= target {
+		k++
+		cum += hist[k]
 	}
-	return float64(int64(1) << len(hist))
+	if k > 0 && k == len(hist)-1 {
+		k-- // the overflow bucket: report the lower bound it starts at
+	}
+	return float64(bucketUpper(k))
 }

@@ -1,10 +1,11 @@
 // Package serve turns the simulator into a serving system: a live
 // engine owned by a round loop, fed by a Batcher that amortizes
 // individual task submissions into one core.EventBatch per protocol
-// round (size-or-deadline flush), with per-request completion so
-// callers learn the round their event was admitted in. Every admitted
-// batch is journaled, so any serve-mode run replays offline through
-// core.Drive to a bit-identical Ψ trace.
+// round (the loop takes every pending submission whenever it is free),
+// with per-request completion so callers learn the round their event
+// was admitted in. Every admitted batch is journaled, so any
+// serve-mode run replays offline through core.Drive to a bit-identical
+// Ψ trace.
 package serve
 
 import (
@@ -44,16 +45,6 @@ type Op struct {
 	Count  int64
 	Weight float64
 }
-
-// flushCause records which trigger flushed a group first.
-type flushCause uint8
-
-const (
-	causeNone flushCause = iota
-	causeSize
-	causeDeadline
-	causeFinal
-)
 
 // pendingBatch is a dense n-node EventBatch plus touched-index lists so
 // it can be recycled round after round by clearing only the entries a
@@ -137,7 +128,6 @@ type group struct {
 	pb    *pendingBatch
 	subs  int
 	first time.Time
-	cause flushCause
 	done  chan struct{}
 	round uint64
 	err   error
@@ -167,40 +157,24 @@ func (t *Ticket) Wait() (round uint64, err error) {
 	return t.g.round, t.g.err
 }
 
-// closedDone is the shared pre-closed channel behind DoneTicket.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-// DoneTicket builds a pre-completed ticket for submit paths that have
-// already waited for admission themselves — e.g. an HTTP round trip,
-// whose 200 response carries the admission round. t0 should be the
-// submission start time so collectors measuring time-to-admission see
-// the full round trip.
-func DoneTicket(t0 time.Time, round uint64, err error) Ticket {
-	return Ticket{g: &group{round: round, err: err, done: closedDone}, t0: t0}
-}
-
-// Batcher accumulates submissions into a pending group and wakes the
-// round loop when the group reaches BatchSize or has waited MaxWait
-// since its first submission — whichever fires first. The round loop is
-// the single consumer: take() hands it the whole pending group, so one
-// engine round absorbs every submission that arrived while the previous
-// round was executing (the amortization that makes 100k/s feasible
-// against a 10⁶-node engine stepping a few rounds per second).
+// Batcher accumulates submissions into a pending group. A group's
+// first submission wakes the round loop at once, and the loop, its
+// single consumer, takes the whole pending group whenever it is free:
+// a loop parked between rounds admits the group in the next round,
+// and every submission that arrives while a round runs joins the
+// group the loop takes as soon as that round ends. So one engine round
+// absorbs everything that arrived during the previous one (the
+// amortization that makes 100k/s feasible against a 10⁶-node engine
+// stepping a few rounds per second), with no deadline or size trigger
+// holding a group back from an idle loop.
 type Batcher struct {
-	n         int
-	weighted  bool
-	batchSize int
-	maxWait   time.Duration
-	m         *Metrics
+	n        int
+	weighted bool
+	m        *Metrics
 
 	mu      sync.Mutex
 	pending *group
 	free    []*pendingBatch
-	timer   *time.Timer
 	closed  bool
 
 	ready chan struct{} // cap 1; wake signal for the round loop
@@ -208,33 +182,26 @@ type Batcher struct {
 
 // NewBatcher builds a batcher for an n-node system. weighted selects
 // which Op kinds are accepted (the two task models never mix in one
-// engine). batchSize ≤ 0 defaults to 4096; maxWait ≤ 0 to 2ms.
-func NewBatcher(n int, weighted bool, batchSize int, maxWait time.Duration, m *Metrics) (*Batcher, error) {
+// engine).
+func NewBatcher(n int, weighted bool, m *Metrics) (*Batcher, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("serve: batcher for %d nodes", n)
-	}
-	if batchSize <= 0 {
-		batchSize = 4096
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
 	}
 	if m == nil {
 		m = NewMetrics()
 	}
 	return &Batcher{
-		n:         n,
-		weighted:  weighted,
-		batchSize: batchSize,
-		maxWait:   maxWait,
-		m:         m,
-		ready:     make(chan struct{}, 1),
+		n:        n,
+		weighted: weighted,
+		m:        m,
+		ready:    make(chan struct{}, 1),
 	}, nil
 }
 
 // Ready is the wake channel the round loop selects on; a receive means
-// a group hit its size or deadline trigger (or nothing — spurious wakes
-// after a take are possible and harmless).
+// a group has opened since the loop's last take. A Take without a
+// receive (the final drain) can leave a wake whose group is gone; the
+// next Take then returns nil.
 func (b *Batcher) Ready() <-chan struct{} { return b.ready }
 
 func (b *Batcher) validate(op Op) error {
@@ -281,22 +248,16 @@ func (b *Batcher) Submit(op Op) (Ticket, error) {
 		return Ticket{}, ErrClosed
 	}
 	g := b.pending
-	if g == nil {
-		pb := b.takeFreeLocked()
-		g = &group{pb: pb, first: now, done: make(chan struct{})}
+	opened := g == nil
+	if opened {
+		g = &group{pb: b.takeFreeLocked(), first: now, done: make(chan struct{})}
 		b.pending = g
-		b.armTimerLocked()
 	}
 	g.pb.add(op)
 	g.subs++
-	full := g.subs >= b.batchSize && g.cause == causeNone
-	if full {
-		g.cause = causeSize
-	}
 	b.mu.Unlock()
 	b.m.submissions.Add(1)
-	if full {
-		b.m.flushSize.Add(1)
+	if opened {
 		b.wake()
 	}
 	return Ticket{g: g, t0: now, m: b.m}, nil
@@ -309,30 +270,6 @@ func (b *Batcher) takeFreeLocked() *pendingBatch {
 		return pb
 	}
 	return newPendingBatch(b.n)
-}
-
-// armTimerLocked starts the deadline countdown for a fresh group.
-func (b *Batcher) armTimerLocked() {
-	if b.timer == nil {
-		b.timer = time.AfterFunc(b.maxWait, b.deadline)
-		return
-	}
-	b.timer.Reset(b.maxWait)
-}
-
-// deadline fires MaxWait after a group's first submission.
-func (b *Batcher) deadline() {
-	b.mu.Lock()
-	g := b.pending
-	fire := g != nil && g.cause == causeNone
-	if fire {
-		g.cause = causeDeadline
-	}
-	b.mu.Unlock()
-	if fire {
-		b.m.flushDeadline.Add(1)
-		b.wake()
-	}
 }
 
 func (b *Batcher) wake() {
@@ -349,17 +286,7 @@ func (b *Batcher) Take() *group {
 	b.mu.Lock()
 	g := b.pending
 	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	closedNow := b.closed
 	b.mu.Unlock()
-	if g != nil && g.cause == causeNone {
-		g.cause = causeFinal
-		if closedNow {
-			b.m.flushFinal.Add(1)
-		}
-	}
 	return g
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -68,29 +67,34 @@ func checkServedCluster[S core.State](t *testing.T, live, fresh clusterEngine[S]
 		return st.FramesSent + st.FramesRecv
 	}
 	before := frames(live)
-	srv, err := New[S](live, Config{N: n, Weighted: weighted, BatchSize: per, MaxWait: time.Hour, Seed: 17, TraceEvery: 4})
+	srv, err := New[S](live, Config{N: n, Weighted: weighted, Seed: 17, TraceEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(3)
 	for round := 0; round < rounds; round++ {
-		// One full group per round: the batch flushes on its size, and
-		// the ticket of its last submission resolves only after the
-		// round that admitted it.
+		// One group per round: the submissions made while the loop is
+		// held in Do form one group, which the loop admits as soon as Do
+		// returns, and the ticket of the last resolves only after that
+		// round.
 		var tk Ticket
-		for i := 0; i < per; i++ {
-			op := Op{Node: r.Intn(n), Kind: OpArrive, Count: 2}
-			switch {
-			case weighted && i == per-1:
-				op = Op{Node: op.Node, Kind: OpCompleteWeighted}
-			case weighted:
-				op = Op{Node: op.Node, Kind: OpArriveWeighted, Weight: 0.1 + 0.9*r.Float64()}
-			case i == per-1:
-				op.Kind, op.Count = OpComplete, 1
+		var submitErr error
+		srv.Do(func() {
+			for i := 0; i < per && submitErr == nil; i++ {
+				op := Op{Node: r.Intn(n), Kind: OpArrive, Count: 2}
+				switch {
+				case weighted && i == per-1:
+					op = Op{Node: op.Node, Kind: OpCompleteWeighted}
+				case weighted:
+					op = Op{Node: op.Node, Kind: OpArriveWeighted, Weight: 0.1 + 0.9*r.Float64()}
+				case i == per-1:
+					op.Kind, op.Count = OpComplete, 1
+				}
+				tk, submitErr = srv.Submit(op)
 			}
-			if tk, err = srv.Submit(op); err != nil {
-				t.Fatal(err)
-			}
+		})
+		if submitErr != nil {
+			t.Fatal(submitErr)
 		}
 		if _, err := tk.Wait(); err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -46,7 +45,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New[*core.UniformState](eng, Config{
-		N: n, BatchSize: 2, MaxWait: time.Millisecond, Seed: 11,
+		N: n, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func TestHTTPLoadHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New[*core.UniformState](eng, Config{
-		N: n, BatchSize: 2, MaxWait: time.Millisecond, Seed: 7,
+		N: n, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +243,7 @@ func TestHTTPRejectsOversizedBody(t *testing.T) {
 	const n = 8
 	sys := testSystem(t, n)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, n)), Config{
-		N: n, BatchSize: 2, MaxWait: time.Millisecond, Seed: 5,
+		N: n, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
-// Histogram bucket counts: batch sizes use power-of-two buckets up to
-// 2²⁰ submissions, admission latencies power-of-two microsecond buckets
-// up to ~17 minutes. Bucket k holds values in [2ᵏ, 2ᵏ⁺¹).
+// Histogram ranges (obs.Histogram: 2³ log-linear buckets per octave,
+// ≤12.5% relative error): batch sizes up to 2²⁰ submissions, admission
+// latencies up to 2³⁰ µs (~18 minutes).
 const (
-	batchBuckets = 21
-	admitBuckets = 31
+	batchOctaves = 20
+	admitOctaves = 30
 )
+
+// flushHelp explains lbd_flushes_total's causes: idle, the group's
+// first submission woke a parked round loop; busy, the group opened
+// while the loop was busy (a round or a Do probe) and was taken the
+// moment the loop was free; final, Stop drained it in the last round.
+const flushHelp = "Admitted groups by how the round loop took them: idle (woke a parked loop), busy (opened while the loop was busy), final (drained by Stop)."
 
 // Metrics is the serve daemon's counter set, implemented on an
 // obs.Registry so every series also exposes over GET /metrics in
@@ -27,23 +33,23 @@ const (
 type Metrics struct {
 	reg *obs.Registry
 
-	submissions   *obs.Counter
-	rejected      *obs.Counter
-	batches       *obs.Counter
-	rounds        *obs.Counter
-	idleRounds    *obs.Counter
-	moves         *obs.Counter
-	flushSize     *obs.Counter
-	flushDeadline *obs.Counter
-	flushFinal    *obs.Counter
-	queueNs       *obs.Counter
-	applyNs       *obs.Counter
-	stepNs        *obs.Counter
-	snapshotNs    *obs.Counter
-	decideNs      *obs.Counter
-	commitNs      *obs.Counter
-	batchHist     *obs.Histogram
-	admitHist     *obs.Histogram
+	submissions *obs.Counter
+	rejected    *obs.Counter
+	batches     *obs.Counter
+	rounds      *obs.Counter
+	idleRounds  *obs.Counter
+	moves       *obs.Counter
+	flushIdle   *obs.Counter
+	flushBusy   *obs.Counter
+	flushFinal  *obs.Counter
+	queueNs     *obs.Counter
+	applyNs     *obs.Counter
+	stepNs      *obs.Counter
+	snapshotNs  *obs.Counter
+	decideNs    *obs.Counter
+	commitNs    *obs.Counter
+	batchHist   *obs.Histogram
+	admitHist   *obs.Histogram
 
 	// High-water marks. The all-time pair is monotone for the life of
 	// the process; the window pair resets on ResetWindow so /stats
@@ -62,24 +68,24 @@ func NewMetrics() *Metrics { return NewMetricsOn(obs.NewRegistry()) }
 // NewMetricsOn builds the metrics set registering every series on r.
 func NewMetricsOn(r *obs.Registry) *Metrics {
 	m := &Metrics{
-		reg:           r,
-		submissions:   r.NewCounter("lbd_submissions_total", "Task submissions accepted by the batcher."),
-		rejected:      r.NewCounter("lbd_rejected_total", "Task submissions rejected (validation or closed intake)."),
-		batches:       r.NewCounter("lbd_batches_total", "Flushed submission groups applied as pre-round event batches."),
-		rounds:        r.NewCounter("lbd_rounds_total", "Protocol rounds executed by the round loop."),
-		idleRounds:    r.NewCounter("lbd_idle_rounds_total", "Rounds stepped without a pending batch (idle drain)."),
-		moves:         r.NewCounter("lbd_moves_total", "Cumulative task moves across all rounds."),
-		flushSize:     r.NewCounter("lbd_flushes_total", "Group flushes by trigger.", obs.Label{Key: "cause", Value: "size"}),
-		flushDeadline: r.NewCounter("lbd_flushes_total", "Group flushes by trigger.", obs.Label{Key: "cause", Value: "deadline"}),
-		flushFinal:    r.NewCounter("lbd_flushes_total", "Group flushes by trigger.", obs.Label{Key: "cause", Value: "final"}),
-		queueNs:       r.NewCounterScaled("lbd_queue_wait_seconds_total", "Time groups waited from first submission to flush.", 1e-9),
-		applyNs:       r.NewCounterScaled("lbd_apply_seconds_total", "Time applying event batches to the engine.", 1e-9),
-		stepNs:        r.NewCounterScaled("lbd_step_seconds_total", "Time inside engine Step calls.", 1e-9),
-		snapshotNs:    r.NewCounterScaled("lbd_phase_seconds_total", "Engine time by barrier phase.", 1e-9, obs.Label{Key: "phase", Value: "snapshot"}),
-		decideNs:      r.NewCounterScaled("lbd_phase_seconds_total", "Engine time by barrier phase.", 1e-9, obs.Label{Key: "phase", Value: "decide"}),
-		commitNs:      r.NewCounterScaled("lbd_phase_seconds_total", "Engine time by barrier phase.", 1e-9, obs.Label{Key: "phase", Value: "commit"}),
-		batchHist:     r.NewHistogram("lbd_batch_size", "Submissions per flushed group.", batchBuckets),
-		admitHist:     r.NewHistogram("lbd_admit_wait_microseconds", "Submission-to-admission latency.", admitBuckets),
+		reg:         r,
+		submissions: r.NewCounter("lbd_submissions_total", "Task submissions accepted by the batcher."),
+		rejected:    r.NewCounter("lbd_rejected_total", "Task submissions rejected (validation or closed intake)."),
+		batches:     r.NewCounter("lbd_batches_total", "Flushed submission groups applied as pre-round event batches."),
+		rounds:      r.NewCounter("lbd_rounds_total", "Protocol rounds executed by the round loop."),
+		idleRounds:  r.NewCounter("lbd_idle_rounds_total", "Rounds stepped without a pending batch (idle drain)."),
+		moves:       r.NewCounter("lbd_moves_total", "Cumulative task moves across all rounds."),
+		flushIdle:   r.NewCounter("lbd_flushes_total", flushHelp, obs.Label{Key: "cause", Value: "idle"}),
+		flushBusy:   r.NewCounter("lbd_flushes_total", flushHelp, obs.Label{Key: "cause", Value: "busy"}),
+		flushFinal:  r.NewCounter("lbd_flushes_total", flushHelp, obs.Label{Key: "cause", Value: "final"}),
+		queueNs:     r.NewCounterScaled("lbd_queue_wait_seconds_total", "Time groups waited from first submission to their round's apply.", 1e-9),
+		applyNs:     r.NewCounterScaled("lbd_apply_seconds_total", "Time applying event batches to the engine.", 1e-9),
+		stepNs:      r.NewCounterScaled("lbd_step_seconds_total", "Time inside engine Step calls.", 1e-9),
+		snapshotNs:  r.NewCounterScaled("lbd_phase_seconds_total", "Engine time by barrier phase.", 1e-9, obs.Label{Key: "phase", Value: "snapshot"}),
+		decideNs:    r.NewCounterScaled("lbd_phase_seconds_total", "Engine time by barrier phase.", 1e-9, obs.Label{Key: "phase", Value: "decide"}),
+		commitNs:    r.NewCounterScaled("lbd_phase_seconds_total", "Engine time by barrier phase.", 1e-9, obs.Label{Key: "phase", Value: "commit"}),
+		batchHist:   r.NewHistogram("lbd_batch_size", "Submissions per admitted group.", batchOctaves),
+		admitHist:   r.NewHistogram("lbd_admit_wait_microseconds", "Submission-to-admission latency.", admitOctaves),
 	}
 	m.winStart.Store(time.Now().UnixNano())
 	r.NewGaugeFunc("lbd_admit_max_seconds", "All-time admission-latency high-water mark.",
@@ -142,9 +148,9 @@ type Stats struct {
 	IdleRounds  uint64 `json:"idleRounds"`
 	Moves       int64  `json:"moves"`
 
-	FlushSize     uint64 `json:"flushSize"`
-	FlushDeadline uint64 `json:"flushDeadline"`
-	FlushFinal    uint64 `json:"flushFinal"`
+	FlushIdle  uint64 `json:"flushIdle"`
+	FlushBusy  uint64 `json:"flushBusy"`
+	FlushFinal uint64 `json:"flushFinal"`
 
 	BatchMean float64 `json:"batchMean"`
 	BatchP50  float64 `json:"batchP50"`
@@ -186,8 +192,8 @@ func (m *Metrics) Snapshot() Stats {
 		Rounds:           m.rounds.Value(),
 		IdleRounds:       m.idleRounds.Value(),
 		Moves:            int64(m.moves.Value()),
-		FlushSize:        m.flushSize.Value(),
-		FlushDeadline:    m.flushDeadline.Value(),
+		FlushIdle:        m.flushIdle.Value(),
+		FlushBusy:        m.flushBusy.Value(),
 		FlushFinal:       m.flushFinal.Value(),
 		BatchP50:         m.batchHist.Quantile(0.50),
 		BatchP99:         m.batchHist.Quantile(0.99),
@@ -214,7 +220,7 @@ func (m *Metrics) Snapshot() Stats {
 // statsFields pins the CSV column order.
 var statsFields = []string{
 	"submissions", "rejected", "batches", "rounds", "idleRounds", "moves",
-	"flushSize", "flushDeadline", "flushFinal",
+	"flushIdle", "flushBusy", "flushFinal",
 	"batchMean", "batchP50", "batchP99", "batchMax",
 	"queueSec", "applySec", "stepSec", "snapshotSec", "decideSec", "commitSec",
 	"admitP50Us", "admitP99Us", "admitMaxUs", "psi0",
@@ -228,7 +234,7 @@ func (Stats) CSVHeader() string { return strings.Join(statsFields, ",") }
 func (s Stats) CSVRow() string {
 	vals := []any{
 		s.Submissions, s.Rejected, s.Batches, s.Rounds, s.IdleRounds, s.Moves,
-		s.FlushSize, s.FlushDeadline, s.FlushFinal,
+		s.FlushIdle, s.FlushBusy, s.FlushFinal,
 		s.BatchMean, s.BatchP50, s.BatchP99, s.BatchMax,
 		s.QueueSec, s.ApplySec, s.StepSec, s.SnapshotSec, s.DecideSec, s.CommitSec,
 		s.AdmitP50Us, s.AdmitP99Us, s.AdmitMaxUs, s.Psi0,
@@ -252,11 +258,11 @@ func (s Stats) CSVRow() string {
 func (s Stats) String() string {
 	return fmt.Sprintf(
 		"submissions=%d rejected=%d batches=%d rounds=%d idle=%d moves=%d "+
-			"flush(size=%d deadline=%d final=%d) batch(mean=%.1f p50=%g p99=%g max=%d window=%d) "+
+			"flush(idle=%d busy=%d final=%d) batch(mean=%.1f p50=%g p99=%g max=%d window=%d) "+
 			"t(queue=%.3fs apply=%.3fs step=%.3fs) phases(%s) "+
 			"admit(p50=%gµs p99=%gµs max=%.0fµs window=%.0fµs/%.0fs) psi0=%g",
 		s.Submissions, s.Rejected, s.Batches, s.Rounds, s.IdleRounds, s.Moves,
-		s.FlushSize, s.FlushDeadline, s.FlushFinal,
+		s.FlushIdle, s.FlushBusy, s.FlushFinal,
 		s.BatchMean, s.BatchP50, s.BatchP99, s.BatchMax, s.BatchMaxWindow,
 		s.QueueSec, s.ApplySec, s.StepSec,
 		obs.FormatPhases(int64(s.Rounds),

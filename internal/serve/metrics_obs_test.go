@@ -20,7 +20,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	const n = 16
 	sys := testSystem(t, n)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, n)), Config{
-		N: n, BatchSize: 2, MaxWait: time.Millisecond, Seed: 7,
+		N: n, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestStatsResetWindowQuery(t *testing.T) {
 	const n = 8
 	sys := testSystem(t, n)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, n)), Config{
-		N: n, BatchSize: 2, MaxWait: time.Millisecond, Seed: 3,
+		N: n, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestServeSpans(t *testing.T) {
 	sys := testSystem(t, n)
 	rec := obs.NewSpanRecorder(0)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, n)), Config{
-		N: n, BatchSize: 2, MaxWait: time.Millisecond, Seed: 9, Spans: rec,
+		N: n, Seed: 9, Spans: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

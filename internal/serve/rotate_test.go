@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -26,7 +25,7 @@ func TestJournalSinkRotationReplay(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := Config{
-		N: n, BatchSize: 24, MaxWait: time.Millisecond, Seed: 42, TraceEvery: 3, IdleRounds: 3,
+		N: n, Seed: 42, TraceEvery: 3, IdleRounds: 3,
 	}
 	sink, err := NewJournalSink(path, 2048, cfg)
 	if err != nil {
@@ -117,7 +116,7 @@ func TestJournalSinkSingleSegment(t *testing.T) {
 	const n = 16
 	sys := testSystem(t, n)
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	cfg := Config{N: n, BatchSize: 8, MaxWait: time.Millisecond, Seed: 9}
+	cfg := Config{N: n, Seed: 9}
 	sink, err := NewJournalSink(path, 1<<30, cfg)
 	if err != nil {
 		t.Fatal(err)

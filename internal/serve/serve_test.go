@@ -77,42 +77,54 @@ func testWeights(t testing.TB, sys *core.System, perNodeCount int) []task.Weight
 
 // --- batcher unit tests -------------------------------------------------
 
-func TestBatcherSizeTrigger(t *testing.T) {
-	b, err := NewBatcher(8, false, 4, time.Hour, nil)
+// TestBatcherFirstSubmitWakes pins the wake policy: the submission
+// that opens a group signals Ready at once, with no timer and no size
+// trigger in between, and later submissions join the pending group
+// without another wake until the loop takes it.
+func TestBatcherFirstSubmitWakes(t *testing.T) {
+	b, err := NewBatcher(8, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := b.Submit(Op{Kind: OpArrive, Node: i}); err != nil {
+	ready := func() bool {
+		select {
+		case <-b.Ready():
+			return true
+		default:
+			return false
+		}
+	}
+	if ready() {
+		t.Fatal("ready before any submission")
+	}
+	if _, err := b.Submit(Op{Kind: OpArrive, Node: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if !ready() {
+		t.Fatal("the group's first submission did not signal Ready")
+	}
+	for _, op := range []Op{{Kind: OpArrive, Node: 0, Count: 2}, {Kind: OpArrive, Node: 3}} {
+		if _, err := b.Submit(op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case <-b.Ready():
-		t.Fatal("ready before batchSize reached")
-	default:
-	}
-	if _, err := b.Submit(Op{Kind: OpArrive, Node: 0, Count: 2}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Ready():
-	case <-time.After(time.Second):
-		t.Fatal("size trigger did not fire")
+	if ready() {
+		t.Fatal("a submission joining the pending group woke the loop again")
 	}
 	g := b.Take()
-	if g == nil || g.subs != 4 {
+	if g == nil || g.subs != 3 {
 		t.Fatalf("took group %+v", g)
-	}
-	if g.cause != causeSize {
-		t.Fatalf("cause %d, want size", g.cause)
 	}
 	if got := g.pb.batch.Arrivals[0]; got != 3 {
 		t.Fatalf("node 0 arrivals %d, want 3 (1 + count 2)", got)
 	}
-	// Once taken, new submissions open a fresh group.
+	// Once taken, the next submission opens a fresh group and wakes the
+	// loop again.
 	if _, err := b.Submit(Op{Kind: OpArrive, Node: 5}); err != nil {
 		t.Fatal(err)
+	}
+	if !ready() {
+		t.Fatal("the second group's first submission did not signal Ready")
 	}
 	g2 := b.Take()
 	if g2 == nil || g2.subs != 1 || g2 == g {
@@ -120,27 +132,8 @@ func TestBatcherSizeTrigger(t *testing.T) {
 	}
 }
 
-func TestBatcherDeadlineTrigger(t *testing.T) {
-	b, err := NewBatcher(8, false, 1<<20, 5*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Submit(Op{Kind: OpArrive, Node: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Ready():
-	case <-time.After(2 * time.Second):
-		t.Fatal("deadline trigger did not fire")
-	}
-	g := b.Take()
-	if g == nil || g.subs != 1 || g.cause != causeDeadline {
-		t.Fatalf("took group %+v", g)
-	}
-}
-
 func TestBatcherValidation(t *testing.T) {
-	b, _ := NewBatcher(4, false, 8, time.Hour, nil)
+	b, _ := NewBatcher(4, false, nil)
 	cases := []Op{
 		{Kind: OpArrive, Node: -1},
 		{Kind: OpArrive, Node: 4},
@@ -152,7 +145,7 @@ func TestBatcherValidation(t *testing.T) {
 			t.Errorf("op %+v accepted", op)
 		}
 	}
-	wb, _ := NewBatcher(4, true, 8, time.Hour, nil)
+	wb, _ := NewBatcher(4, true, nil)
 	for _, op := range []Op{
 		{Kind: OpArrive, Node: 0},                    // uniform op, weighted server
 		{Kind: OpArriveWeighted, Node: 0, Weight: 0}, // weight outside (0,1]
@@ -168,13 +161,13 @@ func TestBatcherValidation(t *testing.T) {
 	}
 }
 
-// TestBatcherDeadlineAfterCloseSubmit pins the shutdown edge where the
-// deadline timer fires after CloseSubmit: the already-pending group must
-// still be flagged and drained (submissions in flight are never
-// dropped), and a stray deadline() racing Take's timer.Stop must neither
-// panic on the nil pending group nor leave a leaked ready wakeup.
-func TestBatcherDeadlineAfterCloseSubmit(t *testing.T) {
-	b, err := NewBatcher(4, false, 1<<20, 2*time.Millisecond, nil)
+// TestBatcherCloseSubmitDrains pins the shutdown edge: after
+// CloseSubmit new submissions are refused, while the group already
+// pending is still handed to the final take and its tickets resolve
+// (submissions in flight are never dropped); the drained batcher then
+// yields nothing.
+func TestBatcherCloseSubmitDrains(t *testing.T) {
+	b, err := NewBatcher(4, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +176,12 @@ func TestBatcherDeadlineAfterCloseSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.CloseSubmit()
-	select {
-	case <-b.Ready():
-	case <-time.After(2 * time.Second):
-		t.Fatal("deadline after CloseSubmit never woke the loop")
+	if _, err := b.Submit(Op{Kind: OpArrive, Node: 2}); err != ErrClosed {
+		t.Fatalf("submit after CloseSubmit: %v", err)
 	}
 	g := b.Take()
-	if g == nil || g.subs != 1 || g.cause != causeDeadline {
-		t.Fatalf("took group %+v", g)
+	if g == nil || g.subs != 1 {
+		t.Fatalf("final take returned %+v", g)
 	}
 	g.complete(3, nil)
 	b.Recycle(g.pb)
@@ -198,16 +189,8 @@ func TestBatcherDeadlineAfterCloseSubmit(t *testing.T) {
 	if err != nil || round != 3 {
 		t.Fatalf("ticket resolved (%d, %v), want (3, nil)", round, err)
 	}
-	// Drained. A timer callback that lost the race with Take sees no
-	// pending group and must stay silent.
-	b.deadline()
 	if g2 := b.Take(); g2 != nil {
 		t.Fatalf("second take returned %+v", g2)
-	}
-	select {
-	case <-b.Ready():
-		t.Fatal("leaked ready wakeup after drain")
-	default:
 	}
 }
 
@@ -220,7 +203,7 @@ func TestBatcherDeadlineAfterCloseSubmit(t *testing.T) {
 // groups. Run with -race.
 func TestBatcherSubmitRacesCloseSubmit(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
-		b, err := NewBatcher(32, false, 16, 100*time.Microsecond, nil)
+		b, err := NewBatcher(32, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +306,7 @@ func TestServerAdmitsAndSteps(t *testing.T) {
 	counts := make([]int64, 16)
 	counts[0] = 64
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), Config{
-		N: 16, BatchSize: 4, MaxWait: time.Millisecond, Seed: 3, TraceEvery: 1,
+		N: 16, Seed: 3, TraceEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -366,27 +349,40 @@ func TestServerAdmitsAndSteps(t *testing.T) {
 	}
 }
 
+// TestServerShutdownFlushesInFlight pins that Stop drops no in-flight
+// submission: a group pending when the stop request reaches the loop
+// runs through one final round, and all its tickets resolve with that
+// round. The group forms while the loop is held in a Do, whose function
+// requests the stop before it returns.
 func TestServerShutdownFlushesInFlight(t *testing.T) {
 	sys := testSystem(t, 16)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, 16)), Config{
-		// Huge batch size + long deadline: nothing flushes until Stop.
-		N: 16, BatchSize: 1 << 20, MaxWait: time.Hour, Seed: 5,
+		N: 16, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const subs = 25
 	var tickets [subs]Ticket
-	for i := 0; i < subs; i++ {
-		tk, err := srv.Submit(Op{Kind: OpArrive, Node: i % 16})
-		if err != nil {
-			t.Fatal(err)
+	var submitErr, stopErr error
+	var res core.RunResult
+	stopped := make(chan struct{})
+	srv.Do(func() {
+		for i := 0; i < subs && submitErr == nil; i++ {
+			tickets[i], submitErr = srv.Submit(Op{Kind: OpArrive, Node: i % 16})
 		}
-		tickets[i] = tk
+		go func() {
+			res, stopErr = srv.Stop()
+			close(stopped)
+		}()
+		<-srv.stopc
+	})
+	<-stopped
+	if submitErr != nil {
+		t.Fatal(submitErr)
 	}
-	res, err := srv.Stop()
-	if err != nil {
-		t.Fatal(err)
+	if stopErr != nil {
+		t.Fatal(stopErr)
 	}
 	for i := range tickets {
 		round, err := tickets[i].Wait()
@@ -397,18 +393,69 @@ func TestServerShutdownFlushesInFlight(t *testing.T) {
 			t.Fatalf("ticket %d admitted round %d, want final round %d", i, round, res.Rounds)
 		}
 	}
-	if res.Ledger.Arrived != subs {
-		t.Fatalf("ledger %+v, want %d arrivals", res.Ledger, subs)
+	if res.Ledger.Arrived != subs || res.Rounds != 1 {
+		t.Fatalf("result %+v, want %d arrivals in one round", res, subs)
 	}
-	if st := srv.Stats(); st.FlushFinal == 0 {
-		t.Fatalf("stats %+v: shutdown flush not counted", st)
+	if st := srv.Stats(); st.FlushFinal != 1 || st.FlushIdle+st.FlushBusy != 0 {
+		t.Fatalf("stats %+v: want exactly the shutdown flush", st)
+	}
+}
+
+// TestServerDoSubmissionsFormOneRound pins work-conserving admission:
+// every submission made while the loop is busy (here, held in a Do)
+// joins one group, which the loop takes the moment it is free and
+// admits in one round; a submission that finds the loop parked wakes
+// it at once.
+func TestServerDoSubmissionsFormOneRound(t *testing.T) {
+	sys := testSystem(t, 16)
+	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, 16)), Config{N: 16, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	const subs = 10
+	var tickets [subs]Ticket
+	var submitErr error
+	srv.Do(func() {
+		for i := 0; i < subs && submitErr == nil; i++ {
+			tickets[i], submitErr = srv.Submit(Op{Kind: OpArrive, Node: i})
+		}
+	})
+	if submitErr != nil {
+		t.Fatal(submitErr)
+	}
+	for i := range tickets {
+		if round, err := tickets[i].Wait(); err != nil || round != 1 {
+			t.Fatalf("ticket %d admitted (%d, %v), want round 1", i, round, err)
+		}
+	}
+	if st := srv.Stats(); st.Batches != 1 || st.Rounds != 1 || st.FlushBusy != 1 || st.FlushIdle != 0 {
+		t.Fatalf("stats %+v: want one busy flush and one round", st)
+	}
+	// The loop parks once it is free; retry until a submission finds it
+	// parked (the first one almost always does).
+	for attempt := 0; srv.Stats().FlushIdle == 0; attempt++ {
+		if attempt == 100 {
+			t.Fatal("no submission ever woke a parked loop")
+		}
+		time.Sleep(time.Millisecond)
+		tk, err := srv.Submit(Op{Kind: OpArrive, Node: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Stats(); st.FlushIdle+st.FlushBusy != st.Batches || st.Rounds != st.Batches {
+		t.Fatalf("stats %+v: every admitted group is one flush and one round", st)
 	}
 }
 
 func TestServerConcurrentSubmitters(t *testing.T) {
 	sys := testSystem(t, 32)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, 32)), Config{
-		N: 32, BatchSize: 16, MaxWait: 500 * time.Microsecond, Seed: 9, IdleRounds: 2,
+		N: 32, Seed: 9, IdleRounds: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +597,7 @@ func TestUniformReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), Config{
-		N: n, BatchSize: 24, MaxWait: time.Millisecond, Seed: 42, TraceEvery: 3, IdleRounds: 3,
+		N: n, Seed: 42, TraceEvery: 3, IdleRounds: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -598,7 +645,7 @@ func TestWeightedReplayParity(t *testing.T) {
 	sys := testSystem(t, n)
 	perNode := testWeights(t, sys, 12)
 	srv, err := New[*core.WeightedState](weightedEngine(t, sys, perNode), Config{
-		N: n, Weighted: true, BatchSize: 16, MaxWait: time.Millisecond, Seed: 7, TraceEvery: 2, IdleRounds: 2,
+		N: n, Weighted: true, Seed: 7, TraceEvery: 2, IdleRounds: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -685,7 +732,7 @@ func TestJournalCorruptionFailsLoudly(t *testing.T) {
 	sys := testSystem(t, n)
 	counts := make([]int64, n)
 	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), Config{
-		N: n, BatchSize: 6, MaxWait: time.Millisecond, Seed: 21, TraceEvery: 2, IdleRounds: 2,
+		N: n, Seed: 21, TraceEvery: 2, IdleRounds: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -763,7 +810,7 @@ func TestShardServeReplayParityAcrossEngines(t *testing.T) {
 	}
 	defer h.Close()
 	srv, err := New[*core.WeightedState](h.Engine, Config{
-		N: n, Weighted: true, BatchSize: 16, MaxWait: time.Millisecond, Seed: 13, TraceEvery: 2, IdleRounds: 1,
+		N: n, Weighted: true, Seed: 13, TraceEvery: 2, IdleRounds: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

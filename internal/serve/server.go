@@ -12,18 +12,14 @@ import (
 
 // Config tunes a Server. The zero value of every field has a sensible
 // default; N and (for weighted engines) Weighted must match the engine.
+// There is no batching knob: the round loop takes every pending
+// submission whenever it is free (see Batcher).
 type Config struct {
 	// N is the node count of the engine's system (required).
 	N int
 	// Weighted selects the weighted task model; it gates which Op kinds
 	// the batcher accepts and how journaled batches are rebuilt.
 	Weighted bool
-	// BatchSize flushes the pending group when it reaches this many
-	// submissions (default 4096).
-	BatchSize int
-	// MaxWait flushes a non-empty pending group this long after its
-	// first submission even if BatchSize was not reached (default 2ms).
-	MaxWait time.Duration
 	// IdleRounds keeps the engine stepping this many event-less rounds
 	// after traffic pauses, letting the protocol finish rebalancing the
 	// last admitted batch before the loop parks (default 0: step only
@@ -50,16 +46,6 @@ type Config struct {
 	// (apply/step/snapshot/decide/commit) for a Chrome-trace dump.
 	// Purely wall-clock telemetry; it cannot affect the trajectory.
 	Spans *obs.SpanRecorder
-}
-
-func (c Config) withDefaults() Config {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 4096
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
-	return c
 }
 
 // Server owns a live engine and the single round loop that drives it:
@@ -105,9 +91,8 @@ func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if _, ok := any(eng).(core.DynamicEngine); !ok {
 		return nil, fmt.Errorf("serve: engine %T does not support workload events", eng)
 	}
-	cfg = cfg.withDefaults()
 	m := NewMetrics()
-	b, err := NewBatcher(cfg.N, cfg.Weighted, cfg.BatchSize, cfg.MaxWait, m)
+	b, err := NewBatcher(cfg.N, cfg.Weighted, m)
 	if err != nil {
 		return nil, err
 	}
@@ -271,6 +256,7 @@ func (s *Server[S]) finish(g *group, err error) {
 		tail = nil
 	}
 	if err == nil && tail != nil {
+		s.m.flushFinal.Add(1)
 		err = s.runRound(tail)
 	}
 	if err == nil {
@@ -293,16 +279,22 @@ func (s *Server[S]) finish(g *group, err error) {
 }
 
 // loop is the single consumer: it owns the engine, the journal, and the
-// RunResult. One iteration = at most one round.
+// RunResult. One iteration = at most one round. A stop request wins
+// over pending work, which then drains in finish's final round.
 func (s *Server[S]) loop() {
 	idleLeft := 0
 	for {
-		var g *group
-		// Fast path: pending work or control traffic without parking.
 		select {
 		case <-s.stopc:
 			s.finish(nil, nil)
 			return
+		default:
+		}
+		var g *group
+		// A group that opened while the loop was busy (a round or a Do)
+		// left its wake behind: take it without parking.
+		cause := s.m.flushBusy
+		select {
 		case f := <-s.ctrl:
 			f()
 			continue
@@ -327,11 +319,13 @@ func (s *Server[S]) loop() {
 				continue
 			case <-s.b.Ready():
 				g = s.b.Take()
+				cause = s.m.flushIdle
 			}
 		}
 		if g == nil || g.subs == 0 {
 			continue // spurious wake
 		}
+		cause.Add(1)
 		err := s.runRound(g)
 		if err != nil {
 			s.finish(g, err)

@@ -52,9 +52,9 @@ type WeightedEngine struct {
 	// its slot and the commit mutates it in place, never moving its
 	// neighbors. A node that outgrows its slot is privatized: its tasks
 	// move once into a dedicated slice (priv[s][i-lo], amortized-doubling
-	// capacity) and every later commit runs in place there. spare and
-	// noff are the compaction scratch of the event paths, which rebuild a
-	// touched shard into a packed layout and reset its private segments.
+	// capacity) and every later commit or event batch runs in place
+	// there. spare and noff are maybeCompact's scratch: it rebuilds a
+	// shard into a packed slot layout and releases its private segments.
 	pool   [][]float64
 	spare  [][]float64
 	off    [][]int64
@@ -567,29 +567,7 @@ func (e *WeightedEngine) refreshSum(d, k, i int) {
 // remaining operations continue incrementally from the fresh value.
 func (e *WeightedEngine) replayNode(d, k, i int, aw []float64, ag []int64, rem []int32, remG0 int64) {
 	segLen := e.segLen[d]
-	cur := segLen[k]
-	peak := cur + int64(len(aw))
-	var seg []float64
-	if pv := e.priv[d][k]; pv != nil {
-		if int64(cap(pv)) < peak {
-			np := e.carve(d, growCap(peak))[:cur]
-			copy(np, pv[:cur])
-			e.arenaDead[d] += int64(cap(pv))
-			seg = np
-		} else {
-			seg = pv[:cur]
-		}
-	} else {
-		o := e.off[d]
-		if o[k+1]-o[k] < peak {
-			np := e.carve(d, growCap(peak))[:cur]
-			copy(np, e.pool[d][o[k]:o[k]+cur])
-			e.priv[d][k] = np
-			seg = np
-		} else {
-			seg = e.pool[d][o[k] : o[k]+cur : o[k+1]]
-		}
-	}
+	seg := e.segFor(d, k, segLen[k]+int64(len(aw)))
 	nw := e.nodeWeight[i]
 	cross := e.crossAt
 	crossed := cross < 0
@@ -674,6 +652,27 @@ func (e *WeightedEngine) finishReplay(d, k, i int, seg []float64, nw float64) {
 	if e.priv[d][k] != nil {
 		e.priv[d][k] = seg
 	}
+}
+
+// segFor returns node lo+k of shard d's current segment with capacity
+// for peak tasks: its slot or private segment when that is large
+// enough, otherwise a private segment carved from the arena with
+// growCap headroom, into which the tasks are copied — the node is
+// privatized, or regrown with the old segment's capacity counted dead.
+func (e *WeightedEngine) segFor(d, k int, peak int64) []float64 {
+	cur := e.segLen[d][k]
+	if pv := e.priv[d][k]; pv != nil {
+		if int64(cap(pv)) >= peak {
+			return pv[:cur]
+		}
+		e.arenaDead[d] += int64(cap(pv))
+	} else if o := e.off[d]; o[k+1]-o[k] >= peak {
+		return e.pool[d][o[k] : o[k]+cur : o[k+1]]
+	}
+	np := e.carve(d, growCap(peak))[:cur]
+	copy(np, e.seg(d, k))
+	e.priv[d][k] = np
+	return np
 }
 
 // growCap sizes a privatized segment: the transient peak plus headroom
@@ -904,7 +903,7 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 		led.DepartedWeight += t
 	}
 	e.sinceRecompute += events
-	e.rebuildAfterEvents(batch)
+	e.placeEvents(batch)
 	return led, nil
 }
 
@@ -943,55 +942,37 @@ func (e *WeightedEngine) nodeSegment(i int) []float64 {
 	return e.seg(s, i-lo)
 }
 
-// rebuildAfterEvents rewrites the pools of every shard touched by the
-// batch: each node keeps (old ++ arrivals) truncated by its applied
-// drain — the layout Inject-then-Drain produces. A touched shard is
-// compacted into a packed pool and its private segments are released;
-// untouched shards keep their layout. A node's content survives the
-// compaction verbatim, so its memoized fold stays valid; nodes with
-// arrivals or drains have theirs invalidated by the caller.
-func (e *WeightedEngine) rebuildAfterEvents(batch *core.EventBatch) {
-	for s := 0; s < e.part.P(); s++ {
-		lo, hi := e.part.Range(s)
-		touched := false
-		for i := lo; i < hi && !touched; i++ {
-			if len(batch.WeightArrivals) != 0 && len(batch.WeightArrivals[i]) > 0 {
-				touched = true
-			}
-			if e.drainCount(i, batch) > 0 {
-				touched = true
-			}
+// placeEvents lays a fast-path batch into the segments in place: each
+// node the batch touches ends with (old ++ arrivals) cut by its applied
+// drain — the layout Inject-then-Drain produces — and no other node
+// moves. Departures leave most-recent first, so a drain that reaches
+// the old tasks only shortens the segment, and the arrivals a drain
+// leaves append into the node's slot slack or, when the slot or
+// private segment is full, into a segment carved from the arena
+// exactly as the commit grows a node (segFor). Beyond the batch's
+// dense scan the work is O(events); maybeCompact bounds the dead space
+// the regrowths leave. Runs after the caller's accounting, which reads
+// the pre-batch segments and invalidates the touched nodes' memoized
+// folds.
+func (e *WeightedEngine) placeEvents(batch *core.EventBatch) {
+	for i := range e.csr.N() {
+		var arr []float64
+		if len(batch.WeightArrivals) != 0 {
+			arr = batch.WeightArrivals[i]
 		}
-		if !touched {
+		keep := int64(len(arr)) - e.drainCount(i, batch)
+		if keep == 0 && len(arr) == 0 {
 			continue
 		}
-		segLen, noff := e.segLen[s], e.noff[s]
-		noff[0] = 0
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			a := int64(0)
-			if len(batch.WeightArrivals) != 0 {
-				a = int64(len(batch.WeightArrivals[i]))
-			}
-			noff[k+1] = noff[k] + segLen[k] + a - e.drainCount(i, batch)
+		s := int(e.part.shardOf[i])
+		lo, _ := e.part.Range(s)
+		k := i - lo
+		if keep <= 0 {
+			e.segLen[s][k] += keep
+			continue
 		}
-		spare := growFloats(e.spare[s], noff[hi-lo])
-		for i := lo; i < hi; i++ {
-			k := i - lo
-			newSeg := spare[noff[k]:noff[k+1]]
-			kept := copy(newSeg, e.seg(s, k))
-			if len(batch.WeightArrivals) != 0 {
-				copy(newSeg[kept:], batch.WeightArrivals[i])
-			}
-		}
-		e.pool[s], e.spare[s] = spare, e.pool[s][:0]
-		e.off[s], e.noff[s] = e.noff[s], e.off[s]
-		off := e.off[s]
-		for k := 0; k < hi-lo; k++ {
-			segLen[k] = off[k+1] - off[k]
-			e.priv[s][k] = nil
-		}
-		e.resetArena(s)
+		seg := append(e.segFor(s, k, e.segLen[s][k]+keep), arr[:keep]...)
+		e.segLen[s][k] = int64(len(seg))
 	}
 }
 
@@ -1160,10 +1141,10 @@ func (e *WeightedEngine) Workers() int { return e.workers }
 // arrays, the task-weight pools and private segments, the offset and
 // length arrays, every flat vector, the partition's tables and lists
 // and the decide scratch — the "bytes per node" numerator of the
-// weighted scaling benchmark. The in-place commit keeps no ping-pong
-// twin of the pool; spare is empty until an event batch forces a
-// compaction. A cluster worker's engine holds its own rows and halo
-// only (see Engine.Footprint).
+// weighted scaling benchmark. The in-place commit and event paths keep
+// no ping-pong twin of the pool; spare is empty until the arena's dead
+// space forces a compaction. A cluster worker's engine holds its own
+// rows and halo only (see Engine.Footprint).
 func (e *WeightedEngine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
