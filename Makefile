@@ -135,10 +135,12 @@ cover:
 # decoder, the worker's event-slice, own-state and stats decoders, the
 # round frames that carry flows (the coordinator's flows reader and the
 # worker's grant readers), the checkpoint decoder, the journal reader
-# and lbd's /tasks and /complete body decoder (each -fuzz run accepts
-# exactly one target, hence one line per target), including the
-# differential checks of the Binomial zero-mass shortcut and of the
-# branch-free decide kernels against their pre-optimisation references.
+# (with a seq replay of every small journal it accepts), lbd's /tasks
+# and /complete body decoder and the Prometheus exposition parser (each
+# -fuzz run accepts exactly one target, hence one line per target),
+# including the differential checks of the Binomial zero-mass shortcut
+# and of the branch-free decide kernels against their
+# pre-optimisation references.
 # -fuzzminimizetime 100x bounds the minimization of each new input to
 # 100 execs: with Go's default of 60 s, minimizing one KB-sized input
 # (a checkpoint seed) used up the whole run. A crasher is still
@@ -160,5 +162,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 
 ci: vet build race bench-check perfbench-check

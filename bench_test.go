@@ -201,7 +201,7 @@ func BenchmarkPotentialDrop(b *testing.B) {
 	var theory float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.MeasurePotentialDrop(class, 36, 64, uint64(i+1), false)
+		res, err := experiments.MeasurePotentialDrop(class, 36, 64, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -90,7 +90,7 @@ func runDrop(n, tpn int, seed uint64, workers int) error {
 	classes := experiments.Table1Classes()
 	results := make([]experiments.PotentialDropResult, len(classes))
 	err := harness.ForEach(len(classes), workers, func(i int) error {
-		res, err := experiments.MeasurePotentialDrop(classes[i], n, tpn, seed, false)
+		res, err := experiments.MeasurePotentialDrop(classes[i], n, tpn, seed)
 		if err != nil {
 			return err
 		}
@@ -234,10 +234,9 @@ func runDiffusion(n, tpn int, seed uint64, workers int) error {
 		if err != nil {
 			return err
 		}
-		base := rng.New(seed + uint64(trial))
-		proto := core.Algorithm1{}
-		for r := uint64(1); r <= uint64(roundsList[ri]); r++ {
-			proto.Step(st, r, base)
+		if _, err := core.RunUniform(st, core.Algorithm1{}, nil,
+			core.RunOpts{MaxRounds: roundsList[ri], Seed: seed + uint64(trial)}); err != nil {
+			return err
 		}
 		v := make([]float64, actualN)
 		for i := range v {

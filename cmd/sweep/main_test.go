@@ -8,16 +8,11 @@ import (
 	"repro/internal/testutil"
 )
 
+// TestRunDropSmoke pins the drop CSV, the output of
+// `sweep -experiment drop -n 16 -taskspernode 64 -seed 1 -workers 2`.
 func TestRunDropSmoke(t *testing.T) {
-	out := testutil.CaptureStdout(t, func() error { return runDrop(8, 16, 1, 2) })
-	if !strings.HasPrefix(out, "class,n,gamma,theory_ratio,measured_ratio") {
-		t.Errorf("missing CSV header:\n%s", out)
-	}
-	for _, class := range []string{"complete", "ring", "torus", "hypercube"} {
-		if !strings.Contains(out, class+",") {
-			t.Errorf("missing class %q row:\n%s", class, out)
-		}
-	}
+	out := testutil.CaptureStdout(t, func() error { return runDrop(16, 64, 1, 2) })
+	testutil.Golden(t, "testdata/drop.golden", out)
 }
 
 func TestRunGranularitySmoke(t *testing.T) {
@@ -40,14 +35,11 @@ func TestRunWeightedComparisonSmoke(t *testing.T) {
 	}
 }
 
+// TestRunDiffusionSmoke pins the diffusion CSV, the output of
+// `sweep -experiment diffusion -n 8 -taskspernode 16 -seed 1 -workers 2`.
 func TestRunDiffusionSmoke(t *testing.T) {
 	out := testutil.CaptureStdout(t, func() error { return runDiffusion(8, 16, 1, 2) })
-	if !strings.HasPrefix(out, "round,mean_l2_distance,drift_norm") {
-		t.Errorf("missing CSV header:\n%s", out)
-	}
-	if !strings.Contains(out, "\n50,") {
-		t.Errorf("missing round-50 row:\n%s", out)
-	}
+	testutil.Golden(t, "testdata/diffusion.golden", out)
 }
 
 // TestSweepWorkerCountInvariance checks the orchestrator determinism

@@ -57,14 +57,20 @@ func run() error {
 	fmt.Printf("%8s %14s %14s %14s %14s\n",
 		"rounds", "continuous", "rounded", "rand-rounded", "selfish")
 
-	// The selfish protocol run is stateful; advance it incrementally.
+	// The selfish protocol run is stateful: one Runner advances it in
+	// place from one checkpoint to the next.
 	selfish, err := core.NewUniformState(sys, counts)
 	if err != nil {
 		return err
 	}
-	base := rng.New(1)
-	proto := core.Algorithm1{}
-	prevRounds := 0
+	eng, err := core.SeqUniformEngine(selfish, core.Algorithm1{})
+	if err != nil {
+		return err
+	}
+	run, err := core.NewRunner(eng, 1, 0, core.RunResult{})
+	if err != nil {
+		return err
+	}
 
 	for _, rounds := range []int{10, 50, 100, 500, 2000, 10000} {
 		cont, err := diffusion.Continuous(g, sys.Speeds(), x, 0, rounds)
@@ -79,10 +85,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		for r := prevRounds + 1; r <= rounds; r++ {
-			proto.Step(selfish, uint64(r), base)
+		for run.Result().Rounds < rounds {
+			if err := run.Step(); err != nil {
+				return err
+			}
 		}
-		prevRounds = rounds
 
 		fmt.Printf("%8d %14.3f %14.3f %14.3f %14.3f\n",
 			rounds,

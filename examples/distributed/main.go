@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/spectral"
 	"repro/internal/workload"
@@ -76,10 +75,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	base := rng.New(seed)
-	proto := core.Algorithm1{}
-	for r := 1; r <= rounds; r++ {
-		proto.Step(seq, uint64(r), base)
+	if _, err := core.RunUniform(seq, core.Algorithm1{}, nil,
+		core.RunOpts{MaxRounds: rounds, Seed: seed}); err != nil {
+		return err
 	}
 	st, err := cl.State()
 	if err != nil {

@@ -149,6 +149,18 @@ func TestApproxNEThresholds(t *testing.T) {
 	}
 }
 
+func TestBlocksForConfidence(t *testing.T) {
+	if b := BlocksForConfidence(16, 2); b != 2*2+1 {
+		t.Errorf("blocks(16, 2) = %d, want 5 (⌈2·log₄16⌉+1)", b)
+	}
+	if b := BlocksForConfidence(1, 2); b != 1 {
+		t.Errorf("blocks(1) = %d", b)
+	}
+	if b := BlocksForConfidence(100, 0); b != 1 {
+		t.Errorf("blocks(c=0) = %d", b)
+	}
+}
+
 func TestLDeltaBoundFromPsi0(t *testing.T) {
 	if got := LDeltaBoundFromPsi0(49); got != 7 {
 		t.Errorf("L_Δ bound %g, want 7", got)

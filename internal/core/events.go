@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -53,108 +54,6 @@ func (b *EventBatch) IsZero() bool {
 		}
 	}
 	return true
-}
-
-// ensureN grows (or allocates) a per-node vector to exactly n entries.
-func ensureN[T any](v []T, n int) []T {
-	if len(v) == n {
-		return v
-	}
-	if cap(v) >= n {
-		return v[:n]
-	}
-	nv := make([]T, n)
-	copy(nv, v)
-	return nv
-}
-
-// AddArrival accumulates k unit-task arrivals at node i, growing the
-// per-node vector to n entries on first use. Together with the other
-// Add* helpers and Merge it is the append surface request batchers
-// (package serve) use to fold individual submissions into one batch
-// per round without materializing intermediate batches.
-func (b *EventBatch) AddArrival(n, i int, k int64) {
-	b.Arrivals = ensureN(b.Arrivals, n)
-	b.Arrivals[i] += k
-}
-
-// AddDeparture accumulates a k unit-task completion request at node i
-// (clamped to the queue at application time).
-func (b *EventBatch) AddDeparture(n, i int, k int64) {
-	b.Departures = ensureN(b.Departures, n)
-	b.Departures[i] += k
-}
-
-// AddWeightArrival appends one weighted-task arrival of weight w at
-// node i. Append order is application order: the weights land on the
-// node's queue in the order they were added, which is what makes a
-// batch built from a recorded submission journal replay bit-exactly.
-func (b *EventBatch) AddWeightArrival(n, i int, w float64) {
-	if b.WeightArrivals == nil {
-		b.WeightArrivals = make([][]float64, n)
-	}
-	b.WeightArrivals[i] = append(b.WeightArrivals[i], w)
-}
-
-// AddWeightDeparture accumulates a k weighted-task completion request
-// at node i (most-recent-first, clamped at application time).
-func (b *EventBatch) AddWeightDeparture(n, i int, k int64) {
-	b.WeightDepartures = ensureN(b.WeightDepartures, n)
-	b.WeightDepartures[i] += k
-}
-
-// Merge folds o into b: counts add, weight-arrival lists append in
-// order. Both batches must be sized for the same n-node system (nil
-// slices mean no events of that kind). Merging preserves application
-// semantics for arrival order but NOT for arrival/departure
-// interleaving — EventBatch application is always all-arrivals-then-
-// all-departures — so two batches merged and applied once equal the
-// two applied back-to-back only when no departure of the first batch
-// races an arrival of the second on the same node; accumulating
-// submission batchers accept that round-atomic semantics by design.
-func (b *EventBatch) Merge(o *EventBatch) error {
-	if o == nil {
-		return nil
-	}
-	grow2 := func(a, ob int) (int, error) {
-		switch {
-		case ob == 0:
-			return a, nil
-		case a == 0 || a == ob:
-			return ob, nil
-		default:
-			return 0, fmt.Errorf("core: merging batches sized for %d and %d nodes", a, ob)
-		}
-	}
-	var err error
-	n := 0
-	for _, l := range []int{len(b.Arrivals), len(b.Departures), len(b.WeightArrivals), len(b.WeightDepartures),
-		len(o.Arrivals), len(o.Departures), len(o.WeightArrivals), len(o.WeightDepartures)} {
-		if n, err = grow2(n, l); err != nil {
-			return err
-		}
-	}
-	for i, k := range o.Arrivals {
-		if k != 0 {
-			b.AddArrival(n, i, k)
-		}
-	}
-	for i, k := range o.Departures {
-		if k != 0 {
-			b.AddDeparture(n, i, k)
-		}
-	}
-	for i, ws := range o.WeightArrivals {
-		for _, w := range ws {
-			b.AddWeightArrival(n, i, w)
-		}
-	}
-	for i, k := range o.WeightDepartures {
-		if k != 0 {
-			b.AddWeightDeparture(n, i, k)
-		}
-	}
-	return nil
 }
 
 // EventLedger accumulates the workload mutations actually applied during
@@ -214,7 +113,11 @@ type EventStepper interface {
 // ApplyCountsBatch applies the uniform-model part of batch to counts in
 // place: arrivals first, then departures clamped to the tasks present.
 // It is the single source of truth for uniform event application,
-// shared by the sequential state and the shard engine.
+// shared by the sequential state and the shard engine. It checks the
+// whole batch before it mutates anything, so a batch with a negative
+// entry, or with arrivals that would take the total of counts past
+// math.MaxInt64 (which bounds every node too), fails and leaves counts
+// as they were.
 func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	var led EventLedger
 	if batch == nil {
@@ -227,10 +130,27 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	if len(batch.Departures) != 0 && len(batch.Departures) != n {
 		return led, fmt.Errorf("core: %d departure entries for %d nodes", len(batch.Departures), n)
 	}
+	var total int64
+	if len(batch.Arrivals) != 0 {
+		for _, c := range counts {
+			total += c
+		}
+	}
 	for i, a := range batch.Arrivals {
 		if a < 0 {
 			return led, fmt.Errorf("core: negative arrival %d at node %d", a, i)
 		}
+		if a > math.MaxInt64-total {
+			return led, fmt.Errorf("core: arrival of %d tasks at node %d overflows the task total", a, i)
+		}
+		total += a
+	}
+	for i, d := range batch.Departures {
+		if d < 0 {
+			return led, fmt.Errorf("core: negative departure %d at node %d", d, i)
+		}
+	}
+	for i, a := range batch.Arrivals {
 		if a == 0 {
 			continue
 		}
@@ -238,9 +158,6 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 		led.Arrived += a
 	}
 	for i, d := range batch.Departures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative departure %d at node %d", d, i)
-		}
 		if d > counts[i] {
 			d = counts[i]
 		}

@@ -236,102 +236,6 @@ func TestEventBatchIsZero(t *testing.T) {
 	}
 }
 
-func TestEventBatchAddHelpers(t *testing.T) {
-	var b EventBatch
-	b.AddArrival(4, 1, 3)
-	b.AddArrival(4, 1, 2)
-	b.AddDeparture(4, 0, 1)
-	b.AddWeightArrival(4, 2, 0.5)
-	b.AddWeightArrival(4, 2, 0.25)
-	b.AddWeightArrival(4, 0, 1.5)
-	b.AddWeightDeparture(4, 3, 7)
-	if got, want := b.Arrivals[1], int64(5); got != want {
-		t.Fatalf("arrivals[1]=%d, want %d", got, want)
-	}
-	if len(b.Arrivals) != 4 || len(b.Departures) != 4 || len(b.WeightArrivals) != 4 || len(b.WeightDepartures) != 4 {
-		t.Fatalf("per-node vectors not sized to n: %d %d %d %d",
-			len(b.Arrivals), len(b.Departures), len(b.WeightArrivals), len(b.WeightDepartures))
-	}
-	if b.Departures[0] != 1 || b.WeightDepartures[3] != 7 {
-		t.Fatalf("departures not accumulated: %v %v", b.Departures, b.WeightDepartures)
-	}
-	// Weight arrivals must keep append order — that is the replay contract.
-	if got := b.WeightArrivals[2]; len(got) != 2 || got[0] != 0.5 || got[1] != 0.25 {
-		t.Fatalf("weight arrivals out of order: %v", got)
-	}
-	if b.IsZero() {
-		t.Error("populated batch reported zero")
-	}
-}
-
-func TestEventBatchMerge(t *testing.T) {
-	var a EventBatch
-	a.AddArrival(3, 0, 2)
-	a.AddWeightArrival(3, 1, 1.0)
-	var b EventBatch
-	b.AddArrival(3, 0, 1)
-	b.AddDeparture(3, 2, 4)
-	b.AddWeightArrival(3, 1, 2.0)
-	b.AddWeightDeparture(3, 0, 1)
-	if err := a.Merge(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Arrivals[0] != 3 || a.Departures[2] != 4 || a.WeightDepartures[0] != 1 {
-		t.Fatalf("counts not merged: %v %v %v", a.Arrivals, a.Departures, a.WeightDepartures)
-	}
-	if got := a.WeightArrivals[1]; len(got) != 2 || got[0] != 1.0 || got[1] != 2.0 {
-		t.Fatalf("weight arrivals not appended in order: %v", got)
-	}
-	// Merging into an empty batch adopts the other batch's size.
-	var c EventBatch
-	if err := c.Merge(&a); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Arrivals) != 3 || c.Arrivals[0] != 3 {
-		t.Fatalf("empty-target merge wrong: %v", c.Arrivals)
-	}
-	// Merging a nil or zero batch is a no-op.
-	before := len(c.WeightArrivals[1])
-	if err := c.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Merge(&EventBatch{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.WeightArrivals[1]) != before {
-		t.Fatal("no-op merge mutated the batch")
-	}
-	// Size mismatch is an error.
-	var d EventBatch
-	d.AddArrival(5, 0, 1)
-	if err := c.Merge(&d); err == nil {
-		t.Error("merging differently sized batches accepted")
-	}
-}
-
-// Batches built incrementally with the Add helpers must apply exactly
-// like hand-built dense batches.
-func TestEventBatchAddHelpersApply(t *testing.T) {
-	sys := eventTestSystem(t, 3)
-	st, err := NewUniformState(sys, []int64{4, 0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b EventBatch
-	b.AddArrival(3, 1, 5)
-	b.AddDeparture(3, 0, 2)
-	led, err := st.ApplyEvents(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if led.Arrived != 5 || led.Departed != 2 {
-		t.Fatalf("ledger %+v", led)
-	}
-	if st.Count(0) != 2 || st.Count(1) != 5 || st.Count(2) != 2 {
-		t.Fatalf("counts after apply: %d %d %d", st.Count(0), st.Count(1), st.Count(2))
-	}
-}
-
 func TestSeqEngineConstructors(t *testing.T) {
 	sys := eventTestSystem(t, 4)
 	st, err := NewUniformState(sys, []int64{8, 0, 0, 0})

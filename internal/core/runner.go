@@ -392,9 +392,6 @@ type WeightedStop func(*WeightedState) bool
 // Algorithm 2 converges to.
 func StopAtWeightedThreshold() WeightedStop { return IsWeightedThresholdNE }
 
-// StopAtWeightedNash stops at an exact weighted Nash equilibrium.
-func StopAtWeightedNash() WeightedStop { return IsWeightedNash }
-
 // StopAtWeightedApproxNash stops at an ε-approximate NE.
 func StopAtWeightedApproxNash(eps float64) WeightedStop {
 	return func(st *WeightedState) bool { return IsWeightedApproxNash(st, eps) }

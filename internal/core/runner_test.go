@@ -185,6 +185,33 @@ func TestRunUniformCheckEvery(t *testing.T) {
 	}
 }
 
+// TestDriveBlocksWithinCorollaryBudget runs the amplification scheme
+// of Corollary 3.18 through the driver: blocks of T = 2γ·ln(m/n) rounds,
+// the stop condition checked after each (CheckEvery = T), reach
+// Ψ₀ ≤ 4ψ_c within BlocksForConfidence(n, 3) blocks whp.
+func TestDriveBlocksWithinCorollaryBudget(t *testing.T) {
+	sys := testSystem(t, 8)
+	m := int64(1600)
+	counts, err := workload.AllOnOne(8, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewUniformState(sys, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockRounds := int(sys.ApproxPhaseRounds(m)) + 1
+	maxBlocks := BlocksForConfidence(8, 3)
+	res, err := RunUniform(st, Algorithm1{}, StopAtPsi0Below(4*sys.PsiCritical()),
+		RunOpts{MaxRounds: blockRounds * maxBlocks, Seed: 9, CheckEvery: blockRounds})
+	if err != nil {
+		t.Fatalf("did not reach Ψ₀ ≤ 4ψ_c within %d blocks of %d rounds: %v", maxBlocks, blockRounds, err)
+	}
+	if res.Rounds == 0 || res.Rounds%blockRounds != 0 {
+		t.Errorf("stopped at round %d, not at the end of a block of %d rounds", res.Rounds, blockRounds)
+	}
+}
+
 func TestStopAtPsi0Below(t *testing.T) {
 	sys := testSystem(t, 8)
 	counts, err := workload.AllOnOne(8, 800, 0)

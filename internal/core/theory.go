@@ -76,3 +76,20 @@ func EpsilonForDelta(delta float64) float64 { return 2 / (1 + delta) }
 // LDeltaBoundFromPsi0 returns the Observation 3.16 sandwich:
 // L_Δ² ≤ Ψ₀ ≤ S·L_Δ², i.e. L_Δ ≤ √Ψ₀.
 func LDeltaBoundFromPsi0(psi0 float64) float64 { return math.Sqrt(psi0) }
+
+// BlocksForConfidence returns the number of T-round blocks needed for
+// success probability ≥ 1 − 1/n^c per Corollaries 3.18 and 3.27:
+// ⌈c·log₄(n)⌉. By Lemma 3.15 each block of T = ApproxPhaseRounds rounds
+// succeeds with probability ≥ 3/4 from any start, so a run checked after
+// every block (RunOpts.CheckEvery = T) needs at most this many blocks.
+func BlocksForConfidence(n int, c float64) int {
+	if n < 2 || c <= 0 {
+		return 1
+	}
+	log4 := math.Log2(float64(n)) / 2
+	b := int(c*log4) + 1
+	if b < 1 {
+		b = 1
+	}
+	return b
+}

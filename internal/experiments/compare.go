@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -120,40 +118,24 @@ func CompareWeighted(class GraphClass, n, tasksPerNode int, eps float64, repeats
 	return res, nil
 }
 
-// FormatWeightedComparison renders the comparison row.
-func FormatWeightedComparison(c WeightedComparison) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s n=%d m=%d (eps=%.3g, smax=%g, %s)\n",
-		c.Class, c.N, c.M, c.StopEpsilon, c.SpeedMax, c.WeightDistString)
-	fmt.Fprintf(&b, "  algorithm2: %.1f ± %.1f rounds (%d/%d converged; theory ≤ %.0f)\n",
-		c.Alg2Rounds, c.Alg2StdErr, c.Alg2Converged, c.Repeats, c.PredictedAlg2)
-	fmt.Fprintf(&b, "  baseline[6]: %.1f ± %.1f rounds (%d/%d converged)\n",
-		c.BaselineRounds, c.BaselineStdErr, c.BaseConverged, c.Repeats)
-	fmt.Fprintf(&b, "  ratio baseline/alg2 = %.2f\n", c.RoundsRatioB2A)
-	return b.String()
-}
-
-// DropPoint is one observation of the per-round multiplicative potential
-// drop (E7, Lemma 3.13: E[Ψ₀(t+1)] ≤ (1−1/γ)·E[Ψ₀(t)] while above ψ_c).
-type DropPoint struct {
-	Round     int     `json:"round"`
-	Psi0      float64 `json:"psi0"`
-	DropRatio float64 `json:"dropRatio"` // Ψ₀(t+1)/Ψ₀(t)
-}
-
-// PotentialDropResult compares measured drop ratios with 1−1/γ.
+// PotentialDropResult compares the measured per-round multiplicative
+// drop of Ψ₀ with 1−1/γ (E7, Lemma 3.13: E[Ψ₀(t+1)] ≤ (1−1/γ)·E[Ψ₀(t)]
+// while Ψ₀(t) > ψ_c).
 type PotentialDropResult struct {
-	Class         string      `json:"class"`
-	N             int         `json:"n"`
-	Gamma         float64     `json:"gamma"`
-	TheoryRatio   float64     `json:"theoryRatio"` // 1−1/γ
-	MeanDropRatio float64     `json:"meanDropRatio"`
-	Points        []DropPoint `json:"points,omitempty"`
+	Class         string  `json:"class"`
+	N             int     `json:"n"`
+	Gamma         float64 `json:"gamma"`
+	TheoryRatio   float64 `json:"theoryRatio"` // 1−1/γ
+	MeanDropRatio float64 `json:"meanDropRatio"`
 }
 
-// MeasurePotentialDrop traces Ψ₀ round by round from the all-on-one start
-// while Ψ₀ > ψ_c and reports the mean per-round multiplicative drop.
-func MeasurePotentialDrop(class GraphClass, n, tasksPerNode int, seed uint64, keepPoints bool) (PotentialDropResult, error) {
+// MeasurePotentialDrop runs Algorithm 1 from the all-on-one start until
+// Ψ₀ ≤ ψ_c, tracing Ψ₀ every round, and reports the mean of the ratios
+// Ψ₀(t+1)/Ψ₀(t) of consecutive trace points. The run stops at the first
+// round with Ψ₀ ≤ ψ_c, so every ratio starts above ψ_c. A run that does
+// not get there within 10⁷ rounds returns an error wrapping
+// core.ErrMaxRounds.
+func MeasurePotentialDrop(class GraphClass, n, tasksPerNode int, seed uint64) (PotentialDropResult, error) {
 	g, err := class.Build(n)
 	if err != nil {
 		return PotentialDropResult{}, err
@@ -177,25 +159,14 @@ func MeasurePotentialDrop(class GraphClass, n, tasksPerNode int, seed uint64, ke
 	if err != nil {
 		return res, err
 	}
-	proto := core.Algorithm1{}
-	base := rng.New(seed)
-	psiC := sys.PsiCritical()
-	prev := core.Psi0(st)
+	run, err := core.RunUniform(st, core.Algorithm1{}, core.StopAtPsi0Below(sys.PsiCritical()),
+		core.RunOpts{MaxRounds: 10_000_000, Seed: seed, TraceEvery: 1})
+	if err != nil {
+		return res, err
+	}
 	var agg stats.Welford
-	for round := uint64(1); round < 10_000_000; round++ {
-		proto.Step(st, round, base)
-		cur := core.Psi0(st)
-		if prev > psiC && prev > 0 {
-			ratio := cur / prev
-			agg.Add(ratio)
-			if keepPoints {
-				res.Points = append(res.Points, DropPoint{Round: int(round), Psi0: cur, DropRatio: ratio})
-			}
-		}
-		if cur <= psiC {
-			break
-		}
-		prev = cur
+	for k := 1; k < len(run.Trace); k++ {
+		agg.Add(run.Trace[k].Psi0 / run.Trace[k-1].Psi0)
 	}
 	res.MeanDropRatio = agg.Mean()
 	return res, nil

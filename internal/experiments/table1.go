@@ -289,18 +289,6 @@ func MeasureExactPhase(class GraphClass, opts MeasureOpts) (SweepResult, error) 
 	})
 }
 
-// SweepCSV renders a sweep result as CSV (one row per size).
-func SweepCSV(res SweepResult) string {
-	var b strings.Builder
-	b.WriteString("class,n,m,mean_rounds,stderr,theory_bound,fitted_exponent,predicted_exponent,r2\n")
-	for _, p := range res.Points {
-		fmt.Fprintf(&b, "%s,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f\n",
-			res.Class, p.N, p.M, p.MeanRounds, p.StdErr, p.Predicted,
-			res.FittedExponent, res.PredictedExponent, res.R2)
-	}
-	return b.String()
-}
-
 // FormatSweep renders a sweep result as an aligned text table.
 func FormatSweep(res SweepResult) string {
 	var b strings.Builder

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -25,9 +23,4 @@ func CSV(sums []CellSummary) string {
 			s.ValueMean, s.ValueStdErr)
 	}
 	return b.String()
-}
-
-// WriteJSON encodes cell summaries as a JSON array.
-func WriteJSON(w io.Writer, sums []CellSummary) error {
-	return json.NewEncoder(w).Encode(sums)
 }

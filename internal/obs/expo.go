@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -167,7 +168,7 @@ func ParseExposition(text string) (map[string]*Family, error) {
 		}
 		key := seriesKeyOfSample(s)
 		if seen[key] {
-			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, line)
+			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, clip(line))
 		}
 		seen[key] = true
 		fam := familyOf(fams, s.Name)
@@ -196,12 +197,12 @@ func parseMetaLine(line string, fams map[string]*Family) error {
 			typ = fields[3]
 		}
 		if !validName(name) {
-			return fmt.Errorf("invalid metric name %q in TYPE line", name)
+			return fmt.Errorf("invalid metric name %q in TYPE line", clip(name))
 		}
 		switch typ {
 		case "counter", "gauge", "histogram", "summary", "untyped":
 		default:
-			return fmt.Errorf("invalid type %q for %q", typ, name)
+			return fmt.Errorf("invalid type %q for %q", clip(typ), name)
 		}
 		if f, ok := fams[name]; ok && f.Type != "" {
 			return fmt.Errorf("duplicate TYPE line for %q", name)
@@ -215,7 +216,7 @@ func parseMetaLine(line string, fams map[string]*Family) error {
 	case "HELP":
 		name := fields[2]
 		if !validName(name) {
-			return fmt.Errorf("invalid metric name %q in HELP line", name)
+			return fmt.Errorf("invalid metric name %q in HELP line", clip(name))
 		}
 		f := fams[name]
 		if f == nil {
@@ -269,7 +270,7 @@ func parseSampleLine(line string) (Sample, error) {
 	}
 	s.Name = line[:i]
 	if !validName(s.Name) {
-		return s, fmt.Errorf("invalid metric name %q", s.Name)
+		return s, fmt.Errorf("invalid metric name %q", clip(s.Name))
 	}
 	rest := line[i:]
 	if strings.HasPrefix(rest, "{") {
@@ -282,16 +283,16 @@ func parseSampleLine(line string) (Sample, error) {
 	rest = strings.TrimLeft(rest, " ")
 	fields := strings.Fields(rest)
 	if len(fields) < 1 || len(fields) > 2 {
-		return s, fmt.Errorf("expected value [timestamp] after series, got %q", rest)
+		return s, fmt.Errorf("expected value [timestamp] after series, got %q", clip(rest))
 	}
 	v, err := parseFloatProm(fields[0])
 	if err != nil {
-		return s, fmt.Errorf("bad value %q: %w", fields[0], err)
+		return s, fmt.Errorf("bad value %q: %w", clip(fields[0]), err)
 	}
 	s.Value = v
 	if len(fields) == 2 {
 		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return s, fmt.Errorf("bad timestamp %q", fields[1])
+			return s, fmt.Errorf("bad timestamp %q", clip(fields[1]))
 		}
 	}
 	return s, nil
@@ -306,7 +307,24 @@ func parseFloatProm(s string) (float64, error) {
 	case "NaN":
 		return math.NaN(), nil
 	}
-	return strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		// The cause alone (syntax or range): strconv's error repeats
+		// the whole token, and the caller names it already.
+		return 0, errors.Unwrap(err)
+	}
+	return v, nil
+}
+
+// clip shortens a token of the input for an error message, so that a
+// parse error names what is wrong without echoing (and, under %q,
+// expanding) a whole malformed line.
+func clip(s string) string {
+	const max = 64
+	if len(s) <= max {
+		return s
+	}
+	return s[:max] + "..."
 }
 
 // parseLabels parses the {k="v",...} block at the start of s into
@@ -329,7 +347,7 @@ func parseLabels(s string, out map[string]string) (int, error) {
 		}
 		key := strings.TrimSpace(s[start:i])
 		if !validName(key) {
-			return 0, fmt.Errorf("invalid label name %q", key)
+			return 0, fmt.Errorf("invalid label name %q", clip(key))
 		}
 		i++ // past '='
 		if i >= len(s) || s[i] != '"' {
@@ -426,7 +444,7 @@ func validateFamily(f *Family) error {
 			for _, b := range bs {
 				le, err := parseFloatProm(b.Labels["le"])
 				if err != nil {
-					return fmt.Errorf("family %s: bad le %q", f.Name, b.Labels["le"])
+					return fmt.Errorf("family %s: bad le %q", f.Name, clip(b.Labels["le"]))
 				}
 				if le <= prevLe {
 					return fmt.Errorf("family %s: duplicate le %g", f.Name, le)

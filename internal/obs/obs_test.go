@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// TestExpositionRoundTrip renders a registry carrying every metric
-// kind — including label values that need escaping — and requires the
-// strict parser to accept it and recover the exact values.
-func TestExpositionRoundTrip(t *testing.T) {
+// everyKindExposition renders a registry carrying every metric kind,
+// including label values that need escaping.
+func everyKindExposition(t testing.TB) string {
+	t.Helper()
 	r := NewRegistry()
 	c := r.NewCounter("lb_requests_total", "Total requests.", Label{"path", "/tasks"})
 	c.Add(41)
@@ -31,8 +31,13 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	text := sb.String()
+	return sb.String()
+}
 
+// TestExpositionRoundTrip requires the strict parser to accept the
+// every-kind exposition and recover the exact values.
+func TestExpositionRoundTrip(t *testing.T) {
+	text := everyKindExposition(t)
 	fams, err := ParseExposition(text)
 	if err != nil {
 		t.Fatalf("parse of own exposition failed: %v\n%s", err, text)

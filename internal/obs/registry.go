@@ -186,9 +186,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt stores an integer value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // SetMax raises the gauge to v if v is larger — a high-water mark.
 func (g *Gauge) SetMax(v float64) {
 	for {

@@ -11,6 +11,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -46,6 +47,25 @@ type Op struct {
 	Weight float64
 }
 
+// count returns the number of tasks op names.
+func (op Op) count() int64 {
+	if op.Count == 0 {
+		return 1
+	}
+	return op.Count
+}
+
+// addSat returns a+b for non-negative a and b, saturated at
+// math.MaxInt64. Departure requests sum this way: a departure is
+// clamped to the tasks present when it is applied, so a saturated sum
+// departs exactly what the true sum would.
+func addSat(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
 // pendingBatch is a dense n-node EventBatch plus touched-index lists so
 // it can be recycled round after round by clearing only the entries a
 // batch actually used — at n=10⁶ zeroing the full 8 MB vectors per
@@ -62,10 +82,7 @@ type pendingBatch struct {
 func newPendingBatch(n int) *pendingBatch { return &pendingBatch{n: n} }
 
 func (pb *pendingBatch) add(op Op) {
-	k := op.Count
-	if k == 0 {
-		k = 1
-	}
+	k := op.count()
 	switch op.Kind {
 	case OpArrive:
 		if pb.batch.Arrivals == nil {
@@ -82,7 +99,7 @@ func (pb *pendingBatch) add(op Op) {
 		if pb.batch.Departures[op.Node] == 0 {
 			pb.tD = append(pb.tD, int32(op.Node))
 		}
-		pb.batch.Departures[op.Node] += k
+		pb.batch.Departures[op.Node] = addSat(pb.batch.Departures[op.Node], k)
 	case OpArriveWeighted:
 		if pb.batch.WeightArrivals == nil {
 			pb.batch.WeightArrivals = make([][]float64, pb.n)
@@ -98,7 +115,7 @@ func (pb *pendingBatch) add(op Op) {
 		if pb.batch.WeightDepartures[op.Node] == 0 {
 			pb.tWD = append(pb.tWD, int32(op.Node))
 		}
-		pb.batch.WeightDepartures[op.Node] += k
+		pb.batch.WeightDepartures[op.Node] = addSat(pb.batch.WeightDepartures[op.Node], k)
 	}
 }
 
@@ -176,6 +193,12 @@ type Batcher struct {
 	pending *group
 	free    []*pendingBatch
 	closed  bool
+	// total bounds the uniform model's task count: the engine's tasks
+	// when the server started, plus every arrival Submit accepted, less
+	// the departures the loop has applied (settle). Submit refuses an
+	// arrival that would take it past math.MaxInt64, so no admitted
+	// batch can wrap a node's count or the total.
+	total int64
 
 	ready chan struct{} // cap 1; wake signal for the round loop
 }
@@ -247,6 +270,15 @@ func (b *Batcher) Submit(op Op) (Ticket, error) {
 		b.m.rejected.Add(1)
 		return Ticket{}, ErrClosed
 	}
+	if op.Kind == OpArrive {
+		k := op.count()
+		if k > math.MaxInt64-b.total {
+			b.mu.Unlock()
+			b.m.rejected.Add(1)
+			return Ticket{}, fmt.Errorf("serve: %d arrivals would take the task total %d past %d", k, b.total, int64(math.MaxInt64))
+		}
+		b.total += k
+	}
 	g := b.pending
 	opened := g == nil
 	if opened {
@@ -297,6 +329,14 @@ func (b *Batcher) Recycle(pb *pendingBatch) {
 	pb.reset()
 	b.mu.Lock()
 	b.free = append(b.free, pb)
+	b.mu.Unlock()
+}
+
+// settle deducts departed, the uniform departures a round applied,
+// from the running task total Submit checks arrivals against.
+func (b *Batcher) settle(departed int64) {
+	b.mu.Lock()
+	b.total -= departed
 	b.mu.Unlock()
 }
 

@@ -119,6 +119,14 @@ func checkServedCluster[S core.State](t *testing.T, live, fresh clusterEngine[S]
 	}
 
 	before = frames(fresh)
+	// A uniform server gathers the state once in New, to seed the task
+	// total its Batcher checks arrivals against; count that gather on
+	// the core.Drive side too.
+	if !weighted {
+		if _, err := fresh.State(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	driven, err := core.Drive[S](fresh, nil, core.RunOpts{MaxRounds: j.Rounds, Seed: j.Seed, TraceEvery: j.TraceEvery, Events: j.Events()})
 	if err != nil {
 		t.Fatal(err)

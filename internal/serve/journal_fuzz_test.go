@@ -5,13 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/machine"
+	"repro/internal/spectral"
+	"repro/internal/task"
 )
 
 // FuzzReadJournal feeds mutated JSONL journals, seeded with Write's
 // output for both task models, to ReadJournal (and so to parseSegment,
 // which ReadJournalSegments shares). Whatever the bytes, the reader
-// must return a journal or an error, never panic; and a journal it
-// accepts, written again, must read back.
+// must return a journal or an error, never panic; a journal it
+// accepts, written again, must read back; and one with at most 64
+// nodes and 64 rounds must replay on a seq engine to a result or an
+// error, never a panic. The third seed arrives 2⁶² tasks at a lone node
+// in each of two rounds, which would wrap its count.
 func FuzzReadJournal(f *testing.F) {
 	uniform := &Journal{
 		N: 8, Seed: 3, TraceEvery: 2, Rounds: 5,
@@ -45,7 +52,15 @@ func FuzzReadJournal(f *testing.F) {
 			},
 		},
 	}
-	for _, j := range []*Journal{uniform, weighted} {
+	overflow := &Journal{
+		N: 1, Seed: 1, Rounds: 2,
+		Entries: []Entry{
+			{Round: 1, Arrivals: []CountEvent{{Node: 0, Count: 1 << 62}}},
+			{Round: 2, Arrivals: []CountEvent{{Node: 0, Count: 1 << 62}}},
+		},
+		Result: &core.RunResult{Rounds: 2},
+	}
+	for _, j := range []*Journal{uniform, weighted, overflow} {
 		var buf bytes.Buffer
 		if err := j.Write(&buf); err != nil {
 			f.Fatal(err)
@@ -67,5 +82,29 @@ func FuzzReadJournal(f *testing.F) {
 		if _, err := ReadJournal(&buf); err != nil {
 			t.Fatalf("accepted journal does not read back after Write: %v\n%s", err, buf.Bytes())
 		}
+		replayAccepted(t, j)
 	})
+}
+
+// replayAccepted replays j, if it has at most 64 nodes and 64 rounds,
+// on a seq engine over the path on j.N nodes from an empty start. Any
+// connected graph serves: the property is that Replay returns, with a
+// result or an error.
+func replayAccepted(t *testing.T, j *Journal) {
+	if j.N < 1 || j.N > 64 || j.Rounds > 64 {
+		return
+	}
+	g, err := graph.Path(j.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, machine.Uniform(j.N), core.WithLambda2(spectral.Lambda2Path(j.N)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Weighted {
+		Replay[*core.WeightedState](j, weightedEngine(t, sys, make([]task.Weights, j.N)))
+	} else {
+		Replay[*core.UniformState](j, uniformEngine(t, sys, make([]int64, j.N)))
+	}
 }

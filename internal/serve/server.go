@@ -96,6 +96,15 @@ func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if err != nil {
 		return nil, err
 	}
+	if !cfg.Weighted {
+		st, err := eng.State()
+		if err != nil {
+			return nil, err
+		}
+		if u, ok := any(st).(*core.UniformState); ok {
+			b.total = u.Total()
+		}
+	}
 	run, err := core.NewRunner(eng, cfg.Seed, cfg.TraceEvery, core.RunResult{})
 	if err != nil {
 		return nil, err
@@ -205,6 +214,7 @@ func (s *Server[S]) samplePhases(stepStart time.Time) {
 // timer.
 func (s *Server[S]) runRound(g *group) error {
 	round := s.run.Result().Rounds + 1
+	departed := s.run.Result().Ledger.Departed
 	if g != nil {
 		s.m.recordBatch(g.subs, time.Since(g.first))
 		t0 := time.Now()
@@ -231,6 +241,9 @@ func (s *Server[S]) runRound(g *group) error {
 	}
 	s.samplePhases(t0)
 	res := s.run.Result()
+	if d := res.Ledger.Departed - departed; d != 0 {
+		s.b.settle(d)
+	}
 	s.m.rounds.Set(uint64(round))
 	s.m.moves.Set(uint64(res.Moves))
 	if s.journal != nil {

@@ -1,5 +1,5 @@
-// Package testutil holds small helpers shared by the smoke tests of the
-// command and example mains.
+// Package testutil holds small helpers shared by the smoke and golden
+// tests of the command and example mains.
 package testutil
 
 import (
@@ -36,4 +36,18 @@ func CaptureStdout(t *testing.T, fn func() error) string {
 		t.Fatalf("run failed: %v\noutput:\n%s", errRun, out)
 	}
 	return out
+}
+
+// Golden fails t unless got equals the file at path byte for byte. A
+// golden file holds a program's stdout; record a new one by writing
+// that output to path (the test names the command line).
+func Golden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n-- got --\n%s-- want --\n%s", path, got, want)
+	}
 }
