@@ -135,8 +135,9 @@ cover:
 # decoder, the worker's event-slice, own-state and stats decoders, the
 # round frames that carry flows (the coordinator's flows reader and the
 # worker's grant readers), the checkpoint decoder, the journal reader
-# (with a seq replay of every small journal it accepts), lbd's /tasks
-# and /complete body decoder and the Prometheus exposition parser (each
+# (with a seq replay of every small journal it accepts), the instance
+# decoder of journal headers (instance.FromMeta), lbd's /tasks and
+# /complete body decoder and the Prometheus exposition parser (each
 # -fuzz run accepts exactly one target, hence one line per target),
 # including the differential checks of the Binomial zero-mass shortcut
 # and of the branch-free decide kernels against their
@@ -161,6 +162,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundFlows$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecMeta$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/instance
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 

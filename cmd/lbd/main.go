@@ -42,23 +42,17 @@ import (
 	"os/signal"
 	"reflect"
 	"slices"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/machine"
+	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/spectral"
-	"repro/internal/task"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -72,16 +66,7 @@ func main() {
 // flags bundles the parsed command line so tests can drive the mode
 // entry points without going through a FlagSet.
 type flags struct {
-	// instance
-	graph     string
-	n         int
-	tasks     int64
-	seed      uint64
-	speeds    string
-	smax      float64
-	model     string
-	protocol  string
-	placement string
+	spec instance.Spec
 
 	// engine
 	engine        string
@@ -119,17 +104,10 @@ type flags struct {
 }
 
 func parseFlags(argv []string) (*flags, error) {
-	fl := &flags{}
+	fl := &flags{spec: instance.Default()}
+	fl.spec.N, fl.spec.Placement = 1024, "proportional"
 	fs := flag.NewFlagSet("lbd", flag.ContinueOnError)
-	fs.StringVar(&fl.graph, "graph", "ring", "graph class: complete|ring|path|torus|mesh|hypercube|star|regular")
-	fs.IntVar(&fl.n, "n", 1024, "approximate number of processors")
-	fs.Int64Var(&fl.tasks, "tasks", 0, "initial number of tasks (default 64·n)")
-	fs.Uint64Var(&fl.seed, "seed", 1, "random seed (trajectory and initial placement)")
-	fs.StringVar(&fl.speeds, "speeds", "uniform", "speed profile: uniform|twoclass|integers")
-	fs.Float64Var(&fl.smax, "smax", 4, "maximum speed for non-uniform profiles")
-	fs.StringVar(&fl.model, "model", "uniform", "task model: uniform|weighted")
-	fs.StringVar(&fl.protocol, "protocol", "paper", "weighted protocol: paper|literal|baseline")
-	fs.StringVar(&fl.placement, "placement", "proportional", "initial placement: corner|random|proportional")
+	fl.spec.Bind(fs)
 
 	fs.StringVar(&fl.engine, "engine", "seq", "execution engine: seq|shard|cluster")
 	fs.IntVar(&fl.distWorkers, "dist-workers", 0, "pin the shard engine's worker-pool size (0 = all cores)")
@@ -184,183 +162,6 @@ func (fl *flags) engineOpts() harness.EngineOpts {
 	return harness.EngineOpts{Workers: fl.distWorkers, Shards: fl.shards, Strategy: fl.shardStrategy}
 }
 
-// meta returns the journal metadata: exactly the instance parameters
-// flagsFromMeta needs to rebuild the initial state for replay, plus the
-// engine name as provenance.
-func (fl *flags) meta() map[string]string {
-	return map[string]string{
-		"graph":     fl.graph,
-		"n":         strconv.Itoa(fl.n),
-		"tasks":     strconv.FormatInt(fl.tasks, 10),
-		"seed":      strconv.FormatUint(fl.seed, 10),
-		"speeds":    fl.speeds,
-		"smax":      strconv.FormatFloat(fl.smax, 'g', -1, 64),
-		"model":     fl.model,
-		"protocol":  fl.protocol,
-		"placement": fl.placement,
-		"engine":    fl.engine,
-	}
-}
-
-// flagsFromMeta inverts meta: the instance parameters a journal header
-// carries, so replay rebuilds the same system and initial placement.
-func flagsFromMeta(meta map[string]string) (*flags, error) {
-	get := func(k string) (string, error) {
-		v, ok := meta[k]
-		if !ok {
-			return "", fmt.Errorf("journal meta missing %q; not written by lbd?", k)
-		}
-		return v, nil
-	}
-	fl := &flags{}
-	var err error
-	read := []struct {
-		key string
-		set func(string) error
-	}{
-		{"graph", func(v string) error { fl.graph = v; return nil }},
-		{"n", func(v string) error { fl.n, err = strconv.Atoi(v); return err }},
-		{"tasks", func(v string) error { fl.tasks, err = strconv.ParseInt(v, 10, 64); return err }},
-		{"seed", func(v string) error { fl.seed, err = strconv.ParseUint(v, 10, 64); return err }},
-		{"speeds", func(v string) error { fl.speeds = v; return nil }},
-		{"smax", func(v string) error { fl.smax, err = strconv.ParseFloat(v, 64); return err }},
-		{"model", func(v string) error { fl.model = v; return nil }},
-		{"protocol", func(v string) error { fl.protocol = v; return nil }},
-		{"placement", func(v string) error { fl.placement = v; return nil }},
-	}
-	for _, r := range read {
-		v, gerr := get(r.key)
-		if gerr != nil {
-			return nil, gerr
-		}
-		if serr := r.set(v); serr != nil {
-			return nil, fmt.Errorf("journal meta %s=%q: %w", r.key, v, serr)
-		}
-	}
-	return fl, nil
-}
-
-// ---- instance construction (mirrors cmd/lbsim's builders) ----
-
-func buildGraph(name string, n int, seed uint64) (*graph.Graph, float64, error) {
-	switch name {
-	case "complete", "ring", "torus", "hypercube":
-		class, err := experiments.ClassByKey(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		g, err := class.Build(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, class.Lambda2(g), nil
-	case "path":
-		g, err := graph.Path(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, spectral.Lambda2Path(n), nil
-	case "mesh":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		g, err := graph.Mesh(side, side)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, spectral.Lambda2Mesh(side, side), nil
-	case "star":
-		g, err := graph.Star(n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, spectral.Lambda2Star(n), nil
-	case "regular":
-		g, err := graph.RandomRegular(n, 4, rng.New(seed))
-		if err != nil {
-			return nil, 0, err
-		}
-		l2, err := spectral.Lambda2(g)
-		if err != nil {
-			return nil, 0, err
-		}
-		return g, l2, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown graph class %q", name)
-	}
-}
-
-func buildSpeeds(profile string, n int, smax float64, seed uint64) (machine.Speeds, error) {
-	switch profile {
-	case "uniform":
-		return machine.Uniform(n), nil
-	case "twoclass":
-		return machine.TwoClass(n, 0.25, smax)
-	case "integers":
-		return machine.RandomIntegers(n, int(smax), rng.New(seed+1))
-	default:
-		return nil, fmt.Errorf("unknown speed profile %q", profile)
-	}
-}
-
-func buildSystem(fl *flags) (*core.System, error) {
-	g, lambda2, err := buildGraph(fl.graph, fl.n, fl.seed)
-	if err != nil {
-		return nil, err
-	}
-	speeds, err := buildSpeeds(fl.speeds, g.N(), fl.smax, fl.seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSystem(g, speeds, core.WithLambda2(lambda2))
-}
-
-func initialCounts(sys *core.System, m int64, placement string, seed uint64) ([]int64, error) {
-	n := sys.N()
-	switch placement {
-	case "corner":
-		return workload.AllOnOne(n, m, 0)
-	case "random":
-		return workload.UniformRandom(n, m, rng.New(seed+2))
-	case "proportional":
-		return workload.Proportional(sys.Speeds(), m)
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-}
-
-func initialWeighted(sys *core.System, m int64, placement string, seed uint64) ([]task.Weights, error) {
-	weights, err := task.RandomWeights(int(m), 0.1, 1.0, rng.New(seed+3))
-	if err != nil {
-		return nil, err
-	}
-	n := sys.N()
-	switch placement {
-	case "corner":
-		return workload.WeightedAllOnOne(n, weights, 0)
-	case "random":
-		return workload.WeightedUniformRandom(n, weights, rng.New(seed+2))
-	case "proportional":
-		return workload.WeightedProportional(sys.Speeds(), weights)
-	default:
-		return nil, fmt.Errorf("unknown placement %q", placement)
-	}
-}
-
-func weightedProtocol(name string) (core.WeightedProtocol, error) {
-	switch name {
-	case "paper":
-		return core.Algorithm2{}, nil
-	case "literal":
-		return core.Algorithm2Literal{}, nil
-	case "baseline":
-		return core.BaselineWeighted{}, nil
-	default:
-		return nil, fmt.Errorf("unknown weighted protocol %q", name)
-	}
-}
-
 // daemonServer is cmd/lbd's view of a serve.Server of either task
 // model (the generic parameter never appears in the method set).
 type daemonServer interface {
@@ -372,9 +173,9 @@ type daemonServer interface {
 	Journal() *serve.Journal
 }
 
-// instance is one constructed daemon: system, server, HTTP surface and
+// daemon is one constructed daemon: system, server, HTTP surface and
 // probes. close releases the engine; call it only after srv.Stop.
-type instance struct {
+type daemon struct {
 	sys     *core.System
 	srv     daemonServer
 	handler http.Handler
@@ -541,29 +342,30 @@ func dumpMetrics(reg *obs.Registry, path string) error {
 	return nil
 }
 
+// serveConfig's journal metadata is the instance Spec, which replay
+// rebuilds, plus the engine name as provenance.
 func (fl *flags) serveConfig() serve.Config {
+	meta := fl.spec.Meta()
+	meta["engine"] = fl.engine
 	return serve.Config{
-		Weighted:       fl.model == "weighted",
+		Weighted:       fl.spec.Model == "weighted",
 		IdleRounds:     fl.idleRounds,
-		Seed:           fl.seed,
+		Seed:           fl.spec.Seed,
 		TraceEvery:     fl.trace,
 		DisableJournal: fl.noJournal,
-		Meta:           fl.meta(),
+		Meta:           meta,
 	}
 }
 
-// buildInstance constructs the system, engine, serve loop and probes
+// buildDaemon constructs the system, engine, serve loop and probes
 // from the instance flags.
-func buildInstance(fl *flags) (*instance, error) {
-	sys, err := buildSystem(fl)
+func buildDaemon(fl *flags) (*daemon, error) {
+	inst, err := fl.spec.Build()
 	if err != nil {
 		return nil, err
 	}
+	sys := inst.Sys
 	n := sys.N()
-	m := fl.tasks
-	if m <= 0 {
-		m = 64 * int64(n)
-	}
 	cfg := fl.serveConfig()
 	cfg.N = n
 	var sink *serve.JournalSink
@@ -579,17 +381,8 @@ func buildInstance(fl *flags) (*instance, error) {
 	}
 	eo := fl.engineOpts()
 
-	switch fl.model {
-	case "weighted":
-		proto, err := weightedProtocol(fl.protocol)
-		if err != nil {
-			return nil, err
-		}
-		perNode, err := initialWeighted(sys, m, fl.placement, fl.seed)
-		if err != nil {
-			return nil, err
-		}
-		h, err := harness.BuildWeightedEngine(fl.engine, sys, proto, perNode, eo)
+	if fl.spec.Model == "weighted" {
+		h, err := harness.BuildWeightedEngine(fl.engine, sys, inst.Protocol, inst.Weights, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -608,43 +401,34 @@ func buildInstance(fl *flags) (*instance, error) {
 			p = stateProber(n, raw.State)
 		}
 		registerEngineMetrics(srv.Registry(), h.Raw)
-		return &instance{sys: sys, srv: srv, handler: withPprof(serve.NewHandler(srv, p), fl.pprofOn), probe: p, sink: sink, close: h.Close}, nil
-
-	case "uniform":
-		counts, err := initialCounts(sys, m, fl.placement, fl.seed)
-		if err != nil {
-			return nil, err
-		}
-		h, err := harness.BuildUniformEngine(fl.engine, sys, core.Algorithm1{}, counts, eo)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := serve.New[*core.UniformState](h.Engine, cfg)
-		if err != nil {
-			h.Close()
-			return nil, err
-		}
-		var p serve.Prober
-		switch raw := h.Raw.(type) {
-		case *core.UniformState:
-			p = stateProber(n, func() (*core.UniformState, error) { return raw, nil })
-		case *shard.Engine:
-			p = serve.Prober{NodeLoad: raw.NodeLoad, Psi0: statePsi0(raw.State)}
-		case *shard.UniformCluster:
-			p = stateProber(n, raw.State)
-		}
-		registerEngineMetrics(srv.Registry(), h.Raw)
-		return &instance{sys: sys, srv: srv, handler: withPprof(serve.NewHandler(srv, p), fl.pprofOn), probe: p, sink: sink, close: h.Close}, nil
-
-	default:
-		return nil, fmt.Errorf("unknown task model %q (want uniform|weighted)", fl.model)
+		return &daemon{sys: sys, srv: srv, handler: withPprof(serve.NewHandler(srv, p), fl.pprofOn), probe: p, sink: sink, close: h.Close}, nil
 	}
+	h, err := harness.BuildUniformEngine(fl.engine, sys, core.Algorithm1{}, inst.Counts, eo)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := serve.New[*core.UniformState](h.Engine, cfg)
+	if err != nil {
+		h.Close()
+		return nil, err
+	}
+	var p serve.Prober
+	switch raw := h.Raw.(type) {
+	case *core.UniformState:
+		p = stateProber(n, func() (*core.UniformState, error) { return raw, nil })
+	case *shard.Engine:
+		p = serve.Prober{NodeLoad: raw.NodeLoad, Psi0: statePsi0(raw.State)}
+	case *shard.UniformCluster:
+		p = stateProber(n, raw.State)
+	}
+	registerEngineMetrics(srv.Registry(), h.Raw)
+	return &daemon{sys: sys, srv: srv, handler: withPprof(serve.NewHandler(srv, p), fl.pprofOn), probe: p, sink: sink, close: h.Close}, nil
 }
 
 func (fl *flags) banner(sys *core.System) string {
 	eo := fl.engineOpts().Resolved(fl.engine, sys.N())
 	s := fmt.Sprintf("daemon:   n=%d graph=%s model=%s engine=%s workers=%d",
-		sys.N(), fl.graph, fl.model, fl.engine, eo.Workers)
+		sys.N(), fl.spec.Graph, fl.spec.Model, fl.engine, eo.Workers)
 	if fl.engine == harness.EngineShard || fl.engine == harness.EngineCluster {
 		s += fmt.Sprintf(" shards=%d (%s)", eo.Shards, eo.Strategy)
 	}
@@ -653,7 +437,7 @@ func (fl *flags) banner(sys *core.System) string {
 
 // finalPsi0 reads the live Ψ₀ through the server's quiescent-engine
 // path (after Stop the loop has exited, so the probe runs inline).
-func (inst *instance) finalPsi0() float64 {
+func (inst *daemon) finalPsi0() float64 {
 	if inst.probe.Psi0 == nil {
 		return 0
 	}
@@ -664,7 +448,7 @@ func (inst *instance) finalPsi0() float64 {
 
 // shutdown stops the serve loop, prints the final report and writes the
 // journal.
-func (inst *instance) shutdown(fl *flags) error {
+func (inst *daemon) shutdown(fl *flags) error {
 	res, err := inst.srv.Stop()
 	stats := inst.srv.Stats()
 	stats.Psi0 = inst.finalPsi0()
@@ -732,7 +516,7 @@ func newHTTPServer(h http.Handler, readHeader time.Duration) *http.Server {
 }
 
 func runDaemon(ctx context.Context, fl *flags) error {
-	inst, err := buildInstance(fl)
+	inst, err := buildDaemon(fl)
 	if err != nil {
 		return err
 	}
@@ -766,7 +550,7 @@ func runDaemon(ctx context.Context, fl *flags) error {
 // ---- selfdrive mode ----
 
 func runSelfdrive(ctx context.Context, fl *flags) error {
-	inst, err := buildInstance(fl)
+	inst, err := buildDaemon(fl)
 	if err != nil {
 		return err
 	}
@@ -780,9 +564,9 @@ func runSelfdrive(ctx context.Context, fl *flags) error {
 		Duration:      fl.duration,
 		Burst:         fl.burst,
 		N:             inst.sys.N(),
-		Weighted:      fl.model == "weighted",
+		Weighted:      fl.spec.Model == "weighted",
 		CompleteEvery: fl.completeEvery,
-		Seed:          fl.seed + 101,
+		Seed:          fl.spec.Seed + 101,
 	}
 
 	var rep serve.LoadReport
@@ -833,7 +617,7 @@ func runSelfdrive(ctx context.Context, fl *flags) error {
 // from the direct path: every submission pays an HTTP round trip that
 // includes the admission wait, so throughput measures the full network
 // surface, not the batcher.
-func runHTTPLoad(ctx context.Context, inst *instance, fl *flags, opts serve.LoadOpts) (serve.LoadReport, error) {
+func runHTTPLoad(ctx context.Context, inst *daemon, fl *flags, opts serve.LoadOpts) (serve.LoadReport, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return serve.LoadReport{}, err
@@ -953,34 +737,22 @@ func runReplay(fl *flags) error {
 // replayed result and the Ψ₀ of the final state.
 func replayJournal(j *serve.Journal, engine string, eo harness.EngineOpts) (core.RunResult, float64, error) {
 	var res core.RunResult
-	mf, err := flagsFromMeta(j.Meta)
+	spec, err := instance.FromMeta(j.Meta)
 	if err != nil {
 		return res, 0, err
 	}
-	sys, err := buildSystem(mf)
+	if j.Weighted != (spec.Model == "weighted") {
+		return res, 0, fmt.Errorf("journal has weighted=%v but meta model %q", j.Weighted, spec.Model)
+	}
+	inst, err := spec.Build()
 	if err != nil {
 		return res, 0, err
 	}
-	if sys.N() != j.N {
-		return res, 0, fmt.Errorf("rebuilt system has n=%d, journal recorded n=%d", sys.N(), j.N)
-	}
-	m := mf.tasks
-	if m <= 0 {
-		m = 64 * int64(sys.N())
+	if inst.Sys.N() != j.N {
+		return res, 0, fmt.Errorf("rebuilt system has n=%d, journal recorded n=%d", inst.Sys.N(), j.N)
 	}
 	if j.Weighted {
-		if mf.model != "weighted" {
-			return res, 0, fmt.Errorf("journal is weighted but meta model is %q", mf.model)
-		}
-		proto, err := weightedProtocol(mf.protocol)
-		if err != nil {
-			return res, 0, err
-		}
-		perNode, err := initialWeighted(sys, m, mf.placement, mf.seed)
-		if err != nil {
-			return res, 0, err
-		}
-		h, err := harness.BuildWeightedEngine(engine, sys, proto, perNode, eo)
+		h, err := harness.BuildWeightedEngine(engine, inst.Sys, inst.Protocol, inst.Weights, eo)
 		if err != nil {
 			return res, 0, err
 		}
@@ -990,11 +762,7 @@ func replayJournal(j *serve.Journal, engine string, eo harness.EngineOpts) (core
 		}
 		return res, statePsi0(h.Engine.State)(), nil
 	}
-	counts, err := initialCounts(sys, m, mf.placement, mf.seed)
-	if err != nil {
-		return res, 0, err
-	}
-	h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, eo)
+	h, err := harness.BuildUniformEngine(engine, inst.Sys, core.Algorithm1{}, inst.Counts, eo)
 	if err != nil {
 		return res, 0, err
 	}

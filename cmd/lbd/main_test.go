@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,22 +32,42 @@ func parse(t *testing.T, argv ...string) *flags {
 	return fl
 }
 
-func TestFlagsMetaRoundTrip(t *testing.T) {
-	fl := parse(t,
-		"-graph", "torus", "-n", "100", "-tasks", "5000", "-seed", "9",
-		"-speeds", "twoclass", "-smax", "2", "-model", "weighted",
-		"-protocol", "paper", "-placement", "random")
-	got, err := flagsFromMeta(fl.meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.graph != fl.graph || got.n != fl.n || got.tasks != fl.tasks ||
-		got.seed != fl.seed || got.speeds != fl.speeds || got.smax != fl.smax ||
-		got.model != fl.model || got.protocol != fl.protocol || got.placement != fl.placement {
-		t.Fatalf("meta round trip: got %+v, want %+v", got, fl)
-	}
-	if _, err := flagsFromMeta(map[string]string{"graph": "ring"}); err == nil {
-		t.Fatal("incomplete meta accepted")
+// TestReplayParentJournals replays two journals that lbd -selfdrive
+// recorded before the instance builders moved into internal/instance,
+// on every engine, and requires each replay to match the journal's
+// footer bit for bit. The flags that recorded each journal must also
+// produce its header again: the same nine instance keys plus the
+// engine, the same seed and trace period.
+func TestReplayParentJournals(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		argv []string
+	}{
+		{"testdata/parent-uniform.jsonl", []string{
+			"-graph", "torus", "-n", "16", "-tasks", "200", "-seed", "7",
+			"-speeds", "integers", "-smax", "3", "-placement", "random"}},
+		{"testdata/parent-weighted.jsonl", []string{
+			"-graph", "regular", "-n", "16", "-tasks", "160", "-seed", "5",
+			"-model", "weighted", "-speeds", "twoclass", "-smax", "2",
+			"-placement", "corner", "-trace", "3"}},
+	} {
+		t.Run(filepath.Base(tc.file), func(t *testing.T) {
+			j, err := serve.ReadJournalSegments(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := parse(t, tc.argv...).serveConfig()
+			if !reflect.DeepEqual(cfg.Meta, j.Meta) || cfg.Seed != j.Seed ||
+				cfg.TraceEvery != j.TraceEvery || cfg.Weighted != j.Weighted {
+				t.Fatalf("header: flags give meta %v seed %d trace %d weighted %v, journal has %v %d %d %v",
+					cfg.Meta, cfg.Seed, cfg.TraceEvery, cfg.Weighted, j.Meta, j.Seed, j.TraceEvery, j.Weighted)
+			}
+			for _, engine := range []string{"seq", "shard", "cluster"} {
+				if err := runReplay(parse(t, "-replay", tc.file, "-engine", engine, "-shards", "2")); err != nil {
+					t.Fatalf("replay on %s: %v", engine, err)
+				}
+			}
+		})
 	}
 }
 
@@ -190,7 +211,7 @@ func loadRanking(t *testing.T, model, engine string) (body string, frames float6
 		"-speeds", "twoclass", "-smax", "2", "-placement", "random",
 		"-model", model, "-engine", engine, "-shards", "2",
 		"-nojournal")
-	inst, err := buildInstance(fl)
+	inst, err := buildDaemon(fl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +351,7 @@ func TestStatsPsi0MatchesSeqReplay(t *testing.T) {
 					"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
 					"-speeds", "twoclass", "-smax", "2", "-placement", "random",
 					"-model", model, "-engine", engine, "-shards", "3")
-				inst, err := buildInstance(fl)
+				inst, err := buildDaemon(fl)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -42,14 +42,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/machine"
+	"repro/internal/instance"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/shard"
-	"repro/internal/task"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -61,14 +57,7 @@ func main() {
 }
 
 type coordCfg struct {
-	graph     string
-	n         int
-	tasks     int64
-	seed      uint64
-	speeds    string
-	smax      float64
-	model     string
-	placement string
+	spec instance.Spec
 
 	shards   int
 	socket   string
@@ -87,19 +76,12 @@ type coordCfg struct {
 }
 
 func run() error {
+	spec := instance.Default()
+	spec.Bind(flag.CommandLine)
 	var (
 		worker    = flag.Bool("worker", false, "run as a shard worker: connect to -socket and serve one shard")
 		socket    = flag.String("socket", "", "unix socket path, or tcp:host:port")
 		killAfter = flag.Uint64("killafter", 0, "testing: SIGKILL the worker (or, on the coordinator with -spawn, its first spawned worker) after completing round k")
-
-		graphName = flag.String("graph", "ring", "graph class: complete|ring|torus|hypercube")
-		n         = flag.Int("n", 32, "approximate number of processors")
-		tasks     = flag.Int64("tasks", 0, "number of tasks (default 64·n)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		speedsArg = flag.String("speeds", "uniform", "speed profile: uniform|twoclass")
-		smax      = flag.Float64("smax", 4, "maximum speed for the twoclass profile")
-		model     = flag.String("model", "uniform", "task model: uniform|weighted")
-		placement = flag.String("placement", "corner", "initial placement: corner|random|proportional")
 
 		shards   = flag.Int("shards", 2, "number of shard worker processes P")
 		spawn    = flag.Bool("spawn", false, "spawn the P workers from this binary instead of waiting for external ones")
@@ -121,8 +103,7 @@ func run() error {
 		return runWorker(*socket, *killAfter)
 	}
 	return runCoordinator(coordCfg{
-		graph: *graphName, n: *n, tasks: *tasks, seed: *seed,
-		speeds: *speedsArg, smax: *smax, model: *model, placement: *placement,
+		spec:   spec,
 		shards: *shards, socket: *socket, spawn: *spawn,
 		rounds: *rounds, trace: *trace,
 		ckptPath: *ckptPath, ckptEach: *ckptEach, resume: *resume,
@@ -181,14 +162,27 @@ func runCoordinator(cfg coordCfg) error {
 		from = ck
 		cfg.shards = ck.Shards()
 		if ck.Weighted() {
-			cfg.model = "weighted"
+			cfg.spec.Model = "weighted"
 		} else {
-			cfg.model = "uniform"
+			cfg.spec.Model = "uniform"
 		}
-		fmt.Printf("resume:   %s at round %d (P=%d, model=%s)\n", cfg.ckptPath, ck.Round, ck.Shards(), cfg.model)
+		fmt.Printf("resume:   %s at round %d (P=%d, model=%s)\n", cfg.ckptPath, ck.Round, ck.Shards(), cfg.spec.Model)
 	}
 	if cfg.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", cfg.shards)
+	}
+	// Build before listening, so bad instance flags fail before any
+	// worker is spawned or awaited. A resumed run takes its instance
+	// from the checkpoint and builds one only to verify against.
+	var inst *instance.Instance
+	if from == nil || cfg.verify {
+		var err error
+		if inst, err = cfg.spec.Build(); err != nil {
+			return err
+		}
+		if inst.Protocol != nil && !harness.WeightedEngineSupports(harness.EngineCluster, inst.Protocol) {
+			return fmt.Errorf("the cluster runs only -protocol paper, not %s", inst.Protocol.Name())
+		}
 	}
 
 	network, addr := splitSocket(cfg.socket)
@@ -248,28 +242,24 @@ func runCoordinator(cfg coordCfg) error {
 	}
 	fmt.Printf("cluster:  P=%d workers connected on %s\n", cfg.shards, advertise)
 
-	opts := core.RunOpts{MaxRounds: cfg.rounds, Seed: cfg.seed, TraceEvery: cfg.trace}
+	opts := core.RunOpts{MaxRounds: cfg.rounds, Seed: cfg.spec.Seed, TraceEvery: cfg.trace}
 	ckCfg := shard.CheckpointConfig{Path: cfg.ckptPath, Every: cfg.ckptEach}
 
-	if cfg.model == "weighted" {
-		return driveWeighted(cfg, rws, from, opts, ckCfg)
+	if cfg.spec.Model == "weighted" {
+		return driveWeighted(cfg, inst, rws, from, opts, ckCfg)
 	}
-	return driveUniform(cfg, rws, from, opts, ckCfg)
+	return driveUniform(cfg, inst, rws, from, opts, ckCfg)
 }
 
-func driveUniform(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
+// driveUniform runs the uniform cluster, resumed from from or started
+// from inst, which -verify also replays on the in-process shard engine.
+func driveUniform(cfg coordCfg, inst *instance.Instance, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
 	var cl *shard.UniformCluster
 	var err error
 	if from != nil {
 		cl, err = from.ResumeUniform(rws)
 	} else {
-		var sys *core.System
-		var counts []int64
-		sys, counts, _, err = buildInstance(cfg)
-		if err != nil {
-			return err
-		}
-		cl, err = shard.NewUniformCluster(sys, core.Algorithm1{}, counts, rws, shard.Contiguous)
+		cl, err = shard.NewUniformCluster(inst.Sys, core.Algorithm1{}, inst.Counts, rws, shard.Contiguous)
 	}
 	if err != nil {
 		return err
@@ -294,12 +284,8 @@ func driveUniform(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opt
 		return err
 	}
 	if cfg.verify {
-		sys, initial, _, err := buildInstance(cfg)
-		if err != nil {
-			return err
-		}
-		want, wantCounts, err := harness.RunUniformEngineOpts(harness.EngineShard, sys,
-			core.Algorithm1{}, initial, nil, opts, harness.EngineOpts{Shards: cfg.shards})
+		want, wantCounts, err := harness.RunUniformEngineOpts(harness.EngineShard, inst.Sys,
+			core.Algorithm1{}, inst.Counts, nil, opts, harness.EngineOpts{Shards: cfg.shards})
 		if err != nil {
 			return fmt.Errorf("verify run: %w", err)
 		}
@@ -314,19 +300,15 @@ func driveUniform(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opt
 	})
 }
 
-func driveWeighted(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
+// driveWeighted is driveUniform for the weighted model.
+func driveWeighted(cfg coordCfg, inst *instance.Instance, rws []io.ReadWriter, from *shard.Checkpoint, opts core.RunOpts, ckCfg shard.CheckpointConfig) error {
 	var cl *shard.WeightedCluster
 	var err error
 	if from != nil {
 		cl, err = from.ResumeWeighted(rws)
 	} else {
-		var sys *core.System
-		var perNode []task.Weights
-		sys, _, perNode, err = buildInstance(cfg)
-		if err != nil {
-			return err
-		}
-		cl, err = shard.NewWeightedCluster(sys, core.Algorithm2{}, perNode, rws, shard.Contiguous)
+		// runCoordinator admitted only cluster protocols, which are flat.
+		cl, err = shard.NewWeightedCluster(inst.Sys, inst.Protocol.(core.WeightedFlatProtocol), inst.Weights, rws, shard.Contiguous)
 	}
 	if err != nil {
 		return err
@@ -352,12 +334,8 @@ func driveWeighted(cfg coordCfg, rws []io.ReadWriter, from *shard.Checkpoint, op
 		return err
 	}
 	if cfg.verify {
-		sys, _, perNode, err := buildInstance(cfg)
-		if err != nil {
-			return err
-		}
-		want, wantState, err := harness.RunWeightedEngineOpts(harness.EngineShard, sys,
-			core.Algorithm2{}, perNode, nil, opts, harness.EngineOpts{Shards: cfg.shards})
+		want, wantState, err := harness.RunWeightedEngineOpts(harness.EngineShard, inst.Sys,
+			inst.Protocol, inst.Weights, nil, opts, harness.EngineOpts{Shards: cfg.shards})
 		if err != nil {
 			return fmt.Errorf("verify run: %w", err)
 		}
@@ -399,75 +377,6 @@ func sameWeightedState(got, want *core.WeightedState) error {
 			got.TotalWeight(), got.TaskCount(), want.TotalWeight(), want.TaskCount())
 	}
 	return nil
-}
-
-// buildInstance constructs the system and both initial placements from
-// the instance flags; the unused model's placement is nil.
-func buildInstance(cfg coordCfg) (*core.System, []int64, []task.Weights, error) {
-	class, err := experiments.ClassByKey(cfg.graph)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := class.Build(cfg.n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	n := g.N()
-	var speeds machine.Speeds
-	switch cfg.speeds {
-	case "uniform":
-		speeds = machine.Uniform(n)
-	case "twoclass":
-		if speeds, err = machine.TwoClass(n, 0.25, cfg.smax); err != nil {
-			return nil, nil, nil, err
-		}
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown speed profile %q", cfg.speeds)
-	}
-	sys, err := core.NewSystem(g, speeds, core.WithLambda2(class.Lambda2(g)))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m := cfg.tasks
-	if m <= 0 {
-		m = 64 * int64(n)
-	}
-	if cfg.model == "weighted" {
-		weights, err := task.RandomWeights(int(m), 0.1, 1.0, rng.New(cfg.seed+3))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var perNode []task.Weights
-		switch cfg.placement {
-		case "corner":
-			perNode, err = workload.WeightedAllOnOne(n, weights, 0)
-		case "random":
-			perNode, err = workload.WeightedUniformRandom(n, weights, rng.New(cfg.seed+2))
-		case "proportional":
-			perNode, err = workload.WeightedProportional(sys.Speeds(), weights)
-		default:
-			err = fmt.Errorf("unknown placement %q", cfg.placement)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sys, nil, perNode, nil
-	}
-	var counts []int64
-	switch cfg.placement {
-	case "corner":
-		counts, err = workload.AllOnOne(n, m, 0)
-	case "random":
-		counts, err = workload.UniformRandom(n, m, rng.New(cfg.seed+2))
-	case "proportional":
-		counts, err = workload.Proportional(sys.Speeds(), m)
-	default:
-		err = fmt.Errorf("unknown placement %q", cfg.placement)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sys, counts, nil, nil
 }
 
 // attachSpans wires a span recorder into the cluster when -trace-out

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 )
 
 func TestMain(m *testing.M) {
@@ -112,17 +113,72 @@ func TestProcessTCP(t *testing.T) {
 	}
 }
 
-// killAndResume runs the full kill-tolerance scenario for one model:
+// TestProcessParityClasses: the graph classes and speed profile beyond
+// Table 1's four classes run on the cluster too, bit-identical to the
+// in-process shard engine. regular has no graph descriptor, so its
+// workers receive explicit CSR rows.
+func TestProcessParityClasses(t *testing.T) {
+	dir := t.TempDir()
+	for _, graph := range []string{"mesh", "path", "regular"} {
+		for _, model := range []string{"uniform", "weighted"} {
+			out := mustRun(t,
+				"-graph", graph, "-n", "16", "-tasks", "800", "-seed", "9",
+				"-model", model, "-speeds", "integers", "-smax", "3",
+				"-rounds", "40", "-trace", "7", "-shards", "2",
+				"-socket", filepath.Join(dir, graph+"-"+model+".sock"), "-spawn", "-verify")
+			if !bytes.Contains(out, []byte("verify: OK")) {
+				t.Fatalf("%s/%s: no verify line in output:\n%s", graph, model, out)
+			}
+		}
+	}
+}
+
+// TestBadInstanceFailsBeforeListening: an instance the flags cannot
+// build fails before the coordinator listens, spawns or waits for a
+// worker, so the socket is never created and no worker starts.
+func TestBadInstanceFailsBeforeListening(t *testing.T) {
+	dir := t.TempDir()
+	for _, bad := range [][]string{
+		{"-graph", "nope"},
+		{"-speeds", "nope"},
+		{"-placement", "nope"},
+		{"-model", "weighted", "-protocol", "baseline"},
+	} {
+		for _, spawn := range []bool{true, false} {
+			sock := filepath.Join(dir, "bad.sock")
+			args := append([]string{"-socket", sock, "-shards", "2"}, bad...)
+			if spawn {
+				args = append(args, "-spawn")
+			}
+			start := time.Now()
+			out, err := lbshard(t, args...)
+			if err == nil {
+				t.Fatalf("%v: accepted:\n%s", bad, out)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("%v spawn=%v: failed after %v, not at once", bad, spawn, d)
+			}
+			if _, serr := os.Stat(sock); !os.IsNotExist(serr) {
+				t.Errorf("%v spawn=%v: socket created (%v)", bad, spawn, serr)
+			}
+			if bytes.Contains(out, []byte("EOF")) || bytes.Contains(out, []byte("cluster:")) {
+				t.Errorf("%v spawn=%v: workers ran:\n%s", bad, spawn, out)
+			}
+		}
+	}
+}
+
+// killAndResume runs the full kill-tolerance scenario for one instance:
 // a reference run, then a run whose first worker SIGKILLs itself after
 // round 25 (the coordinator must fail, leaving the round-20 checkpoint),
 // then a -resume run that must reproduce the reference byte for byte.
-func killAndResume(t *testing.T, model string) {
+func killAndResume(t *testing.T, instFlags ...string) {
 	dir := t.TempDir()
-	base := []string{
-		"-graph", "torus", "-n", "16", "-tasks", "800", "-seed", "9",
-		"-model", model, "-rounds", "60", "-trace", "7", "-shards", "2",
+	base := append([]string{
+		"-n", "16", "-tasks", "800", "-seed", "9",
+		"-rounds", "60", "-trace", "7", "-shards", "2",
 		"-socket", filepath.Join(dir, "lb.sock"), "-spawn",
-	}
+	}, instFlags...)
 	ref := filepath.Join(dir, "ref.json")
 	mustRun(t, append(base, "-result", ref)...)
 
@@ -145,5 +201,16 @@ func killAndResume(t *testing.T, model string) {
 	}
 }
 
-func TestKillAndResumeUniform(t *testing.T)  { killAndResume(t, "uniform") }
-func TestKillAndResumeWeighted(t *testing.T) { killAndResume(t, "weighted") }
+func TestKillAndResumeUniform(t *testing.T) {
+	killAndResume(t, "-graph", "torus", "-model", "uniform")
+}
+
+func TestKillAndResumeWeighted(t *testing.T) {
+	killAndResume(t, "-graph", "torus", "-model", "weighted")
+}
+
+// TestKillAndResumeRegular resumes a graph without a descriptor, whose
+// checkpoint carries the explicit CSR.
+func TestKillAndResumeRegular(t *testing.T) {
+	killAndResume(t, "-graph", "regular", "-model", "weighted", "-speeds", "integers", "-smax", "3")
+}

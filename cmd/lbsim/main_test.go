@@ -5,86 +5,39 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/machine"
+	"repro/internal/instance"
 )
 
-func TestBuildGraphClasses(t *testing.T) {
-	for _, name := range []string{"complete", "ring", "path", "torus", "mesh", "hypercube", "star", "regular"} {
-		g, lambda2, err := buildGraph(name, 16, 1)
-		if err != nil {
-			t.Fatalf("buildGraph(%s): %v", name, err)
-		}
-		if g == nil || g.N() < 2 {
-			t.Fatalf("buildGraph(%s): bad graph", name)
-		}
-		if lambda2 <= 0 {
-			t.Errorf("buildGraph(%s): λ₂ = %g", name, lambda2)
-		}
-		if !g.IsConnected() {
-			t.Errorf("buildGraph(%s): disconnected", name)
-		}
+// build builds the spec or fails the test.
+func build(t *testing.T, s instance.Spec) *instance.Instance {
+	t.Helper()
+	inst, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := buildGraph("nope", 16, 1); err == nil {
-		t.Error("unknown graph accepted")
-	}
-}
-
-func TestBuildSpeedsProfiles(t *testing.T) {
-	for _, profile := range []string{"uniform", "twoclass", "integers"} {
-		s, err := buildSpeeds(profile, 12, 4, 1)
-		if err != nil {
-			t.Fatalf("buildSpeeds(%s): %v", profile, err)
-		}
-		if len(s) != 12 {
-			t.Fatalf("buildSpeeds(%s): %d speeds", profile, len(s))
-		}
-		if err := s.Validate(); err != nil {
-			t.Errorf("buildSpeeds(%s): %v", profile, err)
-		}
-	}
-	if _, err := buildSpeeds("nope", 12, 4, 1); err == nil {
-		t.Error("unknown profile accepted")
-	}
-}
-
-func TestSqrtSide(t *testing.T) {
-	cases := []struct{ n, want int }{{1, 1}, {4, 2}, {5, 3}, {9, 3}, {10, 4}, {64, 8}}
-	for _, c := range cases {
-		if got := sqrtSide(c.n); got != c.want {
-			t.Errorf("sqrtSide(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
+	return inst
 }
 
 func TestRunDynamicSmoke(t *testing.T) {
-	g, lambda2, err := buildGraph("torus", 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	speeds, err := buildSpeeds("twoclass", g.N(), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(g, speeds, core.WithLambda2(lambda2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := instance.Spec{Graph: "torus", N: 16, Tasks: 400, Seed: 1, Speeds: "twoclass", SMax: 2,
+		Model: "uniform", Protocol: "paper", Placement: "corner"}
 	cfg := dynCfg{
 		arrivals: 8, departures: 0.5, churn: 20,
 		burstEvery: 15, burstSize: 40,
 		horizon: 50, eventSeed: 18,
 	}
 	for _, model := range []string{"uniform", "weighted"} {
-		if err := runDynamic(sys, 400, model, "seq", "paper", "corner", 1, cfg, harness.EngineOpts{}); err != nil {
+		spec.Model = model
+		if err := runDynamic(build(t, spec), "seq", 1, cfg, harness.EngineOpts{}); err != nil {
 			t.Errorf("runDynamic(%s): %v", model, err)
 		}
 	}
-	if err := runDynamic(sys, 400, "uniform", "cluster", "paper", "random", 1, cfg, harness.EngineOpts{Shards: 2}); err != nil {
+	spec.Model, spec.Placement = "uniform", "random"
+	if err := runDynamic(build(t, spec), "cluster", 1, cfg, harness.EngineOpts{Shards: 2}); err != nil {
 		t.Errorf("runDynamic(cluster): %v", err)
 	}
-	if err := runDynamic(sys, 400, "uniform", "shard", "paper", "random", 1, cfg,
+	if err := runDynamic(build(t, spec), "shard", 1, cfg,
 		harness.EngineOpts{Shards: 3, Workers: 2}); err != nil {
 		t.Errorf("runDynamic(shard): %v", err)
 	}
@@ -93,14 +46,8 @@ func TestRunDynamicSmoke(t *testing.T) {
 // TestRunFixedSmoke covers the fixed-round scale mode on every uniform
 // engine, shard strategies included.
 func TestRunFixedSmoke(t *testing.T) {
-	g, lambda2, err := buildGraph("ring", 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(g, machine.Uniform(g.N()), core.WithLambda2(lambda2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := build(t, instance.Spec{Graph: "ring", N: 24, Seed: 1, Speeds: "uniform",
+		Model: "uniform", Placement: "corner"})
 	for _, tc := range []struct {
 		engine string
 		eo     harness.EngineOpts
@@ -110,40 +57,13 @@ func TestRunFixedSmoke(t *testing.T) {
 		{"shard", harness.EngineOpts{Shards: 5, Workers: 2}},
 		{"shard", harness.EngineOpts{Shards: 3, Strategy: "degree"}},
 	} {
-		if err := runFixed(sys, 24*64, tc.engine, "corner", 1, 30, 0, tc.eo); err != nil {
+		if err := runFixed(inst, tc.engine, 1, 30, 0, tc.eo); err != nil {
 			t.Errorf("runFixed(%s %+v): %v", tc.engine, tc.eo, err)
 		}
 	}
-	if err := runFixed(sys, 24*64, "shard", "corner", 1, 10, 0,
+	if err := runFixed(inst, "shard", 1, 10, 0,
 		harness.EngineOpts{Strategy: "warp"}); err == nil {
 		t.Error("unknown shard strategy accepted")
-	}
-}
-
-func TestInitialCounts(t *testing.T) {
-	g, lambda2, err := buildGraph("ring", 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(g, machine.Uniform(g.N()), core.WithLambda2(lambda2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, placement := range []string{"corner", "random", "proportional"} {
-		counts, err := initialCounts(sys, 80, placement, 1)
-		if err != nil {
-			t.Fatalf("initialCounts(%s): %v", placement, err)
-		}
-		sum := int64(0)
-		for _, c := range counts {
-			sum += c
-		}
-		if sum != 80 {
-			t.Errorf("initialCounts(%s): sum %d, want 80", placement, sum)
-		}
-	}
-	if _, err := initialCounts(sys, 80, "nope", 1); err == nil {
-		t.Error("unknown placement accepted")
 	}
 }
 
@@ -194,18 +114,8 @@ func TestFixedHeaderResolved(t *testing.T) {
 // TestRunFixedWeightedSmoke covers the weighted fixed-round scale mode
 // on every weighted engine, strategies and placements included.
 func TestRunFixedWeightedSmoke(t *testing.T) {
-	g, lambda2, err := buildGraph("ring", 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	speeds, err := buildSpeeds("twoclass", g.N(), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(g, speeds, core.WithLambda2(lambda2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := instance.Spec{Graph: "ring", N: 24, Tasks: 24 * 16, Seed: 1, Speeds: "twoclass", SMax: 2,
+		Model: "weighted", Protocol: "paper"}
 	for _, tc := range []struct {
 		engine    string
 		placement string
@@ -216,16 +126,14 @@ func TestRunFixedWeightedSmoke(t *testing.T) {
 		{"shard", "proportional", harness.EngineOpts{Shards: 5, Workers: 2}},
 		{"shard", "corner", harness.EngineOpts{Shards: 3, Strategy: "degree"}},
 	} {
-		if err := runFixedWeighted(sys, 24*16, tc.engine, "paper", tc.placement, 1, 20, 0, tc.eo); err != nil {
+		spec.Placement = tc.placement
+		if err := runFixedWeighted(build(t, spec), tc.engine, 1, 20, 0, tc.eo); err != nil {
 			t.Errorf("runFixedWeighted(%s %s %+v): %v", tc.engine, tc.placement, tc.eo, err)
 		}
 	}
-	if err := runFixedWeighted(sys, 24*16, "shard", "baseline", "corner", 1, 5, 0,
+	spec.Placement, spec.Protocol = "corner", "baseline"
+	if err := runFixedWeighted(build(t, spec), "shard", 1, 5, 0,
 		harness.EngineOpts{}); err == nil {
 		t.Error("shard accepted the baseline protocol")
-	}
-	if err := runFixedWeighted(sys, 24*16, "seq", "paper", "nope", 1, 5, 0,
-		harness.EngineOpts{}); err == nil {
-		t.Error("unknown placement accepted")
 	}
 }

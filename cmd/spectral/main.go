@@ -1,7 +1,9 @@
 // Command spectral reports the spectral quantities the convergence bounds
 // depend on for a chosen graph: λ₂ (numeric and closed-form where known),
 // the generalized-Laplacian µ₂ under a speed profile, and the classical
-// bounds (Fiedler, Mohar, Cheeger) the paper's appendix collects.
+// bounds (Fiedler, Mohar, Cheeger) the paper's appendix collects. The
+// flags build the same graph and speeds as lbsim's; barbell is an extra
+// family of spectral's own.
 //
 // Example:
 //
@@ -14,8 +16,7 @@ import (
 	"log"
 
 	"repro/internal/graph"
-	"repro/internal/machine"
-	"repro/internal/rng"
+	"repro/internal/instance"
 	"repro/internal/spectral"
 )
 
@@ -29,15 +30,16 @@ func main() {
 
 func run() error {
 	var (
-		graphName = flag.String("graph", "ring", "complete|ring|path|torus|mesh|hypercube|star|barbell")
+		graphName = flag.String("graph", "ring", "complete|ring|path|torus|mesh|hypercube|star|regular|barbell")
 		n         = flag.Int("n", 16, "approximate vertex count")
 		speedsArg = flag.String("speeds", "uniform", "uniform|twoclass|integers")
 		smax      = flag.Float64("smax", 4, "max speed for non-uniform profiles")
-		seed      = flag.Uint64("seed", 1, "seed for random speed profiles")
+		seed      = flag.Uint64("seed", 1, "seed for the regular graph and random speed profiles")
 	)
 	flag.Parse()
 
-	g, closed, hasClosed, err := buildGraph(*graphName, *n)
+	spec := instance.Spec{Graph: *graphName, N: *n, Seed: *seed, Speeds: *speedsArg, SMax: *smax}
+	g, closed, hasClosed, err := buildGraph(spec)
 	if err != nil {
 		return err
 	}
@@ -70,17 +72,7 @@ func run() error {
 		}
 	}
 
-	var speeds machine.Speeds
-	switch *speedsArg {
-	case "uniform":
-		speeds = machine.Uniform(g.N())
-	case "twoclass":
-		speeds, err = machine.TwoClass(g.N(), 0.25, *smax)
-	case "integers":
-		speeds, err = machine.RandomIntegers(g.N(), int(*smax), rng.New(*seed))
-	default:
-		err = fmt.Errorf("unknown speed profile %q", *speedsArg)
-	}
+	speeds, err := spec.BuildSpeeds(g.N())
 	if err != nil {
 		return err
 	}
@@ -94,47 +86,14 @@ func run() error {
 	return nil
 }
 
-func buildGraph(name string, n int) (g *graph.Graph, closedForm float64, hasClosed bool, err error) {
-	switch name {
-	case "complete":
-		g, err = graph.Complete(n)
-		return g, spectral.Lambda2Complete(n), true, err
-	case "ring":
-		g, err = graph.Ring(n)
-		return g, spectral.Lambda2Ring(n), true, err
-	case "path":
-		g, err = graph.Path(n)
-		return g, spectral.Lambda2Path(n), true, err
-	case "torus":
-		side := sqrtSide(n)
-		g, err = graph.Torus(side, side)
-		return g, spectral.Lambda2Torus(side, side), true, err
-	case "mesh":
-		side := sqrtSide(n)
-		g, err = graph.Mesh(side, side)
-		return g, spectral.Lambda2Mesh(side, side), true, err
-	case "hypercube":
-		d := 1
-		for 1<<uint(d) < n {
-			d++
-		}
-		g, err = graph.Hypercube(d)
-		return g, spectral.Lambda2Hypercube(d), true, err
-	case "star":
-		g, err = graph.Star(n)
-		return g, spectral.Lambda2Star(n), true, err
-	case "barbell":
+// buildGraph builds spec's graph as lbsim does, with its closed-form
+// λ₂ where one exists (regular's is numeric), or the barbell.
+func buildGraph(spec instance.Spec) (g *graph.Graph, closedForm float64, hasClosed bool, err error) {
+	if spec.Graph == "barbell" {
+		n := spec.N
 		g, err = graph.Barbell(n/2, n-2*(n/2)+1)
 		return g, 0, false, err
-	default:
-		return nil, 0, false, fmt.Errorf("unknown graph %q", name)
 	}
-}
-
-func sqrtSide(n int) int {
-	side := 1
-	for side*side < n {
-		side++
-	}
-	return side
+	g, closedForm, err = spec.BuildGraph()
+	return g, closedForm, spec.Graph != "regular", err
 }

@@ -56,6 +56,52 @@ func (b *EventBatch) IsZero() bool {
 	return true
 }
 
+// Validate checks the whole batch against an n-node engine: every slice
+// is nil or n long, no count is negative, and every arriving weight lies
+// in (0, 1]. It checks every field whichever task model the engine runs,
+// so all engines accept and refuse the same batches. Engines call it
+// before they change anything, so an invalid batch leaves them as they
+// were.
+func (b *EventBatch) Validate(n int) error {
+	if b == nil {
+		return nil
+	}
+	for _, f := range []struct {
+		what string
+		l    int
+	}{
+		{"arrival", len(b.Arrivals)},
+		{"departure", len(b.Departures)},
+		{"weight-arrival", len(b.WeightArrivals)},
+		{"weight-departure", len(b.WeightDepartures)},
+	} {
+		if f.l != 0 && f.l != n {
+			return fmt.Errorf("core: %d %s entries for %d nodes", f.l, f.what, n)
+		}
+	}
+	for i, a := range b.Arrivals {
+		if a < 0 {
+			return fmt.Errorf("core: negative arrival %d at node %d", a, i)
+		}
+	}
+	for i, d := range b.Departures {
+		if d < 0 {
+			return fmt.Errorf("core: negative departure %d at node %d", d, i)
+		}
+	}
+	for i, ws := range b.WeightArrivals {
+		if err := task.Weights(ws).Validate(); err != nil {
+			return fmt.Errorf("core: node %d: %w", i, err)
+		}
+	}
+	for i, d := range b.WeightDepartures {
+		if d < 0 {
+			return fmt.Errorf("core: negative weight departure %d at node %d", d, i)
+		}
+	}
+	return nil
+}
+
 // EventLedger accumulates the workload mutations actually applied during
 // a run. Task and weight totals are conserved net of the ledger: for the
 // uniform model, final = initial + Arrived − Departed; for the weighted
@@ -114,8 +160,8 @@ type EventStepper interface {
 // place: arrivals first, then departures clamped to the tasks present.
 // It is the single source of truth for uniform event application,
 // shared by the sequential state and the shard engine. It checks the
-// whole batch before it mutates anything, so a batch with a negative
-// entry, or with arrivals that would take the total of counts past
+// whole batch before it mutates anything, so a batch that Validate
+// refuses, or with arrivals that would take the total of counts past
 // math.MaxInt64 (which bounds every node too), fails and leaves counts
 // as they were.
 func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
@@ -123,12 +169,8 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	if batch == nil {
 		return led, nil
 	}
-	n := len(counts)
-	if len(batch.Arrivals) != 0 && len(batch.Arrivals) != n {
-		return led, fmt.Errorf("core: %d arrival entries for %d nodes", len(batch.Arrivals), n)
-	}
-	if len(batch.Departures) != 0 && len(batch.Departures) != n {
-		return led, fmt.Errorf("core: %d departure entries for %d nodes", len(batch.Departures), n)
+	if err := batch.Validate(len(counts)); err != nil {
+		return led, err
 	}
 	var total int64
 	if len(batch.Arrivals) != 0 {
@@ -137,18 +179,10 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 		}
 	}
 	for i, a := range batch.Arrivals {
-		if a < 0 {
-			return led, fmt.Errorf("core: negative arrival %d at node %d", a, i)
-		}
 		if a > math.MaxInt64-total {
 			return led, fmt.Errorf("core: arrival of %d tasks at node %d overflows the task total", a, i)
 		}
 		total += a
-	}
-	for i, d := range batch.Departures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative departure %d at node %d", d, i)
-		}
 	}
 	for i, a := range batch.Arrivals {
 		if a == 0 {
@@ -249,6 +283,12 @@ func (st *WeightedState) Inject(i int, ws []float64) error {
 	if err := task.Weights(ws).Validate(); err != nil {
 		return err
 	}
+	st.inject(i, ws)
+	return nil
+}
+
+// inject is Inject without its checks.
+func (st *WeightedState) inject(i int, ws []float64) {
 	for _, w := range ws {
 		st.tasks[i] = append(st.tasks[i], w)
 		st.nodeWeight[i] += w
@@ -259,7 +299,6 @@ func (st *WeightedState) Inject(i int, ws []float64) error {
 	if st.sinceRecompute >= WeightRecomputeEvery {
 		st.RecomputeWeights()
 	}
-	return nil
 }
 
 // Drain removes up to k tasks from node i — the most recently appended
@@ -289,35 +328,27 @@ func (st *WeightedState) Drain(i, k int) task.Weights {
 
 // ApplyEvents implements the weighted-model event application:
 // WeightArrivals are injected first, then WeightDepartures drain tasks
-// (most recent first, clamped to the queue).
+// (most recent first, clamped to the queue). A batch that Validate
+// refuses fails and leaves the state as it was.
 func (st *WeightedState) ApplyEvents(batch *EventBatch) (EventLedger, error) {
 	var led EventLedger
 	if batch == nil {
 		return led, nil
 	}
-	n := len(st.tasks)
-	if len(batch.WeightArrivals) != 0 && len(batch.WeightArrivals) != n {
-		return led, fmt.Errorf("core: %d weight-arrival entries for %d nodes", len(batch.WeightArrivals), n)
-	}
-	if len(batch.WeightDepartures) != 0 && len(batch.WeightDepartures) != n {
-		return led, fmt.Errorf("core: %d weight-departure entries for %d nodes", len(batch.WeightDepartures), n)
+	if err := batch.Validate(len(st.tasks)); err != nil {
+		return led, err
 	}
 	for i, ws := range batch.WeightArrivals {
 		if len(ws) == 0 {
 			continue
 		}
-		if err := st.Inject(i, ws); err != nil {
-			return led, err
-		}
+		st.inject(i, ws)
 		led.ArrivedTasks += int64(len(ws))
 		for _, w := range ws {
 			led.ArrivedWeight += w
 		}
 	}
 	for i, d := range batch.WeightDepartures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative weight departure %d at node %d", d, i)
-		}
 		removed := st.Drain(i, int(d))
 		led.DepartedTasks += int64(len(removed))
 		led.DepartedWeight += removed.Total()

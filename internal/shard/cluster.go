@@ -324,7 +324,7 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 		return 0, led, err
 	}
 	if batch != nil {
-		if err := c.validateBatchShape(batch); err != nil {
+		if err := batch.Validate(c.n); err != nil {
 			return 0, led, err
 		}
 		if c.model == modelWeighted && c.batchMayCross(batch) {
@@ -611,7 +611,7 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 	if batch == nil {
 		return led, nil
 	}
-	if err := c.validateBatchShape(batch); err != nil {
+	if err := batch.Validate(c.n); err != nil {
 		return led, err
 	}
 	if c.model == modelWeighted && c.batchMayCross(batch) {
@@ -792,33 +792,6 @@ func (c *clusterCore) materializedEvents(batch *core.EventBatch) (core.EventLedg
 	c.count = int64(st.TaskCount())
 	c.sinceRecompute = int64(st.SinceRecompute())
 	return led, nil
-}
-
-func (c *clusterCore) validateBatchShape(batch *core.EventBatch) error {
-	check := func(l int, what string) error {
-		if l != 0 && l != c.n {
-			return fmt.Errorf("shard: %d %s entries for %d nodes", l, what, c.n)
-		}
-		return nil
-	}
-	if err := check(len(batch.Arrivals), "arrival"); err != nil {
-		return err
-	}
-	if err := check(len(batch.Departures), "departure"); err != nil {
-		return err
-	}
-	if err := check(len(batch.WeightArrivals), "weight-arrival"); err != nil {
-		return err
-	}
-	if err := check(len(batch.WeightDepartures), "weight-departure"); err != nil {
-		return err
-	}
-	for i, ws := range batch.WeightArrivals {
-		if err := task.Weights(ws).Validate(); err != nil {
-			return fmt.Errorf("node %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // gatherOwnStates requests and decodes every worker's own-range state:

@@ -817,8 +817,8 @@ func (e *WeightedEngine) Arena() ArenaStats {
 // injected first (nodes ascending), then departures drained most-recent
 // first, clamped to the queue — and with its exact floating-point
 // bookkeeping order, so ledgers and trajectories stay bit-identical.
-// Unlike the sequential mutator, validation happens up front: an
-// invalid batch returns an error with no partial application.
+// A batch that core.EventBatch.Validate refuses fails with no partial
+// application.
 func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -829,24 +829,14 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 	if batch == nil {
 		return led, nil
 	}
-	n := e.csr.N()
-	if len(batch.WeightArrivals) != 0 && len(batch.WeightArrivals) != n {
-		return led, fmt.Errorf("core: %d weight-arrival entries for %d nodes", len(batch.WeightArrivals), n)
-	}
-	if len(batch.WeightDepartures) != 0 && len(batch.WeightDepartures) != n {
-		return led, fmt.Errorf("core: %d weight-departure entries for %d nodes", len(batch.WeightDepartures), n)
+	if err := batch.Validate(e.csr.N()); err != nil {
+		return led, err
 	}
 	events := int64(0)
-	for i, ws := range batch.WeightArrivals {
-		if err := task.Weights(ws).Validate(); err != nil {
-			return led, fmt.Errorf("node %d: %w", i, err)
-		}
+	for _, ws := range batch.WeightArrivals {
 		events += int64(len(ws))
 	}
-	for i, d := range batch.WeightDepartures {
-		if d < 0 {
-			return led, fmt.Errorf("core: negative weight departure %d at node %d", d, i)
-		}
+	for i := range batch.WeightDepartures {
 		events += e.drainCount(i, batch)
 	}
 	if e.sinceRecompute+events >= int64(core.WeightRecomputeEvery) {
