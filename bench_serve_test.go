@@ -9,6 +9,7 @@ package repro
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -54,6 +55,32 @@ func buildWeightedServeEngine(b *testing.B, n, tasksPerNode int) (*shard.Weighte
 		b.Fatal(err)
 	}
 	return eng, sys
+}
+
+// startJournaledServer serves eng as lbd -journal does: every admitted
+// batch streams to one unrotated journal file under b.TempDir(), so the
+// serving benchmarks time the journal a daemon writes. stop stops the
+// server and closes the journal on its result.
+func startJournaledServer(b *testing.B, eng *shard.WeightedEngine, n int) (srv *serve.Server[*core.WeightedState], stop func()) {
+	b.Helper()
+	cfg := serve.Config{N: n, Weighted: true, Seed: 1}
+	sink, err := serve.NewJournalSink(filepath.Join(b.TempDir(), "run.jsonl"), 0, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Sink = sink
+	if srv, err = serve.New[*core.WeightedState](eng, cfg); err != nil {
+		b.Fatal(err)
+	}
+	return srv, func() {
+		res, err := srv.Stop()
+		if err == nil {
+			err = sink.Close(&res)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // servePsi0 computes Ψ₀ from a node-weight snapshot (the shard engine
@@ -111,19 +138,15 @@ func BenchmarkBatcherSubmit(b *testing.B) {
 // BenchmarkServeRound measures one full serving round against a live
 // 10⁶-node weighted shard engine: 8192 submissions, made while the loop
 // is held in Server.Do, batch into exactly one pre-round event batch;
-// the loop applies it, journals it, and steps Algorithm 2. ns/op is the
-// end-to-end admission period a saturated daemon sustains per round.
+// the loop applies it, steps Algorithm 2 and streams it to the journal.
+// ns/op is the end-to-end admission period a saturated daemon sustains
+// per round.
 func BenchmarkServeRound(b *testing.B) {
 	const n = 1_000_000
 	const per = 8192
 	eng, _ := buildWeightedServeEngine(b, n, 16)
 	defer eng.Close()
-	srv, err := serve.New[*core.WeightedState](eng, serve.Config{
-		N: n, Weighted: true, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv, stop := startJournaledServer(b, eng, n)
 	st := rng.New(9)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -151,9 +174,7 @@ func BenchmarkServeRound(b *testing.B) {
 	if stats.Rounds > 0 {
 		b.ReportMetric(float64(stats.Submissions)/float64(stats.Rounds), "submissions/round")
 	}
-	if _, err := srv.Stop(); err != nil {
-		b.Fatal(err)
-	}
+	stop()
 }
 
 // BenchmarkServeSustained is the acceptance benchmark: the in-process
@@ -175,10 +196,7 @@ func BenchmarkServeSustained(b *testing.B) {
 	}
 	eng, sys := buildWeightedServeEngine(b, n, 16)
 	defer eng.Close()
-	srv, err := serve.New[*core.WeightedState](eng, serve.Config{N: n, Weighted: true, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv, stop := startJournaledServer(b, eng, n)
 	var rep serve.LoadReport
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -203,7 +221,5 @@ func BenchmarkServeSustained(b *testing.B) {
 	var psi0 float64
 	srv.Do(func() { psi0 = servePsi0(sys, eng.NodeWeights()) })
 	b.ReportMetric(psi0, "psi0")
-	if _, err := srv.Stop(); err != nil {
-		b.Fatal(err)
-	}
+	stop()
 }

@@ -134,6 +134,45 @@ func TestSelfdriveWeightedHTTP(t *testing.T) {
 	}
 }
 
+// TestSelfdriveVerifyNeedsJournal: -verify without -journal is refused
+// before the daemon is built or any load runs (the hour-long -duration
+// would otherwise hold the test).
+func TestSelfdriveVerifyNeedsJournal(t *testing.T) {
+	fl := parse(t, "-selfdrive", "-verify", "-duration", "1h", "-graph", "ring", "-n", "16", "-tasks", "64")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := runSelfdrive(ctx, fl); err == nil || !strings.Contains(err.Error(), "set -journal") {
+		t.Fatalf("selfdrive -verify without -journal: %v, want the refusal", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("the refusal came only after the load ran")
+	}
+}
+
+// TestNoJournalWithoutFlag: a daemon started without -journal serves
+// with no sink, and a selfdrive run without it leaves no file behind.
+func TestNoJournalWithoutFlag(t *testing.T) {
+	fl := parse(t, "-graph", "ring", "-n", "16", "-tasks", "64")
+	inst, err := buildDaemon(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.srv.Stop()
+	inst.close()
+	if inst.sink != nil {
+		t.Fatal("daemon without -journal built a journal sink")
+	}
+	dir := t.TempDir()
+	t.Chdir(dir)
+	fl = parse(t, "-selfdrive", "-rate", "4000", "-duration", "100ms", "-graph", "ring", "-n", "16", "-tasks", "64")
+	if err := runSelfdrive(context.Background(), fl); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("selfdrive without -journal left %v (%v)", ents, err)
+	}
+}
+
 func TestDaemonStartupShutdown(t *testing.T) {
 	fl := parse(t, "-listen", "127.0.0.1:0", "-graph", "ring", "-n", "16", "-tasks", "64")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -209,8 +248,7 @@ func loadRanking(t *testing.T, model, engine string) (body string, frames float6
 	fl := parse(t,
 		"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
 		"-speeds", "twoclass", "-smax", "2", "-placement", "random",
-		"-model", model, "-engine", engine, "-shards", "2",
-		"-nojournal")
+		"-model", model, "-engine", engine, "-shards", "2")
 	inst, err := buildDaemon(fl)
 	if err != nil {
 		t.Fatal(err)
@@ -304,28 +342,23 @@ func TestReplayJournalOfRemovedEngine(t *testing.T) {
 	if err := runSelfdrive(context.Background(), fl); err != nil {
 		t.Fatalf("selfdrive: %v", err)
 	}
-	f, err := os.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := serve.ReadJournal(f)
-	f.Close()
+	data, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An -engine value of earlier builds, since deleted.
 	const removedEngine = "forkjoin"
-	j.Meta["engine"] = removedEngine
 	old := filepath.Join(dir, "old.jsonl")
-	out, err := os.Create(old)
+	data = bytes.Replace(data, []byte(`"engine":"seq"`), []byte(`"engine":"`+removedEngine+`"`), 1)
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := serve.ReadJournalSegments(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
+	if j.Meta["engine"] != removedEngine {
+		t.Fatalf("rewritten journal meta %v, want engine %q", j.Meta, removedEngine)
 	}
 	for _, engine := range []string{"seq", "shard", "cluster"} {
 		if err := runReplay(parse(t, "-replay", old, "-engine", engine, "-shards", "2")); err != nil {
@@ -347,10 +380,12 @@ func TestStatsPsi0MatchesSeqReplay(t *testing.T) {
 	for _, model := range []string{"uniform", "weighted"} {
 		for _, engine := range []string{"seq", "shard"} {
 			t.Run(model+"/"+engine, func(t *testing.T) {
+				jpath := filepath.Join(t.TempDir(), "run.jsonl")
 				fl := parse(t,
 					"-graph", "torus", "-n", "64", "-tasks", "2000", "-seed", "4",
 					"-speeds", "twoclass", "-smax", "2", "-placement", "random",
-					"-model", model, "-engine", engine, "-shards", "3")
+					"-model", model, "-engine", engine, "-shards", "3",
+					"-journal", jpath)
 				inst, err := buildDaemon(fl)
 				if err != nil {
 					t.Fatal(err)
@@ -394,7 +429,14 @@ func TestStatsPsi0MatchesSeqReplay(t *testing.T) {
 				if st.Rounds != uint64(res.Rounds) || res.Rounds == 0 {
 					t.Fatalf("/stats read round %d, the run stopped at round %d", st.Rounds, res.Rounds)
 				}
-				_, want, err := replayJournal(inst.srv.Journal(), "seq", harness.EngineOpts{})
+				if err := inst.sink.Close(&res); err != nil {
+					t.Fatal(err)
+				}
+				j, err := serve.ReadJournalSegments(jpath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, want, err := replayJournal(j, "seq", harness.EngineOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

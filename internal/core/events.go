@@ -172,17 +172,14 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	if err := batch.Validate(len(counts)); err != nil {
 		return led, err
 	}
-	var total int64
 	if len(batch.Arrivals) != 0 {
+		var total int64
 		for _, c := range counts {
 			total += c
 		}
-	}
-	for i, a := range batch.Arrivals {
-		if a > math.MaxInt64-total {
-			return led, fmt.Errorf("core: arrival of %d tasks at node %d overflows the task total", a, i)
+		if err := CheckArrivals(total, batch.Arrivals); err != nil {
+			return led, err
 		}
-		total += a
 	}
 	for i, a := range batch.Arrivals {
 		if a == 0 {
@@ -202,6 +199,18 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 		led.Departed += d
 	}
 	return led, nil
+}
+
+// CheckArrivals refuses non-negative arrivals that would take a task
+// total of total past math.MaxInt64.
+func CheckArrivals(total int64, arrivals []int64) error {
+	for i, a := range arrivals {
+		if a > math.MaxInt64-total {
+			return fmt.Errorf("core: arrival of %d tasks at node %d overflows the task total", a, i)
+		}
+		total += a
+	}
+	return nil
 }
 
 // Inject adds k unit tasks to node i.

@@ -104,9 +104,10 @@ func TestEngineOptsResolved(t *testing.T) {
 
 // TestResolvedMatchesShardConstructors ties Resolved to the actual
 // engine constructors — the single place the defaulting/clamping rules
-// live. If shard.New or NewPartition ever change a default, this test
-// fails rather than letting the lbsim banner silently report
-// parameters that differ from what ran.
+// live. If shard.New, the in-process cluster starters or NewPartition
+// ever change a default, this test fails rather than letting the lbsim
+// or lbd banner silently report parameters that differ from what ran.
+// A cluster runs one worker per shard.
 func TestResolvedMatchesShardConstructors(t *testing.T) {
 	g, err := graph.Ring(24)
 	if err != nil {
@@ -118,6 +119,9 @@ func TestResolvedMatchesShardConstructors(t *testing.T) {
 	}
 	counts := make([]int64, 24)
 	perNode := make([]task.Weights, 24)
+	ran := func(workers int, part *shard.Partition) EngineOpts {
+		return EngineOpts{Workers: workers, Shards: part.P(), Strategy: string(part.Strategy())}
+	}
 	for _, eo := range []EngineOpts{
 		{},
 		{Workers: 3},
@@ -126,28 +130,36 @@ func TestResolvedMatchesShardConstructors(t *testing.T) {
 		{Shards: 1000, Workers: 4},
 		{Shards: 5, Strategy: "degree"},
 	} {
-		want := eo.Resolved(EngineShard, 24)
-		eng, err := shard.New(sys, core.Algorithm1{}, counts, shard.Options{
-			Shards: eo.Shards, Workers: eo.Workers, Strategy: shard.Strategy(eo.Strategy),
-		})
+		opts := shard.Options{Shards: eo.Shards, Workers: eo.Workers, Strategy: shard.Strategy(eo.Strategy)}
+		check := func(what, engine string, got EngineOpts) {
+			t.Helper()
+			if want := eo.Resolved(engine, 24); cfgOf(got) != cfgOf(want) {
+				t.Errorf("%s %+v: ran %+v, Resolved says %+v", what, eo, got, want)
+			}
+		}
+		eng, err := shard.New(sys, core.Algorithm1{}, counts, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", eo, err)
 		}
-		got := EngineOpts{Workers: eng.Workers(), Shards: eng.Partition().P(), Strategy: string(eng.Partition().Strategy())}
+		check("uniform engine", EngineShard, ran(eng.Workers(), eng.Partition()))
 		eng.Close()
-		if cfgOf(got) != cfgOf(want) {
-			t.Errorf("uniform engine %+v: ran %+v, Resolved says %+v", eo, got, want)
-		}
-		weng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, shard.Options{
-			Shards: eo.Shards, Workers: eo.Workers, Strategy: shard.Strategy(eo.Strategy),
-		})
+		weng, err := shard.NewWeighted(sys, core.Algorithm2{}, perNode, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", eo, err)
 		}
-		got = EngineOpts{Workers: weng.Workers(), Shards: weng.Partition().P(), Strategy: string(weng.Partition().Strategy())}
+		check("weighted engine", EngineShard, ran(weng.Workers(), weng.Partition()))
 		weng.Close()
-		if cfgOf(got) != cfgOf(want) {
-			t.Errorf("weighted engine %+v: ran %+v, Resolved says %+v", eo, got, want)
+		cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", eo, err)
 		}
+		check("uniform cluster", EngineCluster, ran(cl.Partition().P(), cl.Partition()))
+		cl.Close()
+		wcl, err := shard.StartLocalWeightedCluster(sys, core.Algorithm2{}, perNode, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", eo, err)
+		}
+		check("weighted cluster", EngineCluster, ran(wcl.Partition().P(), wcl.Partition()))
+		wcl.Close()
 	}
 }

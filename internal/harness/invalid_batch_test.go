@@ -23,14 +23,19 @@ type invalidEngine struct {
 	close func() error
 }
 
-func buildInvalidEngine(t *testing.T, model, engine string, sys *core.System) invalidEngine {
+// buildInvalidEngine builds engine for model on sys at P = 2. A
+// uniform engine starts from counts, or from a fixed spread when counts
+// is nil.
+func buildInvalidEngine(t *testing.T, model, engine string, sys *core.System, counts []int64) invalidEngine {
 	t.Helper()
 	n := sys.N()
 	eo := harness.EngineOpts{Shards: 2}
 	if model == "uniform" {
-		counts := make([]int64, n)
-		for i := range counts {
-			counts[i] = int64(7*i%5) * 3
+		if counts == nil {
+			counts = make([]int64, n)
+			for i := range counts {
+				counts[i] = int64(7*i%5) * 3
+			}
 		}
 		h, err := harness.BuildUniformEngine(engine, sys, core.Algorithm1{}, counts, eo)
 		if err != nil {
@@ -82,7 +87,10 @@ func buildInvalidEngine(t *testing.T, model, engine string, sys *core.System) in
 // (ApplyEvents, and StepEvents where the engine fuses events into a
 // round). It leaves the counts or task weights, the task count and the
 // bits of Ψ₀ as they were, and the engine's next Step matches that of an
-// engine that never saw the batch.
+// engine that never saw the batch. Two uniform batches are valid but
+// overflow the task total from a start of their own: one only the
+// global total, which no cluster worker's own range sees, and one the
+// total of worker 0's own range (nodes 0–3).
 func TestInvalidBatchLeavesEngineUnchanged(t *testing.T) {
 	const n, bad = 8, 6
 	g, err := graph.Ring(n)
@@ -103,10 +111,14 @@ func TestInvalidBatchLeavesEngineUnchanged(t *testing.T) {
 		}
 		b.WeightArrivals[bad] = []float64{w}
 	}
+	const half = math.MaxInt64/2 + 10
 	kinds := []struct {
 		name string
 		// spoil adds the invalid entry to a batch of the given model.
 		spoil func(b *core.EventBatch, model string)
+		// counts, when set, is the uniform start; the kind then runs on
+		// the uniform model only.
+		counts []int64
 	}{
 		{"negative arrival", func(b *core.EventBatch, model string) {
 			if model == "uniform" {
@@ -114,7 +126,7 @@ func TestInvalidBatchLeavesEngineUnchanged(t *testing.T) {
 			} else {
 				weightAt(b, -0.3)
 			}
-		}},
+		}, nil},
 		{"negative departure", func(b *core.EventBatch, model string) {
 			if model == "uniform" {
 				b.Departures = make([]int64, n)
@@ -123,13 +135,20 @@ func TestInvalidBatchLeavesEngineUnchanged(t *testing.T) {
 				b.WeightDepartures = make([]int64, n)
 				b.WeightDepartures[bad] = -1
 			}
-		}},
-		{"weight 1.5", func(b *core.EventBatch, _ string) { weightAt(b, 1.5) }},
-		{"weight NaN", func(b *core.EventBatch, _ string) { weightAt(b, math.NaN()) }},
+		}, nil},
+		{"weight 1.5", func(b *core.EventBatch, _ string) { weightAt(b, 1.5) }, nil},
+		{"weight NaN", func(b *core.EventBatch, _ string) { weightAt(b, math.NaN()) }, nil},
+		{"arrivals overflow the global total", func(b *core.EventBatch, _ string) { b.Arrivals[n-1] = half },
+			[]int64{half, 0, 0, 0, 0, 0, 0, 0}},
+		{"arrivals overflow worker 0's total", func(b *core.EventBatch, _ string) { b.Arrivals[1] = 10 },
+			[]int64{math.MaxInt64 - 5, 0, 0, 0, 0, 0, 0, 0}},
 	}
 	for _, model := range []string{"uniform", "weighted"} {
 		for _, engine := range []string{harness.EngineSeq, harness.EngineShard, harness.EngineCluster} {
 			for _, kind := range kinds {
+				if kind.counts != nil && model != "uniform" {
+					continue
+				}
 				t.Run(model+"/"+engine+"/"+kind.name, func(t *testing.T) {
 					batch := &core.EventBatch{}
 					if model == "uniform" {
@@ -141,7 +160,7 @@ func TestInvalidBatchLeavesEngineUnchanged(t *testing.T) {
 					}
 					kind.spoil(batch, model)
 
-					e := buildInvalidEngine(t, model, engine, sys)
+					e := buildInvalidEngine(t, model, engine, sys, kind.counts)
 					defer e.close()
 					before := e.snap()
 					if _, err := e.dyn.ApplyEvents(batch); err == nil {
@@ -159,7 +178,7 @@ func TestInvalidBatchLeavesEngineUnchanged(t *testing.T) {
 						}
 					}
 
-					ref := buildInvalidEngine(t, model, engine, sys)
+					ref := buildInvalidEngine(t, model, engine, sys, kind.counts)
 					defer ref.close()
 					moves, err := e.step(1)
 					if err != nil {

@@ -58,7 +58,7 @@ func TestServeClusterFusedReplay(t *testing.T) {
 
 // checkServedCluster serves live for 24 admitted rounds of three
 // submissions each, then checks the result against a sequential replay
-// and the frame count against core.Drive over fresh.
+// and the frame count against Replay, which is core.Drive, over fresh.
 func checkServedCluster[S core.State](t *testing.T, live, fresh clusterEngine[S], seq core.Engine[S], n int, weighted bool) {
 	t.Helper()
 	const rounds, per = 24, 3
@@ -67,7 +67,8 @@ func checkServedCluster[S core.State](t *testing.T, live, fresh clusterEngine[S]
 		return st.FramesSent + st.FramesRecv
 	}
 	before := frames(live)
-	srv, err := New[S](live, Config{N: n, Weighted: weighted, Seed: 17, TraceEvery: 4})
+	cfg, journal := journaled(t, Config{N: n, Weighted: weighted, Seed: 17, TraceEvery: 4})
+	srv, err := New[S](live, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func checkServedCluster[S core.State](t *testing.T, live, fresh clusterEngine[S]
 		t.Fatal(err)
 	}
 	served := frames(live) - before
-	j := srv.Journal()
+	j := journal(res)
 	if res.Rounds != rounds || len(j.Entries) != rounds {
 		t.Fatalf("served %d rounds with %d journal entries, want %d admitted rounds", res.Rounds, len(j.Entries), rounds)
 	}
@@ -127,7 +128,7 @@ func checkServedCluster[S core.State](t *testing.T, live, fresh clusterEngine[S]
 			t.Fatal(err)
 		}
 	}
-	driven, err := core.Drive[S](fresh, nil, core.RunOpts{MaxRounds: j.Rounds, Seed: j.Seed, TraceEvery: j.TraceEvery, Events: j.Events()})
+	driven, err := Replay[S](j, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

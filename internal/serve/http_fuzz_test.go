@@ -27,13 +27,17 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // fuzzServer starts a server on eng and returns its handler and a stop
 // function that returns the finished journal.
 func fuzzServer[S core.State](t *testing.T, eng core.Engine[S], cfg Config) (http.Handler, func() (*Journal, error)) {
+	cfg, journal := journaled(t, cfg)
 	srv, err := New[S](eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return NewHandler(srv, Prober{}), func() (*Journal, error) {
-		_, err := srv.Stop()
-		return srv.Journal(), err
+		res, err := srv.Stop()
+		if err != nil {
+			return nil, err
+		}
+		return journal(res), nil
 	}
 }
 

@@ -56,17 +56,12 @@ type Journal struct {
 // journalVersion guards the on-disk format.
 const journalVersion = 1
 
-// appendEntry converts the taken group's dense batch to sparse form and
-// records it. Touched lists are sorted so the journal is canonical
-// (node-ascending) regardless of submission interleaving; the dense
-// reconstruction at replay is order-insensitive for counts and keeps
-// each node's weight list verbatim.
-func (j *Journal) appendEntry(round int, pb *pendingBatch) {
-	j.Entries = append(j.Entries, entryFromBatch(round, pb))
-}
-
-// entryFromBatch converts a taken group's dense batch to the canonical
-// sparse form (shared by the in-memory journal and the streaming sink).
+// entryFromBatch converts a taken group's dense batch to sparse form.
+// Touched lists are sorted so the journal is canonical (node-ascending)
+// regardless of submission interleaving; the dense reconstruction at
+// replay is order-insensitive for counts and keeps each node's weight
+// list verbatim. The weight lists alias the batch: the sink encodes the
+// entry before the batch is recycled.
 func entryFromBatch(round int, pb *pendingBatch) Entry {
 	e := Entry{Round: round}
 	if len(pb.tA) > 0 {
@@ -89,7 +84,7 @@ func entryFromBatch(round int, pb *pendingBatch) Entry {
 		for k, i := range pb.tWA {
 			e.WeightArrivals[k] = WeightEvent{
 				Node:    int(i),
-				Weights: slices.Clone(pb.batch.WeightArrivals[i]),
+				Weights: pb.batch.WeightArrivals[i],
 			}
 		}
 	}
@@ -103,19 +98,7 @@ func entryFromBatch(round int, pb *pendingBatch) Entry {
 	return e
 }
 
-// Events returns a core.RunOpts.Events function replaying the journaled
-// batches: a pure function of the round number backed by one reused
-// dense batch (valid until the next call, exactly how Drive consumes
-// it). Entries must be round-ascending, which appendEntry guarantees.
-// Use Replay to also get the skipped-entry detection: the closure's
-// signature cannot surface errors, so a journal whose entries the
-// driver jumps past is only reported through the cursor.
-func (j *Journal) Events() func(round uint64) *core.EventBatch {
-	_, events := j.events()
-	return events
-}
-
-// replayCursor is the shared state behind an Events closure. Replay
+// replayCursor is the shared state behind the events closure. Replay
 // inspects it after the drive: a skipped entry (the driver asked for a
 // later round while an earlier entry was still pending) or a leftover
 // entry (a round the drive never reached) means the replay did NOT
@@ -126,6 +109,12 @@ type replayCursor struct {
 	err error
 }
 
+// events returns a core.RunOpts.Events function replaying the journaled
+// batches: a pure function of the round number backed by one reused
+// dense batch (valid until the next call, exactly how Drive consumes
+// it). Entries must be round-ascending, which validate guarantees. The
+// closure's signature cannot surface errors, so a journal whose entries
+// the driver jumps past is only reported through the cursor.
 func (j *Journal) events() (*replayCursor, func(round uint64) *core.EventBatch) {
 	pb := newPendingBatch(j.N)
 	cur := &replayCursor{}
@@ -161,21 +150,6 @@ func (j *Journal) events() (*replayCursor, func(round uint64) *core.EventBatch) 
 	}
 }
 
-// RunOpts returns the core.RunOpts that replays this journal: same
-// seed, same trace cadence, MaxRounds pinned to the live round count,
-// Events feeding the recorded batches.
-func (j *Journal) RunOpts() (core.RunOpts, error) {
-	if j.Rounds <= 0 {
-		return core.RunOpts{}, fmt.Errorf("serve: journal records %d rounds; nothing to replay", j.Rounds)
-	}
-	return core.RunOpts{
-		MaxRounds:  j.Rounds,
-		Seed:       j.Seed,
-		TraceEvery: j.TraceEvery,
-		Events:     j.Events(),
-	}, nil
-}
-
 // Replay drives eng through the journaled run and returns the replayed
 // RunResult. Bit-exactness against Journal.Result is the serve-mode
 // determinism contract: the engine must be built from the same initial
@@ -205,8 +179,8 @@ func Replay[S core.State](j *Journal, eng core.Engine[S]) (core.RunResult, error
 			cur.idx, len(j.Entries), j.Entries[cur.idx].Round)
 	}
 	if j.Result != nil && !reflect.DeepEqual(res, *j.Result) {
-		return res, fmt.Errorf("serve: replay diverged from the journaled result (live rounds=%d moves=%d; replay rounds=%d moves=%d)",
-			j.Result.Rounds, j.Result.Moves, res.Rounds, res.Moves)
+		return res, fmt.Errorf("serve: replay diverged from the journaled result:\n  live:   rounds=%d moves=%d ledger=%+v\n  replay: rounds=%d moves=%d ledger=%+v",
+			j.Result.Rounds, j.Result.Moves, j.Result.Ledger, res.Rounds, res.Moves, res.Ledger)
 	}
 	return res, nil
 }
@@ -224,10 +198,13 @@ type jsonlLine struct {
 }
 
 // journalHeader is the Journal's scalar prefix (everything but entries
-// and result). Segment and StartRound are zero in single-file journals;
-// a rotated segment k > 0 records its index and the round count the
-// previous segment's rotation footer anchored at, so the chain walk can
-// verify the handoff.
+// and result). A sink writes Rounds 0, since the count is unknown when
+// a segment opens; journals of earlier builds, written once at
+// shutdown, record the live count there. Both readers take the count
+// from the result footer. Segment and StartRound are zero in
+// single-file journals; a rotated segment k > 0 records its index and
+// the round count the previous segment's rotation footer anchored at,
+// so the chain walk can verify the handoff.
 type journalHeader struct {
 	Version    int               `json:"version"`
 	N          int               `json:"n"`
@@ -238,36 +215,6 @@ type journalHeader struct {
 	Meta       map[string]string `json:"meta,omitempty"`
 	Segment    int               `json:"segment,omitempty"`
 	StartRound int               `json:"startRound,omitempty"`
-}
-
-// Write serializes the journal as JSONL: header, entries, result
-// footer.
-func (j *Journal) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	hd := journalHeader{
-		Version:    journalVersion,
-		N:          j.N,
-		Weighted:   j.Weighted,
-		Seed:       j.Seed,
-		TraceEvery: j.TraceEvery,
-		Rounds:     j.Rounds,
-		Meta:       j.Meta,
-	}
-	if err := enc.Encode(jsonlLine{Type: "header", Header: &hd}); err != nil {
-		return err
-	}
-	for i := range j.Entries {
-		if err := enc.Encode(jsonlLine{Type: "batch", Batch: &j.Entries[i]}); err != nil {
-			return err
-		}
-	}
-	if j.Result != nil {
-		if err := enc.Encode(jsonlLine{Type: "result", Result: j.Result}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // parsedSegment is one JSONL segment stream: header, entries, and at
@@ -356,13 +303,22 @@ func journalFromHeader(h *journalHeader) *Journal {
 		Weighted:   h.Weighted,
 		Seed:       h.Seed,
 		TraceEvery: h.TraceEvery,
-		Rounds:     h.Rounds,
 		Meta:       h.Meta,
 	}
 }
 
-// ReadJournal parses a single-segment JSONL journal stream written by
-// Write or by an unrotated sink. A stream that ends in a rotation
+// end closes j on its result footer, which sets the round count, and
+// validates the whole journal.
+func (j *Journal) end(final *core.RunResult) error {
+	if final == nil {
+		return fmt.Errorf("serve: journal has no result footer (truncated?)")
+	}
+	j.Result, j.Rounds = final, final.Rounds
+	return j.validate()
+}
+
+// ReadJournal parses a single-segment JSONL journal stream, as an
+// unrotated sink writes it. A stream that ends in a rotation
 // footer is refused: the rest of the run lives in sibling files, so it
 // must be read through ReadJournalSegments, which can walk the chain.
 func ReadJournal(r io.Reader) (*Journal, error) {
@@ -378,27 +334,17 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 	}
 	j := journalFromHeader(sg.header)
 	j.Entries = sg.entries
-	j.Result = sg.final
-	// Sink-written headers carry Rounds 0 (the count is unknown when the
-	// segment opens); the result footer is authoritative.
-	if j.Rounds == 0 && j.Result != nil {
-		j.Rounds = j.Result.Rounds
-	}
-	if err := j.validate(); err != nil {
+	if err := j.end(sg.final); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
 // validate rejects journal streams a live run cannot have written:
-// truncated files (no result footer), entries out of round order or
-// beyond the recorded horizon, and events naming nodes outside the
-// instance. Accepting these would make Replay silently produce a
-// different run instead of failing.
+// entries out of round order or beyond the recorded horizon, and events
+// naming nodes outside the instance. Accepting these would make Replay
+// silently produce a different run instead of failing.
 func (j *Journal) validate() error {
-	if j.Result == nil {
-		return fmt.Errorf("serve: journal has no result footer (truncated?)")
-	}
 	nodes := func(k int, evs []CountEvent, kind string) error {
 		for _, e := range evs {
 			if e.Node < 0 || e.Node >= j.N {

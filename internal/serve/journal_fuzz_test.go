@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -11,15 +14,10 @@ import (
 	"repro/internal/task"
 )
 
-// FuzzReadJournal feeds mutated JSONL journals, seeded with Write's
-// output for both task models, to ReadJournal (and so to parseSegment,
-// which ReadJournalSegments shares). Whatever the bytes, the reader
-// must return a journal or an error, never panic; a journal it
-// accepts, written again, must read back; and one with at most 64
-// nodes and 64 rounds must replay on a seq engine to a result or an
-// error, never a panic. The third seed arrives 2⁶² tasks at a lone node
-// in each of two rounds, which would wrap its count.
-func FuzzReadJournal(f *testing.F) {
+// seedJournals are the fuzz targets' hand-made journals: one of each
+// task model, and one that arrives 2⁶² tasks at a lone node in each of
+// two rounds, which would wrap its count.
+func seedJournals() []*Journal {
 	uniform := &Journal{
 		N: 8, Seed: 3, TraceEvery: 2, Rounds: 5,
 		Meta: map[string]string{"graph": "ring", "n": "8", "engine": "seq"},
@@ -60,27 +58,88 @@ func FuzzReadJournal(f *testing.F) {
 		},
 		Result: &core.RunResult{Rounds: 2},
 	}
-	for _, j := range []*Journal{uniform, weighted, overflow} {
-		var buf bytes.Buffer
-		if err := j.Write(&buf); err != nil {
+	return []*Journal{uniform, weighted, overflow}
+}
+
+// FuzzReadJournal feeds mutated JSONL journals to ReadJournal (and so
+// to parseSegment, which ReadJournalSegments shares). It is seeded with
+// each seed journal in both header shapes: as a sink writes it, with
+// rounds 0, and as earlier builds wrote it once at shutdown, with the
+// round count in the header. Whatever the bytes, the reader must
+// return a journal or an error, never panic; a journal it accepts,
+// written again through a sink, must read back; and one with at most
+// 64 nodes and 64 rounds must replay on a seq engine to a result or an
+// error, never a panic.
+func FuzzReadJournal(f *testing.F) {
+	for _, j := range seedJournals() {
+		data, err := os.ReadFile(writeJournal(f, j, 0))
+		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := ReadJournal(bytes.NewReader(buf.Bytes())); err != nil {
-			f.Fatalf("seed journal rejected: %v", err)
+		old := bytes.Replace(data, []byte(`"rounds":0,`), fmt.Appendf(nil, `"rounds":%d,`, j.Rounds), 1)
+		for _, seed := range [][]byte{data, old} {
+			if _, err := ReadJournal(bytes.NewReader(seed)); err != nil {
+				f.Fatalf("seed journal rejected: %v\n%s", err, seed)
+			}
+			f.Add(seed)
 		}
-		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := ReadJournal(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := j.Write(&buf); err != nil {
-			t.Fatalf("writing an accepted journal: %v", err)
+		if _, err := ReadJournalSegments(writeJournal(t, j, 0)); err != nil {
+			t.Fatalf("accepted journal does not read back after writing it through a sink: %v", err)
 		}
-		if _, err := ReadJournal(&buf); err != nil {
-			t.Fatalf("accepted journal does not read back after Write: %v\n%s", err, buf.Bytes())
+		replayAccepted(t, j)
+	})
+}
+
+// FuzzReadJournalSegments walks mutated segment chains: the input,
+// split at NUL bytes (which JSON text cannot hold) into at most four
+// parts, becomes segment files 0, 1, … of one journal path under
+// t.TempDir(), and ReadJournalSegments reads the chain from there. It
+// is seeded with rotated chains a sink wrote for the seed journals,
+// one entry a segment. Whatever the files hold, the walk must return a
+// journal or an error, never panic. A chain it accepts must end in a
+// result footer that sets the round count, pass the single-file rules
+// (validate), and replay like an accepted single file (replayAccepted).
+func FuzzReadJournalSegments(f *testing.F) {
+	for _, j := range seedJournals() {
+		path := writeJournal(f, j, 1)
+		var chain [][]byte
+		for k := 0; ; k++ {
+			seg, err := os.ReadFile(segmentName(path, k))
+			if os.IsNotExist(err) {
+				break
+			}
+			if err != nil {
+				f.Fatal(err)
+			}
+			chain = append(chain, seg)
+		}
+		if len(chain) != len(j.Entries)+1 {
+			f.Fatalf("seed chain has %d segments for %d entries", len(chain), len(j.Entries))
+		}
+		f.Add(bytes.Join(chain, []byte{0}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		for k, seg := range bytes.SplitN(data, []byte{0}, 4) {
+			if err := os.WriteFile(segmentName(path, k), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := ReadJournalSegments(path)
+		if err != nil {
+			return
+		}
+		if j.Result == nil || j.Rounds != j.Result.Rounds {
+			t.Fatalf("accepted chain records %d rounds, footer %+v", j.Rounds, j.Result)
+		}
+		if err := j.validate(); err != nil {
+			t.Fatalf("accepted chain breaks a single-file rule: %v", err)
 		}
 		replayAccepted(t, j)
 	})

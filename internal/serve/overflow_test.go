@@ -48,7 +48,8 @@ func TestSubmitCannotWrapTaskCount(t *testing.T) {
 func checkNoWrap[S core.State](t *testing.T, live, fresh core.Engine[S], n int, weighted bool,
 	groups [][]Op, refused []Op, next Op, departed int64) {
 	t.Helper()
-	srv, err := New[S](live, Config{N: n, Weighted: weighted, Seed: 11, TraceEvery: 1})
+	cfg, journal := journaled(t, Config{N: n, Weighted: weighted, Seed: 11, TraceEvery: 1})
+	srv, err := New[S](live, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func checkNoWrap[S core.State](t *testing.T, live, fresh core.Engine[S], n int, 
 	if d := res.Ledger.Departed + res.Ledger.DepartedTasks; d != departed {
 		t.Errorf("ledger records %d departed tasks, want the %d present: %+v", d, departed, res.Ledger)
 	}
-	replayed, err := Replay[S](srv.Journal(), fresh)
+	replayed, err := Replay[S](journal(res), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

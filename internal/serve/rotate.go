@@ -10,11 +10,10 @@ import (
 	"repro/internal/core"
 )
 
-// JournalSink streams admitted batches to disk as they happen, rotating
-// to a new segment file whenever the current one passes maxBytes. This
-// is the bounded-memory counterpart of the in-memory Journal: a daemon
-// that runs for days keeps O(segment) bytes on disk open and O(1) in
-// RAM, instead of accumulating every entry until shutdown.
+// JournalSink is the journal writer: it streams admitted batches to
+// disk as they happen, rotating to a new segment file whenever the
+// current one passes maxBytes (0 never rotates). A daemon that runs for
+// days keeps one segment file open and O(1) journal bytes in RAM.
 //
 // Rotation is checkpoint-anchored: the closing segment ends with a
 // "rotate" footer carrying the partial RunResult at the rotation round,
@@ -64,12 +63,13 @@ func segmentName(path string, seg int) string {
 }
 
 // NewJournalSink opens segment 0 at path and writes its header from
-// cfg (the same fields the in-memory journal records). maxBytes bounds
-// each segment: the first entry that pushes a segment past the bound
+// cfg's N, Weighted, Seed, TraceEvery and Meta. maxBytes bounds each
+// segment: the first entry that pushes a segment past the bound
 // triggers rotation after it is written, so entries are never split.
+// maxBytes 0 writes one unrotated file.
 func NewJournalSink(path string, maxBytes int64, cfg Config) (*JournalSink, error) {
-	if maxBytes <= 0 {
-		return nil, fmt.Errorf("serve: journal sink needs a positive byte bound, got %d", maxBytes)
+	if maxBytes < 0 {
+		return nil, fmt.Errorf("serve: journal sink needs a byte bound of at least 0, got %d", maxBytes)
 	}
 	s := &JournalSink{
 		path:     path,
@@ -117,7 +117,7 @@ func (s *JournalSink) Append(e Entry, partial core.RunResult) error {
 		return err
 	}
 	s.entries++
-	if s.cw.n < s.maxBytes {
+	if s.maxBytes == 0 || s.cw.n < s.maxBytes {
 		return nil
 	}
 	if err := s.enc.Encode(jsonlLine{Type: "rotate", Result: &partial, Next: s.seg + 1}); err != nil {
@@ -207,9 +207,7 @@ func ReadJournalSegments(path string) (*Journal, error) {
 		}
 		j.Entries = append(j.Entries, sg.entries...)
 		if sg.final != nil {
-			j.Result = sg.final
-			j.Rounds = sg.final.Rounds
-			if err := j.validate(); err != nil {
+			if err := j.end(sg.final); err != nil {
 				return nil, err
 			}
 			return j, nil

@@ -36,9 +36,6 @@ func TestJournalSinkRotationReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Journal() != nil {
-		t.Fatal("in-memory journal retained alongside the streaming sink")
-	}
 	live := driveServer(t, srv, n, false, 100)
 	if err := sink.Close(&live); err != nil {
 		t.Fatal(err)
@@ -109,15 +106,15 @@ func TestJournalSinkRotationReplay(t *testing.T) {
 	}
 }
 
-// TestJournalSinkSingleSegment pins that an unrotated sink writes a
-// file the plain single-file reader accepts (the one-segment chain is
-// the legacy format plus a zero-Rounds header).
+// TestJournalSinkSingleSegment pins that a sink with byte bound 0 never
+// rotates and writes a file the plain single-file reader accepts (the
+// one-segment chain, whose header records zero rounds).
 func TestJournalSinkSingleSegment(t *testing.T) {
 	const n = 16
 	sys := testSystem(t, n)
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := Config{N: n, Seed: 9}
-	sink, err := NewJournalSink(path, 1<<30, cfg)
+	sink, err := NewJournalSink(path, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -534,6 +535,54 @@ func TestServerDoQuiescent(t *testing.T) {
 
 // --- journal / replay parity -------------------------------------------
 
+// journaled gives cfg an unrotated JournalSink in a fresh file under
+// t.TempDir(). The returned function closes the sink on the live
+// result, which the caller reads after Server.Stop, and reads the
+// journal back from disk.
+func journaled(t testing.TB, cfg Config) (Config, func(live core.RunResult) *Journal) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	sink, err := NewJournalSink(path, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sink = sink
+	return cfg, func(live core.RunResult) *Journal {
+		t.Helper()
+		if err := sink.Close(&live); err != nil {
+			t.Fatal(err)
+		}
+		j, err := ReadJournalSegments(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+}
+
+// writeJournal writes j through a JournalSink, rotating at maxBytes (0:
+// one file), into a fresh path under t.TempDir() and returns the path.
+// Each entry anchors a rotation at its own round.
+func writeJournal(t testing.TB, j *Journal, maxBytes int64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	sink, err := NewJournalSink(path, maxBytes, Config{
+		N: j.N, Weighted: j.Weighted, Seed: j.Seed, TraceEvery: j.TraceEvery, Meta: j.Meta,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range j.Entries {
+		if err := sink.Append(e, core.RunResult{Rounds: e.Round}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(j.Result); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // driveServer pushes a randomized concurrent workload through srv and
 // stops it, returning the live result.
 func driveServer[S core.State](t *testing.T, srv *Server[S], n int, weighted bool, seed uint64) core.RunResult {
@@ -596,21 +645,16 @@ func TestUniformReplayParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), Config{
-		N: n, Seed: 42, TraceEvery: 3, IdleRounds: 3,
-	})
+	cfg, journal := journaled(t, Config{N: n, Seed: 42, TraceEvery: 3, IdleRounds: 3})
+	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := driveServer(t, srv, n, false, 100)
-	j := srv.Journal()
-	if j == nil || j.Rounds != live.Rounds || j.Result == nil {
-		t.Fatalf("journal incomplete: %+v", j)
+	j := journal(live)
+	if j.Rounds != live.Rounds || !reflect.DeepEqual(*j.Result, live) {
+		t.Fatalf("journal footer differs from the live result: %d rounds, want %d", j.Rounds, live.Rounds)
 	}
-	if !reflect.DeepEqual(*j.Result, live) {
-		t.Fatal("journal footer differs from live result")
-	}
-
 	replayed, err := Replay[*core.UniformState](j, uniformEngine(t, sys, counts))
 	if err != nil {
 		t.Fatal(err)
@@ -618,63 +662,24 @@ func TestUniformReplayParity(t *testing.T) {
 	if !reflect.DeepEqual(live, replayed) {
 		t.Fatalf("replay diverged:\nlive   %+v\nreplay %+v", live, replayed)
 	}
-
-	// Byte round-trip through the JSONL format must stay bit-exact.
-	var buf bytes.Buffer
-	if err := j.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := ReadJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed2, err := Replay[*core.UniformState](j2, uniformEngine(t, sys, counts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed2) {
-		t.Fatal("replay from serialized journal diverged")
-	}
-	if j2.Result == nil || !reflect.DeepEqual(*j2.Result, live) {
-		t.Fatal("serialized footer diverged")
-	}
 }
 
 func TestWeightedReplayParity(t *testing.T) {
 	const n = 32
 	sys := testSystem(t, n)
 	perNode := testWeights(t, sys, 12)
-	srv, err := New[*core.WeightedState](weightedEngine(t, sys, perNode), Config{
-		N: n, Weighted: true, Seed: 7, TraceEvery: 2, IdleRounds: 2,
-	})
+	cfg, journal := journaled(t, Config{N: n, Weighted: true, Seed: 7, TraceEvery: 2, IdleRounds: 2})
+	srv, err := New[*core.WeightedState](weightedEngine(t, sys, perNode), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := driveServer(t, srv, n, true, 200)
-	j := srv.Journal()
-
-	replayed, err := Replay[*core.WeightedState](j, weightedEngine(t, sys, perNode))
+	replayed, err := Replay[*core.WeightedState](journal(live), weightedEngine(t, sys, perNode))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(live, replayed) {
 		t.Fatalf("weighted replay diverged:\nlive   %+v\nreplay %+v", live, replayed)
-	}
-
-	var buf bytes.Buffer
-	if err := j.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := ReadJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed2, err := Replay[*core.WeightedState](j2, weightedEngine(t, sys, perNode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed2) {
-		t.Fatal("weighted replay from serialized journal diverged")
 	}
 }
 
@@ -725,20 +730,18 @@ func cloneJournal(j *Journal) *Journal {
 // a removed middle entry still parses (rounds stay ascending) but the
 // replay no longer reproduces the result footer, so Replay must error;
 // structural damage — missing footer, out-of-order or beyond-horizon
-// rounds, out-of-range nodes, negative counts — must be rejected at
-// ReadJournal time.
+// rounds, out-of-range nodes, negative counts — written through a sink
+// must be rejected by ReadJournal.
 func TestJournalCorruptionFailsLoudly(t *testing.T) {
 	const n = 24
 	sys := testSystem(t, n)
 	counts := make([]int64, n)
-	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), Config{
-		N: n, Seed: 21, TraceEvery: 2, IdleRounds: 2,
-	})
+	cfg, journal := journaled(t, Config{N: n, Seed: 21, TraceEvery: 2, IdleRounds: 2})
+	srv, err := New[*core.UniformState](uniformEngine(t, sys, counts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveServer(t, srv, n, false, 400)
-	j := srv.Journal()
+	j := journal(driveServer(t, srv, n, false, 400))
 	if len(j.Entries) < 3 {
 		t.Fatalf("need at least 3 journal entries to corrupt, got %d", len(j.Entries))
 	}
@@ -759,11 +762,12 @@ func TestJournalCorruptionFailsLoudly(t *testing.T) {
 		t.Helper()
 		cp := cloneJournal(j)
 		mutate(cp)
-		var buf bytes.Buffer
-		if err := cp.Write(&buf); err != nil {
-			t.Fatalf("%s: write: %v", name, err)
+		f, err := os.Open(writeJournal(t, cp, 0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := ReadJournal(&buf); err == nil {
+		defer f.Close()
+		if _, err := ReadJournal(f); err == nil {
 			t.Fatalf("%s: corrupt journal accepted", name)
 		} else if !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: error %q does not mention %q", name, err, want)
@@ -809,14 +813,13 @@ func TestShardServeReplayParityAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	srv, err := New[*core.WeightedState](h.Engine, Config{
-		N: n, Weighted: true, Seed: 13, TraceEvery: 2, IdleRounds: 1,
-	})
+	cfg, journal := journaled(t, Config{N: n, Weighted: true, Seed: 13, TraceEvery: 2, IdleRounds: 1})
+	srv, err := New[*core.WeightedState](h.Engine, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := driveServer(t, srv, n, true, 300)
-	j := srv.Journal()
+	j := journal(live)
 
 	// Replay on the sequential engine.
 	seqRes, err := Replay[*core.WeightedState](j, weightedEngine(t, sys, perNode))

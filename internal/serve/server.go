@@ -31,13 +31,10 @@ type Config struct {
 	// 0 and the final round are always included when enabled). Sampling
 	// materializes engine state — keep 0 for 10⁶-node daemons.
 	TraceEvery int
-	// DisableJournal skips recording admitted batches (saves memory on
-	// unbounded runs; replay becomes impossible).
-	DisableJournal bool
-	// Sink, when non-nil, streams admitted batches to its rotating
-	// segment files instead of accumulating them in memory: Journal()
-	// returns nil and the owner finalizes the chain with Sink.Close
-	// after Stop. This is the unbounded-daemon journaling mode.
+	// Sink, when non-nil, journals every admitted batch: it streams
+	// each one to its segment files as its round completes, and the
+	// owner finalizes the chain with Sink.Close after Stop. A nil Sink
+	// keeps no journal.
 	Sink *JournalSink
 	// Meta is copied into the journal header for the daemon owner's
 	// replay bookkeeping (graph family, placement, engine name, ...).
@@ -56,14 +53,12 @@ type Config struct {
 // same event path (fused into the round on a core.EventStepper), same
 // ledger and trace bookkeeping — which is what makes the journal
 // replayable to a bit-identical RunResult. The Server adds batching,
-// metrics, spans, tickets, the journal and the sink.
+// metrics, spans, tickets and the journal sink.
 type Server[S core.State] struct {
 	run *core.Runner[S]
 	cfg Config
 	b   *Batcher
 	m   *Metrics
-
-	journal *Journal
 
 	pt         shard.PhaseTimer
 	lastPhases shard.PhaseTimes
@@ -118,16 +113,6 @@ func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 		stopc:      make(chan struct{}),
 		loopExited: make(chan struct{}),
 	}
-	if !cfg.DisableJournal && cfg.Sink == nil {
-		s.journal = &Journal{
-			Version:    journalVersion,
-			N:          cfg.N,
-			Weighted:   cfg.Weighted,
-			Seed:       cfg.Seed,
-			TraceEvery: cfg.TraceEvery,
-			Meta:       cfg.Meta,
-		}
-	}
 	if pt, ok := any(eng).(shard.PhaseTimer); ok {
 		s.pt = pt
 	}
@@ -176,12 +161,6 @@ func (s *Server[S]) Stop() (core.RunResult, error) {
 	return s.res, s.err
 }
 
-// Journal returns the admitted-batch ledger. Complete (rounds + result
-// footer) only after Stop; nil when journaling is disabled or routed
-// through a streaming Sink (read the segment chain back with
-// ReadJournalSegments in that case).
-func (s *Server[S]) Journal() *Journal { return s.journal }
-
 // samplePhases folds the engine's cumulative phase times into the
 // metrics as per-round deltas, and (when span recording is on) lays
 // the three phases out as sub-spans of the step that started at
@@ -225,9 +204,6 @@ func (s *Server[S]) runRound(g *group) error {
 		if err != nil {
 			return err
 		}
-		if s.journal != nil {
-			s.journal.appendEntry(round, g.pb)
-		}
 	} else {
 		s.m.idleRounds.Add(1)
 	}
@@ -246,9 +222,6 @@ func (s *Server[S]) runRound(g *group) error {
 	}
 	s.m.rounds.Set(uint64(round))
 	s.m.moves.Set(uint64(res.Moves))
-	if s.journal != nil {
-		s.journal.Rounds = round
-	}
 	// The sink sees the entry after the round completes, so the partial
 	// result it may anchor a rotation on reflects that round.
 	if s.cfg.Sink != nil && g != nil {
@@ -284,16 +257,12 @@ func (s *Server[S]) finish(g *group, err error) {
 			grp.complete(uint64(s.res.Rounds), err)
 		}
 	}
-	if s.journal != nil {
-		res := s.res
-		s.journal.Result = &res
-	}
 	close(s.loopExited)
 }
 
-// loop is the single consumer: it owns the engine, the journal, and the
-// RunResult. One iteration = at most one round. A stop request wins
-// over pending work, which then drains in finish's final round.
+// loop is the single consumer: it owns the engine, the sink's appends
+// and the RunResult. One iteration = at most one round. A stop request
+// wins over pending work, which then drains in finish's final round.
 func (s *Server[S]) loop() {
 	idleLeft := 0
 	for {

@@ -84,6 +84,11 @@ type clusterCore struct {
 	totalW         float64
 	count          int64
 	sinceRecompute int64
+	// tasks is the uniform model's global task total, which every batch's
+	// arrivals are checked against before any slice goes out: a worker
+	// sees only its own range. It is summed from the starting or restored
+	// counts and moved by each ledger, never checkpointed.
+	tasks int64
 
 	// Relay storage: relayF[src][dst] (uniform) / relayW (weighted)
 	// holds the decoded flow lists between the gather and grant stages,
@@ -324,7 +329,7 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 		return 0, led, err
 	}
 	if batch != nil {
-		if err := batch.Validate(c.n); err != nil {
+		if err := c.checkBatch(batch); err != nil {
 			return 0, led, err
 		}
 		if c.model == modelWeighted && c.batchMayCross(batch) {
@@ -337,7 +342,21 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	}
 	moves, evLed, err := c.step(r, base, batch)
 	led.Add(evLed)
+	c.tasks += led.Arrived - led.Departed
 	return moves, led, err
+}
+
+// checkBatch refuses a batch that the sequential engine would refuse:
+// one that Validate rejects, or, in the uniform model, whose arrivals
+// take the global task total past math.MaxInt64.
+func (c *clusterCore) checkBatch(batch *core.EventBatch) error {
+	if err := batch.Validate(c.n); err != nil {
+		return err
+	}
+	if c.model == modelUniform {
+		return core.CheckArrivals(c.tasks, batch.Arrivals)
+	}
+	return nil
 }
 
 // Exchange phases, as barrierErr names them: the barriers of a cluster
@@ -611,7 +630,7 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 	if batch == nil {
 		return led, nil
 	}
-	if err := batch.Validate(c.n); err != nil {
+	if err := c.checkBatch(batch); err != nil {
 		return led, err
 	}
 	if c.model == modelWeighted && c.batchMayCross(batch) {
@@ -637,6 +656,7 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 		}
 	}
 	if c.model == modelUniform {
+		c.tasks += led.Arrived - led.Departed
 		return led, nil
 	}
 	return c.foldWeightedReports(batch), nil
@@ -940,7 +960,8 @@ func newUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.NewUniformState(sys, counts); err != nil {
+	st, err := core.NewUniformState(sys, counts)
+	if err != nil {
 		return nil, err
 	}
 	cc, err := newClusterCore(sys, modelUniform, name, alpha, part, rws)
@@ -948,6 +969,7 @@ func newUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts 
 		return nil, err
 	}
 	c := &UniformCluster{clusterCore: cc}
+	c.tasks = st.Total()
 	own := make([]*ownState, c.p)
 	for s := range own {
 		lo, hi := c.part.Range(s)
@@ -1098,28 +1120,13 @@ func localWorkers(p int) (rws []io.ReadWriter, closers []io.Closer, wait func())
 	return rws, closers, wg.Wait
 }
 
-// localPartition partitions the graph for the in-process cluster
-// starters with the engines' clamping rules; the cluster starts one
-// worker per shard of it.
-func localPartition(sys *core.System, opts Options) (*Partition, error) {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = opts.Workers
-	}
-	if shards <= 0 {
-		shards = 1
-	}
-	if sys == nil {
-		return nil, errors.New("shard: nil system")
-	}
-	return NewPartition(sys.Graph().CSR(), shards, opts.Strategy)
-}
-
 // StartLocalUniformCluster runs a full coordinator/worker cluster
 // inside this process over net.Pipe — every wire frame is exercised,
-// no sockets needed. Closing the cluster stops the workers.
+// no sockets needed. It partitions as the in-process engines do (P =
+// Shards, else Workers, else GOMAXPROCS, clamped to [1, n]) and starts
+// one worker per shard. Closing the cluster stops the workers.
 func StartLocalUniformCluster(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts Options) (*UniformCluster, error) {
-	part, err := localPartition(sys, opts)
+	part, _, err := enginePartition(sys, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1140,7 +1147,7 @@ func StartLocalUniformCluster(sys *core.System, proto core.UniformNodeProtocol, 
 // StartLocalWeightedCluster is StartLocalUniformCluster for the
 // weighted model.
 func StartLocalWeightedCluster(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, opts Options) (*WeightedCluster, error) {
-	part, err := localPartition(sys, opts)
+	part, _, err := enginePartition(sys, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -424,6 +424,9 @@ func (ck *Checkpoint) resumeCore(rws []io.ReadWriter) (*clusterCore, error) {
 		var got int
 		if ck.model == modelUniform {
 			got = len(ck.states[s].Counts)
+			for _, v := range ck.states[s].Counts {
+				c.tasks += v
+			}
 		} else {
 			got = len(ck.states[s].SegLen)
 		}

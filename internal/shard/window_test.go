@@ -171,7 +171,7 @@ func TestConfigShipsOwnRows(t *testing.T) {
 // counts and perNode is set.
 func recordedCluster(t *testing.T, sys *core.System, counts []int64, perNode []task.Weights, p int) (io.Closer, []*worker) {
 	t.Helper()
-	part, err := localPartition(sys, Options{Shards: p})
+	part, err := clusterPartition(sys, p, "")
 	if err != nil {
 		t.Fatal(err)
 	}
