@@ -136,6 +136,9 @@ func parseFlags(argv []string) (*flags, error) {
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}
+	if fl.journalMaxBytes != 0 && fl.journalPath == "" {
+		return nil, fmt.Errorf("-journal-max-bytes bounds the segments of -journal: set -journal")
+	}
 	return fl, nil
 }
 

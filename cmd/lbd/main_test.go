@@ -149,6 +149,18 @@ func TestSelfdriveVerifyNeedsJournal(t *testing.T) {
 	}
 }
 
+// TestJournalMaxBytesNeedsJournal: a segment bound without -journal has
+// nothing to rotate, so the flags are refused before anything runs.
+func TestJournalMaxBytesNeedsJournal(t *testing.T) {
+	argv := []string{"-selfdrive", "-journal-max-bytes", "100", "-rate", "2000", "-duration", "200ms", "-n", "16", "-tasks", "64"}
+	if _, err := parseFlags(argv); err == nil || !strings.Contains(err.Error(), "set -journal") {
+		t.Fatalf("-journal-max-bytes without -journal: %v, want the refusal", err)
+	}
+	if _, err := parseFlags(append(argv, "-journal", filepath.Join(t.TempDir(), "j.jsonl"))); err != nil {
+		t.Fatalf("-journal-max-bytes with -journal: %v", err)
+	}
+}
+
 // TestNoJournalWithoutFlag: a daemon started without -journal serves
 // with no sink, and a selfdrive run without it leaves no file behind.
 func TestNoJournalWithoutFlag(t *testing.T) {

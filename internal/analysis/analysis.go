@@ -113,28 +113,6 @@ func Flows(st *core.UniformState, alpha float64) []EdgeFlow {
 	return out
 }
 
-// LoadQuantiles returns the q-quantiles of the load vector for the
-// given cut points (each in [0,1]).
-func LoadQuantiles(st *core.UniformState, qs []float64) ([]float64, error) {
-	loads := st.Loads()
-	sort.Float64s(loads)
-	out := make([]float64, len(qs))
-	for k, q := range qs {
-		if q < 0 || q > 1 {
-			return nil, fmt.Errorf("analysis: quantile %g outside [0,1]", q)
-		}
-		pos := q * float64(len(loads)-1)
-		lo := int(pos)
-		hi := lo
-		if lo+1 < len(loads) {
-			hi = lo + 1
-		}
-		frac := pos - float64(lo)
-		out[k] = loads[lo]*(1-frac) + loads[hi]*frac
-	}
-	return out, nil
-}
-
 // Format renders a Report as human-readable text.
 func Format(rep Report) string {
 	var b strings.Builder

@@ -87,23 +87,6 @@ func TestFlowsSorted(t *testing.T) {
 	}
 }
 
-func TestLoadQuantiles(t *testing.T) {
-	st := ringState(t, []int64{0, 10, 20, 30})
-	qs, err := LoadQuantiles(st, []float64{0, 0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs[0] != 0 || qs[2] != 30 {
-		t.Errorf("quantiles %v", qs)
-	}
-	if math.Abs(qs[1]-15) > 1e-9 {
-		t.Errorf("median %g, want 15", qs[1])
-	}
-	if _, err := LoadQuantiles(st, []float64{1.5}); err == nil {
-		t.Error("q > 1 accepted")
-	}
-}
-
 func TestFormat(t *testing.T) {
 	st := ringState(t, []int64{40, 0, 0, 0})
 	out := Format(Analyze(st, 0))

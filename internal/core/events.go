@@ -177,7 +177,7 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 		for _, c := range counts {
 			total += c
 		}
-		if err := CheckArrivals(total, batch.Arrivals); err != nil {
+		if _, err := AddTasks(total, batch.Arrivals); err != nil {
 			return led, err
 		}
 	}
@@ -201,16 +201,18 @@ func ApplyCountsBatch(counts []int64, batch *EventBatch) (EventLedger, error) {
 	return led, nil
 }
 
-// CheckArrivals refuses non-negative arrivals that would take a task
-// total of total past math.MaxInt64.
-func CheckArrivals(total int64, arrivals []int64) error {
-	for i, a := range arrivals {
+// AddTasks returns total plus the non-negative per-node counts, and
+// refuses counts that would take it past math.MaxInt64. Every uniform
+// task total goes through it: a start, a restored checkpoint and each
+// batch's arrivals.
+func AddTasks(total int64, counts []int64) (int64, error) {
+	for i, a := range counts {
 		if a > math.MaxInt64-total {
-			return fmt.Errorf("core: arrival of %d tasks at node %d overflows the task total", a, i)
+			return 0, fmt.Errorf("core: %d tasks at node %d overflow the task total", a, i)
 		}
 		total += a
 	}
-	return nil
+	return total, nil
 }
 
 // Inject adds k unit tasks to node i.
@@ -305,9 +307,6 @@ func (st *WeightedState) inject(i int, ws []float64) {
 	}
 	st.count += len(ws)
 	st.sinceRecompute += len(ws)
-	if st.sinceRecompute >= WeightRecomputeEvery {
-		st.RecomputeWeights()
-	}
 }
 
 // Drain removes up to k tasks from node i — the most recently appended
@@ -329,16 +328,14 @@ func (st *WeightedState) Drain(i, k int) task.Weights {
 	}
 	st.count -= k
 	st.sinceRecompute += k
-	if st.sinceRecompute >= WeightRecomputeEvery {
-		st.RecomputeWeights()
-	}
 	return removed
 }
 
 // ApplyEvents implements the weighted-model event application:
 // WeightArrivals are injected first, then WeightDepartures drain tasks
-// (most recent first, clamped to the queue). A batch that Validate
-// refuses fails and leaves the state as it was.
+// (most recent first, clamped to the queue). Its updates count toward
+// the next rebuild of the cached sums, which only a round's end runs.
+// A batch that Validate refuses fails and leaves the state as it was.
 func (st *WeightedState) ApplyEvents(batch *EventBatch) (EventLedger, error) {
 	var led EventLedger
 	if batch == nil {

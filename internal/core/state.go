@@ -20,12 +20,14 @@ func NewUniformState(sys *System, counts []int64) (*UniformState, error) {
 	if len(counts) != sys.N() {
 		return nil, fmt.Errorf("core: %d counts for %d processors", len(counts), sys.N())
 	}
-	total := int64(0)
 	for i, c := range counts {
 		if c < 0 {
 			return nil, fmt.Errorf("core: negative task count %d at processor %d", c, i)
 		}
-		total += c
+	}
+	total, err := AddTasks(0, counts)
+	if err != nil {
+		return nil, err
 	}
 	cp := make([]int64, len(counts))
 	copy(cp, counts)
@@ -95,10 +97,14 @@ func (st *UniformState) applyDelta(delta []int64) {
 // WeightRecomputeEvery is the number of incremental weight updates
 // (task moves, injections, drains) after which the cached per-node
 // weight sums are rebuilt from the task multisets, bounding accumulated
-// floating-point drift. Exported so engines with their own flat storage
-// (package shard) fire the identical recompute at the identical update
-// count — the cache bits are observable through loads and potentials,
-// so trajectory parity requires matching the schedule exactly.
+// floating-point drift. The rebuild is a round-end event: updates only
+// count, and a protocol round ends with one check (RecomputeDue) that
+// rebuilds once the count has reached the threshold. Event batches
+// never rebuild, so between rebuilds there are at most
+// WeightRecomputeEvery − 1 updates plus one round's moves and the
+// events admitted before that round. Every engine (package shard, the
+// cluster included) applies the same rule at the same round end: the
+// cache bits are observable through loads and potentials.
 //
 // The interval was raised from 2^20 to 2^24 when the decide path moved
 // to aggregated binomial flow sampling (trajectory version bump): at
@@ -108,10 +114,9 @@ func (st *UniformState) applyDelta(delta []int64) {
 // O(sqrt(ops))·ulp, so 16× more ops between rebuilds costs 4× the
 // bound, still ~1e-9 relative at 2^24 updates of unit-scale weights.
 //
-// Declared as a var (not const) solely so the cross-engine
-// recompute-crossing parity test can lower the threshold instead of
-// generating a 2^24-move scenario; production code must treat it as a
-// constant and never write to it.
+// Declared as a var (not const) solely so tests can lower the
+// threshold instead of generating a 2^24-update scenario; production
+// code must treat it as a constant and never write to it.
 var WeightRecomputeEvery = 1 << 24
 
 // WeightedState is the task distribution for the weighted model of
@@ -170,10 +175,9 @@ func (st *WeightedState) TotalWeight() float64 { return st.totalW }
 // TaskCount returns m, the number of tasks.
 func (st *WeightedState) TaskCount() int { return st.count }
 
-// SinceRecompute returns the event/move counter toward the next
-// periodic exact weight recompute. Engines that mirror the sequential
-// accumulator bookkeeping (the cluster coordinator) read it back after
-// materializing state through the sequential path.
+// SinceRecompute returns the count of weight updates (moves, arrivals,
+// departures) since the cached sums were last rebuilt. The parity tests
+// compare it across engines.
 func (st *WeightedState) SinceRecompute() int { return st.sinceRecompute }
 
 // Load returns ℓᵢ = Wᵢ/sᵢ.
@@ -225,7 +229,17 @@ func (st *WeightedState) moveTask(i, idx, j int) {
 	st.nodeWeight[i] -= w
 	st.nodeWeight[j] += w
 	st.sinceRecompute++
-	if st.sinceRecompute >= WeightRecomputeEvery {
+}
+
+// RecomputeDue reports whether a round that ends with since weight
+// updates counted must rebuild the cached sums: the one round-end
+// check of WeightRecomputeEvery, shared by every engine.
+func RecomputeDue(since int64) bool { return since >= int64(WeightRecomputeEvery) }
+
+// endRound is the round-end check: it rebuilds the cached sums once the
+// update count has reached WeightRecomputeEvery.
+func (st *WeightedState) endRound() {
+	if RecomputeDue(int64(st.sinceRecompute)) {
 		st.RecomputeWeights()
 	}
 }

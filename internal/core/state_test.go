@@ -212,3 +212,48 @@ func TestWeightedStateFromSegmentsAdopts(t *testing.T) {
 		t.Error("short node-weight vector accepted")
 	}
 }
+
+// TestRecomputeAtRoundEnd pins the rebuild schedule of the cached
+// weight sums at a lowered threshold: an event batch that takes the
+// update count past it only counts, so the sums stay incremental, and
+// the next round's moves end with the rebuild: the sums then equal a
+// fresh RecomputeWeights fold bit for bit and the count reads 0.
+func TestRecomputeAtRoundEnd(t *testing.T) {
+	saved := WeightRecomputeEvery
+	WeightRecomputeEvery = 8
+	defer func() { WeightRecomputeEvery = saved }()
+	sys := testSystem(t, 4)
+	st, err := NewWeightedState(sys, []task.Weights{{0.1, 0.2, 0.3}, {0.7}, nil, {0.4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &EventBatch{
+		WeightArrivals:   [][]float64{{0.1, 0.7}, {0.3, 0.6}, {0.15, 0.25, 0.35}, nil},
+		WeightDepartures: []int64{1, 0, 0, 1},
+	}
+	if _, err := st.ApplyEvents(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SinceRecompute(); got != 9 {
+		t.Fatalf("after a batch of 9 updates the count reads %d, want 9: the batch rebuilt the sums", got)
+	}
+	fresh := st.Clone()
+	fresh.RecomputeWeights()
+	if math.Float64bits(st.TotalWeight()) == math.Float64bits(fresh.TotalWeight()) {
+		t.Fatal("the incremental total already equals the fold; the scenario cannot tell the schedules apart")
+	}
+	ApplyMoves(st, []TaskMove{{From: 0, Idx: 1, To: 3}, {From: 2, Idx: 0, To: 1}})
+	if got := st.SinceRecompute(); got != 0 {
+		t.Fatalf("after the round the count reads %d, want 0", got)
+	}
+	fresh = st.Clone()
+	fresh.RecomputeWeights()
+	for i := 0; i < sys.N(); i++ {
+		if math.Float64bits(st.NodeWeight(i)) != math.Float64bits(fresh.NodeWeight(i)) {
+			t.Errorf("node %d: sum %v after the round, fold %v", i, st.NodeWeight(i), fresh.NodeWeight(i))
+		}
+	}
+	if math.Float64bits(st.TotalWeight()) != math.Float64bits(fresh.TotalWeight()) {
+		t.Errorf("total %v after the round, fold %v", st.TotalWeight(), fresh.TotalWeight())
+	}
+}

@@ -324,7 +324,9 @@ type TaskMove struct {
 // ApplyMoves applies a round's pending migrations to st after all nodes
 // decided on the same round-start snapshot. Within one node, higher task
 // indices are removed first so the swap-delete does not disturb the
-// remaining round-start indices. Returns the number of moves applied.
+// remaining round-start indices. It ends the round: the cached weight
+// sums are rebuilt if the update count has reached
+// WeightRecomputeEvery. Returns the number of moves applied.
 func ApplyMoves(st *WeightedState, pending []TaskMove) int {
 	n := st.sys.g.N()
 	byNode := make(map[int][]TaskMove, len(pending))
@@ -337,27 +339,26 @@ func ApplyMoves(st *WeightedState, pending []TaskMove) int {
 		if len(mvs) == 0 {
 			continue
 		}
-		SortMovesByIdxDesc(mvs)
+		sortMovesByIdxDesc(mvs)
 		for _, mv := range mvs {
 			st.moveTask(mv.From, mv.Idx, mv.To)
 			moves++
 		}
 	}
+	st.endRound()
 	return moves
 }
 
-// SortMovesByIdxDesc sorts one node's moves by task index descending —
+// sortMovesByIdxDesc sorts one node's moves by task index descending —
 // the application order ApplyMoves uses, under which the swap-delete of
-// moveTask never disturbs a pending round-start index. Exported so
-// engines that commit moves against their own storage (package shard)
-// order them identically. Task indices within a node are distinct, so
-// any comparison sort yields the same order: insertion sort for the
-// common small lists, slices.SortFunc beyond that (pattern-defeating
-// quicksort on the concrete slice, no sort.Interface boxing) — an
-// all-on-one start at million-node scale emits millions of moves from a
-// single node per round, where both quadratic sorting and per-compare
-// interface dispatch stall the run.
-func SortMovesByIdxDesc(mvs []TaskMove) {
+// moveTask never disturbs a pending round-start index. Task indices
+// within a node are distinct, so any comparison sort yields the same
+// order: insertion sort for the common small lists, slices.SortFunc
+// beyond that (pattern-defeating quicksort on the concrete slice, no
+// sort.Interface boxing) — an all-on-one start at million-node scale
+// emits millions of moves from a single node per round, where both
+// quadratic sorting and per-compare interface dispatch stall the run.
+func sortMovesByIdxDesc(mvs []TaskMove) {
 	if len(mvs) > 64 {
 		slices.SortFunc(mvs, func(a, b TaskMove) int { return b.Idx - a.Idx })
 		return
@@ -429,7 +430,8 @@ func (p Algorithm2Literal) Step(st *WeightedState, round uint64, base *rng.Strea
 
 // perTaskWeightedStep runs one synchronous round where each task draws a
 // neighbor uniformly and then consults decide(st, i, j, ℓᵢ, ℓⱼ, wℓ) on
-// the round-start snapshot.
+// the round-start snapshot. Like ApplyMoves, it ends with the round-end
+// check of the cached weight sums.
 func perTaskWeightedStep(
 	st *WeightedState,
 	round uint64,
@@ -465,5 +467,6 @@ func perTaskWeightedStep(
 		mv := pending[k]
 		st.moveTask(mv.From, mv.Idx, mv.To)
 	}
+	st.endRound()
 	return moves
 }

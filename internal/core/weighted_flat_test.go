@@ -77,7 +77,7 @@ func TestSortMovesByIdxDescLarge(t *testing.T) {
 		for i, idx := range perm {
 			mvs[i] = TaskMove{From: 0, Idx: idx, To: 1}
 		}
-		SortMovesByIdxDesc(mvs)
+		sortMovesByIdxDesc(mvs)
 		for i := 1; i < len(mvs); i++ {
 			if mvs[i].Idx >= mvs[i-1].Idx {
 				t.Fatalf("size %d: not strictly descending at %d: %d, %d", size, i, mvs[i-1].Idx, mvs[i].Idx)

@@ -220,23 +220,6 @@ func (g *Graph) bfsFrom(src int, visited []bool, dist []int32) int {
 	return count
 }
 
-// Eccentricity returns the maximum BFS distance from v, or an error if
-// the graph is disconnected.
-func (g *Graph) Eccentricity(v int) (int, error) {
-	visited := make([]bool, g.n)
-	dist := make([]int32, g.n)
-	if g.bfsFrom(v, visited, dist) != g.n {
-		return 0, ErrNotConnected
-	}
-	ecc := int32(0)
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return int(ecc), nil
-}
-
 // Diameter returns diam(G) by running a BFS from every vertex. It returns
 // ErrNotConnected for disconnected graphs. Cost is O(n·(n+m)); fine for
 // the simulation sizes used in the experiments.

@@ -153,9 +153,6 @@ func TestDisconnectedDiameter(t *testing.T) {
 	if _, err := g.Diameter(); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("want ErrNotConnected, got %v", err)
 	}
-	if _, err := g.Eccentricity(0); !errors.Is(err, ErrNotConnected) {
-		t.Fatalf("want ErrNotConnected, got %v", err)
-	}
 }
 
 func TestDMax(t *testing.T) {

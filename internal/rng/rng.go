@@ -225,13 +225,3 @@ func (r *Stream) NormFloat64() float64 {
 		}
 	}
 }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Stream) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}

@@ -202,18 +202,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(12)
-	const trials = 200000
-	sum := 0.0
-	for i := 0; i < trials; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / trials; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean %.4f far from 1", mean)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

@@ -53,8 +53,16 @@ type Journal struct {
 	Result     *core.RunResult   `json:"-"`
 }
 
-// journalVersion guards the on-disk format.
-const journalVersion = 1
+// journalVersion is the version journals are written with. The format
+// is the same in both versions; the number records the trajectory a
+// weighted run follows. Version 2 marks the round-end rebuild of the
+// cached weight sums (core.WeightRecomputeEvery); version 1 journals
+// were written by builds that rebuilt them at the exact update that
+// crossed the threshold. The two schedules agree bit for bit on every
+// run with fewer weighted updates than the threshold, so both versions
+// read, and Replay refuses a weighted version 1 journal only when its
+// run reached the threshold (checkSchedule).
+const journalVersion = 2
 
 // entryFromBatch converts a taken group's dense batch to sparse form.
 // Touched lists are sorted so the journal is canonical (node-ascending)
@@ -161,6 +169,9 @@ func Replay[S core.State](j *Journal, eng core.Engine[S]) (core.RunResult, error
 	if j.Rounds <= 0 {
 		return core.RunResult{}, fmt.Errorf("serve: journal records %d rounds; nothing to replay", j.Rounds)
 	}
+	if err := j.checkSchedule(); err != nil {
+		return core.RunResult{}, err
+	}
 	cur, events := j.events()
 	res, err := core.Drive[S](eng, nil, core.RunOpts{
 		MaxRounds:  j.Rounds,
@@ -183,6 +194,24 @@ func Replay[S core.State](j *Journal, eng core.Engine[S]) (core.RunResult, error
 			j.Result.Rounds, j.Result.Moves, j.Result.Ledger, res.Rounds, res.Moves, res.Ledger)
 	}
 	return res, nil
+}
+
+// checkSchedule refuses a weighted version 1 journal whose result
+// footer counts (moves, arrived and departed tasks) reach the
+// weight-recompute threshold: its run rebuilt the cached weight sums
+// mid-round, where this build rebuilds them at round ends, so a replay
+// could diverge from the recorded trajectory.
+func (j *Journal) checkSchedule() error {
+	if !j.Weighted || j.Version >= 2 || j.Result == nil {
+		return nil
+	}
+	updates := j.Result.Moves + j.Result.Ledger.ArrivedTasks + j.Result.Ledger.DepartedTasks
+	if !core.RecomputeDue(updates) {
+		return nil
+	}
+	return fmt.Errorf("serve: weighted journal version 1 records %d updates, at or past the weight-recompute threshold of %d: "+
+		"it was written under the mid-round recompute schedule, and this build rebuilds the cached weight sums at round ends (version 2), "+
+		"so the replay would not be bit for bit", updates, core.WeightRecomputeEvery)
 }
 
 // jsonl line wrappers: one header object, one line per entry, one
@@ -253,8 +282,8 @@ func parseSegment(r io.Reader) (*parsedSegment, error) {
 			if line.Header == nil {
 				return nil, fmt.Errorf("serve: header line without header body")
 			}
-			if line.Header.Version != journalVersion {
-				return nil, fmt.Errorf("serve: journal version %d, want %d", line.Header.Version, journalVersion)
+			if v := line.Header.Version; v < 1 || v > journalVersion {
+				return nil, fmt.Errorf("serve: journal version %d, want 1 to %d", v, journalVersion)
 			}
 			sg.header = line.Header
 		case "batch":

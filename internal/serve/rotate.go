@@ -190,9 +190,9 @@ func ReadJournalSegments(path string) (*Journal, error) {
 		if k == 0 {
 			j = journalFromHeader(h)
 		} else {
-			if h.N != j.N || h.Weighted != j.Weighted || h.Seed != j.Seed || h.TraceEvery != j.TraceEvery {
-				return nil, fmt.Errorf("serve: journal segment %d header disagrees with segment 0 (n=%d/%d weighted=%v/%v seed=%d/%d)",
-					k, h.N, j.N, h.Weighted, j.Weighted, h.Seed, j.Seed)
+			if h.Version != j.Version || h.N != j.N || h.Weighted != j.Weighted || h.Seed != j.Seed || h.TraceEvery != j.TraceEvery {
+				return nil, fmt.Errorf("serve: journal segment %d header disagrees with segment 0 (version=%d/%d n=%d/%d weighted=%v/%v seed=%d/%d)",
+					k, h.Version, j.Version, h.N, j.N, h.Weighted, j.Weighted, h.Seed, j.Seed)
 			}
 			if h.StartRound != prev.Rounds {
 				return nil, fmt.Errorf("serve: journal segment %d starts at round %d, but segment %d rotated at round %d",

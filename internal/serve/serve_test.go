@@ -683,6 +683,57 @@ func TestWeightedReplayParity(t *testing.T) {
 	}
 }
 
+// TestReplayVersion1Schedule: a weighted journal of version 1, written
+// under the mid-round recompute schedule, replays bit for bit while its
+// footer counts stay below the recompute threshold, where both
+// schedules agree, and is refused with an error that names both
+// schedules once they reach it. The threshold is lowered to the run's
+// update count for the refusal.
+func TestReplayVersion1Schedule(t *testing.T) {
+	const n = 32
+	sys := testSystem(t, n)
+	perNode := testWeights(t, sys, 12)
+	cfg, journal := journaled(t, Config{N: n, Weighted: true, Seed: 7, TraceEvery: 2, IdleRounds: 2})
+	srv, err := New[*core.WeightedState](weightedEngine(t, sys, perNode), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := driveServer(t, srv, n, true, 200)
+	path := writeJournal(t, journal(live), 0)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(string(raw), `"header":{"version":2,`, `"header":{"version":1,`, 1)
+	if v1 == string(raw) {
+		t.Fatal("the journal header does not start with version 2")
+	}
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := ReadJournalSegments(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := live.Moves + live.Ledger.ArrivedTasks + live.Ledger.DepartedTasks
+	saved := core.WeightRecomputeEvery
+	defer func() { core.WeightRecomputeEvery = saved }()
+
+	core.WeightRecomputeEvery = int(updates) + 1
+	replayed, err := Replay[*core.WeightedState](j, weightedEngine(t, sys, perNode))
+	if err != nil {
+		t.Fatalf("version 1 journal below the threshold: %v", err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Fatalf("version 1 replay diverged:\nlive   %+v\nreplay %+v", live, replayed)
+	}
+	core.WeightRecomputeEvery = int(updates)
+	_, err = Replay[*core.WeightedState](j, weightedEngine(t, sys, perNode))
+	if err == nil || !strings.Contains(err.Error(), "mid-round recompute schedule") || !strings.Contains(err.Error(), "at round ends (version 2)") {
+		t.Fatalf("version 1 journal at the threshold: %v, want the refusal naming both schedules", err)
+	}
+}
+
 func TestStatsCSVShape(t *testing.T) {
 	var s Stats
 	header := s.CSVHeader()

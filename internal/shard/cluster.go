@@ -25,7 +25,8 @@ import (
 // read-all lockstep per stage:
 //
 //	coordinator: round+rng ▸ gather loads ▸ broadcast loads ▸ gather
-//	flows ▸ grant (move bases + inbound flows) ▸ gather step-done
+//	flows ▸ grant (move bases, refold flag, inbound flows) ▸ gather
+//	step-done
 //
 // Workers run the identical decide/commit code as the in-process
 // engines (same package, same functions), so trajectories, traces,
@@ -65,7 +66,6 @@ type clusterCore struct {
 	buf       transport.Buffer
 	moves     []int64
 	shardBase []int64
-	freshSum  []float64 // weighted only: the recompute round's fresh sums
 
 	// Halo exchange staging: the per-round load traffic is O(cut), not
 	// O(n). bstage holds every shard's gathered boundary loads
@@ -79,8 +79,8 @@ type clusterCore struct {
 	haloSrc [][]int
 	hstage  []float64
 
-	// Authoritative weighted bookkeeping (workers' copies go stale and
-	// are pinned before use).
+	// Authoritative weighted bookkeeping (the workers' engines keep
+	// copies that nothing reads).
 	totalW         float64
 	count          int64
 	sinceRecompute int64
@@ -152,9 +152,6 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 		evNode:    make([][]int32, p),
 		evW:       make([][][]float64, p),
 		wstats:    make([]WorkerStats, p),
-	}
-	if model == modelWeighted {
-		c.freshSum = make([]float64, n)
 	}
 	// The static instance goes out with every checkpoint: the graph's
 	// descriptor and digest, or its explicit CSR when it has no
@@ -313,11 +310,9 @@ func (c *clusterCore) Step(r uint64, base *rng.Stream) (int64, error) {
 // StepEvents implements core.EventStepper: apply batch and run round r
 // in one lockstep exchange. The batch rides the round frame and the
 // per-worker event reports ride the boundary-loads gather, so fusing
-// removes one full write-all/read-all barrier per event batch.
-// Weighted batches that may cross the periodic recompute threshold
-// take the materialized sequential path first (see materializedEvents)
-// and the round then runs batch-free; both orders match the sequential
-// engine's ApplyEvents-then-Step semantics bit-for-bit.
+// removes one full write-all/read-all barrier per event batch; the
+// result matches the sequential engine's ApplyEvents-then-Step
+// semantics bit-for-bit.
 func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBatch) (int64, core.EventLedger, error) {
 	var led core.EventLedger
 	if base == nil {
@@ -332,16 +327,8 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 		if err := c.checkBatch(batch); err != nil {
 			return 0, led, err
 		}
-		if c.model == modelWeighted && c.batchMayCross(batch) {
-			var err error
-			if led, err = c.materializedEvents(batch); err != nil {
-				return 0, led, err
-			}
-			batch = nil
-		}
 	}
-	moves, evLed, err := c.step(r, base, batch)
-	led.Add(evLed)
+	moves, led, err := c.step(r, base, batch)
 	c.tasks += led.Arrived - led.Departed
 	return moves, led, err
 }
@@ -354,7 +341,8 @@ func (c *clusterCore) checkBatch(batch *core.EventBatch) error {
 		return err
 	}
 	if c.model == modelUniform {
-		return core.CheckArrivals(c.tasks, batch.Arrivals)
+		_, err := core.AddTasks(c.tasks, batch.Arrivals)
+		return err
 	}
 	return nil
 }
@@ -362,7 +350,7 @@ func (c *clusterCore) checkBatch(batch *core.EventBatch) error {
 // Exchange phases, as barrierErr names them: the barriers of a cluster
 // round in frame order, then one phase per frame pair of the exchanges
 // outside a round (config / vote, events / events report, state request
-// / state, checkpoint / checkpoint ack, state load / events done).
+// / state, checkpoint / checkpoint ack).
 const (
 	phaseConfigure  = "configure"
 	phaseRound      = "round announce"
@@ -375,7 +363,6 @@ const (
 	phaseEvents     = "events"
 	phaseState      = "state"
 	phaseCheckpoint = "checkpoint"
-	phaseStateLoad  = "state load"
 )
 
 // errBroken refuses an exchange after a failed one.
@@ -404,9 +391,8 @@ func (c *clusterCore) barrierErr(s int, phase string, r uint64, err error) error
 	return fmt.Errorf("shard: worker %d, %s, round %d: %w", s, phase, r, err)
 }
 
-// step runs one round, optionally fusing a pre-validated,
-// non-threshold-crossing event batch into the round's frames. Every
-// failure is a barrierErr.
+// step runs one round, optionally fusing a pre-validated event batch
+// into the round's frames. Every failure is a barrierErr.
 func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (int64, core.EventLedger, error) {
 	var led core.EventLedger
 	t0 := time.Now()
@@ -437,8 +423,6 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 		}
 	}
 	if batch != nil && c.model == modelWeighted {
-		// Fold the reports into the coordinator-owned accumulators
-		// before the crossing math below reads sinceRecompute.
 		led = c.foldWeightedReports(batch)
 	}
 	for s := 0; s < c.p; s++ {
@@ -461,30 +445,18 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 			return 0, led, c.barrierErr(s, phaseFlows, r, err)
 		}
 	}
+	// The serial inter-barrier bookkeeping of WeightedEngine.Step: the
+	// global move bases, and whether the round ends with a refold of the
+	// cached weight sums.
 	total := int64(0)
-	crossAt := int64(-1)
+	for s, m := range c.moves {
+		c.shardBase[s] = total
+		total += m
+	}
+	refold := false
 	if c.model == modelWeighted {
-		// The serial inter-barrier bookkeeping of WeightedEngine.Step:
-		// global move bases, and whether the periodic weight recompute
-		// fires this round (only the last firing is observable).
-		for s, m := range c.moves {
-			c.shardBase[s] = total
-			total += m
-		}
-		every := int64(core.WeightRecomputeEvery)
-		if c.sinceRecompute+total >= every {
-			first := every - c.sinceRecompute
-			firings := 1 + (total-first)/every
-			last := first + (firings-1)*every
-			crossAt = last - 1
-			c.sinceRecompute = total - last
-		} else {
-			c.sinceRecompute += total
-		}
-	} else {
-		for _, m := range c.moves {
-			total += m
-		}
+		c.sinceRecompute += total
+		refold = core.RecomputeDue(c.sinceRecompute)
 	}
 	t2 := time.Now()
 	// Grant: relay every inbound list (workers keep their own intra-
@@ -493,7 +465,11 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 		c.buf.Reset()
 		if c.model == modelWeighted {
 			c.buf.PutI64s(c.shardBase)
-			c.buf.PutI64(crossAt)
+			if refold {
+				c.buf.PutU8(1)
+			} else {
+				c.buf.PutU8(0)
+			}
 		}
 		c.buf.PutU32(uint32(c.p))
 		for src := 0; src < c.p; src++ {
@@ -507,20 +483,25 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 			return 0, led, c.barrierErr(s, phaseGrant, r, err)
 		}
 	}
-	// Commit: collect step-done (with fresh own-range sums on recompute
-	// rounds) and fold the new total weight in node order, exactly as
-	// the sequential RecomputeWeights does.
+	// Commit: collect step-done. On a refold round each worker returns
+	// its refolded own-row sums, which fold into the total weight in
+	// shard order — node order, as the sequential RecomputeWeights folds.
+	totalW := 0.0
 	for s := 0; s < c.p; s++ {
-		if err := c.gatherStepDone(s, crossAt); err != nil {
+		payload, err := c.conns[s].Expect(transport.KindStepDone)
+		if err == nil {
+			var b transport.Buffer
+			b.Load(payload)
+			lo, hi := c.part.Range(s)
+			err = decodeStepDone(&b, refold, hi-lo, &totalW)
+		}
+		if err != nil {
 			return 0, led, c.barrierErr(s, phaseStepDone, r, err)
 		}
 	}
-	if crossAt >= 0 {
-		t := 0.0
-		for _, w := range c.freshSum {
-			t += w
-		}
-		c.totalW = t
+	if refold {
+		c.totalW = totalW
+		c.sinceRecompute = 0
 	}
 	// Stats: every worker piggybacks its cumulative telemetry on the
 	// round barrier right after step-done; consume it here so the frame
@@ -576,50 +557,13 @@ func (c *clusterCore) gatherFlows(s int) error {
 	return err
 }
 
-// gatherStepDone reads worker s's step-done frame: its recompute flag,
-// which must match the coordinator's crossing, and on recompute rounds
-// its fresh own-range sums into freshSum.
-func (c *clusterCore) gatherStepDone(s int, crossAt int64) error {
-	payload, err := c.conns[s].Expect(transport.KindStepDone)
-	if err != nil {
-		return err
-	}
-	var b transport.Buffer
-	b.Load(payload)
-	flag, err := b.U8()
-	if err != nil {
-		return err
-	}
-	if (flag != 0) != (crossAt >= 0) {
-		return fmt.Errorf("recompute flag %d, coordinator crossing %d", flag, crossAt)
-	}
-	if flag == 0 {
-		return nil
-	}
-	lo, hi := c.part.Range(s)
-	fs, err := b.F64s(c.freshSum[lo:lo])
-	if err != nil {
-		return err
-	}
-	if len(fs) != hi-lo {
-		return fmt.Errorf("sent %d sums for range of %d", len(fs), hi-lo)
-	}
-	return nil
-}
-
 // ApplyEvents implements core.DynamicEngine across the cluster. Each
 // worker applies its own range; the coordinator replays the shared
 // accumulators (uniform: integer ledger sums; weighted: totalW and the
 // ledger's float64 fields, in the sequential engine's exact global
-// operation order, from the workers' drained-weight reports).
-//
-// A weighted batch that may cross the periodic weight recompute
-// threshold takes the materialized path instead: the mid-batch
-// recompute cannot be replayed from per-shard reports, so the
-// coordinator gathers the full state, applies the batch through the
-// sequential reference, and scatters the result back (see
-// materializedEvents). Both paths are bit-identical to the sequential
-// engine, so the conservative routing bound only picks the transport.
+// operation order, from the workers' drained-weight reports). Events
+// only count toward the next rebuild of the cached weight sums, which a
+// round's end runs, so no batch gathers state.
 func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -632,9 +576,6 @@ func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, err
 	}
 	if err := c.checkBatch(batch); err != nil {
 		return led, err
-	}
-	if c.model == modelWeighted && c.batchMayCross(batch) {
-		return c.materializedEvents(batch)
 	}
 	for s := 0; s < c.p; s++ {
 		lo, hi := c.part.Range(s)
@@ -680,23 +621,6 @@ func (c *clusterCore) readEventReport(s int, b *transport.Buffer, led *core.Even
 	led.Arrived += arr
 	led.Departed += dep
 	return nil
-}
-
-// batchMayCross reports whether a weighted batch might cross the
-// periodic weight recompute threshold — a conservative upper bound
-// (requested drains, unclamped): if even the bound stays below the
-// threshold, the exact event count cannot cross it.
-func (c *clusterCore) batchMayCross(batch *core.EventBatch) bool {
-	upper := int64(0)
-	for _, ws := range batch.WeightArrivals {
-		upper += int64(len(ws))
-	}
-	for _, d := range batch.WeightDepartures {
-		if d > 0 {
-			upper += d
-		}
-	}
-	return c.sinceRecompute+upper >= int64(core.WeightRecomputeEvery)
 }
 
 // decodeEventReport reads worker s's weighted drained-weight report
@@ -759,59 +683,6 @@ func (c *clusterCore) foldWeightedReports(batch *core.EventBatch) core.EventLedg
 	}
 	c.sinceRecompute += led.ArrivedTasks + led.DepartedTasks
 	return led
-}
-
-// materializedEvents applies a weighted batch that may cross the
-// periodic recompute threshold by materializing the sequential state:
-// gather every worker's own range, replay the batch through
-// WeightedState.ApplyEvents — the bit-exact reference, mid-batch
-// recomputes included — then scatter the post-event own-range states
-// back (KindStateLoad, acked with KindEventsDone) and adopt the
-// reference's accumulators. Expensive (O(n + tasks) traffic) but only
-// reachable once per 2²⁴ events.
-func (c *clusterCore) materializedEvents(batch *core.EventBatch) (core.EventLedger, error) {
-	var led core.EventLedger
-	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
-	if err != nil {
-		return led, err
-	}
-	segs, nw, err := c.assembleWeighted(states)
-	if err != nil {
-		return led, err
-	}
-	st, err := core.NewWeightedStateFromSegments(c.sys, segs, nw, c.totalW, int(c.sinceRecompute))
-	if err != nil {
-		return led, err
-	}
-	if led, err = st.ApplyEvents(batch); err != nil {
-		return led, err
-	}
-	for s := 0; s < c.p; s++ {
-		lo, hi := c.part.Range(s)
-		own := &ownState{
-			SegLen:     make([]int64, hi-lo),
-			NodeWeight: make([]float64, hi-lo),
-		}
-		for i := lo; i < hi; i++ {
-			own.SegLen[i-lo] = int64(st.NodeTaskCount(i))
-			own.Segs = append(own.Segs, st.TaskWeights(i)...)
-			own.NodeWeight[i-lo] = st.NodeWeight(i)
-		}
-		c.buf.Reset()
-		encodeOwnState(&c.buf, c.model, own)
-		if err := c.conns[s].WriteFrame(transport.KindStateLoad, c.buf.B); err != nil {
-			return led, c.barrierErr(s, phaseStateLoad, 0, err)
-		}
-	}
-	for s := 0; s < c.p; s++ {
-		if _, err := c.conns[s].Expect(transport.KindEventsDone); err != nil {
-			return led, c.barrierErr(s, phaseStateLoad, 0, err)
-		}
-	}
-	c.totalW = st.TotalWeight()
-	c.count = int64(st.TaskCount())
-	c.sinceRecompute = int64(st.SinceRecompute())
-	return led, nil
 }
 
 // gatherOwnStates requests and decodes every worker's own-range state:

@@ -177,42 +177,29 @@ func TestClusterBarrierErrorsName(t *testing.T) {
 	checkpoint := func(cl cluster) error {
 		return cl.drive(CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: round})
 	}
-	// A weighted batch that may cross the recompute threshold takes the
-	// materialized path: state gather, then state load.
-	stateLoad := afterRound(func(cl cluster) error {
-		cl.cc.sinceRecompute = int64(core.WeightRecomputeEvery) - 1
-		_, err := cl.cc.ApplyEvents(cl.batch)
-		return err
-	})
 	phases := []struct {
-		kind     transport.Kind
-		frame    string // the subtest's name for the frame
-		name     string // the phase the error names
-		inRound  bool
-		weighted bool // the exchange exists only for the weighted model
-		run      func(cl cluster) error
+		kind    transport.Kind
+		frame   string // the subtest's name for the frame
+		name    string // the phase the error names
+		inRound bool
+		run     func(cl cluster) error
 	}{
-		{transport.KindRound, "round-announce", phaseRound, true, false, drive},
-		{transport.KindBoundaryLoads, "boundary-loads", phaseBoundary, true, false, drive},
-		{transport.KindHaloLoads, "halo-loads", phaseHalo, true, false, drive},
-		{transport.KindFlows, "flows", phaseFlows, true, false, drive},
-		{transport.KindGrant, "grant", phaseGrant, true, false, drive},
-		{transport.KindStepDone, "step-done", phaseStepDone, true, false, drive},
-		{transport.KindStats, "stats", phaseStats, true, false, drive},
-		{transport.KindEvents, "events", phaseEvents, false, false, events},
-		{transport.KindEventsReport, "events-report", phaseEvents, false, false, events},
-		{transport.KindStateReq, "state-request", phaseState, false, false, state},
-		{transport.KindState, "state", phaseState, false, false, state},
-		{transport.KindCheckpoint, "checkpoint", phaseCheckpoint, false, false, checkpoint},
-		{transport.KindCheckpointAck, "checkpoint-ack", phaseCheckpoint, false, false, checkpoint},
-		{transport.KindStateLoad, "state-load", phaseStateLoad, false, true, stateLoad},
-		{transport.KindEventsDone, "events-done", phaseStateLoad, false, true, stateLoad},
+		{transport.KindRound, "round-announce", phaseRound, true, drive},
+		{transport.KindBoundaryLoads, "boundary-loads", phaseBoundary, true, drive},
+		{transport.KindHaloLoads, "halo-loads", phaseHalo, true, drive},
+		{transport.KindFlows, "flows", phaseFlows, true, drive},
+		{transport.KindGrant, "grant", phaseGrant, true, drive},
+		{transport.KindStepDone, "step-done", phaseStepDone, true, drive},
+		{transport.KindStats, "stats", phaseStats, true, drive},
+		{transport.KindEvents, "events", phaseEvents, false, events},
+		{transport.KindEventsReport, "events-report", phaseEvents, false, events},
+		{transport.KindStateReq, "state-request", phaseState, false, state},
+		{transport.KindState, "state", phaseState, false, state},
+		{transport.KindCheckpoint, "checkpoint", phaseCheckpoint, false, checkpoint},
+		{transport.KindCheckpointAck, "checkpoint-ack", phaseCheckpoint, false, checkpoint},
 	}
 	for _, model := range []string{"uniform", "weighted"} {
 		for _, ph := range phases {
-			if ph.weighted && model != "weighted" {
-				continue
-			}
 			for s := 0; s < 2; s++ {
 				t.Run(fmt.Sprintf("%s/%s/worker=%d", model, ph.frame, s), func(t *testing.T) {
 					rws, closers, wait := localWorkers(2)
@@ -271,5 +258,46 @@ func within(t *testing.T, what string, f func() error) error {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s hung", what)
 		return nil
+	}
+}
+
+// TestWeightedEventsNeverGather: a weighted batch that takes the update
+// count past the recompute threshold travels like any other batch, one
+// events frame to each worker and one report back — 2P coordinator
+// frames, no state gather and scatter — and leaves the count past the
+// threshold for the next round's end.
+func TestWeightedEventsNeverGather(t *testing.T) {
+	const p = 2
+	g, err := graph.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, machine.Uniform(8), core.WithLambda2(0.58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]task.Weights, 8)
+	for i := range weights {
+		weights[i] = task.Weights{0.25, 0.5}
+	}
+	cl, err := StartLocalWeightedCluster(sys, core.Algorithm2{}, weights, Options{Shards: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	every := int64(core.WeightRecomputeEvery)
+	cl.sinceRecompute = every - 1
+	batch := &core.EventBatch{WeightArrivals: make([][]float64, 8), WeightDepartures: make([]int64, 8)}
+	batch.WeightArrivals[7], batch.WeightDepartures[0] = []float64{0.75}, 2
+	before := cl.Stats().Transport
+	if _, err := cl.ApplyEvents(batch); err != nil {
+		t.Fatal(err)
+	}
+	after := cl.Stats().Transport
+	if frames := after.FramesSent - before.FramesSent + after.FramesRecv - before.FramesRecv; frames != 2*p {
+		t.Fatalf("the batch moved %d coordinator frames, want %d", frames, 2*p)
+	}
+	if cl.sinceRecompute != every+2 {
+		t.Fatalf("update count %d after the batch, want %d", cl.sinceRecompute, every+2)
 	}
 }

@@ -263,10 +263,10 @@ func TestClusterRoundBytes(t *testing.T) {
 
 // TestWeightedClusterRecomputeCrossingEvents drives event batches into
 // a weighted cluster with the periodic recompute threshold lowered so
-// batches repeatedly cross it — the case the cluster used to refuse.
-// The materialized path (gather, sequential replay, scatter) must keep
-// every P bit-identical to the sequential engine, mid-batch recomputes
-// included.
+// batches repeatedly push the update count past it. Events only count;
+// the rebuild runs at the end of the next round, where each worker
+// refolds its own rows and the coordinator folds the total, and every
+// P must stay bit-identical to the sequential engine.
 func TestWeightedClusterRecomputeCrossingEvents(t *testing.T) {
 	old := core.WeightRecomputeEvery
 	core.WeightRecomputeEvery = 96
@@ -311,6 +311,76 @@ func TestWeightedClusterRecomputeCrossingEvents(t *testing.T) {
 		sameRun(t, "crossing-events", ref, res)
 		sameWeightedState(t, "crossing-events", refState, st)
 	}
+}
+
+// TestOverfullUniformStartRefused: a uniform start whose task total
+// overflows int64 — counts {MaxInt64, 1, 0, 0} on a 4-ring — is refused
+// by seq, shard and the in-process cluster, and so is a checkpoint that
+// carries those counts, although each of its four workers holds one
+// count only.
+func TestOverfullUniformStartRefused(t *testing.T) {
+	g, err := graph.Ring(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, machine.Uniform(4), core.WithLambda2(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := []int64{math.MaxInt64, 1, 0, 0}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "overflow the task total") {
+			t.Errorf("%s: %v, want the task-total overflow", what, err)
+		}
+	}
+	_, err = core.NewUniformState(sys, over)
+	refused("seq", err)
+	e, err := shard.New(sys, core.Algorithm1{}, over, shard.Options{Shards: 2})
+	if err == nil {
+		e.Close()
+	}
+	refused("shard", err)
+	oc, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, over, shard.Options{Shards: 4})
+	if err == nil {
+		oc.Close()
+	}
+	refused("cluster", err)
+
+	// The checkpoint of an empty run, with its four own-range states —
+	// the file's last 4·12 bytes before the CRC trailer, one count each —
+	// rewritten to the over-full counts.
+	cl, err := shard.StartLocalUniformCluster(sys, core.Algorithm1{}, make([]int64, 4), shard.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	_, err = cl.Drive(core.RunOpts{MaxRounds: 1, Seed: 1}, shard.CheckpointConfig{Path: path, Every: 1}, nil)
+	cl.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := len(raw) - 4 - 4*12
+	for s, c := range over {
+		binary.LittleEndian.PutUint64(raw[states+12*s+4:], uint64(c))
+	}
+	fixCRCTrailer(raw)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := shard.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := ck.ResumeLocalUniform()
+	if err == nil {
+		rc.Close()
+	}
+	refused("resume", err)
 }
 
 // driveOpts is the fixed-horizon run the checkpoint tests replay.

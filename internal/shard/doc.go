@@ -47,10 +47,12 @@
 // node-weight sums (core.WeightedFlatProtocol), which is the paper's
 // exchangeability property turned into a storage layout. The commit
 // phase replays, per node, the exact operation sequence of the
-// sequential core.ApplyMoves — swap-deletes, append order, per-move
-// float64 weight-sum updates and the periodic WeightRecomputeEvery
-// cache rebuild — by merging each node's incoming tasks and own
-// removals along the round's global move timeline. Weighted
+// sequential core.ApplyMoves — swap-deletes, append order and per-move
+// float64 weight-sum updates — by merging each node's incoming tasks
+// and own removals along the round's global move timeline, and ends the
+// round as ApplyMoves does: once the update count reaches
+// core.WeightRecomputeEvery, a parallel per-shard refold rebuilds the
+// cached sums. Weighted
 // trajectories, traces, ledgers and final task multisets are therefore
 // bit-identical to core.RunWeighted as well; see DESIGN.md ("Weighted
 // tasks at scale") for the replay argument.

@@ -95,7 +95,7 @@ type decideScratch struct {
 // phase is one barrier-separated stage of a round, dispatched to every
 // worker.
 type phase struct {
-	kind  int // phaseLoads | phaseDecide | phaseCommit
+	kind  int // phaseLoads | phaseDecide | phaseCommit | phaseRefold
 	round *rng.Stream
 }
 
@@ -103,6 +103,7 @@ const (
 	phaseLoads = iota
 	phaseDecide
 	phaseCommit
+	phaseRefold // weighted only: rebuild the cached weight sums
 )
 
 // New validates the instance, partitions the CSR view of the network,

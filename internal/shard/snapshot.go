@@ -424,8 +424,8 @@ func (ck *Checkpoint) resumeCore(rws []io.ReadWriter) (*clusterCore, error) {
 		var got int
 		if ck.model == modelUniform {
 			got = len(ck.states[s].Counts)
-			for _, v := range ck.states[s].Counts {
-				c.tasks += v
+			if c.tasks, err = core.AddTasks(c.tasks, ck.states[s].Counts); err != nil {
+				return nil, fmt.Errorf("shard: checkpoint: %w", err)
 			}
 		} else {
 			got = len(ck.states[s].SegLen)

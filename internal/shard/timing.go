@@ -10,9 +10,10 @@ import (
 
 // PhaseTimes accumulates wall-clock time per barrier-separated phase
 // across an engine's rounds. The decide bucket includes the serial
-// inter-barrier bookkeeping of the weighted engine (recompute-crossing
-// arithmetic), and the commit bucket its post-barrier total-weight
-// fold; both are part of the respective phase's critical path. The
+// inter-barrier bookkeeping of the weighted engine (the move bases),
+// and the commit bucket its round-end refold of the cached weight sums
+// and the total-weight fold that follows; both are part of the
+// respective phase's critical path. The
 // numbers expose where a configuration stalls — a commit share that
 // grows with P is barrier overhead and flow-buffer traffic, a decide
 // share that grows with skew is protocol work concentrating in one

@@ -30,9 +30,11 @@ import (
 // the picture only at commit, where the engine replays, per node, the
 // exact operation sequence of the sequential core.ApplyMoves — same
 // swap-deletes, same append order, same floating-point updates to the
-// cached weight sums, same periodic weight recompute — so trajectories,
-// traces and final task multisets are bit-identical to core.RunWeighted
-// for any shard count, worker count and partition strategy.
+// cached weight sums — and ends the round with the same check, a
+// parallel per-shard refold of the sums once core.RecomputeDue says
+// so, so trajectories, traces and final task multisets are
+// bit-identical to core.RunWeighted for any shard count, worker count
+// and partition strategy.
 //
 // WeightedEngine implements core.Engine[*core.WeightedState] and
 // core.DynamicEngine; public methods serialize on an internal mutex.
@@ -118,20 +120,9 @@ type WeightedEngine struct {
 	arenaOld  [][][]float64
 	arenaDead []int64
 
-	// Round bookkeeping shared across phases: shardBase[s] is the global
-	// move index of shard s's first move, crossAt the 0-based global
-	// index of the move whose counter increment fires the last periodic
-	// weight recompute this round (-1: none), freshSum the per-node
-	// array sums at that instant. sumValid[i] memoizes freshSum[i]: it
-	// is true while node i's task array is unchanged since freshSum[i]
-	// was folded from it, in which case a later recompute firing can
-	// reuse the stored sum instead of re-folding an identical array —
-	// sumFloats is a pure function of the array contents, so the reuse
-	// is bit-exact.
+	// shardBase[s] is the global move index of shard s's first move this
+	// round, shared across the decide and commit phases.
 	shardBase []int64
-	crossAt   int64
-	freshSum  []float64
-	sumValid  []bool
 
 	scratch []*weightedScratch
 	workers int
@@ -214,9 +205,6 @@ func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		arenaOld:   make([][][]float64, p),
 		arenaDead:  make([]int64, p),
 		shardBase:  make([]int64, p),
-		crossAt:    -1,
-		freshSum:   make([]float64, n),
-		sumValid:   make([]bool, n),
 		scratch:    make([]*weightedScratch, workers),
 		workers:    workers,
 		kick:       make([]chan phase, workers),
@@ -297,6 +285,10 @@ func (e *WeightedEngine) runPhase(w int, ph phase) {
 		case phaseCommit:
 			t := time.Now()
 			e.commitShard(s)
+			e.busy[s].Commit += time.Since(t)
+		case phaseRefold:
+			t := time.Now()
+			e.refoldShard(s)
 			e.busy[s].Commit += time.Since(t)
 		}
 	}
@@ -416,16 +408,7 @@ func (e *WeightedEngine) commitShard(d int) {
 	}
 	remPos := e.remPos[d]
 	if totalArr == 0 && remPos[size] == 0 {
-		// Quiet shard: no tasks leave it or enter it. Without a weight
-		// recompute there is nothing to do; with one, only the cached
-		// sums must be refreshed — from the memoized fold when the array
-		// is unchanged since it was last summed.
-		if e.crossAt >= 0 {
-			for k := 0; k < size; k++ {
-				e.refreshSum(d, k, lo+k)
-			}
-		}
-		return
+		return // quiet shard: no tasks leave it or enter it
 	}
 	// Pass 2: bucket the arrivals per destination node, walking the
 	// source shards in ascending order — shards are contiguous index
@@ -455,7 +438,7 @@ func (e *WeightedEngine) commitShard(d int) {
 		}
 	}
 	// Pass 3: per-node in-place replay; nodes without operations are
-	// touched only when a recompute firing needs their fresh sums.
+	// not touched.
 	gbase := e.shardBase[d]
 	remIdxAll := e.remIdx[d]
 	for k := 0; k < size; k++ {
@@ -463,12 +446,20 @@ func (e *WeightedEngine) commitShard(d int) {
 		ag := arrG[arrPos[k]:arrPos[k+1]]
 		rem := remIdxAll[remPos[k]:remPos[k+1]]
 		if len(aw) == 0 && len(rem) == 0 {
-			if e.crossAt >= 0 {
-				e.refreshSum(d, k, lo+k)
-			}
 			continue
 		}
 		e.replayNode(d, k, lo+k, aw, ag, rem, gbase+remPos[k])
+	}
+}
+
+// refoldShard rebuilds shard s's cached weight sums from its segments,
+// each folded left to right as WeightedState.RecomputeWeights folds a
+// node's task list. It runs after the commit on the rounds that end
+// with core.RecomputeDue.
+func (e *WeightedEngine) refoldShard(s int) {
+	lo, hi := e.part.Range(s)
+	for i := lo; i < hi; i++ {
+		e.nodeWeight[i] = sumFloats(e.seg(s, i-lo))
 	}
 }
 
@@ -512,8 +503,8 @@ func (e *WeightedEngine) resetArena(s int) {
 // maybeCompact bounds the arena's dead space: once the floats carved
 // and abandoned exceed the shard's packed pool size (or a fixed floor
 // for small shards), the shard is rebuilt into a fresh packed slot
-// layout — each node's segment copied verbatim, so contents, memoized
-// folds and the trajectory are untouched — and the arena is released.
+// layout — each node's segment copied verbatim, so contents and the
+// trajectory are untouched — and the arena is released.
 // Runs at the top of commitShard, before the round's replay carves.
 func (e *WeightedEngine) maybeCompact(s int) {
 	if e.arenaDead[s] <= max(int64(len(e.pool[s])), 4*arenaMinBlock) {
@@ -538,45 +529,28 @@ func (e *WeightedEngine) maybeCompact(s int) {
 	e.resetArena(s)
 }
 
-// refreshSum is the periodic-recompute refresh for a node with no
-// operations this round: fold its segment — or reuse the memoized fold
-// when the array is unchanged since freshSum was computed — and adopt
-// the fresh value as the cached weight sum, exactly as the sequential
-// RecomputeWeights would.
-func (e *WeightedEngine) refreshSum(d, k, i int) {
-	if !e.sumValid[i] {
-		e.freshSum[i] = sumFloats(e.seg(d, k))
-		e.sumValid[i] = true
-	}
-	e.nodeWeight[i] = e.freshSum[i]
-}
-
-// replayNode replays node i's slice of the round's move sequence: a
-// two-way merge of its incoming tasks (aw/ag, in global source order)
-// and its own removals (rem, idx-descending, occupying the contiguous
-// global index range starting at remG0), ordered by global move index.
-// Appends and swap-deletes run in place on the node's own segment —
-// literally the moveTask operations — and the cached weight sum
-// receives the identical sequence of float64 additions and subtractions
-// the sequential engine would apply. The segment needs capacity for the
-// transient peak length (every arrival can precede every removal); a
-// pool-resident node that outgrows its slot is privatized first, with
-// headroom so subsequent growth stays amortized O(1) per task. If the
-// periodic weight recompute fires this round (crossAt ≥ 0), the sum is
-// rebuilt from the array contents at exactly that instant, and the
-// remaining operations continue incrementally from the fresh value.
+// replayNode replays node i (lo+k of shard d)'s slice of the round's move
+// sequence: a two-way merge of its incoming tasks (aw/ag, in global
+// source order) and its own removals (rem, idx-descending, occupying the
+// contiguous global index range starting at remG0), ordered by global
+// move index. Appends and swap-deletes run in place on the node's own
+// segment — literally the moveTask operations — and the cached weight
+// sum receives the identical sequence of float64 additions and
+// subtractions the sequential engine would apply. The segment needs
+// capacity for the transient peak length (every arrival can precede
+// every removal); a pool-resident node that outgrows its slot is
+// privatized first, with headroom so subsequent growth stays amortized
+// O(1) per task.
 func (e *WeightedEngine) replayNode(d, k, i int, aw []float64, ag []int64, rem []int32, remG0 int64) {
 	segLen := e.segLen[d]
 	seg := e.segFor(d, k, segLen[k]+int64(len(aw)))
 	nw := e.nodeWeight[i]
-	cross := e.crossAt
-	crossed := cross < 0
-	// On non-recompute rounds (the common case) one-sided nodes skip the
-	// merge machinery: the corner source is removals-only and the
-	// spreading frontier's leading edge is arrivals-only, so these tight
-	// loops carry most of a corner-start round's operations. The float64
-	// operation sequence on nw is identical to the general merge.
-	if crossed && len(aw) == 0 {
+	// One-sided nodes skip the merge: the corner source is removals-only
+	// and the spreading frontier's leading edge is arrivals-only, so
+	// these tight loops carry most of a corner-start round's operations.
+	// The float64 operation sequence on nw is that of the merge.
+	switch {
+	case len(aw) == 0:
 		for _, idx := range rem {
 			last := len(seg) - 1
 			w := seg[idx]
@@ -584,39 +558,20 @@ func (e *WeightedEngine) replayNode(d, k, i int, aw []float64, ag []int64, rem [
 			seg = seg[:last]
 			nw -= w
 		}
-		e.finishReplay(d, k, i, seg, nw)
-		return
-	}
-	if crossed && len(rem) == 0 {
+	case len(rem) == 0:
 		seg = append(seg, aw...)
 		for _, w := range aw {
 			nw += w
 		}
-		e.finishReplay(d, k, i, seg, nw)
-		return
-	}
-	ai, ri := 0, 0
-	for ai < len(aw) || ri < len(rem) {
-		var g int64
-		takeArr := ri >= len(rem)
-		if !takeArr && ai < len(aw) {
-			takeArr = ag[ai] < remG0+int64(ri)
-		}
-		if takeArr {
-			g = ag[ai]
-		} else {
-			g = remG0 + int64(ri)
-		}
-		if !crossed && g > cross {
-			nw = sumFloats(seg)
-			e.freshSum[i] = nw
-			crossed = true
-		}
-		if takeArr {
-			seg = append(seg, aw[ai])
-			nw += aw[ai]
-			ai++
-		} else {
+	default:
+		ai, ri := 0, 0
+		for ai < len(aw) || ri < len(rem) {
+			if ri >= len(rem) || (ai < len(aw) && ag[ai] < remG0+int64(ri)) {
+				seg = append(seg, aw[ai])
+				nw += aw[ai]
+				ai++
+				continue
+			}
 			idx := rem[ri]
 			last := len(seg) - 1
 			w := seg[idx]
@@ -626,29 +581,8 @@ func (e *WeightedEngine) replayNode(d, k, i int, aw []float64, ag []int64, rem [
 			ri++
 		}
 	}
-	// The array changed, so any memoized fold is stale — unless the
-	// recompute fired after the last operation, in which case freshSum
-	// holds the fold of exactly the final contents.
-	e.sumValid[i] = false
-	if !crossed {
-		nw = sumFloats(seg)
-		e.freshSum[i] = nw
-		e.sumValid[i] = true
-	}
 	e.nodeWeight[i] = nw
 	segLen[k] = int64(len(seg))
-	if e.priv[d][k] != nil {
-		e.priv[d][k] = seg
-	}
-}
-
-// finishReplay stores a replayed node's updated segment, length, and
-// cached weight sum; the memoized fold is stale because the array
-// changed with no recompute firing after the final operation.
-func (e *WeightedEngine) finishReplay(d, k, i int, seg []float64, nw float64) {
-	e.sumValid[i] = false
-	e.nodeWeight[i] = nw
-	e.segLen[d][k] = int64(len(seg))
 	if e.priv[d][k] != nil {
 		e.priv[d][k] = seg
 	}
@@ -729,33 +663,18 @@ func (e *WeightedEngine) Step(r uint64, base *rng.Stream) (int64, error) {
 		e.shardBase[s] = total
 		total += m
 	}
-	// Does the sequential engine's periodic weight recompute fire this
-	// round? moveTask increments its counter once per move and rebuilds
-	// the cached sums on reaching the threshold. The rebuild reads only
-	// the task arrays — whose evolution is independent of the cache — so
-	// only the LAST firing is observable in the post-round state: the
-	// commit replays layouts as usual and refreshes the sums at that
-	// single instant.
-	e.crossAt = -1
-	every := int64(core.WeightRecomputeEvery)
-	if e.sinceRecompute+total >= every {
-		first := every - e.sinceRecompute
-		firings := 1 + (total-first)/every
-		last := first + (firings-1)*every
-		e.crossAt = last - 1
-		e.sinceRecompute = total - last
-	} else {
-		e.sinceRecompute += total
-	}
 	t2 := time.Now()
 	e.dispatch(phase{kind: phaseCommit})
-	if e.crossAt >= 0 {
-		// RecomputeWeights folds the total in node order.
-		t := 0.0
-		for _, w := range e.freshSum {
-			t += w
+	// The round-end check of core.ApplyMoves: refold every shard's sums,
+	// then the total in node order, as RecomputeWeights does.
+	e.sinceRecompute += total
+	if core.RecomputeDue(e.sinceRecompute) {
+		e.dispatch(phase{kind: phaseRefold})
+		e.totalW = 0
+		for _, w := range e.nodeWeight {
+			e.totalW += w
 		}
-		e.totalW = t
+		e.sinceRecompute = 0
 	}
 	t3 := time.Now()
 	e.times.Snapshot += t1.Sub(t0)
@@ -766,8 +685,8 @@ func (e *WeightedEngine) Step(r uint64, base *rng.Stream) (int64, error) {
 }
 
 // Phases implements PhaseTimer: cumulative per-phase wall-clock time
-// across every Step so far. The serial recompute-crossing bookkeeping
-// counts toward decide and the post-barrier total-weight fold toward
+// across every Step so far. The serial move-base bookkeeping counts
+// toward decide, and the round-end refold of the cached sums toward
 // commit.
 func (e *WeightedEngine) Phases() PhaseTimes {
 	e.mu.Lock()
@@ -817,7 +736,9 @@ func (e *WeightedEngine) Arena() ArenaStats {
 // injected first (nodes ascending), then departures drained most-recent
 // first, clamped to the queue — and with its exact floating-point
 // bookkeeping order, so ledgers and trajectories stay bit-identical.
-// A batch that core.EventBatch.Validate refuses fails with no partial
+// Like the sequential state, it only counts its updates toward the
+// next rebuild of the cached sums, which a round's end runs. A batch
+// that core.EventBatch.Validate refuses fails with no partial
 // application.
 func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
 	e.mu.Lock()
@@ -832,22 +753,11 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 	if err := batch.Validate(e.csr.N()); err != nil {
 		return led, err
 	}
-	events := int64(0)
-	for _, ws := range batch.WeightArrivals {
-		events += int64(len(ws))
-	}
-	for i := range batch.WeightDepartures {
-		events += e.drainCount(i, batch)
-	}
-	if e.sinceRecompute+events >= int64(core.WeightRecomputeEvery) {
-		return e.slowApplyEvents(batch)
-	}
-	// Fast path (no recompute fires): two global passes mirror the
-	// sequential loops — all injections (nodes ascending), then all
-	// drains — so the shared totalW and ledger accumulators receive
-	// their float64 operations in the identical global order; the
-	// per-node weight sums see only their own operations, whose order
-	// the per-node grouping preserves.
+	// Two global passes mirror the sequential loops — all injections
+	// (nodes ascending), then all drains — so the shared totalW and
+	// ledger accumulators receive their float64 operations in the
+	// identical global order; the per-node weight sums see only their
+	// own operations, whose order the per-node grouping preserves.
 	for i, ws := range batch.WeightArrivals {
 		if len(ws) == 0 {
 			continue
@@ -857,7 +767,6 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 			e.totalW += w
 		}
 		e.count += int64(len(ws))
-		e.sumValid[i] = false
 		led.ArrivedTasks += int64(len(ws))
 		for _, w := range ws {
 			led.ArrivedWeight += w
@@ -868,7 +777,6 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 		if d <= 0 || k <= 0 {
 			continue
 		}
-		e.sumValid[i] = false
 		oldCnt := e.nodeCount(i)
 		var arr []float64
 		if len(batch.WeightArrivals) != 0 {
@@ -892,7 +800,7 @@ func (e *WeightedEngine) ApplyEvents(batch *core.EventBatch) (core.EventLedger, 
 		led.DepartedTasks += k
 		led.DepartedWeight += t
 	}
-	e.sinceRecompute += events
+	e.sinceRecompute += led.ArrivedTasks + led.DepartedTasks
 	e.placeEvents(batch)
 	return led, nil
 }
@@ -932,7 +840,7 @@ func (e *WeightedEngine) nodeSegment(i int) []float64 {
 	return e.seg(s, i-lo)
 }
 
-// placeEvents lays a fast-path batch into the segments in place: each
+// placeEvents lays a batch into the segments in place: each
 // node the batch touches ends with (old ++ arrivals) cut by its applied
 // drain — the layout Inject-then-Drain produces — and no other node
 // moves. Departures leave most-recent first, so a drain that reaches
@@ -942,8 +850,7 @@ func (e *WeightedEngine) nodeSegment(i int) []float64 {
 // exactly as the commit grows a node (segFor). Beyond the batch's
 // dense scan the work is O(events); maybeCompact bounds the dead space
 // the regrowths leave. Runs after the caller's accounting, which reads
-// the pre-batch segments and invalidates the touched nodes' memoized
-// folds.
+// the pre-batch segments.
 func (e *WeightedEngine) placeEvents(batch *core.EventBatch) {
 	for i := range e.csr.N() {
 		var arr []float64
@@ -964,97 +871,6 @@ func (e *WeightedEngine) placeEvents(batch *core.EventBatch) {
 		seg := append(e.segFor(s, k, e.segLen[s][k]+keep), arr[:keep]...)
 		e.segLen[s][k] = int64(len(seg))
 	}
-}
-
-// slowApplyEvents is the exact-replication path for the rare batch
-// whose update count crosses the periodic recompute threshold: it
-// materializes the per-node arrays and runs the literal sequential
-// mutator sequence — Inject, Drain, counter increments and the
-// mid-batch RecomputeWeights firings — then re-flattens. Allocation is
-// acceptable here: the threshold admits this path at most once per
-// 2²⁰ events.
-func (e *WeightedEngine) slowApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
-	var led core.EventLedger
-	n := e.csr.N()
-	tasks := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		tasks[i] = append([]float64(nil), e.nodeSegment(i)...)
-	}
-	recompute := func() {
-		total := 0.0
-		for i, ts := range tasks {
-			w := sumFloats(ts)
-			e.nodeWeight[i] = w
-			total += w
-		}
-		e.totalW = total
-		e.sinceRecompute = 0
-	}
-	for i, ws := range batch.WeightArrivals {
-		if len(ws) == 0 {
-			continue
-		}
-		for _, w := range ws {
-			tasks[i] = append(tasks[i], w)
-			e.nodeWeight[i] += w
-			e.totalW += w
-		}
-		e.count += int64(len(ws))
-		e.sinceRecompute += int64(len(ws))
-		if e.sinceRecompute >= int64(core.WeightRecomputeEvery) {
-			recompute()
-		}
-		led.ArrivedTasks += int64(len(ws))
-		for _, w := range ws {
-			led.ArrivedWeight += w
-		}
-	}
-	for i, d := range batch.WeightDepartures {
-		k := int(d)
-		if k <= 0 {
-			continue
-		}
-		if k > len(tasks[i]) {
-			k = len(tasks[i])
-		}
-		if k == 0 {
-			continue
-		}
-		cut := len(tasks[i]) - k
-		removed := tasks[i][cut:]
-		tasks[i] = tasks[i][:cut]
-		for _, w := range removed {
-			e.nodeWeight[i] -= w
-			e.totalW -= w
-		}
-		e.count -= int64(k)
-		e.sinceRecompute += int64(k)
-		if e.sinceRecompute >= int64(core.WeightRecomputeEvery) {
-			recompute()
-		}
-		led.DepartedTasks += int64(k)
-		led.DepartedWeight += sumFloats(removed)
-	}
-	for s := 0; s < e.part.P(); s++ {
-		lo, hi := e.part.Range(s)
-		off := e.off[s]
-		segLen := e.segLen[s]
-		total := int64(0)
-		for i := lo; i < hi; i++ {
-			off[i-lo+1] = total + int64(len(tasks[i]))
-			total = off[i-lo+1]
-			segLen[i-lo] = int64(len(tasks[i]))
-		}
-		pool := growFloats(e.pool[s], total)
-		for i := lo; i < hi; i++ {
-			copy(pool[off[i-lo]:off[i-lo+1]], tasks[i])
-			e.priv[s][i-lo] = nil
-			e.sumValid[i] = false
-		}
-		e.pool[s] = pool
-		e.resetArena(s)
-	}
-	return led, nil
 }
 
 // State implements core.Engine with a read-only view of the live
@@ -1139,8 +955,8 @@ func (e *WeightedEngine) Footprint() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	bytes := e.csr.Bytes()
-	bytes += int64(len(e.nodeWeight)+len(e.loads)+len(e.freshSum)) * 8
-	bytes += e.part.bytes() + int64(len(e.sumValid)) + int64(len(e.segView))*24
+	bytes += int64(len(e.nodeWeight)+len(e.loads)) * 8
+	bytes += e.part.bytes() + int64(len(e.segView))*24
 	for _, sc := range e.scratch {
 		bytes += sc.ws.Footprint()
 	}

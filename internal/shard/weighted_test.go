@@ -286,13 +286,13 @@ func TestWeightedShardApplyEvents(t *testing.T) {
 
 // TestWeightedShardRecomputeCrossing pins the rarest path: a run whose
 // cumulative task moves cross the periodic weight-recompute threshold,
-// where the sequential engine rebuilds its cached sums mid-round. The
-// shard engine must fire the identical recompute at the identical move
-// — the cache bits are observable through loads — so the final states
-// must still match exactly. The threshold is lowered to 2²⁰ for the
-// test (core.WeightRecomputeEvery is a var for exactly this purpose)
-// so the scenario stays small; both engines read the same value, so
-// the parity property under test is unchanged.
+// where the sequential engine rebuilds its cached sums at the end of
+// the crossing round. The shard engine must refold at the same round
+// end — the cache bits are observable through loads — so the final
+// states must still match exactly. The threshold is lowered to 2²⁰ for
+// the test (core.WeightRecomputeEvery is a var for exactly this
+// purpose) so the scenario stays small; both engines read the same
+// value, so the parity property under test is unchanged.
 func TestWeightedShardRecomputeCrossing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2²⁰-move run in -short mode")

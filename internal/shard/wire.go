@@ -670,34 +670,69 @@ func decodeGrant(b *transport.Buffer, lo, hi int, in [][]transport.Flow) error {
 }
 
 // decodeWGrant reads a weighted grant frame: the shards' global move
-// bases into bases' storage and the recompute crossing, then the task
-// flows as decodeGrant does.
-func decodeWGrant(b *transport.Buffer, lo, hi int, bases []int64, in [][]transport.WFlow) ([]int64, int64, error) {
+// bases into bases' storage and the refold flag (whether the round ends
+// with a rebuild of the cached weight sums), then the task flows as
+// decodeGrant does.
+func decodeWGrant(b *transport.Buffer, lo, hi int, bases []int64, in [][]transport.WFlow) ([]int64, bool, error) {
 	bases, err := b.I64s(bases[:0])
 	if err != nil {
-		return nil, 0, err
+		return nil, false, err
 	}
 	if len(bases) != len(in) {
-		return nil, 0, fmt.Errorf("shard: worker: %d move bases for %d shards", len(bases), len(in))
+		return nil, false, fmt.Errorf("shard: worker: %d move bases for %d shards", len(bases), len(in))
 	}
-	crossAt, err := b.I64()
+	flag, err := b.U8()
 	if err != nil {
-		return nil, 0, err
+		return nil, false, err
+	}
+	if flag > 1 {
+		return nil, false, fmt.Errorf("shard: worker: refold flag %d", flag)
 	}
 	if err := grantShards(b, len(in)); err != nil {
-		return nil, 0, err
+		return nil, false, err
 	}
 	for src := range in {
 		if in[src], err = b.WFlows(in[src][:0]); err != nil {
-			return nil, 0, err
+			return nil, false, err
 		}
 		for k := range in[src] {
 			if err := ownLocal(&in[src][k].Dst, lo, hi); err != nil {
-				return nil, 0, err
+				return nil, false, err
 			}
 		}
 	}
-	return bases, crossAt, nil
+	return bases, flag == 1, nil
+}
+
+// decodeStepDone reads a worker's step-done frame: its refold flag,
+// which must equal the grant's refold, and on a refold round the m
+// refolded sums of its own rows, which it adds to *sum in row order.
+func decodeStepDone(b *transport.Buffer, refold bool, m int, sum *float64) error {
+	flag, err := b.U8()
+	if err != nil {
+		return err
+	}
+	if flag > 1 || (flag == 1) != refold {
+		return fmt.Errorf("refold flag %d, grant's refold %v", flag, refold)
+	}
+	if !refold {
+		return nil
+	}
+	cnt, err := b.U32()
+	if err != nil {
+		return err
+	}
+	if int64(cnt) != int64(m) {
+		return fmt.Errorf("sent %d sums for range of %d", cnt, m)
+	}
+	for range m {
+		w, err := b.F64()
+		if err != nil {
+			return err
+		}
+		*sum += w
+	}
+	return nil
 }
 
 // grantShards reads a grant's list count, which must be p.

@@ -147,11 +147,13 @@ func FuzzWorkerDecoders(f *testing.F) {
 
 // FuzzRoundFlows feeds mutated per-round frames that carry flows to
 // their decoders: a worker's flows frame at the coordinator of P = 3
-// shards (decodeFlows, either model), and a grant at a worker whose own
-// range is [4, 12) (decodeGrant, decodeWGrant). The first input byte
-// picks the decoder. Whatever the rest, each must return or fail: no
-// panic, no allocation out of proportion to the input, and an accepted
-// grant names only own-range nodes, rebased to the local ids 0…7.
+// shards (decodeFlows, either model), a grant at a worker whose own
+// range is [4, 12) (decodeGrant, decodeWGrant), and that worker's
+// step-done frame at the coordinator (decodeStepDone, on a refold round
+// when the first byte is above 127). The first input byte picks the
+// decoder. Whatever the rest, each must return or fail: no panic, no
+// allocation out of proportion to the input, and an accepted grant
+// names only own-range nodes, rebased to the local ids 0…7.
 func FuzzRoundFlows(f *testing.F) {
 	const p, lo, hi = 3, 4, 12
 	flows := [][]transport.Flow{{{Node: 5, Amount: 2}}, nil, {{Node: 11, Amount: 1}, {Node: 4, Amount: 7}}}
@@ -177,12 +179,17 @@ func FuzzRoundFlows(f *testing.F) {
 	f.Add(append([]byte{2}, b.B...))
 	b.Reset()
 	b.PutI64s([]int64{0, 4, 9})
-	b.PutI64(-1)
+	b.PutU8(0)
 	b.PutU32(p)
 	for _, l := range wflows {
 		b.PutWFlows(l)
 	}
 	f.Add(append([]byte{3}, b.B...))
+	f.Add([]byte{4, 0})
+	b.Reset()
+	b.PutU8(1)
+	b.PutF64s([]float64{0.5, 1, 0, 2.25, 0, 0, 3, 0.125})
+	f.Add(append([]byte{134}, b.B...))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if len(frame) == 0 {
 			return
@@ -192,17 +199,20 @@ func FuzzRoundFlows(f *testing.F) {
 		fl, wl := make([][]transport.Flow, p), make([][]transport.WFlow, p)
 		var err error
 		alloc := allocated(func() {
-			switch frame[0] % 4 {
+			switch frame[0] % 5 {
 			case 0, 1:
 				_, err = decodeFlows(&b, []uint8{modelUniform, modelWeighted}[frame[0]%2], fl, wl)
 			case 2:
 				err = decodeGrant(&b, lo, hi, fl)
-			default:
+			case 3:
 				_, _, err = decodeWGrant(&b, lo, hi, nil, wl)
+			default:
+				var sum float64
+				err = decodeStepDone(&b, frame[0] > 127, hi-lo, &sum)
 			}
 		})
 		checkDecodeAlloc(t, "round flows", len(frame), alloc)
-		if err != nil || frame[0]%4 < 2 {
+		if err != nil || frame[0]%5 < 2 || frame[0]%5 == 4 {
 			return
 		}
 		for src := range fl {

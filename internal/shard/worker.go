@@ -102,14 +102,9 @@ type worker struct {
 	halo   []int32 // global id of each halo slot (the partition's halo list)
 	tr     *workerTransport
 
-	ue *Engine
-	we *WeightedEngine
-
-	// Rebuild inputs, retained so a coordinator-materialized state
-	// (KindStateLoad) can replace the weighted engine mid-session.
-	sys    *core.System
-	part   *Partition
-	wproto core.WeightedFlatProtocol
+	sys *core.System // the window system the engine runs on
+	ue  *Engine
+	we  *WeightedEngine
 
 	// Halo exchange: this shard's boundary rows (local ids, an alias of
 	// the partition's storage), the engine's load view, and the
@@ -165,7 +160,6 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 		hi:       hi,
 		halo:     part.Halo(cfg.Shard),
 		sys:      sys,
-		part:     part,
 		boundary: part.Boundary(cfg.Shard),
 		tr: &workerTransport{
 			own: cfg.Shard,
@@ -204,11 +198,9 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 			// between periodic recomputes; adopt them bit-for-bit instead
 			// of the fresh folds newWeighted computed.
 			copy(e.nodeWeight, cfg.NodeWeight)
-			clear(e.sumValid)
 		}
 		e.tr = w.tr
 		w.we = e
-		w.wproto = proto
 		w.view = e.view
 	default:
 		return nil, fmt.Errorf("shard: worker: unknown model %d", cfg.Model)
@@ -282,8 +274,6 @@ func (w *worker) loop(wo WorkerOptions) error {
 			}
 		case transport.KindEvents:
 			err = w.events(payload)
-		case transport.KindStateLoad:
-			err = w.adoptState(payload)
 		case transport.KindStateReq:
 			w.encodeOwnState()
 			err = w.conn.WriteFrame(transport.KindState, w.buf.B)
@@ -306,11 +296,12 @@ func (w *worker) loop(wo WorkerOptions) error {
 // round executes one protocol round: apply the piggybacked event batch
 // (if the round frame carries one), snapshot own loads, trade boundary
 // loads for halo loads, decide, ship the outbound cross-shard flows,
-// load the grant (move bases, recompute crossing, inbound flows),
-// commit, and report step completion (with the fresh own-range sums on
-// recompute rounds). The frame sequence is strict alternation with the
-// coordinator — read exactly when it writes and vice versa — which
-// keeps the lockstep deadlock-free even over unbuffered pipes.
+// load the grant (move bases, refold flag, inbound flows), commit,
+// refold the own rows' cached weight sums if the grant says so, and
+// report step completion (with the refolded sums). The frame sequence
+// is strict alternation with the coordinator — read exactly when it
+// writes and vice versa — which keeps the lockstep deadlock-free even
+// over unbuffered pipes.
 func (w *worker) round(payload []byte) (uint64, error) {
 	var b transport.Buffer
 	b.Load(payload)
@@ -422,7 +413,7 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	}
 	b.Load(payload)
 	t = time.Now()
-	crossed := false
+	refold := false
 	if w.model == modelUniform {
 		if err := decodeGrant(&b, w.lo, w.hi, w.tr.in); err != nil {
 			return 0, err
@@ -430,19 +421,20 @@ func (w *worker) round(payload []byte) (uint64, error) {
 		w.ue.commitShard(w.own)
 	} else {
 		e := w.we
-		sb, crossAt, err := decodeWGrant(&b, w.lo, w.hi, e.shardBase, w.tr.inW)
+		e.shardBase, refold, err = decodeWGrant(&b, w.lo, w.hi, e.shardBase, w.tr.inW)
 		if err != nil {
 			return 0, err
 		}
-		e.shardBase, e.crossAt = sb, crossAt
-		crossed = crossAt >= 0
 		e.commitShard(w.own)
+		if refold {
+			e.refoldShard(w.own)
+		}
 	}
 	w.stats.CommitNs += int64(time.Since(t))
 	w.buf.Reset()
-	if crossed {
+	if refold {
 		w.buf.PutU8(1)
-		w.buf.PutF64s(w.we.freshSum)
+		w.buf.PutF64s(w.we.nodeWeight)
 	} else {
 		w.buf.PutU8(0)
 	}
@@ -487,10 +479,8 @@ func (w *worker) events(payload []byte) error {
 // the drain removes — computed against the pre-event state with
 // WeightedState.Drain's clamp-and-truncate rule — so the coordinator
 // can replay the global totalW and ledger float64 operation sequence in
-// the sequential engine's exact order. The worker's own recompute
-// counter is pinned to zero first: the coordinator owns the threshold
-// accounting and routes batches that would cross it through the
-// materialized state path instead.
+// the sequential engine's exact order. The coordinator owns the update
+// count toward the next refold; the engine's own count goes unread.
 func (w *worker) applyLocalEvents(batch *core.EventBatch) error {
 	if w.model == modelUniform {
 		led, err := w.ue.ApplyEvents(batch)
@@ -533,44 +523,8 @@ func (w *worker) applyLocalEvents(batch *core.EventBatch) error {
 		w.evbuf.PutU32(uint32(w.lo + i))
 		w.evbuf.PutF64s(drained)
 	}
-	e.sinceRecompute = 0
 	_, err := e.ApplyEvents(batch)
 	return err
-}
-
-// adoptState replaces the weighted engine's own-range state with a
-// coordinator-materialized one (the threshold-crossing event path,
-// KindStateLoad). The engine is rebuilt from scratch — its segment
-// pools cannot shrink in place — and the shipped cached per-node sums
-// are adopted bit-for-bit, exactly as a checkpoint restore does.
-func (w *worker) adoptState(payload []byte) error {
-	if w.model != modelWeighted {
-		return fmt.Errorf("shard: worker: state-load frame for the uniform model")
-	}
-	var b transport.Buffer
-	b.Load(payload)
-	st, err := decodeOwnState(&b, w.model)
-	if err != nil {
-		return err
-	}
-	if len(st.SegLen) != w.hi-w.lo || len(st.NodeWeight) != w.hi-w.lo {
-		return fmt.Errorf("shard: worker: state sized %d/%d for range of %d", len(st.SegLen), len(st.NodeWeight), w.hi-w.lo)
-	}
-	perNode, err := expandSegments(st.SegLen, st.Segs)
-	if err != nil {
-		return err
-	}
-	e, err := newWeighted(w.sys, w.wproto, perNode, w.part, 1, w.lo)
-	if err != nil {
-		return err
-	}
-	copy(e.nodeWeight, st.NodeWeight)
-	clear(e.sumValid)
-	e.tr = w.tr
-	w.we.Close()
-	w.we = e
-	w.view = e.view
-	return w.conn.WriteFrame(transport.KindEventsDone, nil)
 }
 
 // encodeOwnState encodes the worker's own index range into w.buf in the

@@ -1,8 +1,7 @@
 // Package stats provides the statistics used by the experiment harness:
-// streaming moments (Welford), quantiles, simple bootstrap confidence
-// intervals, and ordinary least squares — including the log–log
-// regression used to extract empirical scaling exponents from
-// convergence-time sweeps.
+// streaming moments (Welford), quantiles and ordinary least squares —
+// including the log–log regression used to extract empirical scaling
+// exponents from convergence-time sweeps.
 package stats
 
 import (
@@ -10,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/rng"
 )
 
 // ErrInsufficientData is returned when an estimator needs more samples.
@@ -88,36 +85,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// BootstrapMeanCI returns a percentile bootstrap confidence interval for
-// the mean of xs at the given confidence level (e.g. 0.95), using
-// resamples drawn from stream.
-func BootstrapMeanCI(xs []float64, level float64, resamples int, stream *rng.Stream) (lo, hi float64, err error) {
-	if len(xs) < 2 {
-		return 0, 0, ErrInsufficientData
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, fmt.Errorf("stats: confidence level %g outside (0,1)", level)
-	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	means := make([]float64, resamples)
-	for r := range means {
-		s := 0.0
-		for i := 0; i < len(xs); i++ {
-			s += xs[stream.Intn(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	lo, err = Quantile(means, alpha)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = Quantile(means, 1-alpha)
-	return lo, hi, err
 }
 
 // LinearFit is an ordinary least squares fit y ≈ Slope·x + Intercept.

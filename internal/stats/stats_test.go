@@ -75,33 +75,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	stream := rng.New(5)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 10 + stream.NormFloat64()
-	}
-	lo, hi, err := BootstrapMeanCI(xs, 0.95, 2000, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("degenerate CI [%g,%g]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%g,%g] misses the true mean 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Errorf("CI [%g,%g] implausibly wide", lo, hi)
-	}
-	if _, _, err := BootstrapMeanCI(xs[:1], 0.95, 100, stream); !errors.Is(err, ErrInsufficientData) {
-		t.Errorf("single sample: %v", err)
-	}
-	if _, _, err := BootstrapMeanCI(xs, 1.5, 100, stream); err == nil {
-		t.Error("level > 1 accepted")
-	}
-}
-
 func TestFitLinearExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{5, 7, 9, 11} // y = 2x + 3

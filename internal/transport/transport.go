@@ -26,7 +26,9 @@ import (
 )
 
 // Kind identifies a frame's payload type. The values are part of the
-// wire protocol; never renumber, only append.
+// wire protocol; never renumber, only append. 11 and 21 are retired
+// (an events acknowledgement and a whole-state load) and must not be
+// reused.
 type Kind uint8
 
 const (
@@ -46,18 +48,19 @@ const (
 	KindFlows Kind = 5
 	// KindVote is a worker's barrier vote (decide complete, move count).
 	KindVote Kind = 6
-	// KindGrant is the coordinator's commit grant: global move bases,
-	// the recompute crossing index, and the shard's inbound flows.
+	// KindGrant is the coordinator's commit grant: global move bases
+	// and a one-byte refold flag (weighted only; set when the round ends
+	// with a rebuild of the cached weight sums), then the shard's
+	// inbound flows.
 	KindGrant Kind = 7
-	// KindStepDone reports a committed round: per-shard fresh sums and
-	// phase bookkeeping.
+	// KindStepDone reports a committed round: the refold flag echoed,
+	// followed on a refold round by the shard's refolded own-row weight
+	// sums.
 	KindStepDone Kind = 8
 	// KindEvents carries a pre-round event batch slice to a worker.
 	KindEvents Kind = 9
 	// KindEventsReport is a worker's pre-application drain report.
 	KindEventsReport Kind = 10
-	// KindEventsDone acknowledges event application.
-	KindEventsDone Kind = 11
 	// KindStateReq asks a worker for its own-range state.
 	KindStateReq Kind = 12
 	// KindState carries a worker's own-range state snapshot.
@@ -86,10 +89,6 @@ const (
 	// (slot order, matching Partition.Halo). Replaces the full-vector
 	// KindLoadsAll broadcast: payload size is O(halo), not O(n).
 	KindHaloLoads Kind = 20
-	// KindStateLoad ships a worker its own-range state to adopt
-	// wholesale (the materialized event path for recompute-crossing
-	// batches); acknowledged with KindEventsDone.
-	KindStateLoad Kind = 21
 )
 
 // maxFrame bounds a frame's payload so a corrupt or adversarial length
