@@ -3,7 +3,13 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench-check bench-json bench-scale bench-serve bench-gate perfbench-check table1 cover fuzz-short lbshard-smoke ci
+.PHONY: fmt build vet test race bench-check bench-json bench-scale bench-serve bench-gate perfbench-check table1 cover fuzz-short lbshard-smoke ci
+
+# Format check: fails, listing them, when gofmt would rewrite any
+# tracked Go file (the nested perfbench module's included).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -132,9 +138,10 @@ cover:
 
 # Short native-fuzzing pass over the samplers, the graph generators,
 # the decide kernels, the transport frame reader, the cluster config
-# decoder, the worker's event-slice, own-state and stats decoders, the
-# round frames that carry flows (the coordinator's flows reader and the
-# worker's grant readers), the checkpoint decoder, the journal reader
+# decoder, the worker's event-slice, own-state and stats decoders, every
+# per-round frame reader (the coordinator's flows, step-done and
+# boundary-loads readers, the worker's grant and halo-loads readers),
+# the checkpoint decoder, the journal reader
 # and its walk of rotated segment chains (each with a seq replay of
 # every small journal it accepts), the instance
 # decoder of journal headers (instance.FromMeta), lbd's /tasks and
@@ -168,4 +175,4 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/obs
 
-ci: vet build race bench-check perfbench-check
+ci: fmt vet build race bench-check perfbench-check

@@ -98,6 +98,9 @@ func NewSystem(g *graph.Graph, speeds machine.Speeds, opts ...SystemOption) (*Sy
 		}
 		lambda2 = l2
 	}
+	if math.IsNaN(lambda2) || math.IsInf(lambda2, 0) {
+		return nil, fmt.Errorf("core: lambda2 %g is not finite", lambda2)
+	}
 	if lambda2 <= 0 && g.N() > 1 {
 		return nil, fmt.Errorf("core: non-positive lambda2 %g for connected graph", lambda2)
 	}

@@ -143,17 +143,27 @@ type DynamicEngine interface {
 	ApplyEvents(batch *EventBatch) (EventLedger, error)
 }
 
-// EventStepper is a DynamicEngine that can fuse a round's event batch
-// into the round itself. Drive prefers StepEvents over the
-// ApplyEvents-then-Step pair when a batch is due: engines that span a
-// coordination boundary (the cluster) piggyback the batch on the round's
-// opening frame and the report on the first gather, removing one full
-// barrier round-trip per event batch. The semantics are identical to
+// EventStepper is an engine that takes a round's event batch inside the
+// round itself. A Runner prefers StepEvents over the ApplyEvents-then-Step
+// pair when a batch is due: engines that span a coordination boundary
+// (the clusters, which take events this way only) carry the batch on
+// the round's opening frame and the report on the first gather, so a
+// batch costs no barrier of its own. The semantics are identical to
 // ApplyEvents(batch) followed by Step(r, base) — events land on the
 // pre-round state, the round's decisions see the post-event state, and
 // the returned ledger and move count are bit-identical.
 type EventStepper interface {
 	StepEvents(r uint64, base *rng.Stream, batch *EventBatch) (int64, EventLedger, error)
+}
+
+// RequireEvents refuses an engine that takes workload events neither as
+// a DynamicEngine nor as an EventStepper.
+func RequireEvents(e any) error {
+	switch e.(type) {
+	case DynamicEngine, EventStepper:
+		return nil
+	}
+	return fmt.Errorf("core: engine %T does not support workload events", e)
 }
 
 // ApplyCountsBatch applies the uniform-model part of batch to counts in

@@ -49,7 +49,7 @@ type RunOpts struct {
 	CheckEvery int
 	// Events, when non-nil, supplies the workload mutation applied
 	// immediately before each round r (a nil batch means no events that
-	// round). The engine must implement DynamicEngine. Events must be a
+	// round). The engine must take events (RequireEvents). Events must be a
 	// pure function of r — it is how the dynamics layer keys its event
 	// streams — so that every engine replays the identical workload.
 	Events func(round uint64) *EventBatch
@@ -159,7 +159,7 @@ func (r *Runner[S]) Apply(batch *EventBatch) error {
 	}
 	dyn, ok := any(r.e).(DynamicEngine)
 	if !ok {
-		return fmt.Errorf("core: engine %T does not support workload events", r.e)
+		return RequireEvents(r.e)
 	}
 	led, err := dyn.ApplyEvents(batch)
 	if err != nil {
@@ -178,8 +178,8 @@ func (r *Runner[S]) Step() error {
 	var err error
 	if batch := r.pending; batch != nil {
 		// Fused path: the engine carries the batch into the round
-		// itself (the cluster piggybacks it on the round frame), saving
-		// a barrier round-trip. Bit-identical to ApplyEvents then Step.
+		// itself (the clusters, whose only event path this is, on the
+		// round frame). Bit-identical to ApplyEvents then Step.
 		r.pending = nil
 		var led EventLedger
 		if moves, led, err = r.es.StepEvents(uint64(round), r.base, batch); err != nil {
@@ -254,8 +254,8 @@ func Drive[S State](e Engine[S], stop func(S) bool, opts RunOpts) (RunResult, er
 		check = 1
 	}
 	if opts.Events != nil {
-		if _, ok := any(e).(DynamicEngine); !ok {
-			return RunResult{}, fmt.Errorf("core: engine %T does not support workload events", e)
+		if err := RequireEvents(e); err != nil {
+			return RunResult{}, err
 		}
 	}
 	r, err := NewRunner(e, opts.Seed, opts.TraceEvery, RunResult{})

@@ -151,8 +151,9 @@ func (eo EngineOpts) Resolved(engine string, n int) EngineOpts {
 // closes it; long-lived owners (the serve daemon) instead keep the
 // handle and step the engine themselves.
 type UniformEngineHandle struct {
-	// Engine executes rounds; every engine also implements
-	// core.DynamicEngine.
+	// Engine executes rounds; every engine also takes workload events
+	// (core.RequireEvents): seq and shard as core.DynamicEngine, the
+	// cluster as core.EventStepper.
 	Engine core.Engine[*core.UniformState]
 	// Counts snapshots the final per-node task counts.
 	Counts func() []int64
@@ -276,8 +277,9 @@ func RunWeightedEngineOpts(engine string, sys *core.System, proto core.WeightedP
 // WeightedEngineHandle is a constructed-but-not-yet-driven weighted
 // engine; the weighted counterpart of UniformEngineHandle.
 type WeightedEngineHandle struct {
-	// Engine executes rounds; every engine also implements
-	// core.DynamicEngine.
+	// Engine executes rounds; every engine also takes workload events
+	// (core.RequireEvents): seq and shard as core.DynamicEngine, the
+	// cluster as core.EventStepper.
 	Engine core.Engine[*core.WeightedState]
 	// State returns the engine's current weighted state under the
 	// core.Engine view rule: read-only, valid until the engine next

@@ -74,17 +74,17 @@ type Server[S core.State] struct {
 }
 
 // New builds a server around eng and starts its round loop. The engine
-// must implement core.DynamicEngine (every engine in this repo does)
-// and must not be stepped by anyone else while the server runs; close
-// it only after Stop returns. With TraceEvery > 0, New samples the
-// round-0 trace point, so an engine that cannot report its state fails
-// here.
+// must take workload events (core.RequireEvents; every engine in this
+// repo does) and must not be stepped by anyone else while the server
+// runs; close it only after Stop returns. With TraceEvery > 0, New
+// samples the round-0 trace point, so an engine that cannot report its
+// state fails here.
 func New[S core.State](eng core.Engine[S], cfg Config) (*Server[S], error) {
 	if eng == nil {
 		return nil, fmt.Errorf("serve: nil engine")
 	}
-	if _, ok := any(eng).(core.DynamicEngine); !ok {
-		return nil, fmt.Errorf("serve: engine %T does not support workload events", eng)
+	if err := core.RequireEvents(eng); err != nil {
+		return nil, err
 	}
 	m := NewMetrics()
 	b, err := NewBatcher(cfg.N, cfg.Weighted, m)

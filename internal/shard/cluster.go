@@ -24,9 +24,9 @@ import (
 // as the in-process engines, realized as a strict write-all-then-
 // read-all lockstep per stage:
 //
-//	coordinator: round+rng ▸ gather loads ▸ broadcast loads ▸ gather
-//	flows ▸ grant (move bases, refold flag, inbound flows) ▸ gather
-//	step-done
+//	coordinator: round+rng (+ event batch) ▸ gather boundary loads
+//	(+ event reports) ▸ scatter halo loads ▸ gather flows ▸ grant (move
+//	bases, refold flag, inbound flows) ▸ gather step-done (+ telemetry)
 //
 // Workers run the identical decide/commit code as the in-process
 // engines (same package, same functions), so trajectories, traces,
@@ -96,14 +96,14 @@ type clusterCore struct {
 	relayF [][][]transport.Flow
 	relayW [][][]transport.WFlow
 
-	// Event-report staging (weighted): drained weights per worker.
-	evNode [][]int32
-	evW    [][][]float64
+	// Event-report staging (weighted): each worker's drained weights,
+	// one list per draining node.
+	evW [][][]float64
 
 	// Telemetry (stats.go): coordinator stage timings, the workers'
-	// latest cumulative KindStats reports, checkpoint-write durations,
-	// and an optional span recorder. Pure observability — nothing here
-	// feeds back into the protocol.
+	// latest cumulative reports (carried by their step-done frames),
+	// checkpoint-write durations, and an optional span recorder. Pure
+	// observability — nothing here feeds back into the protocol.
 	times                  PhaseTimes
 	wstats                 []WorkerStats
 	spans                  *obs.SpanRecorder
@@ -149,7 +149,6 @@ func newClusterCore(sys *core.System, model uint8, protoName string, alpha float
 		shardBase: make([]int64, p),
 		relayF:    make([][][]transport.Flow, p),
 		relayW:    make([][][]transport.WFlow, p),
-		evNode:    make([][]int32, p),
 		evW:       make([][][]float64, p),
 		wstats:    make([]WorkerStats, p),
 	}
@@ -295,24 +294,20 @@ func (c *clusterCore) window(s int) windowWire {
 // Step implements core.Engine: one synchronous round r, bit-identical
 // to the in-process engines under the At(r, i) rng contract.
 func (c *clusterCore) Step(r uint64, base *rng.Stream) (int64, error) {
-	if base == nil {
-		return 0, errors.New("shard: nil base stream")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.usable(); err != nil {
-		return 0, err
-	}
-	moves, _, err := c.step(r, base, nil)
+	moves, _, err := c.StepEvents(r, base, nil)
 	return moves, err
 }
 
-// StepEvents implements core.EventStepper: apply batch and run round r
-// in one lockstep exchange. The batch rides the round frame and the
-// per-worker event reports ride the boundary-loads gather, so fusing
-// removes one full write-all/read-all barrier per event batch; the
-// result matches the sequential engine's ApplyEvents-then-Step
-// semantics bit-for-bit.
+// StepEvents implements core.EventStepper, the cluster's only event
+// path: apply batch (none when nil) and run round r in one lockstep
+// exchange. The batch rides the round frame and the per-worker event
+// reports ride the boundary-loads gather, so a batch costs no frame of
+// its own; the result matches the sequential engine's
+// ApplyEvents-then-Step semantics bit-for-bit. A batch that the
+// sequential engine would refuse is refused before any frame goes out:
+// one that Validate rejects, or, in the uniform model, whose arrivals
+// take the global task total, which no worker sees, past
+// math.MaxInt64.
 func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBatch) (int64, core.EventLedger, error) {
 	var led core.EventLedger
 	if base == nil {
@@ -324,8 +319,13 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 		return 0, led, err
 	}
 	if batch != nil {
-		if err := c.checkBatch(batch); err != nil {
+		if err := batch.Validate(c.n); err != nil {
 			return 0, led, err
+		}
+		if c.model == modelUniform {
+			if _, err := core.AddTasks(c.tasks, batch.Arrivals); err != nil {
+				return 0, led, err
+			}
 		}
 	}
 	moves, led, err := c.step(r, base, batch)
@@ -333,24 +333,10 @@ func (c *clusterCore) StepEvents(r uint64, base *rng.Stream, batch *core.EventBa
 	return moves, led, err
 }
 
-// checkBatch refuses a batch that the sequential engine would refuse:
-// one that Validate rejects, or, in the uniform model, whose arrivals
-// take the global task total past math.MaxInt64.
-func (c *clusterCore) checkBatch(batch *core.EventBatch) error {
-	if err := batch.Validate(c.n); err != nil {
-		return err
-	}
-	if c.model == modelUniform {
-		_, err := core.AddTasks(c.tasks, batch.Arrivals)
-		return err
-	}
-	return nil
-}
-
 // Exchange phases, as barrierErr names them: the barriers of a cluster
-// round in frame order, then one phase per frame pair of the exchanges
-// outside a round (config / vote, events / events report, state request
-// / state, checkpoint / checkpoint ack).
+// round in frame order, then the exchanges outside a round: configure
+// (config / vote), and state and checkpoint, the two uses of the state
+// gather (state request / state).
 const (
 	phaseConfigure  = "configure"
 	phaseRound      = "round announce"
@@ -359,8 +345,6 @@ const (
 	phaseFlows      = "flows"
 	phaseGrant      = "grant"
 	phaseStepDone   = "step done"
-	phaseStats      = "stats"
-	phaseEvents     = "events"
 	phaseState      = "state"
 	phaseCheckpoint = "checkpoint"
 )
@@ -418,7 +402,7 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 	// when a batch rode the round frame), scatter each shard's halo
 	// loads — O(cut) traffic, independent of n.
 	for s := 0; s < c.p; s++ {
-		if err := c.gatherBoundary(s, batch, &led); err != nil {
+		if err := c.gatherBoundary(s, batch != nil, &led); err != nil {
 			return 0, led, c.barrierErr(s, phaseBoundary, r, err)
 		}
 	}
@@ -483,9 +467,10 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 			return 0, led, c.barrierErr(s, phaseGrant, r, err)
 		}
 	}
-	// Commit: collect step-done. On a refold round each worker returns
-	// its refolded own-row sums, which fold into the total weight in
-	// shard order — node order, as the sequential RecomputeWeights folds.
+	// Commit: collect step-done, with each worker's telemetry. On a
+	// refold round each worker returns its refolded own-row sums, which
+	// fold into the total weight in shard order — node order, as the
+	// sequential RecomputeWeights folds.
 	totalW := 0.0
 	for s := 0; s < c.p; s++ {
 		payload, err := c.conns[s].Expect(transport.KindStepDone)
@@ -493,7 +478,10 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 			var b transport.Buffer
 			b.Load(payload)
 			lo, hi := c.part.Range(s)
-			err = decodeStepDone(&b, refold, hi-lo, &totalW)
+			var ws WorkerStats
+			if ws, err = decodeStepDone(&b, refold, hi-lo, &totalW); err == nil {
+				c.wstats[s] = ws
+			}
 		}
 		if err != nil {
 			return 0, led, c.barrierErr(s, phaseStepDone, r, err)
@@ -503,45 +491,67 @@ func (c *clusterCore) step(r uint64, base *rng.Stream, batch *core.EventBatch) (
 		c.totalW = totalW
 		c.sinceRecompute = 0
 	}
-	// Stats: every worker piggybacks its cumulative telemetry on the
-	// round barrier right after step-done; consume it here so the frame
-	// stream stays in lockstep for whatever comes next.
-	for s := 0; s < c.p; s++ {
-		payload, err := c.conns[s].Expect(transport.KindStats)
-		if err == nil {
-			var b transport.Buffer
-			b.Load(payload)
-			c.wstats[s], err = decodeWorkerStats(&b)
-		}
-		if err != nil {
-			return 0, led, c.barrierErr(s, phaseStats, r, err)
-		}
-	}
 	c.observeStep(t0, t1, t2, time.Now())
 	return total, led, nil
 }
 
-// gatherBoundary reads worker s's boundary loads into its bstage range,
-// with its event report when a batch rode the round frame.
-func (c *clusterCore) gatherBoundary(s int, batch *core.EventBatch, led *core.EventLedger) error {
+// gatherBoundary reads worker s's boundary-loads frame (decodeBoundary).
+func (c *clusterCore) gatherBoundary(s int, batch bool, led *core.EventLedger) error {
 	payload, err := c.conns[s].Expect(transport.KindBoundaryLoads)
 	if err != nil {
 		return err
 	}
 	var b transport.Buffer
 	b.Load(payload)
-	want := c.bbase[s+1] - c.bbase[s]
-	bl, err := b.F64s(c.bstage[c.bbase[s]:c.bbase[s]])
+	return c.decodeBoundary(s, &b, batch, led)
+}
+
+// decodeBoundary decodes worker s's boundary-loads frame from b: its
+// boundary loads into its bstage range, then, when a batch rode the
+// round frame, its event report — the uniform ledger counts, added to
+// led, or the weighted drained weights per node, staged for
+// foldWeightedReports.
+func (c *clusterCore) decodeBoundary(s int, b *transport.Buffer, batch bool, led *core.EventLedger) error {
+	lo, hi := c.bbase[s], c.bbase[s+1]
+	bl, err := b.F64s(c.bstage[lo:lo:hi])
 	if err != nil {
 		return err
 	}
-	if len(bl) != want {
-		return fmt.Errorf("sent %d boundary loads for %d boundary nodes", len(bl), want)
+	if len(bl) != hi-lo {
+		return fmt.Errorf("sent %d boundary loads for %d boundary nodes", len(bl), hi-lo)
 	}
-	if batch == nil {
+	if !batch {
 		return nil
 	}
-	return c.readEventReport(s, &b, led)
+	if c.model == modelUniform {
+		arr, err := b.I64()
+		if err != nil {
+			return err
+		}
+		dep, err := b.I64()
+		if err != nil {
+			return err
+		}
+		led.Arrived += arr
+		led.Departed += dep
+		return nil
+	}
+	cnt, err := b.U32()
+	if err != nil {
+		return err
+	}
+	c.evW[s] = c.evW[s][:0]
+	for j := uint32(0); j < cnt; j++ {
+		if _, err := b.U32(); err != nil { // the node, which the fold does not need
+			return err
+		}
+		ws, err := b.F64s(nil)
+		if err != nil {
+			return err
+		}
+		c.evW[s] = append(c.evW[s], ws)
+	}
+	return nil
 }
 
 // gatherFlows reads worker s's move count and its flow list to every
@@ -555,96 +565,6 @@ func (c *clusterCore) gatherFlows(s int) error {
 	b.Load(payload)
 	c.moves[s], err = decodeFlows(&b, c.model, c.relayF[s], c.relayW[s])
 	return err
-}
-
-// ApplyEvents implements core.DynamicEngine across the cluster. Each
-// worker applies its own range; the coordinator replays the shared
-// accumulators (uniform: integer ledger sums; weighted: totalW and the
-// ledger's float64 fields, in the sequential engine's exact global
-// operation order, from the workers' drained-weight reports). Events
-// only count toward the next rebuild of the cached weight sums, which a
-// round's end runs, so no batch gathers state.
-func (c *clusterCore) ApplyEvents(batch *core.EventBatch) (core.EventLedger, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var led core.EventLedger
-	if err := c.usable(); err != nil {
-		return led, err
-	}
-	if batch == nil {
-		return led, nil
-	}
-	if err := c.checkBatch(batch); err != nil {
-		return led, err
-	}
-	for s := 0; s < c.p; s++ {
-		lo, hi := c.part.Range(s)
-		c.buf.Reset()
-		encodeEventSlice(&c.buf, c.model, batch, lo, hi)
-		if err := c.conns[s].WriteFrame(transport.KindEvents, c.buf.B); err != nil {
-			return led, c.barrierErr(s, phaseEvents, 0, err)
-		}
-	}
-	for s := 0; s < c.p; s++ {
-		payload, err := c.conns[s].Expect(transport.KindEventsReport)
-		if err == nil {
-			var b transport.Buffer
-			b.Load(payload)
-			err = c.readEventReport(s, &b, &led)
-		}
-		if err != nil {
-			return led, c.barrierErr(s, phaseEvents, 0, err)
-		}
-	}
-	if c.model == modelUniform {
-		c.tasks += led.Arrived - led.Departed
-		return led, nil
-	}
-	return c.foldWeightedReports(batch), nil
-}
-
-// readEventReport decodes worker s's event report from b: the uniform
-// ledger counts, added to led, or the weighted drained weights, staged
-// for foldWeightedReports.
-func (c *clusterCore) readEventReport(s int, b *transport.Buffer, led *core.EventLedger) error {
-	if c.model != modelUniform {
-		return c.decodeEventReport(s, b)
-	}
-	arr, err := b.I64()
-	if err != nil {
-		return err
-	}
-	dep, err := b.I64()
-	if err != nil {
-		return err
-	}
-	led.Arrived += arr
-	led.Departed += dep
-	return nil
-}
-
-// decodeEventReport reads worker s's weighted drained-weight report
-// into the staging lists.
-func (c *clusterCore) decodeEventReport(s int, b *transport.Buffer) error {
-	cnt, err := b.U32()
-	if err != nil {
-		return err
-	}
-	c.evNode[s] = c.evNode[s][:0]
-	c.evW[s] = c.evW[s][:0]
-	for j := uint32(0); j < cnt; j++ {
-		node, err := b.U32()
-		if err != nil {
-			return err
-		}
-		ws, err := b.F64s(nil)
-		if err != nil {
-			return err
-		}
-		c.evNode[s] = append(c.evNode[s], int32(node))
-		c.evW[s] = append(c.evW[s], ws)
-	}
-	return nil
 }
 
 // foldWeightedReports replays the sequential fast path's accumulator
@@ -669,8 +589,7 @@ func (c *clusterCore) foldWeightedReports(batch *core.EventBatch) core.EventLedg
 		}
 	}
 	for s := 0; s < c.p; s++ {
-		for j, ws := range c.evW[s] {
-			_ = c.evNode[s][j]
+		for _, ws := range c.evW[s] {
 			t := 0.0
 			for _, w := range ws {
 				c.totalW -= w
@@ -685,24 +604,19 @@ func (c *clusterCore) foldWeightedReports(batch *core.EventBatch) core.EventLedg
 	return led
 }
 
-// gatherOwnStates requests and decodes every worker's own-range state:
-// KindStateReq/KindState for live gathers and
-// KindCheckpoint/KindCheckpointAck for checkpoints. Every failure is a
-// barrierErr.
-func (c *clusterCore) gatherOwnStates(req, ack transport.Kind, payload []byte) ([]*ownState, error) {
-	phase := phaseState
-	if req == transport.KindCheckpoint {
-		phase = phaseCheckpoint
-	}
+// gatherOwnStates requests and decodes every worker's own-range state,
+// for a state gather or a checkpoint, the phase every failure names as
+// a barrierErr.
+func (c *clusterCore) gatherOwnStates(phase string) ([]*ownState, error) {
 	for s := 0; s < c.p; s++ {
-		if err := c.conns[s].WriteFrame(req, payload); err != nil {
+		if err := c.conns[s].WriteFrame(transport.KindStateReq, nil); err != nil {
 			return nil, c.barrierErr(s, phase, 0, err)
 		}
 	}
 	states := make([]*ownState, c.p)
 	for s := 0; s < c.p; s++ {
 		var err error
-		if states[s], err = c.readOwnState(s, ack); err != nil {
+		if states[s], err = c.readOwnState(s); err != nil {
 			return nil, c.barrierErr(s, phase, 0, err)
 		}
 	}
@@ -711,8 +625,8 @@ func (c *clusterCore) gatherOwnStates(req, ack transport.Kind, payload []byte) (
 
 // readOwnState reads worker s's own-range state reply and checks that it
 // covers the worker's range.
-func (c *clusterCore) readOwnState(s int, ack transport.Kind) (*ownState, error) {
-	reply, err := c.conns[s].Expect(ack)
+func (c *clusterCore) readOwnState(s int) (*ownState, error) {
+	reply, err := c.conns[s].Expect(transport.KindState)
 	if err != nil {
 		return nil, err
 	}
@@ -805,15 +719,14 @@ func (c *clusterCore) Close() error {
 func (c *clusterCore) Partition() *Partition { return c.part }
 
 // UniformCluster drives a uniform-model instance across P worker
-// processes. It implements core.Engine[*core.UniformState] and
-// core.DynamicEngine, so core.Drive (and the harness) treats it exactly
-// like any in-process engine.
+// processes. It implements core.Engine[*core.UniformState] and takes
+// events as a core.EventStepper, so core.Drive (and the harness) treats
+// it exactly like any in-process engine.
 type UniformCluster struct {
 	*clusterCore
 }
 
 var _ core.Engine[*core.UniformState] = (*UniformCluster)(nil)
-var _ core.DynamicEngine = (*UniformCluster)(nil)
 var _ core.EventStepper = (*UniformCluster)(nil)
 
 // NewUniformCluster connects to one worker per shard over rws and ships
@@ -859,7 +772,7 @@ func (c *UniformCluster) State() (*core.UniformState, error) {
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
+	states, err := c.gatherOwnStates(phaseState)
 	if err != nil {
 		return nil, err
 	}
@@ -873,7 +786,7 @@ func (c *UniformCluster) Counts() ([]int64, error) {
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
+	states, err := c.gatherOwnStates(phaseState)
 	if err != nil {
 		return nil, err
 	}
@@ -887,7 +800,6 @@ type WeightedCluster struct {
 }
 
 var _ core.Engine[*core.WeightedState] = (*WeightedCluster)(nil)
-var _ core.DynamicEngine = (*WeightedCluster)(nil)
 var _ core.EventStepper = (*WeightedCluster)(nil)
 
 // NewWeightedCluster connects to one worker per shard over rws and
@@ -951,7 +863,7 @@ func (c *WeightedCluster) State() (*core.WeightedState, error) {
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	states, err := c.gatherOwnStates(transport.KindStateReq, transport.KindState, nil)
+	states, err := c.gatherOwnStates(phaseState)
 	if err != nil {
 		return nil, err
 	}

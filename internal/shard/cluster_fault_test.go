@@ -114,11 +114,13 @@ func (f *faultPipe) Read(p []byte) (int, error) {
 }
 
 // TestClusterBarrierErrorsName breaks worker s's pipe at every frame of
-// a round in turn, and at every frame of the exchanges outside a round
-// (events, state, checkpoint, state load) right after that round, at
-// P = 2 for both models: the run must end with an error that names the
-// worker, the phase and, for a round's frames, the round, and Close must
-// then return — no hang on a worker still blocked writing.
+// a round in turn, at the two frames that carry a round's event batch
+// and its reports (the round frame and the boundary loads), and at every
+// frame of the exchanges outside a round (state, checkpoint) right after
+// that round, at P = 2 for both models: the run must end with an error
+// that names the worker, the phase and, for a round's frames, the round,
+// the cluster must refuse the next round, and Close must then return —
+// no hang on a worker still blocked writing.
 func TestClusterBarrierErrorsName(t *testing.T) {
 	const round = 3
 	g, err := graph.Torus(6, 6)
@@ -172,7 +174,18 @@ func TestClusterBarrierErrorsName(t *testing.T) {
 		}
 	}
 	drive := func(cl cluster) error { return cl.drive(CheckpointConfig{}) }
-	events := afterRound(func(cl cluster) error { _, err := cl.cc.ApplyEvents(cl.batch); return err })
+	// events steps the cluster to the fault round, which carries the
+	// batch.
+	events := func(cl cluster) error {
+		base := rng.New(9)
+		for r := uint64(1); r < round; r++ {
+			if _, err := cl.cc.Step(r, base); err != nil {
+				return err
+			}
+		}
+		_, _, err := cl.cc.StepEvents(round, base, cl.batch)
+		return err
+	}
 	state := afterRound(func(cl cluster) error { return cl.state() })
 	checkpoint := func(cl cluster) error {
 		return cl.drive(CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt"), Every: round})
@@ -190,13 +203,16 @@ func TestClusterBarrierErrorsName(t *testing.T) {
 		{transport.KindFlows, "flows", phaseFlows, true, drive},
 		{transport.KindGrant, "grant", phaseGrant, true, drive},
 		{transport.KindStepDone, "step-done", phaseStepDone, true, drive},
-		{transport.KindStats, "stats", phaseStats, true, drive},
-		{transport.KindEvents, "events", phaseEvents, false, events},
-		{transport.KindEventsReport, "events-report", phaseEvents, false, events},
+		// The batch rides the round frame and the event reports ride the
+		// boundary loads.
+		{transport.KindRound, "events", phaseRound, true, events},
+		{transport.KindBoundaryLoads, "events-report", phaseBoundary, true, events},
 		{transport.KindStateReq, "state-request", phaseState, false, state},
 		{transport.KindState, "state", phaseState, false, state},
-		{transport.KindCheckpoint, "checkpoint", phaseCheckpoint, false, checkpoint},
-		{transport.KindCheckpointAck, "checkpoint-ack", phaseCheckpoint, false, checkpoint},
+		// A checkpoint is a state gather: its request, and the state
+		// reply that acknowledges it.
+		{transport.KindStateReq, "checkpoint", phaseCheckpoint, false, checkpoint},
+		{transport.KindState, "checkpoint-ack", phaseCheckpoint, false, checkpoint},
 	}
 	for _, model := range []string{"uniform", "weighted"} {
 		for _, ph := range phases {
@@ -262,10 +278,10 @@ func within(t *testing.T, what string, f func() error) error {
 }
 
 // TestWeightedEventsNeverGather: a weighted batch that takes the update
-// count past the recompute threshold travels like any other batch, one
-// events frame to each worker and one report back — 2P coordinator
-// frames, no state gather and scatter — and leaves the count past the
-// threshold for the next round's end.
+// count past the recompute threshold rides its round like any other
+// batch. The round moves 6P coordinator frames, as a plain round does —
+// no frame of the batch's own, no state gather and scatter — and its end
+// runs the refold the count called for.
 func TestWeightedEventsNeverGather(t *testing.T) {
 	const p = 2
 	g, err := graph.Ring(8)
@@ -285,19 +301,29 @@ func TestWeightedEventsNeverGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	every := int64(core.WeightRecomputeEvery)
-	cl.sinceRecompute = every - 1
-	batch := &core.EventBatch{WeightArrivals: make([][]float64, 8), WeightDepartures: make([]int64, 8)}
-	batch.WeightArrivals[7], batch.WeightDepartures[0] = []float64{0.75}, 2
-	before := cl.Stats().Transport
-	if _, err := cl.ApplyEvents(batch); err != nil {
+	frames := func() uint64 {
+		st := cl.Stats().Transport
+		return st.FramesSent + st.FramesRecv
+	}
+	base := rng.New(3)
+	before := frames()
+	if _, err := cl.Step(1, base); err != nil {
 		t.Fatal(err)
 	}
-	after := cl.Stats().Transport
-	if frames := after.FramesSent - before.FramesSent + after.FramesRecv - before.FramesRecv; frames != 2*p {
-		t.Fatalf("the batch moved %d coordinator frames, want %d", frames, 2*p)
+	if got := frames() - before; got != 6*p {
+		t.Fatalf("a plain round moved %d coordinator frames, want %d", got, 6*p)
 	}
-	if cl.sinceRecompute != every+2 {
-		t.Fatalf("update count %d after the batch, want %d", cl.sinceRecompute, every+2)
+	cl.sinceRecompute = int64(core.WeightRecomputeEvery) - 1
+	batch := &core.EventBatch{WeightArrivals: make([][]float64, 8), WeightDepartures: make([]int64, 8)}
+	batch.WeightArrivals[7], batch.WeightDepartures[0] = []float64{0.75}, 2
+	before = frames()
+	if _, _, err := cl.StepEvents(2, base, batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := frames() - before; got != 6*p {
+		t.Fatalf("the batch's round moved %d coordinator frames, want %d", got, 6*p)
+	}
+	if cl.sinceRecompute != 0 {
+		t.Fatalf("update count %d after the batch's round, want 0 after its refold", cl.sinceRecompute)
 	}
 }

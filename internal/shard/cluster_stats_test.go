@@ -1,5 +1,5 @@
-// Cluster telemetry tests: the KindStats frames every worker piggybacks
-// on the round barrier must reach the coordinator's aggregate, the
+// Cluster telemetry tests: the telemetry every worker appends to its
+// step-done frame must reach the coordinator's aggregate, the
 // coordinator must time its own stages (and implement PhaseTimer), the
 // span recorder must capture per-round stage spans, and checkpoint
 // writes must be counted — all without perturbing the parity suites,

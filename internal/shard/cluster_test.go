@@ -736,6 +736,69 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 	}, "ascend")
 }
 
+// TestReadCheckpointRefusesWeightedValues patches the restored values of
+// the committed weighted fixture, keeping its CRC and structure sound:
+// a cached weight sum or the total weight that is NaN or infinite, a
+// task count 1,000 off the segments' total, and an update counter that
+// is negative or at 2⁴⁰, past the recompute threshold, are refused by
+// ReadCheckpoint; a λ₂ that is NaN or infinite decodes, since decoding
+// builds nothing, and is refused by the resume.
+func TestReadCheckpointRefusesWeightedValues(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "weighted_torus_p2_v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := checkpointOffsets(t, raw)
+	// λ₂ precedes the seed, horizon and trace cadence; the round is
+	// followed by totalW, the task count and the update counter. The
+	// file ends with shard 1's cached sums.
+	lambda2, totalW, count, since := off.round-4*8, off.round+8, off.round+2*8, off.round+3*8
+	lastSum := len(raw) - 4 - 8
+	write := func(at int, v uint64) string {
+		b := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(b[at:], v)
+		fixCRCTrailer(b)
+		p := filepath.Join(t.TempDir(), "patched.ckpt")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	f64 := math.Float64bits
+	tasks := binary.LittleEndian.Uint64(raw[count:])
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    uint64
+		want string
+	}{
+		{"sum-nan", lastSum, f64(math.NaN()), "cached weight sum NaN"},
+		{"sum-inf", lastSum, f64(math.Inf(1)), "cached weight sum +Inf"},
+		{"total-nan", totalW, f64(math.NaN()), "total weight NaN"},
+		{"total-inf", totalW, f64(math.Inf(-1)), "total weight -Inf"},
+		{"task-count", count, tasks + 1000, fmt.Sprintf("task count %d, but the segments hold %d tasks", tasks+1000, tasks)},
+		{"counter-negative", since, uint64(1<<64 - 1), "update counter -1 outside"},
+		{"counter-past-threshold", since, 1 << 40, "update counter 1099511627776 outside"},
+	} {
+		if _, err := shard.ReadCheckpoint(write(tc.at, tc.v)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadCheckpoint returned %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		ck, err := shard.ReadCheckpoint(write(lambda2, f64(v)))
+		if err != nil {
+			t.Fatalf("λ₂ %v: ReadCheckpoint refused the file: %v", v, err)
+		}
+		cl, err := ck.ResumeLocalWeighted()
+		if err == nil {
+			cl.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "is not finite") {
+			t.Errorf("λ₂ %v: resume returned %v, want a refusal of the λ₂", v, err)
+		}
+	}
+}
+
 // TestResumeRefusesOtherGraph: an LBCK v2 file stores the torus as its
 // descriptor and CSR digest. A digest that differs from the rebuilt
 // graph's still decodes — decoding builds nothing — but resuming it is

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -84,9 +85,7 @@ func (ck *Checkpoint) Result() core.RunResult { return ck.res }
 // use of the cluster (driveCluster runs single-threaded between Steps).
 func (c *clusterCore) checkpoint(path string, opts core.RunOpts, res *core.RunResult) error {
 	start := time.Now()
-	c.buf.Reset()
-	c.buf.PutU64(uint64(res.Rounds))
-	states, err := c.gatherOwnStates(transport.KindCheckpoint, transport.KindCheckpointAck, c.buf.B)
+	states, err := c.gatherOwnStates(phaseCheckpoint)
 	if err != nil {
 		return err
 	}
@@ -362,7 +361,39 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if b.Remaining() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", b.Remaining())
 	}
+	if ck.model == modelWeighted {
+		if err := ck.checkWeighted(); err != nil {
+			return nil, err
+		}
+	}
 	return ck, nil
+}
+
+// checkWeighted rejects restored weighted values that no drive writes:
+// a total weight or cached weight sum that is not finite (their signs go
+// unchecked, since the cached sums drift), a task count other than the
+// segments' total, and an update counter outside
+// [0, core.WeightRecomputeEvery), where every round's end leaves it.
+func (ck *Checkpoint) checkWeighted() error {
+	if math.IsNaN(ck.totalW) || math.IsInf(ck.totalW, 0) {
+		return fmt.Errorf("total weight %v", ck.totalW)
+	}
+	if ck.sinceRecompute < 0 || core.RecomputeDue(ck.sinceRecompute) {
+		return fmt.Errorf("update counter %d outside [0, %d)", ck.sinceRecompute, core.WeightRecomputeEvery)
+	}
+	tasks := int64(0)
+	for s, st := range ck.states {
+		for _, w := range st.NodeWeight {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return fmt.Errorf("shard %d state: cached weight sum %v", s, w)
+			}
+		}
+		tasks += int64(len(st.Segs))
+	}
+	if tasks != ck.count {
+		return fmt.Errorf("task count %d, but the segments hold %d tasks", ck.count, tasks)
+	}
+	return nil
 }
 
 // checkProgress rejects run progress that no drive writes: a resume

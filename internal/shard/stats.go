@@ -7,14 +7,14 @@ import (
 	"repro/internal/transport"
 )
 
-// Cluster-wide telemetry. Every worker piggybacks one compact
-// KindStats frame on the round barrier (right after KindStepDone) with
-// its cumulative phase timings, barrier waits, flow volumes, and
-// connection counters; the coordinator decodes them into WorkerStats
-// and aggregates a ClusterStats view. The frames are pure
-// observability: the coordinator never feeds a value from them into a
-// protocol decision, so they cannot perturb the bit-exact trajectory —
-// the cluster parity suites run with the exchange permanently on.
+// Cluster-wide telemetry. Every worker appends its cumulative phase
+// timings, barrier waits, flow volumes and connection counters to its
+// step-done frame (the counters as of that frame's write, which they do
+// not count); the coordinator decodes them into WorkerStats and
+// aggregates a ClusterStats view. The values are pure observability:
+// the coordinator never feeds one into a protocol decision, so they
+// cannot perturb the bit-exact trajectory — the cluster parity suites
+// run with the telemetry permanently on.
 
 // WorkerStats is the cumulative telemetry one worker has reported:
 // wall-clock nanoseconds per engine phase, time blocked waiting for

@@ -579,7 +579,8 @@ func decodeEventSlice(b *transport.Buffer, model uint8, lo, hi int) (*core.Event
 }
 
 // ownState is a worker's own-range state: the payload of KindState
-// frames and the body of shard checkpoint files. Uniform: Counts.
+// frames, for state gathers and checkpoints alike, and the body of
+// shard checkpoint files. Uniform: Counts.
 // Weighted: per-node segment lengths, the concatenated segment
 // contents, and the cached (drifting) per-node weight sums.
 type ownState struct {
@@ -704,35 +705,48 @@ func decodeWGrant(b *transport.Buffer, lo, hi int, bases []int64, in [][]transpo
 	return bases, flag == 1, nil
 }
 
+// decodeHalo reads a worker's halo-loads frame, which must carry
+// exactly h loads, into dst's storage, reusing its capacity.
+func decodeHalo(b *transport.Buffer, dst []float64, h int) ([]float64, error) {
+	hv, err := b.F64s(dst[:0])
+	if err != nil {
+		return dst, err
+	}
+	if len(hv) != h {
+		return hv, fmt.Errorf("shard: worker: %d halo loads for %d halo nodes", len(hv), h)
+	}
+	return hv, nil
+}
+
 // decodeStepDone reads a worker's step-done frame: its refold flag,
-// which must equal the grant's refold, and on a refold round the m
-// refolded sums of its own rows, which it adds to *sum in row order.
-func decodeStepDone(b *transport.Buffer, refold bool, m int, sum *float64) error {
+// which must equal the grant's refold, on a refold round the m
+// refolded sums of its own rows, which it adds to *sum in row order,
+// and then the worker's cumulative telemetry, which it returns.
+func decodeStepDone(b *transport.Buffer, refold bool, m int, sum *float64) (WorkerStats, error) {
 	flag, err := b.U8()
 	if err != nil {
-		return err
+		return WorkerStats{}, err
 	}
 	if flag > 1 || (flag == 1) != refold {
-		return fmt.Errorf("refold flag %d, grant's refold %v", flag, refold)
+		return WorkerStats{}, fmt.Errorf("refold flag %d, grant's refold %v", flag, refold)
 	}
-	if !refold {
-		return nil
-	}
-	cnt, err := b.U32()
-	if err != nil {
-		return err
-	}
-	if int64(cnt) != int64(m) {
-		return fmt.Errorf("sent %d sums for range of %d", cnt, m)
-	}
-	for range m {
-		w, err := b.F64()
+	if refold {
+		cnt, err := b.U32()
 		if err != nil {
-			return err
+			return WorkerStats{}, err
 		}
-		*sum += w
+		if int64(cnt) != int64(m) {
+			return WorkerStats{}, fmt.Errorf("sent %d sums for range of %d", cnt, m)
+		}
+		for range m {
+			w, err := b.F64()
+			if err != nil {
+				return WorkerStats{}, err
+			}
+			*sum += w
+		}
 	}
-	return nil
+	return decodeWorkerStats(b)
 }
 
 // grantShards reads a grant's list count, which must be p.

@@ -145,17 +145,22 @@ func FuzzWorkerDecoders(f *testing.F) {
 	})
 }
 
-// FuzzRoundFlows feeds mutated per-round frames that carry flows to
-// their decoders: a worker's flows frame at the coordinator of P = 3
-// shards (decodeFlows, either model), a grant at a worker whose own
-// range is [4, 12) (decodeGrant, decodeWGrant), and that worker's
-// step-done frame at the coordinator (decodeStepDone, on a refold round
-// when the first byte is above 127). The first input byte picks the
-// decoder. Whatever the rest, each must return or fail: no panic, no
-// allocation out of proportion to the input, and an accepted grant
-// names only own-range nodes, rebased to the local ids 0…7.
+// FuzzRoundFlows feeds mutated per-round frames to their decoders: a
+// worker's flows frame at the coordinator of P = 3 shards (decodeFlows,
+// either model), a grant at a worker whose own range is [4, 12)
+// (decodeGrant, decodeWGrant), that worker's step-done frame with its
+// telemetry at the coordinator (decodeStepDone, on a refold round when
+// the first byte is above 127), shard 1's boundary loads at the
+// coordinator (decodeBoundary, either model, with an event report when
+// the first byte is above 127) and a worker's halo loads
+// (decodeHalo). The first input byte picks the decoder. Whatever the
+// rest, each must return or fail: no panic, no allocation out of
+// proportion to the input, an accepted grant names only own-range
+// nodes, rebased to the local ids 0…7, an accepted boundary frame
+// writes the shard's own staging range and nothing else, and accepted
+// halo loads are exactly the halo's.
 func FuzzRoundFlows(f *testing.F) {
-	const p, lo, hi = 3, 4, 12
+	const p, lo, hi, halo = 3, 4, 12, 5
 	flows := [][]transport.Flow{{{Node: 5, Amount: 2}}, nil, {{Node: 11, Amount: 1}, {Node: 4, Amount: 7}}}
 	wflows := [][]transport.WFlow{{{Dst: 6, G: 0, W: 0.5}}, {{Dst: 11, G: 3, W: 1}}, nil}
 	for pick, model := range []uint8{modelUniform, modelWeighted} {
@@ -185,46 +190,98 @@ func FuzzRoundFlows(f *testing.F) {
 		b.PutWFlows(l)
 	}
 	f.Add(append([]byte{3}, b.B...))
-	f.Add([]byte{4, 0})
+	stats := WorkerStats{SnapshotNs: 1, DecideNs: 7, FlowsOut: 3, Conn: transport.ConnStats{FramesSent: 12, BytesRecv: 480}}
+	b.Reset()
+	b.PutU8(0)
+	encodeWorkerStats(&b, stats)
+	f.Add(append([]byte{4}, b.B...))
 	b.Reset()
 	b.PutU8(1)
 	b.PutF64s([]float64{0.5, 1, 0, 2.25, 0, 0, 3, 0.125})
+	encodeWorkerStats(&b, stats)
+	f.Add(append([]byte{132}, b.B...))
+	// Boundary loads: weighted (pick 5) and uniform (pick 6), then each
+	// with its event report.
+	loads := []float64{1.5, 0, 2}
+	b.Reset()
+	b.PutF64s(loads)
+	f.Add(append([]byte{5}, b.B...))
+	f.Add(append([]byte{6}, b.B...))
+	b.PutU32(2)
+	b.PutU32(5)
+	b.PutF64s([]float64{0.5})
+	b.PutU32(9)
+	b.PutF64s([]float64{0.25, 1})
+	f.Add(append([]byte{133}, b.B...))
+	b.Reset()
+	b.PutF64s(loads)
+	b.PutI64(4)
+	b.PutI64(1)
 	f.Add(append([]byte{134}, b.B...))
+	b.Reset()
+	b.PutF64s([]float64{1, 2, 0, 0.5, 3})
+	f.Add(append([]byte{7}, b.B...))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if len(frame) == 0 {
 			return
 		}
 		var b transport.Buffer
 		b.Load(frame[1:])
+		pick, high := frame[0]%8, frame[0] > 127
 		fl, wl := make([][]transport.Flow, p), make([][]transport.WFlow, p)
+		// Shard 1 of the coordinator holds staging entries [2, 5); the
+		// rest must keep the sentinel.
+		c := &clusterCore{model: frame[0] % 2, p: p, bbase: []int{0, 2, 5, 6}, bstage: make([]float64, 6), evW: make([][][]float64, p)}
+		for k := range c.bstage {
+			c.bstage[k] = -1
+		}
+		var hv []float64
 		var err error
 		alloc := allocated(func() {
-			switch frame[0] % 5 {
+			switch pick {
 			case 0, 1:
-				_, err = decodeFlows(&b, []uint8{modelUniform, modelWeighted}[frame[0]%2], fl, wl)
+				_, err = decodeFlows(&b, []uint8{modelUniform, modelWeighted}[pick], fl, wl)
 			case 2:
 				err = decodeGrant(&b, lo, hi, fl)
 			case 3:
 				_, _, err = decodeWGrant(&b, lo, hi, nil, wl)
-			default:
+			case 4:
 				var sum float64
-				err = decodeStepDone(&b, frame[0] > 127, hi-lo, &sum)
+				_, err = decodeStepDone(&b, high, hi-lo, &sum)
+			case 5, 6:
+				var led core.EventLedger
+				err = c.decodeBoundary(1, &b, high, &led)
+			default:
+				hv, err = decodeHalo(&b, nil, halo)
 			}
 		})
-		checkDecodeAlloc(t, "round flows", len(frame), alloc)
-		if err != nil || frame[0]%5 < 2 || frame[0]%5 == 4 {
+		checkDecodeAlloc(t, "round frame", len(frame), alloc)
+		if err != nil {
 			return
 		}
-		for src := range fl {
-			for _, f := range fl[src] {
-				if f.Node < 0 || f.Node >= hi-lo {
-					t.Fatalf("accepted grant names local node %d of an own range of %d", f.Node, hi-lo)
+		switch pick {
+		case 2, 3:
+			for src := range fl {
+				for _, f := range fl[src] {
+					if f.Node < 0 || f.Node >= hi-lo {
+						t.Fatalf("accepted grant names local node %d of an own range of %d", f.Node, hi-lo)
+					}
+				}
+				for _, f := range wl[src] {
+					if f.Dst < 0 || f.Dst >= hi-lo {
+						t.Fatalf("accepted weighted grant names local node %d of an own range of %d", f.Dst, hi-lo)
+					}
 				}
 			}
-			for _, f := range wl[src] {
-				if f.Dst < 0 || f.Dst >= hi-lo {
-					t.Fatalf("accepted weighted grant names local node %d of an own range of %d", f.Dst, hi-lo)
+		case 5, 6:
+			for k, v := range c.bstage {
+				if (k < 2 || k >= 5) && v != -1 {
+					t.Fatalf("accepted boundary frame of shard 1 wrote staging entry %d, outside its range [2, 5)", k)
 				}
+			}
+		case 7:
+			if len(hv) != halo {
+				t.Fatalf("accepted %d halo loads for %d halo nodes", len(hv), halo)
 			}
 		}
 	})

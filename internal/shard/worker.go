@@ -115,15 +115,14 @@ type worker struct {
 	hvals    []float64
 
 	// evbuf stages the event report encoded against the pre-event state,
-	// shipped either standalone (KindEventsReport) or piggybacked on the
-	// round's boundary-loads frame.
+	// which rides the round's boundary-loads frame.
 	evbuf transport.Buffer
 
 	scratch []float64 // drain-report staging
 
-	// Cumulative telemetry, reported to the coordinator as a KindStats
-	// frame piggybacked on every round barrier. Written only between
-	// protocol steps; never read by any decide/commit path.
+	// Cumulative telemetry, reported to the coordinator in every
+	// step-done frame. Written only between protocol steps; never read
+	// by any decide/commit path.
 	stats WorkerStats
 }
 
@@ -272,16 +271,9 @@ func (w *worker) loop(wo WorkerOptions) error {
 			if r, err = w.round(payload); err == nil && wo.AfterRound != nil {
 				wo.AfterRound(r)
 			}
-		case transport.KindEvents:
-			err = w.events(payload)
 		case transport.KindStateReq:
 			w.encodeOwnState()
 			err = w.conn.WriteFrame(transport.KindState, w.buf.B)
-		case transport.KindCheckpoint:
-			// The payload (the round number) is informational; the reply
-			// carries this shard's state for the coordinator to persist.
-			w.encodeOwnState()
-			err = w.conn.WriteFrame(transport.KindCheckpointAck, w.buf.B)
 		case transport.KindDone:
 			return nil
 		default:
@@ -298,10 +290,10 @@ func (w *worker) loop(wo WorkerOptions) error {
 // loads for halo loads, decide, ship the outbound cross-shard flows,
 // load the grant (move bases, refold flag, inbound flows), commit,
 // refold the own rows' cached weight sums if the grant says so, and
-// report step completion (with the refolded sums). The frame sequence
-// is strict alternation with the coordinator — read exactly when it
-// writes and vice versa — which keeps the lockstep deadlock-free even
-// over unbuffered pipes.
+// report step completion (with the refolded sums and the worker's
+// telemetry). The frame sequence is strict alternation with the
+// coordinator — read exactly when it writes and vice versa — which
+// keeps the lockstep deadlock-free even over unbuffered pipes.
 func (w *worker) round(payload []byte) (uint64, error) {
 	var b transport.Buffer
 	b.Load(payload)
@@ -355,15 +347,10 @@ func (w *worker) round(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	b.Load(payload)
-	hv, err := b.F64s(w.hvals[:0])
-	if err != nil {
+	if w.hvals, err = decodeHalo(&b, w.hvals, len(w.halo)); err != nil {
 		return 0, err
 	}
-	w.hvals = hv
-	if len(hv) != len(w.halo) {
-		return 0, fmt.Errorf("shard: worker: %d halo loads for %d halo nodes", len(hv), len(w.halo))
-	}
-	w.view.FillHalo(hv)
+	w.view.FillHalo(w.hvals)
 
 	// Phase 2: decide own shard, publish locally, ship the cross-shard
 	// lists (the own-destination list stays local and never hits the
@@ -438,37 +425,14 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	} else {
 		w.buf.PutU8(0)
 	}
+	// The telemetry's connection counters are sampled before this
+	// frame's write, so they do not count it.
+	w.stats.Conn = w.conn.Stats()
+	encodeWorkerStats(&w.buf, w.stats)
 	if err := w.conn.WriteFrame(transport.KindStepDone, w.buf.B); err != nil {
 		return 0, err
 	}
-	// Piggyback the cumulative telemetry on the round barrier. The
-	// coordinator consumes it right after the step-done gather, so the
-	// lockstep stays deadlock-free; connection counters are sampled as
-	// of the step-done write.
-	ws := w.stats
-	ws.Conn = w.conn.Stats()
-	w.buf.Reset()
-	encodeWorkerStats(&w.buf, ws)
-	if err := w.conn.WriteFrame(transport.KindStats, w.buf.B); err != nil {
-		return 0, err
-	}
 	return r, nil
-}
-
-// events applies a standalone pre-round workload batch (KindEvents) to
-// the worker's own range and replies with the event report.
-func (w *worker) events(payload []byte) error {
-	var b transport.Buffer
-	b.Load(payload)
-	batch, err := decodeEventSlice(&b, w.model, w.lo, w.hi)
-	if err != nil {
-		return err
-	}
-	w.evbuf.Reset()
-	if err := w.applyLocalEvents(batch); err != nil {
-		return err
-	}
-	return w.conn.WriteFrame(transport.KindEventsReport, w.evbuf.B)
 }
 
 // applyLocalEvents applies an own-range workload batch (indexed by

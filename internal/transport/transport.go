@@ -26,9 +26,13 @@ import (
 )
 
 // Kind identifies a frame's payload type. The values are part of the
-// wire protocol; never renumber, only append. 11 and 21 are retired
-// (an events acknowledgement and a whole-state load) and must not be
-// reused.
+// wire protocol; never renumber, only append. 3, 4, 9, 10, 11, 14, 15,
+// 18 and 21 are retired (the full load gather and broadcast, a
+// standalone event batch and its report, an events acknowledgement, a
+// checkpoint request and its acknowledgement, a separate telemetry
+// frame and a whole-state load) and must not be reused. Payload layouts
+// are private to one build: a coordinator and its workers must come
+// from the same source.
 type Kind uint8
 
 const (
@@ -36,17 +40,14 @@ const (
 	// explicit CSR, plus the speeds) and the worker's own-range state from
 	// coordinator to worker at session start or resume.
 	KindConfig Kind = 1
-	// KindRound announces a round to the workers: round number and the
-	// round's rng stream words.
+	// KindRound announces a round to the workers: round number, the
+	// round's rng stream words and, behind a one-byte flag, the worker's
+	// slice of the round's event batch.
 	KindRound Kind = 2
-	// KindLoads carries one shard's own-range load vector to the
-	// coordinator.
-	KindLoads Kind = 3
-	// KindLoadsAll broadcasts the full load vector back to the workers.
-	KindLoadsAll Kind = 4
 	// KindFlows carries one shard's outbound flow lists after decide.
 	KindFlows Kind = 5
-	// KindVote is a worker's barrier vote (decide complete, move count).
+	// KindVote is a worker's acknowledgement of its config frame: the
+	// worker has built its window and engine and is ready for rounds.
 	KindVote Kind = 6
 	// KindGrant is the coordinator's commit grant: global move bases
 	// and a one-byte refold flag (weighted only; set when the round ends
@@ -55,39 +56,27 @@ const (
 	KindGrant Kind = 7
 	// KindStepDone reports a committed round: the refold flag echoed,
 	// followed on a refold round by the shard's refolded own-row weight
-	// sums.
+	// sums, then the worker's cumulative telemetry (phase and
+	// barrier-wait nanoseconds, flow volumes and its connection counters
+	// as of this frame's write, which they do not count).
 	KindStepDone Kind = 8
-	// KindEvents carries a pre-round event batch slice to a worker.
-	KindEvents Kind = 9
-	// KindEventsReport is a worker's pre-application drain report.
-	KindEventsReport Kind = 10
-	// KindStateReq asks a worker for its own-range state.
+	// KindStateReq asks a worker for its own-range state, for a state
+	// gather or a checkpoint.
 	KindStateReq Kind = 12
 	// KindState carries a worker's own-range state snapshot.
 	KindState Kind = 13
-	// KindCheckpoint asks a worker to write a checkpoint for a round.
-	KindCheckpoint Kind = 14
-	// KindCheckpointAck confirms a durable checkpoint.
-	KindCheckpointAck Kind = 15
 	// KindDone ends the session.
 	KindDone Kind = 16
 	// KindError carries a fatal error string from either side.
 	KindError Kind = 17
-	// KindStats is a worker's compact telemetry frame, piggybacked on
-	// the round barrier right after KindStepDone: cumulative phase and
-	// barrier-wait nanoseconds, flow volumes, and connection counters.
-	// Pure observability — the coordinator never feeds it back into
-	// protocol decisions, so the frame cannot perturb the trajectory.
-	KindStats Kind = 18
 	// KindBoundaryLoads carries one shard's boundary-node loads to the
 	// coordinator (ascending node order, matching Partition.Boundary),
-	// optionally followed by the shard's event report when the round
-	// frame piggybacked an event batch. Replaces the full own-range
-	// KindLoads gather: payload size is O(boundary), not O(n/P).
+	// followed by the shard's event report when the round frame carried
+	// an event batch. Its payload size is O(boundary), not O(n/P).
 	KindBoundaryLoads Kind = 19
 	// KindHaloLoads carries a shard's halo loads from the coordinator
-	// (slot order, matching Partition.Halo). Replaces the full-vector
-	// KindLoadsAll broadcast: payload size is O(halo), not O(n).
+	// (slot order, matching Partition.Halo). Its payload size is
+	// O(halo), not O(n).
 	KindHaloLoads Kind = 20
 )
 
