@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race bench-check bench-json bench-scale bench-serve bench-gate perfbench-check table1 cover fuzz-short lbshard-smoke ci
+.PHONY: fmt build vet test race bench-check bench-json bench-scale bench-serve bench-gate perfbench-check perf-pairs table1 cover fuzz-short lbshard-smoke ci
 
 # Format check: fails, listing them, when gofmt would rewrite any
 # tracked Go file (the nested perfbench module's included).
@@ -109,6 +109,19 @@ bench-gate:
 # `go test ./...` does not reach its manifest, stats and pacer tests.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Alternating base/change pairs on one workload of the repository
+# benchmark: `git archive $(BASE)` against the working tree, seeds
+# SEED…SEED+PAIRS−1, 10 s runs, the first side flipped every pair. Keeps
+# every labelled result line in perf-pairs-$(WORKLOAD).txt and prints
+# each end-to-end metric's medians, the base's quartiles and the
+# change's wins (scripts/perf-pairs.sh), e.g.
+#   make perf-pairs BASE=HEAD~1 WORKLOAD=cluster PAIRS=10 SEED=52001
+PAIRS ?= 10
+SEED ?= 1
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make perf-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]"; exit 2; }
+	bash scripts/perf-pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # True-distribution smoke: one coordinator spawning two lbshard worker
 # processes over a unix socket, checkpointing every 20 rounds; -verify

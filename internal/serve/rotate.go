@@ -108,7 +108,10 @@ func (s *JournalSink) open(seg, startRound int) error {
 
 // Append records one admitted batch. partial is the live RunResult
 // after the batch's round completed; it becomes the rotation anchor if
-// this entry tips the segment over the byte bound.
+// this entry tips the segment over the byte bound. Append flushes
+// before it returns — after the rotation, if one opened the next
+// segment — so once the serve loop resolves the batch's tickets, the
+// segment files hold its line (handed to the OS, not fsynced).
 func (s *JournalSink) Append(e Entry, partial core.RunResult) error {
 	if s.closed {
 		return fmt.Errorf("serve: append to a closed journal sink")
@@ -117,16 +120,18 @@ func (s *JournalSink) Append(e Entry, partial core.RunResult) error {
 		return err
 	}
 	s.entries++
-	if s.maxBytes == 0 || s.cw.n < s.maxBytes {
-		return nil
+	if s.maxBytes != 0 && s.cw.n >= s.maxBytes {
+		if err := s.enc.Encode(jsonlLine{Type: "rotate", Result: &partial, Next: s.seg + 1}); err != nil {
+			return err
+		}
+		if err := s.closeFile(); err != nil {
+			return err
+		}
+		if err := s.open(s.seg+1, partial.Rounds); err != nil {
+			return err
+		}
 	}
-	if err := s.enc.Encode(jsonlLine{Type: "rotate", Result: &partial, Next: s.seg + 1}); err != nil {
-		return err
-	}
-	if err := s.closeFile(); err != nil {
-		return err
-	}
-	return s.open(s.seg+1, partial.Rounds)
+	return s.bw.Flush()
 }
 
 func (s *JournalSink) closeFile() error {

@@ -2,6 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,5 +148,80 @@ func TestJournalSinkSingleSegment(t *testing.T) {
 	}
 	if _, err := Replay[*core.UniformState](j, uniformEngine(t, sys, make([]int64, n))); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolvedBatchIsInJournalFile pins that an acknowledged submission
+// is in the journal file: a server resolves single submissions one at a
+// time, and after each resolve a copy of the segment files holds, as
+// complete JSON lines, a header opening every segment and, as the last
+// batch line of the chain, the batch of the round the ticket resolved
+// with. It runs with an unrotated sink and with one that rotates every
+// few entries, where a rotation's next segment opens inside Append.
+func TestResolvedBatchIsInJournalFile(t *testing.T) {
+	const n = 16
+	sys := testSystem(t, n)
+	for _, maxBytes := range []int64{0, 300} {
+		t.Run(fmt.Sprintf("max-bytes=%d", maxBytes), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			cfg := Config{N: n, Seed: 5}
+			sink, err := NewJournalSink(path, maxBytes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Sink = sink
+			srv, err := New[*core.UniformState](uniformEngine(t, sys, make([]int64, n)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 12; i++ {
+				tk, err := srv.Submit(Op{Kind: OpArrive, Node: i % n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				round, err := tk.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var last *Entry
+				for k := 0; ; k++ {
+					data, err := os.ReadFile(segmentName(path, k))
+					if k > 0 && errors.Is(err, fs.ErrNotExist) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(data) == 0 || data[len(data)-1] != '\n' {
+						t.Fatalf("after resolve %d, segment %d holds %d bytes that do not end a line", i, k, len(data))
+					}
+					for j, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+						var l jsonlLine
+						if err := json.Unmarshal(line, &l); err != nil {
+							t.Fatalf("after resolve %d, segment %d line %d: %v", i, k, j, err)
+						}
+						if (j == 0) != (l.Type == "header") {
+							t.Fatalf("after resolve %d, segment %d line %d is a %q line", i, k, j, l.Type)
+						}
+						if l.Type == "batch" {
+							last = l.Batch
+						}
+					}
+				}
+				if last == nil || uint64(last.Round) != round {
+					t.Fatalf("ticket %d resolved with round %d, but the journal's last batch is %+v", i, round, last)
+				}
+			}
+			live, err := srv.Stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(&live); err != nil {
+				t.Fatal(err)
+			}
+			if maxBytes != 0 && sink.Segments() < 3 {
+				t.Fatalf("the byte bound rotated into %d segments, want at least 3", sink.Segments())
+			}
+		})
 	}
 }

@@ -510,7 +510,7 @@ func (c *clusterCore) gatherBoundary(s int, batch bool, led *core.EventLedger) e
 // boundary loads into its bstage range, then, when a batch rode the
 // round frame, its event report — the uniform ledger counts, added to
 // led, or the weighted drained weights per node, staged for
-// foldWeightedReports.
+// foldWeightedReports — which ends the frame.
 func (c *clusterCore) decodeBoundary(s int, b *transport.Buffer, batch bool, led *core.EventLedger) error {
 	lo, hi := c.bbase[s], c.bbase[s+1]
 	bl, err := b.F64s(c.bstage[lo:lo:hi])
@@ -521,7 +521,7 @@ func (c *clusterCore) decodeBoundary(s int, b *transport.Buffer, batch bool, led
 		return fmt.Errorf("sent %d boundary loads for %d boundary nodes", len(bl), hi-lo)
 	}
 	if !batch {
-		return nil
+		return noTrailing(b)
 	}
 	if c.model == modelUniform {
 		arr, err := b.I64()
@@ -534,7 +534,7 @@ func (c *clusterCore) decodeBoundary(s int, b *transport.Buffer, batch bool, led
 		}
 		led.Arrived += arr
 		led.Departed += dep
-		return nil
+		return noTrailing(b)
 	}
 	cnt, err := b.U32()
 	if err != nil {
@@ -551,7 +551,7 @@ func (c *clusterCore) decodeBoundary(s int, b *transport.Buffer, batch bool, led
 		}
 		c.evW[s] = append(c.evW[s], ws)
 	}
-	return nil
+	return noTrailing(b)
 }
 
 // gatherFlows reads worker s's move count and its flow list to every
@@ -623,8 +623,7 @@ func (c *clusterCore) gatherOwnStates(phase string) ([]*ownState, error) {
 	return states, nil
 }
 
-// readOwnState reads worker s's own-range state reply and checks that it
-// covers the worker's range.
+// readOwnState reads worker s's own-range state reply (decodeStateFrame).
 func (c *clusterCore) readOwnState(s int) (*ownState, error) {
 	reply, err := c.conns[s].Expect(transport.KindState)
 	if err != nil {
@@ -632,19 +631,8 @@ func (c *clusterCore) readOwnState(s int) (*ownState, error) {
 	}
 	var b transport.Buffer
 	b.Load(reply)
-	st, err := decodeOwnState(&b, c.model)
-	if err != nil {
-		return nil, err
-	}
 	lo, hi := c.part.Range(s)
-	if c.model == modelUniform {
-		if len(st.Counts) != hi-lo {
-			return nil, fmt.Errorf("sent %d counts for range of %d", len(st.Counts), hi-lo)
-		}
-	} else if len(st.SegLen) != hi-lo || len(st.NodeWeight) != hi-lo {
-		return nil, fmt.Errorf("sent state sized %d/%d for range of %d", len(st.SegLen), len(st.NodeWeight), hi-lo)
-	}
-	return st, nil
+	return decodeStateFrame(&b, c.model, hi-lo)
 }
 
 // assembleUniform stitches gathered own-range counts into a full vector.

@@ -313,6 +313,44 @@ func TestWeightedClusterRecomputeCrossingEvents(t *testing.T) {
 	}
 }
 
+// TestWeightedCheckpointsReadBetweenRebuilds: with the recompute
+// threshold lowered to 64 updates, a weighted drive rebuilds its cached
+// sums every round or two, so checkpoints land both right after a
+// rebuild and with drift since one. The checkpoint a drive to each
+// round r ∈ [1, 30] writes must read: ReadCheckpoint's bounds on the
+// restored sums and weights refuse no value a drive writes.
+func TestWeightedCheckpointsReadBetweenRebuilds(t *testing.T) {
+	old := core.WeightRecomputeEvery
+	core.WeightRecomputeEvery = 64
+	defer func() { core.WeightRecomputeEvery = old }()
+
+	class, err := experiments.ClassByKey("torus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, perNode := buildWeighted(t, class, 16, 40)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	for r := 1; r <= 30; r++ {
+		cl, err := shard.StartLocalWeightedCluster(sys, core.Algorithm2{}, perNode, shard.Options{Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := driveOpts
+		opts.MaxRounds = r
+		res, err := cl.Drive(opts, shard.CheckpointConfig{Path: path, Every: r}, nil)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 30 && res.Moves < 10*int64(core.WeightRecomputeEvery) {
+			t.Fatalf("%d moves in 30 rounds cross the lowered threshold too rarely", res.Moves)
+		}
+		if _, err := shard.ReadCheckpoint(path); err != nil {
+			t.Fatalf("the checkpoint of round %d: %v", r, err)
+		}
+	}
+}
+
 // TestOverfullUniformStartRefused: a uniform start whose task total
 // overflows int64 — counts {MaxInt64, 1, 0, 0} on a 4-ring — is refused
 // by seq, shard and the in-process cluster, and so is a checkpoint that
@@ -739,9 +777,10 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 // TestReadCheckpointRefusesWeightedValues patches the restored values of
 // the committed weighted fixture, keeping its CRC and structure sound:
 // a cached weight sum or the total weight that is NaN or infinite, a
-// task count 1,000 off the segments' total, and an update counter that
-// is negative or at 2⁴⁰, past the recompute threshold, are refused by
-// ReadCheckpoint; a λ₂ that is NaN or infinite decodes, since decoding
+// cached sum of −1e300, far below any rounding drift, a task weight of
+// 0, 1.5 or NaN, outside (0, 1], a task count 1,000 off the segments'
+// total, and an update counter that is negative or at 2⁴⁰, past the
+// recompute threshold, are refused by ReadCheckpoint; a λ₂ that is NaN or infinite decodes, since decoding
 // builds nothing, and is refused by the resume.
 func TestReadCheckpointRefusesWeightedValues(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "weighted_torus_p2_v2.ckpt"))
@@ -754,6 +793,13 @@ func TestReadCheckpointRefusesWeightedValues(t *testing.T) {
 	// file ends with shard 1's cached sums.
 	lambda2, totalW, count, since := off.round-4*8, off.round+8, off.round+2*8, off.round+3*8
 	lastSum := len(raw) - 4 - 8
+	// The shard states follow the stored last traced round; shard 0's
+	// begins with its segment lengths, then its task weights.
+	states := off.lastTraced + 8
+	firstWeight := states + 4 + 8*int(binary.LittleEndian.Uint32(raw[states:])) + 4
+	if binary.LittleEndian.Uint32(raw[firstWeight-4:]) == 0 {
+		t.Fatal("shard 0 of the fixture holds no task")
+	}
 	write := func(at int, v uint64) string {
 		b := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint64(b[at:], v)
@@ -779,6 +825,10 @@ func TestReadCheckpointRefusesWeightedValues(t *testing.T) {
 		{"task-count", count, tasks + 1000, fmt.Sprintf("task count %d, but the segments hold %d tasks", tasks+1000, tasks)},
 		{"counter-negative", since, uint64(1<<64 - 1), "update counter -1 outside"},
 		{"counter-past-threshold", since, 1 << 40, "update counter 1099511627776 outside"},
+		{"sum-huge-negative", lastSum, f64(-1e300), "cached weight sum -1e+300 of its node"},
+		{"weight-zero", firstWeight, f64(0), "weight 0 at task 0 outside (0,1]"},
+		{"weight-above-one", firstWeight, f64(1.5), "weight 1.5 at task 0 outside (0,1]"},
+		{"weight-nan", firstWeight, f64(math.NaN()), "weight NaN at task 0 outside (0,1]"},
 	} {
 		if _, err := shard.ReadCheckpoint(write(tc.at, tc.v)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: ReadCheckpoint returned %v, want a refusal naming %q", tc.name, err, tc.want)

@@ -19,18 +19,19 @@
 //     decide loop never grows a slice.
 //
 //   - Execution: each round runs in phases with barriers between
-//     them — (1) every shard refreshes its slice of the round-start
-//     load snapshot; (2) every shard evaluates its nodes'
-//     DecideNode calls, accumulating migrations into a dense local
-//     delta for in-shard destinations and into per-destination-shard
-//     flow lists for cross-shard ones; (3) every shard commits the
-//     deltas addressed to it — its own dense buffer plus the flow
-//     lists from every other shard. A node's counts are written only
-//     by its owning shard's committer, so there are no cross-shard
-//     data races by construction, and the hot path performs no
-//     allocations (worker streams are derived with rng.SplitTo into
-//     per-worker scratch, and protocol sampling runs through
-//     rng.EqualSplitInto).
+//     them, on the phase pool both engines embed (phasePool) — (1)
+//     every shard refreshes its slice of the round-start load
+//     snapshot; (2) every shard evaluates its nodes' DecideNode calls
+//     against it, accumulating migrations into a dense local delta for
+//     in-shard destinations and into per-destination-shard flow lists,
+//     outFlows[s][d], for cross-shard ones; (3) every shard commits
+//     the deltas addressed to it — its own dense buffer plus the lists
+//     outFlows[src][s] of every other shard, read in place. A node's
+//     counts are written only by its owning shard's committer, so
+//     there are no cross-shard data races by construction, and the hot
+//     path performs no allocations (worker streams are derived with
+//     rng.SplitTo into per-worker scratch, and protocol sampling runs
+//     through rng.EqualSplitInto).
 //
 // Determinism: node i's round-r randomness is drawn from the stream
 // base.At(r, i) — the same keying contract every other engine pins —
@@ -61,6 +62,8 @@
 // across processes: a coordinator and one worker per shard. A worker
 // holds only its own rows and its halo, in a local id space, on a
 // window partition and a window core.System that carries the
-// instance-wide values the decide kernels read; see DESIGN.md ("What a
-// worker holds").
+// instance-wide values the decide kernels read. Its engine is the shard
+// kernel alone, with no phase pool: the worker runs its shard's phases
+// itself, and its frames read and write the engine's loads and flow
+// lists in place; see DESIGN.md ("What a worker holds").
 package shard

@@ -33,7 +33,7 @@ type Options struct {
 // Engine is the CSR-backed sharded execution engine for uniform tasks.
 // State lives in flat arrays (counts, loads); each round runs in three
 // barrier-separated phases (snapshot loads, decide, commit) across P
-// shards on a persistent worker pool. See the package comment for the
+// shards on the phase pool. See the package comment for the
 // race-freedom and determinism argument.
 //
 // Engine implements core.Engine[*core.UniformState] and
@@ -41,21 +41,19 @@ type Options struct {
 // and dynamic workloads exactly as for every other engine. Public
 // methods serialize on an internal mutex.
 type Engine struct {
+	phasePool
 	sys   *core.System
 	csr   *graph.CSR
 	proto core.UniformNodeProtocol
-	part  *Partition
 	// gbase is the global id of row 0 (see newEngine): 0 in process, the
 	// first own node in a cluster worker.
 	gbase int
 
-	mu     sync.Mutex
 	counts []int64
-	loads  []float64
-	// view is the decide phase's read surface over loads. In process it
-	// aliases loads zero-copy and every entry is fresh; a cluster worker
-	// refreshes only its own span and halo slots (see LoadView).
-	view LoadView
+	// loads is the round-start load snapshot the decide phase reads. In
+	// process every entry is a row; a cluster worker's rows are followed
+	// by its halo slots, which the halo-loads frame refreshes.
+	loads []float64
 
 	// Per-shard buffers (indexed by shard, not worker, so results do
 	// not depend on which worker evaluates a shard).
@@ -63,24 +61,8 @@ type Engine struct {
 	outFlows [][][]transport.Flow // outFlows[s][d]: migrations from shard s into shard d
 	moves    []int64
 
-	// tr exchanges the outbound flow lists across the decide/commit
-	// barrier: memTransport (zero-copy slice handoff) in process, a
-	// socket-backed transport in a cluster worker.
-	tr Transport
-
 	// Per-worker scratch for the decide loop.
 	scratch []*decideScratch
-
-	workers int
-	kick    []chan phase
-	wg      sync.WaitGroup
-	closed  bool
-	times   PhaseTimes
-	busy    []ShardTimes // per-shard busy time, written by the shard's worker
-
-	// flowsCross counts the cross-shard flow records produced by decide
-	// phases so far (telemetry; read via CrossFlows).
-	flowsCross int64
 }
 
 // decideScratch is one worker's reusable decide-loop storage: outflows
@@ -106,6 +88,128 @@ const (
 	phaseRefold // weighted only: rebuild the cached weight sums
 )
 
+// phasePool is the persistent worker pool both in-process engines
+// embed: the kick channels and the barrier that run one phase on every
+// shard, each shard's busy time and the phases' wall times, and the
+// cross-shard flow tally. Shards are striped over the workers (s ≡ w
+// mod workers) and every result lands in a per-shard buffer, so the
+// striping never influences the trajectory. Only New and NewWeighted
+// start it: a cluster worker's engine runs its one shard's phases
+// itself and starts no goroutine.
+type phasePool struct {
+	part    *Partition
+	mu      sync.Mutex
+	workers int
+	kick    []chan phase
+	wg      sync.WaitGroup
+	closed  bool
+	times   PhaseTimes
+	busy    []ShardTimes // per-shard busy time, written by the shard's worker
+
+	// flowsCross counts the cross-shard flow records produced by decide
+	// phases so far (telemetry; read via CrossFlows).
+	flowsCross int64
+}
+
+// start launches the pool's workers. Worker w runs run(s, w, ph) for
+// every shard s striped onto it and adds the time it took to the
+// shard's decide or commit busy time (a refold counts as commit).
+func (p *phasePool) start(run func(s, w int, ph phase)) {
+	p.kick = make([]chan phase, p.workers)
+	for w := range p.kick {
+		p.kick[w] = make(chan phase)
+		go func() {
+			for ph := range p.kick[w] {
+				for s := w; s < p.part.P(); s += p.workers {
+					t := time.Now()
+					run(s, w, ph)
+					switch ph.kind {
+					case phaseDecide:
+						p.busy[s].Decide += time.Since(t)
+					case phaseCommit, phaseRefold:
+						p.busy[s].Commit += time.Since(t)
+					}
+				}
+				p.wg.Done()
+			}
+		}()
+	}
+}
+
+// dispatch runs one phase on every worker and blocks at the barrier.
+// Callers hold p.mu.
+func (p *phasePool) dispatch(ph phase) {
+	p.wg.Add(p.workers)
+	for _, ch := range p.kick {
+		ch <- ph
+	}
+	p.wg.Wait()
+}
+
+// endRound adds one round's phase wall times: snapshot from t0 to t1,
+// decide to t2 and commit to t3. Callers hold p.mu.
+func (p *phasePool) endRound(t0, t1, t2, t3 time.Time) {
+	p.times.Snapshot += t1.Sub(t0)
+	p.times.Decide += t2.Sub(t1)
+	p.times.Commit += t3.Sub(t2)
+	p.times.Rounds++
+}
+
+// crossFlows counts the flow records of outFlows[s][d] with d ≠ s: one
+// round's cross-shard traffic, read after the decide barrier. Telemetry
+// only; it has no effect on the trajectory.
+func crossFlows[F any](outFlows [][][]F) int64 {
+	n := int64(0)
+	for s := range outFlows {
+		for d, l := range outFlows[s] {
+			if d != s {
+				n += int64(len(l))
+			}
+		}
+	}
+	return n
+}
+
+// Phases implements PhaseTimer: cumulative per-phase wall-clock time
+// across every Step so far, with each shard's busy time.
+func (p *phasePool) Phases() PhaseTimes {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := p.times
+	t.Shards = append([]ShardTimes(nil), p.busy...)
+	return t
+}
+
+// CrossFlows returns the cumulative number of cross-shard flow records
+// the decide phases have produced — the engine's inter-shard traffic
+// volume, the in-process analogue of the cluster's wire flows.
+func (p *phasePool) CrossFlows() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.flowsCross
+}
+
+// Partition exposes the engine's partition (for stats and tests).
+func (p *phasePool) Partition() *Partition { return p.part }
+
+// Workers returns the worker-pool size.
+func (p *phasePool) Workers() int { return p.workers }
+
+// Close stops the worker pool. Idempotent; Step after Close returns
+// ErrClosed.
+func (p *phasePool) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
+	p.closed = true
+	for _, ch := range p.kick {
+		close(ch)
+	}
+	return nil
+}
+
 // New validates the instance, partitions the CSR view of the network,
 // and starts the worker pool. counts is copied.
 func New(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts Options) (*Engine, error) {
@@ -113,12 +217,17 @@ func New(sys *core.System, proto core.UniformNodeProtocol, counts []int64, opts 
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(sys, proto, counts, part, workers, 0)
+	e, err := newEngine(sys, proto, counts, part, workers, 0)
+	if err != nil {
+		return nil, err
+	}
+	e.start(e.runShard)
+	return e, nil
 }
 
-// newEngine builds an engine over part with the given worker count. The
-// engine holds counts for sys's N() rows and loads for every id of
-// part's id space. gbase is the global id of row 0: node i's stream is
+// newEngine builds the shard kernel over part, with decide scratch for
+// the given worker count, and starts no goroutine. The engine holds
+// counts for sys's N() rows and loads for every id of part's id space. gbase is the global id of row 0: node i's stream is
 // keyed by gbase+i, so a cluster worker deciding its own rows in local
 // ids draws the streams of their global ids. In process gbase is 0 and
 // the id space is the whole instance.
@@ -134,23 +243,18 @@ func newEngine(sys *core.System, proto core.UniformNodeProtocol, counts []int64,
 	csr := sys.Graph().CSR()
 	p := part.P()
 	e := &Engine{
-		sys:      sys,
-		csr:      csr,
-		proto:    proto,
-		part:     part,
-		gbase:    gbase,
-		counts:   st.Counts(),
-		loads:    make([]float64, len(part.shardOf)),
-		local:    make([][]int64, p),
-		outFlows: make([][][]transport.Flow, p),
-		moves:    make([]int64, p),
-		busy:     make([]ShardTimes, p),
-		tr:       newMemTransport(p),
-		scratch:  make([]*decideScratch, workers),
-		workers:  workers,
-		kick:     make([]chan phase, workers),
+		phasePool: phasePool{part: part, workers: workers, busy: make([]ShardTimes, p)},
+		sys:       sys,
+		csr:       csr,
+		proto:     proto,
+		gbase:     gbase,
+		counts:    st.Counts(),
+		loads:     make([]float64, len(part.shardOf)),
+		local:     make([][]int64, p),
+		outFlows:  make([][][]transport.Flow, p),
+		moves:     make([]int64, p),
+		scratch:   make([]*decideScratch, workers),
 	}
-	e.view = newLoadView(e.loads, sys.N())
 	maxDeg := csr.MaxDegree()
 	for s := 0; s < p; s++ {
 		lo, hi := part.Range(s)
@@ -165,15 +269,8 @@ func newEngine(sys *core.System, proto core.UniformNodeProtocol, counts []int64,
 			}
 		}
 	}
-	for w := 0; w < workers; w++ {
+	for w := range e.scratch {
 		e.scratch[w] = &decideScratch{outflows: make([]core.Outflow, 0, maxDeg)}
-		e.kick[w] = make(chan phase)
-		go func(w int) {
-			for ph := range e.kick[w] {
-				e.runPhase(w, ph)
-				e.wg.Done()
-			}
-		}(w)
 	}
 	return e, nil
 }
@@ -200,35 +297,15 @@ func enginePartition(sys *core.System, opts Options) (*Partition, int, error) {
 	return part, min(workers, part.P()), nil
 }
 
-// dispatch runs one phase on every worker and blocks at the barrier.
-// Callers hold e.mu.
-func (e *Engine) dispatch(ph phase) {
-	e.wg.Add(e.workers)
-	for _, ch := range e.kick {
-		ch <- ph
-	}
-	e.wg.Wait()
-}
-
-// runPhase executes a phase for every shard assigned to worker w
-// (shards are striped over workers: s ≡ w mod workers). Shard results
-// land in per-shard buffers, so the striping never influences the
-// trajectory.
-func (e *Engine) runPhase(w int, ph phase) {
-	for s := w; s < e.part.P(); s += e.workers {
-		switch ph.kind {
-		case phaseLoads:
-			e.snapshotLoads(s)
-		case phaseDecide:
-			t := time.Now()
-			e.decideShard(s, ph.round, e.scratch[w])
-			e.tr.PublishFlows(s, e.outFlows[s])
-			e.busy[s].Decide += time.Since(t)
-		case phaseCommit:
-			t := time.Now()
-			e.commitShard(s)
-			e.busy[s].Commit += time.Since(t)
-		}
+// runShard runs one phase of shard s on pool worker w.
+func (e *Engine) runShard(s, w int, ph phase) {
+	switch ph.kind {
+	case phaseLoads:
+		e.snapshotLoads(s)
+	case phaseDecide:
+		e.decideShard(s, ph.round, e.scratch[w])
+	case phaseCommit:
+		e.commitShard(s)
 	}
 }
 
@@ -260,7 +337,6 @@ func (e *Engine) decideShard(s int, roundStream *rng.Stream, sc *decideScratch) 
 			flows[d] = flows[d][:0]
 		}
 	}
-	loads := e.view.Dense()
 	moves := int64(0)
 	for i := lo; i < hi; i++ {
 		wi := e.counts[i]
@@ -268,7 +344,7 @@ func (e *Engine) decideShard(s int, roundStream *rng.Stream, sc *decideScratch) 
 			continue
 		}
 		roundStream.SplitTo(uint64(e.gbase+i), &sc.child)
-		out, m := e.proto.DecideNode(sys, i, wi, loads, &sc.child, sc.outflows)
+		out, m := e.proto.DecideNode(sys, i, wi, e.loads, &sc.child, sc.outflows)
 		if m == 0 {
 			continue
 		}
@@ -286,10 +362,10 @@ func (e *Engine) decideShard(s int, roundStream *rng.Stream, sc *decideScratch) 
 }
 
 // commitShard applies every delta addressed to shard s: its own dense
-// local buffer plus the flow lists every other shard published through
-// the transport. Shard s's counts are written only here, only by the
-// worker running s, after the decide barrier — hence no data races and
-// no locked hot path.
+// local buffer plus the flow list outFlows[src][s] of every other shard
+// (in a cluster worker, the lists its grant frame carried). Shard s's
+// counts are written only here, only by the worker running s, after the
+// decide barrier — hence no data races and no locked hot path.
 func (e *Engine) commitShard(s int) {
 	lo, _ := e.part.Range(s)
 	for k, d := range e.local[s] {
@@ -301,7 +377,7 @@ func (e *Engine) commitShard(s int) {
 		if src == s {
 			continue
 		}
-		for _, f := range e.tr.Flows(src, s) {
+		for _, f := range e.outFlows[src][s] {
 			e.counts[f.Node] += f.Amount
 		}
 	}
@@ -326,47 +402,15 @@ func (e *Engine) Step(r uint64, base *rng.Stream) (int64, error) {
 	e.dispatch(phase{kind: phaseLoads})
 	t1 := time.Now()
 	e.dispatch(phase{kind: phaseDecide, round: base.Split(r)})
-	// Telemetry only: tally this round's cross-shard flow records.
-	// Integer length reads after the decide barrier — no effect on the
-	// trajectory.
-	for s := range e.outFlows {
-		for d, l := range e.outFlows[s] {
-			if d != s {
-				e.flowsCross += int64(len(l))
-			}
-		}
-	}
+	e.flowsCross += crossFlows(e.outFlows)
 	t2 := time.Now()
 	e.dispatch(phase{kind: phaseCommit})
-	t3 := time.Now()
-	e.times.Snapshot += t1.Sub(t0)
-	e.times.Decide += t2.Sub(t1)
-	e.times.Commit += t3.Sub(t2)
-	e.times.Rounds++
+	e.endRound(t0, t1, t2, time.Now())
 	moves := int64(0)
 	for _, m := range e.moves {
 		moves += m
 	}
 	return moves, nil
-}
-
-// Phases implements PhaseTimer: cumulative per-phase wall-clock time
-// across every Step so far.
-func (e *Engine) Phases() PhaseTimes {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.times
-	t.Shards = append([]ShardTimes(nil), e.busy...)
-	return t
-}
-
-// CrossFlows returns the cumulative number of cross-shard flow records
-// the decide phases have produced — the engine's inter-shard traffic
-// volume, the in-process analogue of the cluster's wire flows.
-func (e *Engine) CrossFlows() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.flowsCross
 }
 
 // ApplyEvents implements core.DynamicEngine: pre-round workload
@@ -413,12 +457,6 @@ func (e *Engine) NodeLoad(i int) (float64, error) {
 	return float64(e.counts[i]) / e.sys.Speed(i), nil
 }
 
-// Partition exposes the engine's partition (for stats and tests).
-func (e *Engine) Partition() *Partition { return e.part }
-
-// Workers returns the worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // Footprint returns the engine's resident state in bytes: the CSR
 // arrays, every flat vector, the partition's tables and lists, and every
 // preallocated shard and decide buffer. It is the "bytes per node"
@@ -444,21 +482,6 @@ func (e *Engine) Footprint() int64 {
 		}
 	}
 	return bytes
-}
-
-// Close stops the worker pool. Idempotent; Step after Close returns
-// ErrClosed.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	for _, ch := range e.kick {
-		close(ch)
-	}
-	return nil
 }
 
 // String describes the engine configuration.

@@ -466,6 +466,83 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestClusterWorkersStartNoPool: a live in-process cluster of P = 3, of
+// either model, runs exactly P goroutines more than before its start —
+// one per worker — because a worker's engine is the shard kernel alone
+// and starts no phase pool. The count is read once the process's
+// goroutines have settled (two equal reads 10 ms apart), before the
+// start and again after the close.
+func TestClusterWorkersStartNoPool(t *testing.T) {
+	g, err := graph.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(g, machine.Uniform(g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := twoCorners(t, sys.N(), 20)
+	weights, err := task.RandomWeights(100, 0.1, 1, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode, err := workload.WeightedAllOnOne(sys.N(), weights, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := func() int {
+		deadline := time.Now().Add(5 * time.Second)
+		for prev := runtime.NumGoroutine(); ; {
+			time.Sleep(10 * time.Millisecond)
+			n := runtime.NumGoroutine()
+			if n == prev {
+				return n
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutine count never settled: %d, then %d", prev, n)
+			}
+			prev = n
+		}
+	}
+	type cluster interface {
+		Step(uint64, *rng.Stream) (int64, error)
+		Close() error
+	}
+	const p = 3
+	opts := shard.Options{Shards: p, Workers: 2}
+	for _, tc := range []struct {
+		name  string
+		start func() (cluster, error)
+	}{
+		{"uniform", func() (cluster, error) {
+			return shard.StartLocalUniformCluster(sys, core.Algorithm1{}, counts, opts)
+		}},
+		{"weighted", func() (cluster, error) {
+			return shard.StartLocalWeightedCluster(sys, core.Algorithm2{}, perNode, opts)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := settled()
+			cl, err := tc.start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := uint64(1); r <= 3; r++ {
+				if _, err := cl.Step(r, rng.New(5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := settled()
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after := settled(); live-before != p || after != before {
+				t.Fatalf("%d goroutines before the start, %d live, %d after the close; want %d live, %d more than before", before, live, after, before+p, p)
+			}
+		})
+	}
+}
+
 // TestShardWorkerStriping pins worker/shard interaction: more shards
 // than workers, more workers than shards, and the P > n clamp all
 // produce the reference trajectory.

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/task"
 	"repro/internal/transport"
 )
 
@@ -370,28 +370,54 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 }
 
 // checkWeighted rejects restored weighted values that no drive writes:
-// a total weight or cached weight sum that is not finite (their signs go
-// unchecked, since the cached sums drift), a task count other than the
-// segments' total, and an update counter outside
-// [0, core.WeightRecomputeEvery), where every round's end leaves it.
+// an update counter k outside [0, core.WeightRecomputeEvery), where
+// every round's end leaves it, a task count m other than the segments'
+// total, a task weight outside (0, 1], and a cached weight sum or total
+// weight that lies more than δ outside the range of an exact sum of
+// the weights it caches: [0, cnt_i] for node i with cnt_i tasks, [0, m]
+// for the total. NaN and ±Inf lie outside every range.
+//
+// δ bounds the rounding drift since the last rebuild. Between rebuilds
+// a cached node sum is a recursive float64 sum of weights in (0, 1]:
+// the rebuild's fold of the tasks then present — at most m + k, since
+// each departure since counts one update — then one addition or
+// subtraction per counted update that touched the node, at most k; so
+// at most N = m + 2k terms whose magnitudes sum to at most N. A
+// recursive sum of N terms errs by at most γ_N·N with γ_N = N·u/(1−N·u)
+// and u = 2⁻⁵³, below 2·N²·u while N·u ≤ ½. totalW is the fold of the
+// rebuilt node sums, which adds their errors (at most 2·(m+k)²·u in
+// all) to its own (as much again), plus one term per counted event
+// since, each erring by at most u·(m+k)·(1+…); the sum of these is
+// below 4·N²·u. Hence δ = 4·(m+2k)²·2⁻⁵³ bounds both.
 func (ck *Checkpoint) checkWeighted() error {
-	if math.IsNaN(ck.totalW) || math.IsInf(ck.totalW, 0) {
-		return fmt.Errorf("total weight %v", ck.totalW)
-	}
-	if ck.sinceRecompute < 0 || core.RecomputeDue(ck.sinceRecompute) {
-		return fmt.Errorf("update counter %d outside [0, %d)", ck.sinceRecompute, core.WeightRecomputeEvery)
+	k := ck.sinceRecompute
+	if k < 0 || core.RecomputeDue(k) {
+		return fmt.Errorf("update counter %d outside [0, %d)", k, core.WeightRecomputeEvery)
 	}
 	tasks := int64(0)
-	for s, st := range ck.states {
-		for _, w := range st.NodeWeight {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return fmt.Errorf("shard %d state: cached weight sum %v", s, w)
-			}
-		}
+	for _, st := range ck.states {
 		tasks += int64(len(st.Segs))
 	}
 	if tasks != ck.count {
 		return fmt.Errorf("task count %d, but the segments hold %d tasks", ck.count, tasks)
+	}
+	n := float64(tasks + 2*k)
+	delta := 4 * n * n * 0x1p-53
+	for s, st := range ck.states {
+		if len(st.NodeWeight) != len(st.SegLen) {
+			return fmt.Errorf("shard %d state: %d cached weight sums for %d nodes", s, len(st.NodeWeight), len(st.SegLen))
+		}
+		if err := task.Weights(st.Segs).Validate(); err != nil {
+			return fmt.Errorf("shard %d state: %w", s, err)
+		}
+		for i, w := range st.NodeWeight {
+			if !(w >= -delta && w <= float64(st.SegLen[i])+delta) {
+				return fmt.Errorf("shard %d state: cached weight sum %v of its node %d outside [%v, %d+%v]", s, w, i, -delta, st.SegLen[i], delta)
+			}
+		}
+	}
+	if !(ck.totalW >= -delta && ck.totalW <= float64(tasks)+delta) {
+		return fmt.Errorf("total weight %v outside [%v, %d+%v]", ck.totalW, -delta, tasks, delta)
 	}
 	return nil
 }

@@ -41,6 +41,8 @@ func encodeWorkerStats(b *transport.Buffer, ws WorkerStats) {
 	b.PutU64(ws.Conn.BytesRecv)
 }
 
+// decodeWorkerStats reads a worker's telemetry, which ends its
+// step-done frame: nothing may follow it.
 func decodeWorkerStats(b *transport.Buffer) (WorkerStats, error) {
 	var ws WorkerStats
 	var err error
@@ -71,7 +73,7 @@ func decodeWorkerStats(b *transport.Buffer) (WorkerStats, error) {
 	if ws.Conn.BytesRecv, err = b.U64(); err != nil {
 		return ws, err
 	}
-	return ws, nil
+	return ws, noTrailing(b)
 }
 
 // ClusterStats is the coordinator's aggregated telemetry: its own

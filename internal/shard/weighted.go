@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -19,8 +18,8 @@ import (
 // offsets, and the cached per-node weight sums and the load snapshot
 // are plain []float64 vectors — no per-node slice headers, no maps.
 // Each round runs in the same three barrier-separated phases as the
-// uniform Engine (snapshot loads, decide, commit) over P shards on a
-// persistent worker pool.
+// uniform Engine (snapshot loads, decide, commit) over P shards on the
+// phase pool.
 //
 // What makes the flat execution possible is the paper's own design
 // decision: Algorithm 2's migration probability is independent of the
@@ -39,13 +38,11 @@ import (
 // WeightedEngine implements core.Engine[*core.WeightedState] and
 // core.DynamicEngine; public methods serialize on an internal mutex.
 type WeightedEngine struct {
+	phasePool
 	sys   *core.System
 	csr   *graph.CSR
 	proto core.WeightedFlatProtocol
-	part  *Partition
 	gbase int // the global id of row 0 (see newEngine)
-
-	mu sync.Mutex
 
 	// Flat SoA state: node i of shard s owns the first segLen[s][i-lo]
 	// elements of its segment. A pool-resident node's segment is
@@ -65,13 +62,9 @@ type WeightedEngine struct {
 	priv   [][][]float64
 
 	nodeWeight []float64
-	loads      []float64
+	loads      []float64 // the round-start load snapshot (see Engine.loads)
 	// segView holds the per-node slice headers of the State() view.
-	segView [][]float64
-	// view is the decide phase's read surface over loads: a zero-copy
-	// dense alias in process, own-span + halo freshness in a cluster
-	// worker (see LoadView).
-	view           LoadView
+	segView        [][]float64
 	totalW         float64
 	count          int64
 	sinceRecompute int64
@@ -88,11 +81,6 @@ type WeightedEngine struct {
 	remIdx   [][]int32             // shard s's removal indices: source-ascending, idx-descending
 	remPos   [][]int64             // per-node prefix into remIdx (len shardSize+1)
 	moves    []int64               // per-shard move totals
-
-	// tr exchanges the outbound flow lists across the decide/commit
-	// barrier; memTransport in process, socket-backed in a cluster
-	// worker.
-	tr Transport
 
 	// Commit scratch (indexed by destination shard): the arrival
 	// buckets, filled in global source order.
@@ -125,16 +113,6 @@ type WeightedEngine struct {
 	shardBase []int64
 
 	scratch []*weightedScratch
-	workers int
-	kick    []chan phase
-	wg      sync.WaitGroup
-	closed  bool
-	times   PhaseTimes
-	busy    []ShardTimes // per-shard busy time, written by the shard's worker
-
-	// flowsCross counts the cross-shard flow records produced by decide
-	// phases so far (telemetry; read via CrossFlows).
-	flowsCross int64
 }
 
 // weightedScratch is one worker's reusable decide storage.
@@ -153,13 +131,19 @@ func NewWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 	if err != nil {
 		return nil, err
 	}
-	return newWeighted(sys, proto, perNode, part, workers, 0)
+	e, err := newWeighted(sys, proto, perNode, part, workers, 0)
+	if err != nil {
+		return nil, err
+	}
+	e.start(e.runShard)
+	return e, nil
 }
 
-// newWeighted builds a weighted engine over part with the given worker
-// count: task pools, weight sums and commit buffers for sys's N() rows,
-// loads for every id of part's id space, node streams keyed by gbase+i
-// (see newEngine).
+// newWeighted builds the weighted shard kernel over part, with decide
+// scratch for the given worker count, and starts no goroutine: task
+// pools, weight sums and commit buffers for sys's N() rows, loads for
+// every id of part's id space, node streams keyed by gbase+i (see
+// newEngine).
 func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []task.Weights, part *Partition, workers, gbase int) (*WeightedEngine, error) {
 	if proto == nil {
 		return nil, errors.New("shard: nil protocol")
@@ -176,10 +160,10 @@ func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 	csr := sys.Graph().CSR()
 	p := part.P()
 	e := &WeightedEngine{
+		phasePool:  phasePool{part: part, workers: workers, busy: make([]ShardTimes, p)},
 		sys:        sys,
 		csr:        csr,
 		proto:      proto,
-		part:       part,
 		gbase:      gbase,
 		pool:       make([][]float64, p),
 		spare:      make([][]float64, p),
@@ -193,8 +177,6 @@ func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		remIdx:     make([][]int32, p),
 		remPos:     make([][]int64, p),
 		moves:      make([]int64, p),
-		busy:       make([]ShardTimes, p),
-		tr:         newMemTransport(p),
 		arrCnt:     make([][]int32, p),
 		arrFill:    make([][]int32, p),
 		arrPos:     make([][]int64, p),
@@ -206,10 +188,7 @@ func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		arenaDead:  make([]int64, p),
 		shardBase:  make([]int64, p),
 		scratch:    make([]*weightedScratch, workers),
-		workers:    workers,
-		kick:       make([]chan phase, workers),
 	}
-	e.view = newLoadView(e.loads, n)
 	for s := 0; s < p; s++ {
 		lo, hi := part.Range(s)
 		size := hi - lo
@@ -246,51 +225,23 @@ func newWeighted(sys *core.System, proto core.WeightedFlatProtocol, perNode []ta
 		e.count += int64(len(perNode[i]))
 	}
 	maxDeg := csr.MaxDegree()
-	for w := 0; w < workers; w++ {
-		e.scratch[w] = &weightedScratch{
-			ws: core.NewWeightedScratch(maxDeg),
-		}
-		e.kick[w] = make(chan phase)
-		go func(w int) {
-			for ph := range e.kick[w] {
-				e.runPhase(w, ph)
-				e.wg.Done()
-			}
-		}(w)
+	for w := range e.scratch {
+		e.scratch[w] = &weightedScratch{ws: core.NewWeightedScratch(maxDeg)}
 	}
 	return e, nil
 }
 
-// dispatch runs one phase on every worker and blocks at the barrier.
-// Callers hold e.mu.
-func (e *WeightedEngine) dispatch(ph phase) {
-	e.wg.Add(e.workers)
-	for _, ch := range e.kick {
-		ch <- ph
-	}
-	e.wg.Wait()
-}
-
-// runPhase executes a phase for every shard striped onto worker w.
-func (e *WeightedEngine) runPhase(w int, ph phase) {
-	for s := w; s < e.part.P(); s += e.workers {
-		switch ph.kind {
-		case phaseLoads:
-			e.snapshotLoads(s)
-		case phaseDecide:
-			t := time.Now()
-			e.decideShard(s, ph.round, e.scratch[w])
-			e.tr.PublishWFlows(s, e.outFlows[s])
-			e.busy[s].Decide += time.Since(t)
-		case phaseCommit:
-			t := time.Now()
-			e.commitShard(s)
-			e.busy[s].Commit += time.Since(t)
-		case phaseRefold:
-			t := time.Now()
-			e.refoldShard(s)
-			e.busy[s].Commit += time.Since(t)
-		}
+// runShard runs one phase of shard s on pool worker w.
+func (e *WeightedEngine) runShard(s, w int, ph phase) {
+	switch ph.kind {
+	case phaseLoads:
+		e.snapshotLoads(s)
+	case phaseDecide:
+		e.decideShard(s, ph.round, e.scratch[w])
+	case phaseCommit:
+		e.commitShard(s)
+	case phaseRefold:
+		e.refoldShard(s)
 	}
 }
 
@@ -345,7 +296,7 @@ func (e *WeightedEngine) decideShard(s int, roundStream *rng.Stream, sc *weighte
 		var ms []core.TaskMove
 		if cnt > 0 {
 			roundStream.SplitTo(uint64(e.gbase+i), &sc.child)
-			ms = e.proto.DecideNodeFlat(e.sys, i, cnt, e.nodeWeight[i], e.view.Dense(), &sc.child, sc.ws)
+			ms = e.proto.DecideNodeFlat(e.sys, i, cnt, e.nodeWeight[i], e.loads, &sc.child, sc.ws)
 		}
 		if len(ms) > 0 {
 			seg := e.seg(s, k)
@@ -375,13 +326,16 @@ func (e *WeightedEngine) seg(s, k int) []float64 {
 	return e.pool[s][o[k] : o[k]+e.segLen[s][k]]
 }
 
-// commitShard applies every move addressed to shard d against the flat
-// pool, node by node, replaying the sequential engine's exact operation
-// sequence. The global move timeline orders all moves as ApplyMoves
-// does — source nodes ascending, indices descending within a source —
-// and each node's operations (task arrivals from other nodes, its own
-// swap-delete removals) are merged by their position on that timeline,
-// which reproduces the interleaving the sequential loop would produce:
+// commitShard applies every move addressed to shard d — the lists
+// outFlows[src][d] of every shard, d's own intra-shard list included (in
+// a cluster worker, the others' lists are the ones its grant frame
+// carried) — against the flat pool, node by node, replaying the
+// sequential engine's exact operation sequence. The global move
+// timeline orders all moves as ApplyMoves does — source nodes
+// ascending, indices descending within a source — and each node's
+// operations (task arrivals from other nodes, its own swap-delete
+// removals) are merged by their position on that timeline, which
+// reproduces the interleaving the sequential loop would produce:
 // arrivals from lower-numbered sources land before the node's own
 // removals and can be swapped into freed slots, exactly as in moveTask.
 // The replay runs in place on each touched node's own segment —
@@ -401,7 +355,7 @@ func (e *WeightedEngine) commitShard(d int) {
 	}
 	totalArr := int64(0)
 	for src := 0; src < part.P(); src++ {
-		for _, f := range e.tr.WFlows(src, d) {
+		for _, f := range e.outFlows[src][d] {
 			arrCnt[int(f.Dst)-lo]++
 			totalArr++
 		}
@@ -429,7 +383,7 @@ func (e *WeightedEngine) commitShard(d int) {
 	}
 	for src := 0; src < part.P(); src++ {
 		base := e.shardBase[src]
-		for _, f := range e.tr.WFlows(src, d) {
+		for _, f := range e.outFlows[src][d] {
 			k := int(f.Dst) - lo
 			at := arrPos[k] + int64(fill[k])
 			fill[k]++
@@ -645,16 +599,7 @@ func (e *WeightedEngine) Step(r uint64, base *rng.Stream) (int64, error) {
 	e.dispatch(phase{kind: phaseLoads})
 	t1 := time.Now()
 	e.dispatch(phase{kind: phaseDecide, round: base.Split(r)})
-	// Telemetry only: tally this round's cross-shard flow records.
-	// Integer length reads after the decide barrier — no effect on the
-	// trajectory.
-	for s := range e.outFlows {
-		for d, l := range e.outFlows[s] {
-			if d != s {
-				e.flowsCross += int64(len(l))
-			}
-		}
-	}
+	e.flowsCross += crossFlows(e.outFlows)
 	// Serial inter-barrier bookkeeping: lay the shards' moves onto the
 	// round's global move timeline (sources ascending — shards are
 	// contiguous ascending index ranges).
@@ -676,33 +621,8 @@ func (e *WeightedEngine) Step(r uint64, base *rng.Stream) (int64, error) {
 		}
 		e.sinceRecompute = 0
 	}
-	t3 := time.Now()
-	e.times.Snapshot += t1.Sub(t0)
-	e.times.Decide += t2.Sub(t1)
-	e.times.Commit += t3.Sub(t2)
-	e.times.Rounds++
+	e.endRound(t0, t1, t2, time.Now())
 	return total, nil
-}
-
-// Phases implements PhaseTimer: cumulative per-phase wall-clock time
-// across every Step so far. The serial move-base bookkeeping counts
-// toward decide, and the round-end refold of the cached sums toward
-// commit.
-func (e *WeightedEngine) Phases() PhaseTimes {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.times
-	t.Shards = append([]ShardTimes(nil), e.busy...)
-	return t
-}
-
-// CrossFlows returns the cumulative number of cross-shard flow records
-// the decide phases have produced — the engine's inter-shard traffic
-// volume, the in-process analogue of the cluster's wire flows.
-func (e *WeightedEngine) CrossFlows() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.flowsCross
 }
 
 // ArenaStats reports the privatization arena's occupancy: the bytes in
@@ -937,12 +857,6 @@ func (e *WeightedEngine) TaskCount() int64 {
 	return e.count
 }
 
-// Partition exposes the engine's partition (for stats and tests).
-func (e *WeightedEngine) Partition() *Partition { return e.part }
-
-// Workers returns the worker-pool size.
-func (e *WeightedEngine) Workers() int { return e.workers }
-
 // Footprint returns the engine's resident state in bytes: the CSR
 // arrays, the task-weight pools and private segments, the offset and
 // length arrays, every flat vector, the partition's tables and lists
@@ -977,21 +891,6 @@ func (e *WeightedEngine) Footprint() int64 {
 		}
 	}
 	return bytes
-}
-
-// Close stops the worker pool. Idempotent; Step after Close returns
-// ErrClosed.
-func (e *WeightedEngine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	for _, ch := range e.kick {
-		close(ch)
-	}
-	return nil
 }
 
 // String describes the engine configuration.

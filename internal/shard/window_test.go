@@ -191,7 +191,6 @@ func recordedCluster(t *testing.T, sys *core.System, counts []int64, perNode []t
 				started <- nil
 				return
 			}
-			defer w.close()
 			started <- w
 			_ = w.loop(WorkerOptions{})
 		}()

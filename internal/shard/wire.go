@@ -12,7 +12,17 @@ import (
 // Wire-level payload encodings shared by the cluster coordinator
 // (cluster.go) and the shard worker (worker.go). Everything is built on
 // transport.Buffer primitives; floats travel as IEEE bit patterns so
-// state round-trips bit-exactly.
+// state round-trips bit-exactly. Every frame decoder uses up its frame:
+// layouts are private to one build, so bytes left over mean a peer from
+// another source or a corrupt frame, and noTrailing refuses them.
+
+// noTrailing refuses a frame that holds bytes past its last field.
+func noTrailing(b *transport.Buffer) error {
+	if n := b.Remaining(); n != 0 {
+		return fmt.Errorf("%d trailing bytes", n)
+	}
+	return nil
+}
 
 const (
 	modelUniform  uint8 = 0
@@ -384,6 +394,7 @@ func decodeConfig(b *transport.Buffer) (*clusterConfig, error) {
 		read(func() (e error) { c.NodeWeight, e = b.F64s(nil); return })
 		read(func() error { return checkLen("restored weight sums", len(c.NodeWeight), m) })
 	}
+	read(func() error { return noTrailing(b) })
 	if err != nil {
 		return nil, fmt.Errorf("shard: decode cluster config: %w", err)
 	}
@@ -498,6 +509,32 @@ func encodeEventSlice(b *transport.Buffer, model uint8, batch *core.EventBatch, 
 			b.PutI64(k)
 		}
 	}
+}
+
+// decodeRound reads a round frame at the worker whose own range is
+// [lo, hi): the round, the five state words of its stream
+// (rng.StreamFromWords), the event flag and, when the flag is set, the
+// worker's event slice, which ends the frame. batch is nil when no
+// batch rides the round.
+func decodeRound(b *transport.Buffer, model uint8, lo, hi int) (r uint64, words [5]uint64, batch *core.EventBatch, err error) {
+	if r, err = b.U64(); err != nil {
+		return 0, words, nil, err
+	}
+	for i := range words {
+		if words[i], err = b.U64(); err != nil {
+			return 0, words, nil, err
+		}
+	}
+	flag, err := b.U8()
+	if err != nil {
+		return 0, words, nil, err
+	}
+	if flag != 0 {
+		if batch, err = decodeEventSlice(b, model, lo, hi); err != nil {
+			return 0, words, nil, err
+		}
+	}
+	return r, words, batch, noTrailing(b)
 }
 
 // decodeEventSlice rebuilds a worker's slice of an event batch as
@@ -619,6 +656,26 @@ func decodeOwnState(b *transport.Buffer, model uint8) (*ownState, error) {
 	return st, nil
 }
 
+// decodeStateFrame reads a worker's state frame, which must cover its
+// own range of m nodes and end there.
+func decodeStateFrame(b *transport.Buffer, model uint8, m int) (*ownState, error) {
+	st, err := decodeOwnState(b, model)
+	if err != nil {
+		return nil, err
+	}
+	if model == modelUniform {
+		if len(st.Counts) != m {
+			return nil, fmt.Errorf("sent %d counts for range of %d", len(st.Counts), m)
+		}
+	} else if len(st.SegLen) != m || len(st.NodeWeight) != m {
+		return nil, fmt.Errorf("sent state sized %d/%d for range of %d", len(st.SegLen), len(st.NodeWeight), m)
+	}
+	if err := noTrailing(b); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // decodeFlows reads a worker's flows frame: its move count, then its
 // flow list to each shard, uniform lists into f and weighted ones into
 // w, reusing their capacity. f and w have one entry per shard, and the
@@ -645,42 +702,51 @@ func decodeFlows(b *transport.Buffer, model uint8, f [][]transport.Flow, w [][]t
 			return 0, err
 		}
 	}
-	return moves, nil
+	return moves, noTrailing(b)
 }
 
-// decodeGrant reads the flow lists of a uniform grant frame, one from
-// each shard, into in (one entry per shard), reusing its capacity. Every
-// destination must lie in the receiving worker's own range [lo, hi) and
-// is rebased to its local id.
-func decodeGrant(b *transport.Buffer, lo, hi int, in [][]transport.Flow) error {
-	if err := grantShards(b, len(in)); err != nil {
+// decodeGrant reads a uniform grant frame at worker own, whose range is
+// [lo, hi): one flow list from each shard src, decoded into the engine's
+// own column, out[src][own], reusing its capacity. Every destination
+// must lie in [lo, hi) and is rebased to its local id. The list from
+// own itself must be empty (grantOwnList), and out[own] is not written.
+func decodeGrant(b *transport.Buffer, own, lo, hi int, out [][][]transport.Flow) error {
+	if err := grantShards(b, len(out)); err != nil {
 		return err
 	}
-	for src := range in {
-		var err error
-		if in[src], err = b.Flows(in[src][:0]); err != nil {
+	for src := range out {
+		if src == own {
+			if err := grantOwnList(b, own); err != nil {
+				return err
+			}
+			continue
+		}
+		l, err := b.Flows(out[src][own][:0])
+		if err != nil {
 			return err
 		}
-		for k := range in[src] {
-			if err := ownLocal(&in[src][k].Node, lo, hi); err != nil {
+		for k := range l {
+			if err := ownLocal(&l[k].Node, lo, hi); err != nil {
 				return err
 			}
 		}
+		out[src][own] = l
 	}
-	return nil
+	return noTrailing(b)
 }
 
 // decodeWGrant reads a weighted grant frame: the shards' global move
 // bases into bases' storage and the refold flag (whether the round ends
 // with a rebuild of the cached weight sums), then the task flows as
-// decodeGrant does.
-func decodeWGrant(b *transport.Buffer, lo, hi int, bases []int64, in [][]transport.WFlow) ([]int64, bool, error) {
+// decodeGrant does. out[own][own], the worker's intra-shard moves, is
+// not written.
+func decodeWGrant(b *transport.Buffer, own, lo, hi int, bases []int64, out [][][]transport.WFlow) ([]int64, bool, error) {
 	bases, err := b.I64s(bases[:0])
 	if err != nil {
 		return nil, false, err
 	}
-	if len(bases) != len(in) {
-		return nil, false, fmt.Errorf("shard: worker: %d move bases for %d shards", len(bases), len(in))
+	if len(bases) != len(out) {
+		return nil, false, fmt.Errorf("shard: worker: %d move bases for %d shards", len(bases), len(out))
 	}
 	flag, err := b.U8()
 	if err != nil {
@@ -689,39 +755,52 @@ func decodeWGrant(b *transport.Buffer, lo, hi int, bases []int64, in [][]transpo
 	if flag > 1 {
 		return nil, false, fmt.Errorf("shard: worker: refold flag %d", flag)
 	}
-	if err := grantShards(b, len(in)); err != nil {
+	if err := grantShards(b, len(out)); err != nil {
 		return nil, false, err
 	}
-	for src := range in {
-		if in[src], err = b.WFlows(in[src][:0]); err != nil {
+	for src := range out {
+		if src == own {
+			if err := grantOwnList(b, own); err != nil {
+				return nil, false, err
+			}
+			continue
+		}
+		l, err := b.WFlows(out[src][own][:0])
+		if err != nil {
 			return nil, false, err
 		}
-		for k := range in[src] {
-			if err := ownLocal(&in[src][k].Dst, lo, hi); err != nil {
+		for k := range l {
+			if err := ownLocal(&l[k].Dst, lo, hi); err != nil {
 				return nil, false, err
 			}
 		}
+		out[src][own] = l
+	}
+	if err := noTrailing(b); err != nil {
+		return nil, false, err
 	}
 	return bases, flag == 1, nil
 }
 
-// decodeHalo reads a worker's halo-loads frame, which must carry
-// exactly h loads, into dst's storage, reusing its capacity.
-func decodeHalo(b *transport.Buffer, dst []float64, h int) ([]float64, error) {
-	hv, err := b.F64s(dst[:0])
+// decodeHalo reads a worker's halo-loads frame, which must carry exactly
+// len(dst) loads — one per halo slot — into dst, the halo slots of the
+// engine's load vector.
+func decodeHalo(b *transport.Buffer, dst []float64) error {
+	hv, err := b.F64s(dst[:0:len(dst)])
 	if err != nil {
-		return dst, err
+		return err
 	}
-	if len(hv) != h {
-		return hv, fmt.Errorf("shard: worker: %d halo loads for %d halo nodes", len(hv), h)
+	if len(hv) != len(dst) {
+		return fmt.Errorf("shard: worker: %d halo loads for %d halo nodes", len(hv), len(dst))
 	}
-	return hv, nil
+	return noTrailing(b)
 }
 
 // decodeStepDone reads a worker's step-done frame: its refold flag,
 // which must equal the grant's refold, on a refold round the m
 // refolded sums of its own rows, which it adds to *sum in row order,
-// and then the worker's cumulative telemetry, which it returns.
+// and then the worker's cumulative telemetry, which ends the frame
+// (decodeWorkerStats) and which it returns.
 func decodeStepDone(b *transport.Buffer, refold bool, m int, sum *float64) (WorkerStats, error) {
 	flag, err := b.U8()
 	if err != nil {
@@ -757,6 +836,20 @@ func grantShards(b *transport.Buffer, p int) error {
 	}
 	if int64(n) != int64(p) {
 		return fmt.Errorf("shard: worker: grant for %d shards, have %d", n, p)
+	}
+	return nil
+}
+
+// grantOwnList reads the list a grant carries from worker own to
+// itself, which must be empty: a worker's intra-shard moves never leave
+// it, so a grant that returns any is refused.
+func grantOwnList(b *transport.Buffer, own int) error {
+	n, err := b.U32()
+	if err != nil {
+		return err
+	}
+	if n != 0 {
+		return fmt.Errorf("shard: worker: grant returns %d of worker %d's own flows", n, own)
 	}
 	return nil
 }

@@ -21,43 +21,19 @@ import (
 // rewrites them into local ids, and builds the same engine the in-process
 // path uses over a window partition (the cut points and a halo-slot
 // owner table) and a window core.System (own + halo speeds, the halo's
-// true degrees, the instance's Δ and s_max). It drives that shard's
-// three phases directly, so every decide and commit runs the
-// byte-for-byte identical code; only the flow exchange differs, swapped
-// behind the Transport interface. Node streams stay keyed by global id
-// (the engine's gbase), and flows change between local and global ids
-// only where this file encodes or decodes a frame, so no frame byte
-// depends on the local ids. The per-round load exchange is O(cut): own
-// boundary loads out, halo loads back.
-
-// workerTransport is the socket-backed Transport of a cluster worker:
-// the worker's own published lists are held locally (its intra-shard
-// traffic never touches the wire), and the per-source inbound lists are
-// loaded from the coordinator's grant frame before each commit.
-type workerTransport struct {
-	own    int
-	lists  [][]transport.Flow  // own published lists, by destination
-	wlists [][]transport.WFlow // weighted twin
-	in     [][]transport.Flow  // inbound flows, by source shard
-	inW    [][]transport.WFlow
-}
-
-func (t *workerTransport) PublishFlows(src int, lists [][]transport.Flow)   { t.lists = lists }
-func (t *workerTransport) PublishWFlows(src int, lists [][]transport.WFlow) { t.wlists = lists }
-
-func (t *workerTransport) Flows(src, dst int) []transport.Flow {
-	if src == t.own {
-		return t.lists[dst]
-	}
-	return t.in[src]
-}
-
-func (t *workerTransport) WFlows(src, dst int) []transport.WFlow {
-	if src == t.own {
-		return t.wlists[dst]
-	}
-	return t.inW[src]
-}
+// true degrees, the instance's Δ and s_max). The engine is the shard
+// kernel alone — it starts no goroutine — and the worker drives that
+// shard's three phases directly, so every decide and commit runs the
+// byte-for-byte identical code on the same slices as in process. The
+// frames read and write those slices in place: the boundary loads are
+// packed from the engine's load vector and the halo frame is decoded
+// into its halo slots; the flows frame carries the engine's own row of
+// flow lists, outFlows[own], and the grant is decoded into its own
+// column, outFlows[src][own], which the commit reads. Node streams stay
+// keyed by global id (the engine's gbase), and flows change between
+// local and global ids only where this file encodes or decodes a frame,
+// so no frame byte depends on the local ids. The per-round load exchange
+// is O(cut): own boundary loads out, halo loads back.
 
 // WorkerOptions carries test hooks for RunWorkerOpts.
 type WorkerOptions struct {
@@ -83,7 +59,6 @@ func RunWorkerOpts(rw io.ReadWriter, wo WorkerOptions) error {
 		conn.WriteError(err.Error())
 		return err
 	}
-	defer w.close()
 	if err := w.loop(wo); err != nil {
 		conn.WriteError(err.Error())
 		return err
@@ -100,19 +75,16 @@ type worker struct {
 	p      int
 	lo, hi int     // global own range: local id k is global lo+k
 	halo   []int32 // global id of each halo slot (the partition's halo list)
-	tr     *workerTransport
 
 	sys *core.System // the window system the engine runs on
 	ue  *Engine
 	we  *WeightedEngine
 
-	// Halo exchange: this shard's boundary rows (local ids, an alias of
-	// the partition's storage), the engine's load view, and the
-	// gather/scatter staging slices.
-	view     LoadView
+	// Halo exchange: the engine's load vector (own rows 0…m−1, then the
+	// halo slots) and this shard's boundary rows (local ids, an alias of
+	// the partition's storage).
+	loads    []float64
 	boundary []int32
-	bvals    []float64
-	hvals    []float64
 
 	// evbuf stages the event report encoded against the pre-event state,
 	// which rides the round's boundary-loads frame.
@@ -160,11 +132,6 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 		halo:     part.Halo(cfg.Shard),
 		sys:      sys,
 		boundary: part.Boundary(cfg.Shard),
-		tr: &workerTransport{
-			own: cfg.Shard,
-			in:  make([][]transport.Flow, cfg.P()),
-			inW: make([][]transport.WFlow, cfg.P()),
-		},
 	}
 	switch cfg.Model {
 	case modelUniform:
@@ -176,9 +143,7 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.tr = w.tr
-		w.ue = e
-		w.view = e.view
+		w.ue, w.loads = e, e.loads
 	case modelWeighted:
 		proto, err := weightedProtoFor(cfg.Proto, cfg.Alpha)
 		if err != nil {
@@ -198,14 +163,11 @@ func newWorker(conn *transport.Conn) (*worker, error) {
 			// of the fresh folds newWeighted computed.
 			copy(e.nodeWeight, cfg.NodeWeight)
 		}
-		e.tr = w.tr
-		w.we = e
-		w.view = e.view
+		w.we, w.loads = e, e.loads
 	default:
 		return nil, fmt.Errorf("shard: worker: unknown model %d", cfg.Model)
 	}
 	if err := conn.WriteFrame(transport.KindVote, nil); err != nil {
-		w.close()
 		return nil, err
 	}
 	return w, nil
@@ -249,15 +211,6 @@ func (w *worker) globalWFlows(fs []transport.WFlow) []transport.WFlow {
 	return fs
 }
 
-func (w *worker) close() {
-	if w.ue != nil {
-		w.ue.Close()
-	}
-	if w.we != nil {
-		w.we.Close()
-	}
-}
-
 // loop serves coordinator frames until done.
 func (w *worker) loop(wo WorkerOptions) error {
 	for {
@@ -297,27 +250,13 @@ func (w *worker) loop(wo WorkerOptions) error {
 func (w *worker) round(payload []byte) (uint64, error) {
 	var b transport.Buffer
 	b.Load(payload)
-	r, err := b.U64()
+	r, words, batch, err := decodeRound(&b, w.model, w.lo, w.hi)
 	if err != nil {
 		return 0, err
-	}
-	var words [5]uint64
-	for i := range words {
-		if words[i], err = b.U64(); err != nil {
-			return 0, err
-		}
 	}
 	rs := rng.StreamFromWords(words)
-	evFlag, err := b.U8()
-	if err != nil {
-		return 0, err
-	}
 	w.evbuf.Reset()
-	if evFlag != 0 {
-		batch, err := decodeEventSlice(&b, w.model, w.lo, w.hi)
-		if err != nil {
-			return 0, err
-		}
+	if batch != nil {
 		if err := w.applyLocalEvents(batch); err != nil {
 			return 0, err
 		}
@@ -325,7 +264,8 @@ func (w *worker) round(payload []byte) (uint64, error) {
 
 	// Phase 1: boundary loads out (the event report, if any, rides the
 	// same frame), halo loads back — O(cut) either way, never the full
-	// vector.
+	// vector. Both move straight between the frames and the engine's
+	// load vector.
 	t := time.Now()
 	if w.model == modelUniform {
 		w.ue.snapshotLoads(w.own)
@@ -333,9 +273,11 @@ func (w *worker) round(payload []byte) (uint64, error) {
 		w.we.snapshotLoads(w.own)
 	}
 	w.stats.SnapshotNs += int64(time.Since(t))
-	w.bvals = w.view.Gather(w.boundary, w.bvals)
 	w.buf.Reset()
-	w.buf.PutF64s(w.bvals)
+	w.buf.PutU32(uint32(len(w.boundary)))
+	for _, k := range w.boundary {
+		w.buf.PutF64(w.loads[k])
+	}
 	w.buf.B = append(w.buf.B, w.evbuf.B...)
 	if err := w.conn.WriteFrame(transport.KindBoundaryLoads, w.buf.B); err != nil {
 		return 0, err
@@ -347,43 +289,38 @@ func (w *worker) round(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	b.Load(payload)
-	if w.hvals, err = decodeHalo(&b, w.hvals, len(w.halo)); err != nil {
+	if err := decodeHalo(&b, w.loads[w.hi-w.lo:]); err != nil {
 		return 0, err
 	}
-	w.view.FillHalo(w.hvals)
 
-	// Phase 2: decide own shard, publish locally, ship the cross-shard
-	// lists (the own-destination list stays local and never hits the
-	// wire — for the weighted model it is the dominant, intra-shard one).
+	// Phase 2: decide own shard and ship its row of flow lists, except
+	// the own-destination list, which stays local and never hits the
+	// wire (for the weighted model it is the dominant, intra-shard one).
 	t = time.Now()
 	w.buf.Reset()
 	if w.model == modelUniform {
 		e := w.ue
 		e.decideShard(w.own, rs, e.scratch[0])
-		e.tr.PublishFlows(w.own, e.outFlows[w.own])
 		w.buf.PutI64(e.moves[w.own])
 		w.buf.PutU32(uint32(w.p))
-		for d := 0; d < w.p; d++ {
+		for d, l := range e.outFlows[w.own] {
 			if d == w.own {
-				w.buf.PutFlows(nil)
-			} else {
-				w.buf.PutFlows(w.globalFlows(w.tr.lists[d]))
-				w.stats.FlowsOut += int64(len(w.tr.lists[d]))
+				l = nil
 			}
+			w.buf.PutFlows(w.globalFlows(l))
+			w.stats.FlowsOut += int64(len(l))
 		}
 	} else {
 		e := w.we
 		e.decideShard(w.own, rs, e.scratch[0])
-		e.tr.PublishWFlows(w.own, e.outFlows[w.own])
 		w.buf.PutI64(e.moves[w.own])
 		w.buf.PutU32(uint32(w.p))
-		for d := 0; d < w.p; d++ {
+		for d, l := range e.outFlows[w.own] {
 			if d == w.own {
-				w.buf.PutWFlows(nil)
-			} else {
-				w.buf.PutWFlows(w.globalWFlows(w.tr.wlists[d]))
-				w.stats.FlowsOut += int64(len(w.tr.wlists[d]))
+				l = nil
 			}
+			w.buf.PutWFlows(w.globalWFlows(l))
+			w.stats.FlowsOut += int64(len(l))
 		}
 	}
 	w.stats.DecideNs += int64(time.Since(t))
@@ -391,7 +328,8 @@ func (w *worker) round(payload []byte) (uint64, error) {
 		return 0, err
 	}
 
-	// Phase 3: grant in, commit, step done.
+	// Phase 3: grant in (into the engine's own column of flow lists),
+	// commit, step done.
 	t = time.Now()
 	payload, err = w.conn.Expect(transport.KindGrant)
 	w.stats.BarrierWaitNs += int64(time.Since(t))
@@ -402,13 +340,13 @@ func (w *worker) round(payload []byte) (uint64, error) {
 	t = time.Now()
 	refold := false
 	if w.model == modelUniform {
-		if err := decodeGrant(&b, w.lo, w.hi, w.tr.in); err != nil {
+		if err := decodeGrant(&b, w.own, w.lo, w.hi, w.ue.outFlows); err != nil {
 			return 0, err
 		}
 		w.ue.commitShard(w.own)
 	} else {
 		e := w.we
-		e.shardBase, refold, err = decodeWGrant(&b, w.lo, w.hi, e.shardBase, w.tr.inW)
+		e.shardBase, refold, err = decodeWGrant(&b, w.own, w.lo, w.hi, e.shardBase, e.outFlows)
 		if err != nil {
 			return 0, err
 		}

@@ -412,8 +412,8 @@ func (b *Buffer) I32s(dst []int32) ([]int32, error) {
 }
 
 // Flow is one uniform-model cross-shard transfer: Amount tasks arriving
-// at node Node. It is the record the shard engine's Transport exchanges
-// between decide and commit.
+// at node Node. It is the record of the shard engine's flow lists, which
+// the decide phase fills and the commit phase reads.
 type Flow struct {
 	Node   int32
 	Amount int64
